@@ -3,7 +3,6 @@
 from .batchnorm import BNState, batchnorm
 from .gradcheck import grad_check
 from .ops import (
-    add,
     add_n,
     affine,
     bce,
@@ -36,7 +35,6 @@ __all__ = [
     "Parameter",
     "ShapeMismatchError",
     "Tensor",
-    "add",
     "add_n",
     "affine",
     "as_f64",

@@ -21,7 +21,6 @@ __all__ = [
     "softmax",
     "dropout",
     "bce",
-    "add",
     "add_n",
     "scale",
     "reshape",
@@ -137,16 +136,6 @@ def bce(p: Tensor, y: np.ndarray) -> Tensor:
         return (dp.reshape(p.shape),)
 
     return Tensor(np.float64(loss), (p,), backward)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"add requires equal shapes, got {a.shape}, {b.shape}")
-
-    def backward(g):
-        return g.copy(), g.copy()
-
-    return Tensor(a.data + b.data, (a, b), backward)
 
 
 def add_n(terms: Sequence[Tensor]) -> Tensor:

@@ -12,12 +12,9 @@ from .fedbn import FedBNState, fed_average, fedbn_normalize
 from ..keys import SharedKey
 from .server import (
     STRATEGY_IDS,
-    DeltaSet,
     FederationServer,
-    RoundSnapshot,
     ServerDirective,
     StrategyPlan,
-    compute_deltas,
     resolve_strategy,
     upload_keys,
 )
@@ -27,16 +24,13 @@ __all__ = [
     "STRATEGY_IDS",
     "ClientSim",
     "CoordinationResult",
-    "DeltaSet",
     "FedBNState",
     "FederationServer",
     "PersonalizationState",
-    "RoundSnapshot",
     "ServerDirective",
     "SharedKey",
     "StrategyPlan",
     "compose_coordinated_update",
-    "compute_deltas",
     "coordinate",
     "fed_average",
     "fedbn_normalize",

@@ -8,9 +8,18 @@ over simplex weights w of
     F(w) = <U_w, mean> + sqrt(phi) * ||U_w||,
     U_w = sum_m w_m * delta_m,   phi = c^2 * ||mean||^2,
 
-solved by projected gradient descent on the simplex. The coordinated update
-is then U* = mean + sqrt(phi) * U_w / ||U_w||, which sits exactly on the
-ball boundary whenever U_w is nonzero.
+the conflict-averse (CAGrad) dual. It is solved by one accelerated
+projected-gradient loop: each step size comes from backtracking on the
+quadratic upper bound, and the momentum restarts whenever F would rise. The
+loop stops once the Frank-Wolfe gap
+
+    gap(w) = <grad F(w), w> - min_i grad F(w)_i
+
+falls below GAP_TOL * (||b||_inf + sqrt(phi) * max_m ||delta_m||), with
+b_m = <delta_m, mean>, or after MAX_ITERS steps. F is convex, so the gap
+bounds F(w) - min F from above. The coordinated update is then
+U* = mean + sqrt(phi) * U_w / ||U_w||, which sits exactly on the ball
+boundary whenever U_w is nonzero.
 """
 
 from __future__ import annotations
@@ -29,10 +38,8 @@ __all__ = [
     "objective",
 ]
 
-MAX_ITERS = 200
-POLISH_ITERS = 2000
-STEP_SCALE = 0.1
-CONVERGENCE_TOL = 1e-8
+MAX_ITERS = 500
+GAP_TOL = 1e-6
 NORM_FLOOR = 1e-12
 
 
@@ -68,94 +75,78 @@ def objective(weights: np.ndarray, deltas: np.ndarray, mean_delta: np.ndarray, c
 
 
 def solve_conflict_weights(
-    deltas: Sequence[np.ndarray], mean_delta: np.ndarray, c: float
+    deltas: Sequence[np.ndarray] | np.ndarray, mean_delta: np.ndarray, c: float
 ) -> CoordinationResult:
-    """Minimize F(w) over the simplex by projected gradient descent.
+    """Minimize F(w) over the simplex; ``deltas`` holds one increment per row.
 
-    Fixed budget of 200 iterations, step 0.1 / max_m ||delta_m||, stopping
-    once the weight update falls below 1e-8 in the max norm, followed by a
-    backtracking line-search phase that runs until the iterate stops moving.
     All-zero deltas short-circuit to the degenerate zero-update result.
     """
     if not 0.0 <= c < 1.0:
         raise ValueError(f"c must be in [0, 1), got {c}")
     if len(deltas) == 0:
         raise ValueError("need at least one increment")
-    d = np.stack([np.asarray(x, dtype=np.float64).ravel() for x in deltas])  # (M, L)
+    d = np.asarray(deltas, dtype=np.float64)
+    d = d.reshape(d.shape[0], -1)  # (M, L)
     mean_delta = np.asarray(mean_delta, dtype=np.float64).ravel()
     if mean_delta.shape[0] != d.shape[1]:
         raise ValueError("mean increment length does not match the deltas")
-    m = d.shape[0]
+    if not (np.isfinite(d).all() and np.isfinite(mean_delta).all()):
+        raise ValueError("increments must be finite")
 
-    gram = d @ d.T
     b = d @ mean_delta
     phi = (c * c) * float(mean_delta @ mean_delta)
     sqrt_phi = np.sqrt(phi)
-    norms = np.sqrt(np.maximum(np.diag(gram), 0.0))
-    max_norm = float(norms.max())
+    max_norm = float(np.linalg.norm(d, axis=1).max())
 
-    w = np.full(m, 1.0 / m)
+    w = np.full(d.shape[0], 1.0 / d.shape[0])
     if max_norm <= NORM_FLOOR:
         return CoordinationResult(
             weights=w, u_w=np.zeros_like(mean_delta), phi=phi, mean_delta=mean_delta,
             c=c, iterations=0, objective=0.0,
         )
+    scale = float(np.abs(b).max()) + sqrt_phi * max_norm  # sets the tolerance and the first step
+    tol = GAP_TOL * scale
 
-    def grad(weights: np.ndarray) -> np.ndarray:
-        gw = gram @ weights
-        u_w_norm = np.sqrt(max(float(weights @ gw), 0.0))
-        if u_w_norm <= NORM_FLOOR:
+    def value(x: np.ndarray) -> float:
+        return objective(x, d, mean_delta, c)
+
+    def grad(x: np.ndarray) -> np.ndarray:
+        u = d.T @ x
+        norm = float(np.linalg.norm(u))
+        if norm <= NORM_FLOOR:
             return b  # drop the norm term's gradient at the kink
-        return b + (sqrt_phi / u_w_norm) * gw
+        return b + (sqrt_phi / norm) * (d @ u)
 
-    step = STEP_SCALE / max_norm
+    def step(y: np.ndarray, f_y: float, g_y: np.ndarray, lip: float):
+        # Backtrack until F lies under the quadratic model around y.
+        while True:
+            x = project_simplex(y - g_y / lip)
+            f_x = value(x)
+            s = x - y
+            if f_x <= f_y + float(g_y @ s) + 0.5 * lip * float(s @ s):
+                return x, f_x, lip
+            lip *= 2.0
+
+    f, g = value(w), grad(w)
+    y, f_y, g_y = w, f, g
+    t = 1.0
+    lip = scale
     iterations = 0
-    for _ in range(MAX_ITERS):
+    while iterations < MAX_ITERS and float(g @ w - g.min()) > tol:
         iterations += 1
-        w_new = project_simplex(w - step * grad(w))
-        if float(np.abs(w_new - w).max()) < CONVERGENCE_TOL:
-            w = w_new
-            break
-        w = w_new
+        x, f_x, lip = step(y, f_y, g_y, max(0.5 * lip, tol))  # try a longer step first
+        if f_x > f:  # the momentum overshot: restart from the last iterate
+            t = 1.0
+            x, f_x, lip = step(w, f, g, lip)
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        y = x + ((t - 1.0) / t_next) * (x - w)
+        w, f, g, t = x, f_x, grad(x), t_next
+        f_y, g_y = value(y), grad(y)
 
-    if m > 1:
-        # Backtracking polish: the fixed-step pass can stall short of the
-        # optimum on ill-conditioned instances, so continue with Armijo
-        # line search until the iterate stops moving.
-        best_w = w.copy()
-        best_f = _value(w, gram, b, sqrt_phi)
-        t = step
-        for _ in range(POLISH_ITERS):
-            iterations += 1
-            g = grad(w)
-            f0 = _value(w, gram, b, sqrt_phi)
-            w_new = w
-            f_new = f0
-            for _bt in range(40):
-                w_new = project_simplex(w - t * g)
-                f_new = _value(w_new, gram, b, sqrt_phi)
-                if f_new <= f0 - 1e-14 * max(1.0, abs(f0)) or np.array_equal(w_new, w):
-                    break
-                t *= 0.5
-            moved = float(np.abs(w_new - w).max())
-            w = w_new
-            if f_new < best_f:
-                best_f, best_w = f_new, w.copy()
-            if moved < 1e-13:
-                break
-            t = min(t * 2.0, 1e6 * step)
-        w = best_w
-
-    u_w = d.T @ w
     return CoordinationResult(
-        weights=w, u_w=u_w, phi=phi, mean_delta=mean_delta, c=c,
-        iterations=iterations, objective=_value(w, gram, b, sqrt_phi),
+        weights=w, u_w=d.T @ w, phi=phi, mean_delta=mean_delta, c=c,
+        iterations=iterations, objective=f,
     )
-
-
-def _value(w: np.ndarray, gram: np.ndarray, b: np.ndarray, sqrt_phi: float) -> float:
-    quad = max(float(w @ (gram @ w)), 0.0)
-    return float(w @ b + sqrt_phi * np.sqrt(quad))
 
 
 def compose_coordinated_update(result: CoordinationResult) -> np.ndarray:

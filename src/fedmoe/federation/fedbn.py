@@ -42,8 +42,8 @@ def fedbn_normalize(
     client_gammas: Sequence[np.ndarray],
     client_betas: Sequence[np.ndarray],
     eps: float = DEFAULT_EPS,
-) -> tuple[list[np.ndarray], FedBNState]:
-    """Normalize a batch of same-shape uploads; returns outputs plus the state.
+) -> tuple[np.ndarray, FedBNState]:
+    """Normalize a batch of same-shape uploads; returns them stacked on axis 0, plus the state.
 
     ``client_gammas``/``client_betas`` carry one affine pair per client (the
     upload count may be a multiple of the client count when several experts
@@ -70,13 +70,13 @@ def fedbn_normalize(
     beta_g = np.mean(np.stack(betas), axis=0)
 
     scale = gamma_g / np.sqrt(var + eps)
-    normalized = [scale * centered[i] + beta_g for i in range(len(uploads))]
+    normalized = scale * centered + beta_g
     return normalized, FedBNState(mu=mu, var=var, gamma=gamma_g, beta=beta_g, eps=eps)
 
 
 def fed_average(tensors: Sequence[np.ndarray]) -> np.ndarray:
     """Arithmetic mean of same-shape tensors."""
-    if not tensors:
+    if len(tensors) == 0:
         raise ValueError("cannot average an empty upload set")
     tensors = [np.asarray(t, dtype=np.float64) for t in tensors]
     _check_same_shape(tensors, "tensors")

@@ -6,35 +6,34 @@ Strategy table (expert scenario-weight set / tower set):
     a1      plain       / plain         plain averaging of both sets
     a2      plain       / coordinated   plain mean over ALL expert params
     a3      coordinated / coordinated   identical configuration to main
+                                        (the ablation suite runs it once)
     a4      none        / plain         experts untouched
     fedavg  plain       / plain         plain mean over every parameter
     local   none        / none          no aggregation at all
 
-"coordinated" means: normalize the uploads server-side as one batch,
-average them, difference consecutive rounds per upload, solve the simplex
-weighting, and ship the mean increment plus the coordinated update for
-personalized application on each client. "plain" is the per-key mean over
+"coordinated" means: normalize each pool's uploads server-side as one
+batch, stacked in (client, key) order, average them, difference the stack
+against the previous round's, solve the simplex weighting over its rows,
+and ship the mean increment plus the coordinated update for personalized
+application on each client. "plain" is the per-key mean over
 clients. The server sees nothing but keyed tensors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from .coordination import CoordinationResult, compose_coordinated_update, solve_conflict_weights
-from .fedbn import DEFAULT_EPS, fed_average, fedbn_normalize
+from .fedbn import fed_average, fedbn_normalize
 from ..keys import SharedKey
 
 __all__ = [
     "StrategyPlan",
     "resolve_strategy",
     "upload_keys",
-    "RoundSnapshot",
-    "DeltaSet",
-    "compute_deltas",
     "ServerDirective",
     "FederationServer",
     "STRATEGY_IDS",
@@ -43,6 +42,10 @@ __all__ = [
 STRATEGY_IDS = ("main", "a1", "a2", "a3", "a4", "fedavg", "local")
 
 COORDINATED, PLAIN, NONE = "coordinated", "plain", "none"
+
+# One coordination pool's normalized uploads: the (client, key) row order and
+# the uploads stacked on axis 0 in that order.
+PoolStack = tuple[list[tuple[int, SharedKey]], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -92,63 +95,6 @@ def upload_keys(plan: StrategyPlan, model) -> list[SharedKey]:
 
 
 @dataclass
-class RoundSnapshot:
-    """Per-(key, client) normalized uploads for a round and its predecessor."""
-
-    round_index: int
-    current: dict[SharedKey, dict[int, np.ndarray]]
-    previous: Optional[dict[SharedKey, dict[int, np.ndarray]]]
-
-    def __post_init__(self):
-        if self.round_index < 1:
-            raise ValueError("round index starts at 1")
-
-
-@dataclass
-class DeltaSet:
-    per_upload: dict[tuple[SharedKey, int], np.ndarray]
-    per_key_mean: dict[SharedKey, np.ndarray]
-    group_mean: dict[tuple, np.ndarray]
-    group_members: dict[tuple, list[tuple[SharedKey, int]]]
-
-
-def compute_deltas(snapshot: RoundSnapshot) -> Optional[DeltaSet]:
-    """Difference consecutive rounds per upload; None signals "skip coordination".
-
-    Deltas are grouped by each key's coordination pool, and the pool mean is
-    duplicated onto every key it covers.
-    """
-    if snapshot.round_index < 2 or snapshot.previous is None:
-        return None
-    per_upload: dict[tuple[SharedKey, int], np.ndarray] = {}
-    group_members: dict[tuple, list[tuple[SharedKey, int]]] = {}
-    for key in sorted(snapshot.current):
-        if key not in snapshot.previous:
-            raise KeyError(f"no round {snapshot.round_index - 1} history for {key}")
-        group = key.group()
-        for client in sorted(snapshot.current[key]):
-            if client not in snapshot.previous[key]:
-                raise KeyError(f"client {client} missing from round {snapshot.round_index - 1} for {key}")
-            per_upload[(key, client)] = snapshot.current[key][client] - snapshot.previous[key][client]
-            group_members.setdefault(group, []).append((key, client))
-
-    group_mean = {
-        group: np.mean(np.stack([per_upload[m] for m in members]), axis=0)
-        for group, members in group_members.items()
-    }
-    per_key_mean = {}
-    for group, members in group_members.items():
-        for key, _ in members:
-            per_key_mean[key] = group_mean[group]
-    return DeltaSet(
-        per_upload=per_upload,
-        per_key_mean=per_key_mean,
-        group_mean=group_mean,
-        group_members=group_members,
-    )
-
-
-@dataclass
 class ServerDirective:
     """Broadcast payload: identical for every client; personalization is local."""
 
@@ -169,19 +115,14 @@ class FederationServer:
         self,
         plan: StrategyPlan,
         c: float = 0.4,
-        fedbn_eps: float = DEFAULT_EPS,
-        allow_single_client: bool = False,
         audit_hook: Optional[Callable[[int, SharedKey, np.ndarray], None]] = None,
     ):
         if not 0.0 <= c < 1.0:
             raise ValueError(f"c must be in [0, 1), got {c}")
         self.plan = plan
         self.c = float(c)
-        self.fedbn_eps = float(fedbn_eps)
-        self.allow_single_client = allow_single_client
         self.audit_hook = audit_hook
-        self.prev_normalized: Optional[dict[SharedKey, dict[int, np.ndarray]]] = None
-        self.refs: dict[SharedKey, np.ndarray] = {}
+        self.prev_normalized: dict[tuple, PoolStack] = {}
         self.last_snapshot_entries: dict[str, np.ndarray] = {}
 
     # -- key bookkeeping ----------------------------------------------------------
@@ -202,104 +143,87 @@ class FederationServer:
         clients = sorted(uploads)
         if not clients:
             raise ValueError("no uploads")
-        if self.plan.uses_fedbn and len(clients) < 2 and not self.allow_single_client:
-            raise ValueError(
-                f"strategy {self.plan.name!r} needs >= 2 clients (got {len(clients)}); "
-                "pass allow_single_client to force the degenerate mode"
-            )
+        if self.plan.uses_fedbn and len(clients) < 2:
+            raise ValueError(f"strategy {self.plan.name!r} needs >= 2 clients (got {len(clients)})")
         key_set = sorted(uploads[clients[0]])
         for j in clients:
             if sorted(uploads[j]) != key_set:
                 raise ValueError(f"client {j} uploaded a different key set")
-            if self.audit_hook is not None:
-                for key in sorted(uploads[j]):
+            for key in key_set:
+                if not np.isfinite(uploads[j][key]).all():
+                    raise ValueError(f"client {j} uploaded a non-finite value for {key.label()}")
+                if self.audit_hook is not None:
                     self.audit_hook(j, key, uploads[j][key])
 
         directive = ServerDirective(round_index=round_index, strategy=self.plan.name)
         coordinated_kinds = self._coordinated_kinds()
-        coordinated_keys = [k for k in key_set if k.kind in coordinated_kinds]
-        plain_keys = [k for k in key_set if k.kind not in coordinated_kinds]
+        pools: dict[tuple, list[SharedKey]] = {}
+        for key in key_set:
+            if key.kind in coordinated_kinds:
+                pools.setdefault(key.group(), []).append(key)
+            else:
+                value = fed_average([uploads[j][key] for j in clients])
+                directive.replace[key] = value
+                directive.refs[key] = value
 
-        for key in plain_keys:
-            value = fed_average([uploads[j][key] for j in clients])
-            directive.replace[key] = value
-            directive.refs[key] = value
-
-        current: dict[SharedKey, dict[int, np.ndarray]] = {}
-        if coordinated_keys:
-            self._aggregate_coordinated(uploads, clients, coordinated_keys, current, directive)
-
-        delta_set = compute_deltas(RoundSnapshot(round_index, current, self.prev_normalized)) if current else None
-        if delta_set is not None:
-            for group, members in sorted(delta_set.group_members.items()):
-                flat = [delta_set.per_upload[m].ravel() for m in members]
-                mean_flat = delta_set.group_mean[group].ravel()
-                result = solve_conflict_weights(flat, mean_flat, self.c)
-                u_star = compose_coordinated_update(result)
-                directive.coordination[group] = result
-                shape = delta_set.group_mean[group].shape
-                for key, _ in members:
-                    directive.mean_increment[key] = delta_set.group_mean[group]
-                    directive.coordinated[key] = u_star.reshape(shape)
-            # coordinated keys now update via increments, not replacement
-            for key in directive.mean_increment:
-                directive.replace.pop(key, None)
-
-        if current:
-            self.prev_normalized = current
-        self.refs = {k: v.copy() for k, v in directive.refs.items()}
-        self.last_snapshot_entries = self._snapshot_entries(directive, current)
+        normalized = {
+            group: self._coordinate_pool(group, keys, uploads, clients, directive)
+            for group, keys in sorted(pools.items())
+        }
+        self.prev_normalized = normalized
+        self.last_snapshot_entries = self._snapshot_entries(directive, normalized)
         return directive
 
-    def _aggregate_coordinated(
+    def _coordinate_pool(
         self,
+        group: tuple,
+        keys: list[SharedKey],
         uploads: dict[int, dict[SharedKey, np.ndarray]],
-        clients: Sequence[int],
-        keys: Sequence[SharedKey],
-        current: dict[SharedKey, dict[int, np.ndarray]],
+        clients: list[int],
         directive: ServerDirective,
-    ) -> None:
-        groups: dict[tuple, list[SharedKey]] = {}
+    ) -> PoolStack:
+        """Normalize one pool's uploads, then either set the pool mean or coordinate its increments."""
+        rows = [(j, key) for j in clients for key in keys]
+        # Affine restore terms come from the clients' own uploads: one
+        # (gamma=1, beta=mean of own tensors) pair per client, so the
+        # averaged beta recovers the plain pooled mean and the batch
+        # normalization only reshapes the spread around it.
+        betas = [np.mean(np.stack([uploads[j][key] for key in keys]), axis=0) for j in clients]
+        gammas = [np.ones_like(betas[0]) for _ in clients]
+        normalized, state = fedbn_normalize([uploads[j][key] for j, key in rows], gammas, betas)
+        wbar = normalized.mean(axis=0)
+        directive.fedbn_residual = max(directive.fedbn_residual, float(np.abs(wbar - state.beta).max()))
         for key in keys:
-            groups.setdefault(key.group(), []).append(key)
+            directive.refs[key] = wbar
 
-        residual = directive.fedbn_residual
-        for group in sorted(groups):
-            gkeys = sorted(groups[group])
-            members = [(key, j) for j in clients for key in gkeys]
-            members.sort(key=lambda m: (m[1], m[0]))
-            batch = [uploads[j][key] for key, j in members]
-            # Affine restore terms come from the clients' own uploads: one
-            # (gamma=1, beta=mean of own tensors) pair per client, so the
-            # averaged beta recovers the plain pooled mean and the batch
-            # normalization only reshapes the spread around it.
-            betas = [np.mean(np.stack([uploads[j][key] for key in gkeys]), axis=0) for j in clients]
-            gammas = [np.ones_like(betas[0]) for _ in clients]
-            if len(batch) >= 2:
-                normalized, state = fedbn_normalize(batch, gammas, betas, eps=self.fedbn_eps)
-            else:
-                # forced single-upload degenerate mode: zero variance collapse
-                state_beta = betas[0]
-                normalized = [state_beta.copy()]
-                state = None
-            wbar = fed_average(normalized)
-            if state is not None:
-                residual = max(residual, float(np.abs(wbar - state.beta).max()))
-            for (key, j), norm in zip(members, normalized):
-                current.setdefault(key, {})[j] = norm
-            for key in gkeys:
+        if directive.round_index < 2 or not self.prev_normalized:  # no history: set, do not increment
+            for key in keys:
                 directive.replace[key] = wbar
-                directive.refs[key] = wbar
-        directive.fedbn_residual = residual
+            return rows, normalized
+
+        prev_rows, previous = self.prev_normalized.get(group, (None, None))
+        if prev_rows != rows:
+            raise ValueError(
+                f"coordination pool {group} changed its (client, key) rows since round {directive.round_index - 1}"
+            )
+        deltas = normalized - previous
+        mean_delta = deltas.mean(axis=0)
+        result = solve_conflict_weights(deltas, mean_delta, self.c)
+        u_star = compose_coordinated_update(result).reshape(mean_delta.shape)
+        directive.coordination[group] = result
+        for key in keys:
+            directive.mean_increment[key] = mean_delta
+            directive.coordinated[key] = u_star
+        return rows, normalized
 
     # -- persistence --------------------------------------------------------------
 
     def _snapshot_entries(
-        self, directive: ServerDirective, current: dict[SharedKey, dict[int, np.ndarray]]
+        self, directive: ServerDirective, normalized: dict[tuple, PoolStack]
     ) -> dict[str, np.ndarray]:
         entries: dict[str, np.ndarray] = {}
-        for key, per_client in current.items():
-            for client, arr in per_client.items():
+        for rows, stacked in normalized.values():
+            for (client, key), arr in zip(rows, stacked):
                 entries[f"norm/{key.label()}/c{client}"] = arr
         for key, arr in directive.refs.items():
             entries[f"ref/{key.label()}"] = arr

@@ -16,6 +16,7 @@ identical bytes.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 from typing import Mapping
@@ -37,7 +38,7 @@ def write_snapshot(path: str | Path, strategy: str, round_index: int, entries: M
         fh.write(struct.pack("<Q", int(round_index)))
         fh.write(struct.pack("<Q", len(entries)))
         for label in sorted(entries):
-            arr = np.ascontiguousarray(entries[label], dtype="<f8")
+            arr = np.asarray(entries[label], dtype="<f8")
             lab = label.encode("utf-8")
             fh.write(struct.pack("<I", len(lab)))
             fh.write(lab)
@@ -48,21 +49,37 @@ def write_snapshot(path: str | Path, strategy: str, round_index: int, entries: M
 
 
 def read_snapshot(path: str | Path) -> tuple[str, int, dict[str, np.ndarray]]:
+    """Parse a snapshot file; any truncation or corrupt count raises a ValueError naming the file."""
     path = Path(path)
-    with open(path, "rb") as fh:
-        if fh.read(8) != MAGIC:
-            raise ValueError(f"{path}: not a round snapshot file")
-        (slen,) = struct.unpack("<I", fh.read(4))
-        strategy = fh.read(slen).decode("utf-8")
-        (round_index,) = struct.unpack("<Q", fh.read(8))
-        (n_entries,) = struct.unpack("<Q", fh.read(8))
-        entries: dict[str, np.ndarray] = {}
-        for _ in range(n_entries):
-            (llen,) = struct.unpack("<I", fh.read(4))
-            label = fh.read(llen).decode("utf-8")
-            (ndim,) = struct.unpack("<I", fh.read(4))
-            shape = tuple(struct.unpack("<Q", fh.read(8))[0] for _ in range(ndim))
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(shape)
-            entries[label] = data.astype(np.float64)
-        return strategy, round_index, entries
+    buf = path.read_bytes()
+    pos = 0
+
+    def take(n: int, what: str) -> bytes:
+        nonlocal pos
+        if n > len(buf) - pos:
+            raise ValueError(f"{path}: truncated in {what} (needs {n} bytes at offset {pos}, file has {len(buf)})")
+        pos += n
+        return buf[pos - n:pos]
+
+    def text(what: str) -> str:
+        (length,) = struct.unpack("<I", take(4, f"{what} length"))
+        try:
+            return take(length, what).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {what} is not utf-8 ({exc})") from None
+
+    if take(len(MAGIC), "magic") != MAGIC:
+        raise ValueError(f"{path}: not a round snapshot file")
+    strategy = text("strategy")
+    (round_index,) = struct.unpack("<Q", take(8, "round"))
+    (n_entries,) = struct.unpack("<Q", take(8, "entry count"))
+    entries: dict[str, np.ndarray] = {}
+    for index in range(n_entries):
+        label = text(f"entry {index} label")
+        (ndim,) = struct.unpack("<I", take(4, f"entry {label!r} ndim"))
+        shape = struct.unpack(f"<{ndim}Q", take(8 * ndim, f"entry {label!r} extents"))
+        raw = take(8 * math.prod(shape), f"entry {label!r} values")
+        entries[label] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+    if pos != len(buf):
+        raise ValueError(f"{path}: {len(buf) - pos} trailing bytes after {n_entries} entries")
+    return strategy, round_index, entries

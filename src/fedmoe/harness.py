@@ -15,7 +15,7 @@ is the synchronization barrier.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -174,23 +174,30 @@ def run_ablation_suite(config: ExperimentConfig, out_dir: Optional[str | Path] =
     """Aggregation variants plus the expert-count sweep, on shared seeds and data.
 
     The table has one row per variant and one final-round AUC column per
-    (client, task) pair.
+    (client, task) pair. Each distinct configuration (the strategy plan
+    without its name, plus the expert count) runs once; a label that repeats
+    one, such as ``a3`` and ``expert_<experts>`` (both equal to ``main``),
+    shares the first label's run, and ``ablation.log`` names that run.
     """
     config.validate()
     out = Path(out_dir) if out_dir is not None else Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
+    variants = [(name, name, config.experts) for name in ABLATION_VARIANTS]
+    variants += [(f"expert_{n}", "main", n) for n in EXPERT_SWEEP]
     runs: dict[str, RunArtifacts] = {}
-    checksums: dict[str, str] = {}
-    for name in ABLATION_VARIANTS:
-        sub = config.with_overrides(strategy=name, out_dir=str(out / f"variant_{name}"))
-        runs[name] = run_experiment(sub)
-        checksums[name] = runs[name].shard_checksum
-    for n in EXPERT_SWEEP:
-        label = f"expert_{n}"
-        sub = config.with_overrides(strategy="main", experts=n, out_dir=str(out / f"variant_{label}"))
+    source: dict[str, str] = {}
+    first_label: dict[tuple, str] = {}
+    for label, strategy, experts in variants:
+        fingerprint = (replace(resolve_strategy(strategy), name=""), experts)
+        if fingerprint in first_label:
+            source[label] = first_label[fingerprint]
+            runs[label] = runs[source[label]]
+            continue
+        first_label[fingerprint] = label
+        sub = config.with_overrides(strategy=strategy, experts=experts, out_dir=str(out / f"variant_{label}"))
         runs[label] = run_experiment(sub)
-        checksums[label] = runs[label].shard_checksum
+    checksums = {label: art.shard_checksum for label, art in runs.items()}
 
     table_path = out / "table.csv"
     header = ["config"]
@@ -198,8 +205,8 @@ def run_ablation_suite(config: ExperimentConfig, out_dir: Optional[str | Path] =
         for i in range(config.tasks):
             header.append(f"client{j}_task{i}_auc")
     rows = []
-    for label in (*ABLATION_VARIANTS, *(f"expert_{n}" for n in EXPERT_SWEEP)):
-        by_ct = runs[label].final_auc_by_client_task()
+    for label, art in runs.items():
+        by_ct = art.final_auc_by_client_task()
         rows.append(
             (label, *(by_ct[(j, i)] for j in range(config.scenarios) for i in range(config.tasks)))
         )
@@ -208,7 +215,8 @@ def run_ablation_suite(config: ExperimentConfig, out_dir: Optional[str | Path] =
     log_path = out / "ablation.log"
     with open(log_path, "w", encoding="utf-8") as fh:
         for label, digest in checksums.items():
-            fh.write(f"{label} shard_sha256={digest}\n")
+            reused = f" reuses={source[label]}" if label in source else ""
+            fh.write(f"{label} shard_sha256={digest}{reused}\n")
     return AblationArtifacts(out_dir=out, table_path=table_path, log_path=log_path, runs=runs, shard_checksums=checksums)
 
 

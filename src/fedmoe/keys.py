@@ -35,8 +35,3 @@ class SharedKey:
 
     def label(self) -> str:
         return f"{self.kind}:{self.index}:{self.layer}:{self.part}"
-
-    @classmethod
-    def from_label(cls, label: str) -> "SharedKey":
-        kind, index, layer, part = label.split(":", 3)
-        return cls(kind=kind, index=int(index), layer=int(layer), part=part)

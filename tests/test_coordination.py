@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from fedmoe.federation.coordination import (
+    GAP_TOL,
+    MAX_ITERS,
     compose_coordinated_update,
     coordinate,
     objective,
@@ -90,6 +92,11 @@ class TestSolver:
         assert np.array_equal(result.u_star, np.zeros(3))
         assert result.objective == 0.0
 
+    def test_non_finite_increments_rejected(self):
+        deltas = np.array([[1.0, np.nan], [0.5, 1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            solve_conflict_weights(deltas, np.array([0.75, 1.0]), c=0.4)
+
     def test_matches_grid_search(self):
         rng = np.random.default_rng(7)
         for _ in range(60):
@@ -100,6 +107,28 @@ class TestSolver:
             mean_delta = deltas.mean(axis=0)
             result = solve_conflict_weights(list(deltas), mean_delta, c)
             assert result.objective - grid_minimum(deltas, mean_delta, c) < 1e-4
+
+    def test_frank_wolfe_gap_within_tolerance(self):
+        rng = np.random.default_rng(8)
+        for _ in range(100):
+            m = int(rng.integers(2, 31))
+            dim = int(rng.integers(1, 65))
+            deltas = rng.normal(0, 10.0 ** rng.uniform(-3, 2), (m, dim))
+            if rng.random() < 0.3:  # mostly agreeing increments
+                deltas += rng.normal(0, 3.0 * deltas.std(), dim)
+            c = 0.0 if rng.random() < 0.1 else float(rng.uniform(0, 0.95))  # c = 0: F is linear
+            mean_delta = deltas.mean(axis=0)
+            result = solve_conflict_weights(deltas, mean_delta, c)
+            w = result.weights
+            assert (w >= 0).all() and abs(w.sum() - 1.0) < 1e-12
+            # gradient of F at w, recomputed here from the definition
+            u_w = deltas.T @ w
+            sqrt_phi = c * np.linalg.norm(mean_delta)
+            grad = deltas @ mean_delta + sqrt_phi * (deltas @ u_w) / np.linalg.norm(u_w)
+            gap = float(grad @ w - grad.min())
+            scale = np.abs(deltas @ mean_delta).max() + sqrt_phi * np.linalg.norm(deltas, axis=1).max()
+            assert result.iterations < MAX_ITERS
+            assert gap <= GAP_TOL * scale
 
 
 class TestCompose:

@@ -4,14 +4,7 @@ import pytest
 from fedmoe.config import ExperimentConfig
 from fedmoe.data import SyntheticSpec, generate_synthetic
 from fedmoe.federation.client import ClientSim
-from fedmoe.federation.server import (
-    FederationServer,
-    RoundSnapshot,
-    ServerDirective,
-    compute_deltas,
-    resolve_strategy,
-    upload_keys,
-)
+from fedmoe.federation.server import FederationServer, ServerDirective, resolve_strategy, upload_keys
 from fedmoe.harness import build_clients, run_experiment
 from fedmoe.keys import SharedKey
 from fedmoe.model import ClientModel, ModelSpec
@@ -34,37 +27,51 @@ def make_clients(s=2, n_experts=2, seed=0, lam=0.5, dropout=0.0, widths=(6, 3)):
     return build_clients(config, shards(s=s, seed=seed)), config
 
 
+def same_uploads(values, clients=(0, 1)):
+    """Every client uploads the same tensors: zero spread, so normalization returns them unchanged."""
+    return {j: {k: np.asarray(v, dtype=float) for k, v in values.items()} for j in clients}
+
+
 class TestComputeDeltas:
+    """Round-over-round increments, as FederationServer.aggregate takes them per pool."""
+
     def test_round_one_signals_skip(self):
-        snap = RoundSnapshot(1, {key(): {0: np.ones(2)}}, None)
-        assert compute_deltas(snap) is None
+        server = FederationServer(resolve_strategy("main"))
+        directive = server.aggregate(same_uploads({key(): np.ones(2)}), 1)
+        assert directive.mean_increment == {} and directive.coordinated == {}
+        assert np.array_equal(directive.replace[key()], np.ones(2))
 
     def test_identical_rounds_give_zero(self):
-        state = {key(): {0: np.ones(3), 1: np.full(3, 2.0)}}
-        ds = compute_deltas(RoundSnapshot(2, state, {k: dict(v) for k, v in state.items()}))
-        for d in ds.per_upload.values():
-            assert np.array_equal(d, np.zeros(3))
+        server = FederationServer(resolve_strategy("main"))
+        uploads = {0: {key(): np.ones(3)}, 1: {key(): np.full(3, 2.0)}}
+        server.aggregate(uploads, 1)
+        directive = server.aggregate(uploads, 2)
+        assert np.array_equal(directive.mean_increment[key()], np.zeros(3))
+        assert np.array_equal(directive.coordinated[key()], np.zeros(3))
+        assert key() not in directive.replace
 
     def test_single_pair_delta(self):
-        prev = {key(): {0: np.array([1.0])}}
-        cur = {key(): {0: np.array([3.0])}}
-        ds = compute_deltas(RoundSnapshot(2, cur, prev))
-        assert ds.per_upload[(key(), 0)][0] == 2.0
-        assert ds.per_key_mean[key()][0] == 2.0
+        server = FederationServer(resolve_strategy("main"))
+        server.aggregate(same_uploads({key(): np.array([1.0])}), 1)
+        directive = server.aggregate(same_uploads({key(): np.array([3.0])}), 2)
+        assert directive.mean_increment[key()][0] == 2.0
+        rows = directive.coordination[key().group()].weights.size
+        assert rows == 2  # one row per (client, key)
 
     def test_group_mean_pools_expert_layer(self):
         k0, k1 = key(index=0), key(index=1)
-        prev = {k0: {0: np.zeros(2)}, k1: {0: np.zeros(2)}}
-        cur = {k0: {0: np.full(2, 1.0)}, k1: {0: np.full(2, 3.0)}}
-        ds = compute_deltas(RoundSnapshot(2, cur, prev))
-        assert np.array_equal(ds.per_key_mean[k0], np.full(2, 2.0))
-        assert ds.per_key_mean[k0] is ds.per_key_mean[k1]
+        server = FederationServer(resolve_strategy("main"))
+        server.aggregate(same_uploads({k0: np.zeros(2), k1: np.zeros(2)}), 1)
+        directive = server.aggregate(same_uploads({k0: np.full(2, 1.0), k1: np.full(2, 3.0)}), 2)
+        assert np.allclose(directive.mean_increment[k0], np.full(2, 2.0), atol=1e-12)
+        assert directive.mean_increment[k0] is directive.mean_increment[k1]
+        assert set(directive.coordination) == {k0.group()}
 
     def test_missing_history_is_an_error(self):
-        prev = {key(): {0: np.zeros(2)}}
-        cur = {key(): {0: np.zeros(2), 1: np.zeros(2)}}
-        with pytest.raises(KeyError):
-            compute_deltas(RoundSnapshot(2, cur, prev))
+        server = FederationServer(resolve_strategy("main"))
+        server.aggregate(same_uploads({key(): np.zeros(2)}), 1)
+        with pytest.raises(ValueError, match="changed"):
+            server.aggregate(same_uploads({key(): np.zeros(2)}, clients=(0, 1, 2)), 2)
 
 
 class TestPersonalizedApply:
@@ -250,16 +257,23 @@ class TestStrategies:
         for k, p in source.tower_shared().items():
             assert np.allclose(p.data, before[k], atol=1e-12)
 
-    def test_single_client_rejected_unless_forced(self):
+    def test_single_client_rejected(self):
         clients, config = make_clients(s=2)
         plan = resolve_strategy("main")
         keys = upload_keys(plan, clients[0].model)
         uploads = {0: clients[0].build_upload(keys)}
         with pytest.raises(ValueError, match="2 clients"):
             FederationServer(plan, c=config.c).aggregate(uploads, 1)
-        forced = FederationServer(plan, c=config.c, allow_single_client=True)
-        directive = forced.aggregate(uploads, 1)
-        assert set(directive.replace) == set(keys)
+
+    def test_non_finite_upload_rejected(self):
+        clients, config = make_clients(s=2)
+        plan = resolve_strategy("main")
+        keys = upload_keys(plan, clients[0].model)
+        uploads = {c.index: c.build_upload(keys) for c in clients}
+        tower = next(k for k in keys if k.kind == "tower")
+        uploads[1][tower].flat[0] = np.nan
+        with pytest.raises(ValueError, match=f"client 1 .*{tower.label()}"):
+            FederationServer(plan, c=config.c).aggregate(uploads, 1)
 
 
 class TestRoundProtocol:
