@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig
+from .data import DataError
 from .harness import run_ablation_suite, run_experiment
 
 __all__ = ["main", "run_selftest"]
@@ -53,7 +54,7 @@ def main(argv=None) -> int:
             print(f"wrote {artifacts.log_path}")
             return 0
         return run_selftest()
-    except ConfigError as exc:
+    except (ConfigError, DataError) as exc:
         print(exc, file=sys.stderr)
         return 2
 

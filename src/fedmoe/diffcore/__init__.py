@@ -21,6 +21,7 @@ from .optim import Adam
 from .tensor import (
     GraphError,
     Parameter,
+    ParameterBuffer,
     ShapeMismatchError,
     Tensor,
     as_f64,
@@ -33,6 +34,7 @@ __all__ = [
     "BNState",
     "GraphError",
     "Parameter",
+    "ParameterBuffer",
     "ShapeMismatchError",
     "Tensor",
     "add_n",

@@ -40,7 +40,8 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         )
     if x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
         raise ShapeMismatchError(f"affine dims disagree: {x.shape} @ {w.shape} + {b.shape}")
-    out = x.data @ w.data + b.data
+    out = x.data @ w.data
+    out += b.data
 
     def backward(g):
         return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
@@ -49,12 +50,13 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
+    """max(x, 0); a NaN passes through to the loss's finiteness check."""
     mask = x.data > 0.0  # derivative at 0 defined as 0
 
     def backward(g):
         return (g * mask,)
 
-    return Tensor(np.where(mask, x.data, 0.0), (x,), backward)
+    return Tensor(np.maximum(x.data, 0.0), (x,), backward)
 
 
 def sigmoid(x: Tensor) -> Tensor:

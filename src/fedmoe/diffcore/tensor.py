@@ -9,6 +9,7 @@ There is no implicit broadcasting; each op validates the shapes it accepts.
 from __future__ import annotations
 
 import contextlib
+import weakref
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -16,6 +17,7 @@ import numpy as np
 __all__ = [
     "Tensor",
     "Parameter",
+    "ParameterBuffer",
     "ShapeMismatchError",
     "GraphError",
     "no_grad",
@@ -144,16 +146,71 @@ class Tensor:
 class Parameter(Tensor):
     """Trainable leaf tensor with a stable name and a zero-initialized grad."""
 
-    __slots__ = ("name", "trainable")
+    __slots__ = ("name", "trainable", "_buffer")
 
     def __init__(self, data, name: str, trainable: bool = True):
         super().__init__(data)
         self.name = name
         self.trainable = trainable
         self.grad = np.zeros_like(self.data)
+        self._buffer: Optional[weakref.ref] = None
+
+    @property
+    def buffer(self) -> Optional["ParameterBuffer"]:
+        """The live ParameterBuffer whose views ``data`` and ``grad`` are, else None.
+
+        The reference is weak: the buffer holds its parameters, and a cycle
+        would keep a dropped model's buffers alive until the cyclic collector
+        runs.
+        """
+        return self._buffer() if self._buffer is not None else None
+
+    @buffer.setter
+    def buffer(self, buffer: Optional["ParameterBuffer"]) -> None:
+        self._buffer = weakref.ref(buffer) if buffer is not None else None
 
     def zero_grad(self) -> None:
         self.grad[...] = 0.0
 
     def __repr__(self) -> str:
         return f"Parameter({self.name}, shape={self.shape})"
+
+
+class ParameterBuffer:
+    """One contiguous float64 value buffer and a twin grad buffer behind Parameters.
+
+    Packing copies each parameter's value and grad in, in the given order,
+    and rebinds ``.data`` and ``.grad`` to views of the buffers, so whole-set
+    updates (the optimizer step, zeroing grads) act on two flat arrays. Code
+    must update parameters in place from then on; assigning a new array to
+    ``.data`` would detach it.
+    """
+
+    __slots__ = ("params", "values", "grads", "__weakref__")
+
+    def __init__(self, params: Sequence[Parameter]):
+        self.params = tuple(params)
+        if any(p.buffer is not None for p in self.params):
+            raise ValueError("a parameter is already packed in another buffer")
+        size = sum(p.size for p in self.params)
+        self.values = np.empty(size)
+        # Zeroed lazily by the allocator: most parameters arrive with zero
+        # grads, and their pages are then first touched by a backward pass.
+        self.grads = np.zeros(size)
+        offset = 0
+        for p in self.params:
+            end = offset + p.size
+            self.values[offset:end] = p.data.reshape(-1)
+            if p.grad.any():
+                self.grads[offset:end] = p.grad.reshape(-1)
+            p.data = self.values[offset:end].reshape(p.shape)
+            p.grad = self.grads[offset:end].reshape(p.shape)
+            p.buffer = self
+            offset = end
+
+    @property
+    def size(self) -> int:
+        return self.values.size
+
+    def zero_grad(self) -> None:
+        self.grads.fill(0.0)

@@ -59,10 +59,20 @@ class RunArtifacts:
 
 
 def build_shards(config: ExperimentConfig) -> list[data_mod.ScenarioShard]:
+    """Each scenario's partitions; DataError if a test partition cannot be scored."""
     if config.source == "synthetic":
-        return data_mod.generate_synthetic(config.synthetic_spec())
-    schema = config.csv_schema()
-    return [data_mod.load_csv(path, schema, scenario=j) for j, path in enumerate(config.csv_paths)]
+        shards = data_mod.generate_synthetic(config.synthetic_spec())
+    else:
+        schema = config.csv_schema()
+        shards = [data_mod.load_csv(path, schema, scenario=j) for j, path in enumerate(config.csv_paths)]
+    for shard in shards:
+        labels = shard.test.labels
+        for i in range(labels.shape[1]):
+            if labels[:, i].min() == labels[:, i].max():
+                raise data_mod.DataError(
+                    f"scenario {shard.scenario}, task {i}: every test label is {labels[0, i]:g}, so test AUC is undefined"
+                )
+    return shards
 
 
 def build_clients(

@@ -26,6 +26,7 @@ from .diffcore import (
     Adam,
     BNState,
     Parameter,
+    ParameterBuffer,
     Tensor,
     add_n,
     affine,
@@ -215,6 +216,8 @@ class ClientModel:
         self._materialize_scenario_weights(rng)
         self.rng = np.random.default_rng([init_seed, 0xD60, spec.scenario])
         self._registry = self._build_registry()
+        self.buffer = ParameterBuffer(self._registry.values())
+        self._key_map = self._build_key_map()
 
     def _materialize_scenario_weights(self, rng: np.random.Generator) -> None:
         # The scenario templates consume identical rng draws on every client,
@@ -257,8 +260,7 @@ class ClientModel:
         return dict(self._registry)
 
     def zero_grad(self) -> None:
-        for p in self._registry.values():
-            p.zero_grad()
+        self.buffer.zero_grad()
 
     def scenario_shared(self) -> dict[SharedKey, Parameter]:
         """The scenario-weight set, the default unit of federated sharing."""
@@ -298,7 +300,10 @@ class ClientModel:
         return out
 
     def key_map(self) -> dict[SharedKey, Parameter]:
-        """Total, disjoint keying of every trainable parameter."""
+        """Total, disjoint keying of every trainable parameter (built once; do not mutate)."""
+        return self._key_map
+
+    def _build_key_map(self) -> dict[SharedKey, Parameter]:
         out: dict[SharedKey, Parameter] = {}
         for group in (self.scenario_shared(), self.tower_shared(), self.expert_local(), self.other_local()):
             for key, p in group.items():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fedmoe.diffcore import Adam, Parameter
+from fedmoe.diffcore import Adam, Parameter, ParameterBuffer
+from fedmoe.diffcore.optim import CHUNK
 
 
 class TestAdam:
@@ -45,3 +46,45 @@ class TestAdam:
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
             Adam([Parameter([1.0], "p"), Parameter([2.0], "p")])
+
+    def test_packed_step_equals_per_parameter_formula(self):
+        rng = np.random.default_rng(5)
+        shapes = [(3, 4), (7,), (2, CHUNK // 3), (), (5, 2, 2)]  # spans a chunk border
+        start = [rng.normal(size=s) for s in shapes]
+        params = [Parameter(v.copy(), f"p{i}") for i, v in enumerate(start)]
+        opt = Adam(params, lr=0.01)
+
+        ref = [v.copy() for v in start]
+        ms = [np.zeros_like(v) for v in ref]
+        vs = [np.zeros_like(v) for v in ref]
+        b1, b2, lr, eps = 0.9, 0.999, 0.01, 1e-8
+        for t in range(1, 6):
+            grads = [rng.normal(size=s) for s in shapes]
+            for p, g in zip(params, grads):
+                p.grad[...] = g
+            opt.step()
+            opt.zero_grad()
+            bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            for value, m, v, g in zip(ref, ms, vs, grads):
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * (g * g)
+                value -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+            for p, value in zip(params, ref):
+                assert p.data.tobytes() == value.tobytes()
+                assert not p.grad.any()
+
+    def test_loose_parameters_are_packed_and_untrainable_left_out(self):
+        a, frozen, b = Parameter([1.0, 2.0], "a"), Parameter([3.0], "f", trainable=False), Parameter([[4.0]], "b")
+        opt = Adam([a, frozen, b])
+        assert opt.buffer.params == (a, b) and frozen.buffer is None
+        assert np.shares_memory(a.data, opt.buffer.values) and np.shares_memory(b.grad, opt.buffer.grads)
+        assert opt.buffer.values.tolist() == [1.0, 2.0, 4.0]
+
+    def test_packed_parameters_are_reused_not_copied(self):
+        params = [Parameter(np.ones(3), "a"), Parameter(np.zeros((2, 2)), "b")]
+        buffer = ParameterBuffer(params)
+        assert Adam(params).buffer is buffer
+        with pytest.raises(ValueError):
+            Adam(params[:1])  # a subset would need a second buffer

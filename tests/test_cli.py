@@ -17,6 +17,16 @@ def test_run_with_invalid_config_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_and_ablate_with_single_class_test_data_exit_2(tmp_path, capsys):
+    ini = tmp_path / "tiny.ini"
+    ExperimentConfig(samples_per_scenario=20, temperature=0.05, rounds=1, out_dir=str(tmp_path / "out")).save(ini)
+    for command in ("run", "ablate"):
+        assert main([command, "--config", str(ini)]) == 2
+        err = capsys.readouterr().err
+        assert "scenario 0, task 0" in err and "AUC is undefined" in err
+    assert not (tmp_path / "out" / "metrics.csv").exists()
+
+
 def test_config_save_load_round_trip(tmp_path):
     config = ExperimentConfig(
         strategy="a2", rounds=7, local_epochs=2, seed=13, comm_per_batch=True,

@@ -3,9 +3,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import fedmoe
 from fedmoe import harness
 from fedmoe.config import ExperimentConfig
+from fedmoe.data import DataError
+from fedmoe.model import ClientModel
 
 GOLDEN_FILES = ("metrics.csv", "convergence.csv", "config.echo")
 
@@ -80,3 +84,14 @@ def test_ablation_suite_runs_each_distinct_configuration_once(tmp_path, monkeypa
     assert [line for line in log if "reuses=" in line] == [
         f"expert_3 shard_sha256={suite.shard_checksums['expert_3']} reuses=a3"
     ]
+
+
+def test_single_class_test_partition_fails_before_training(tmp_path, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("train_epoch ran before the data check")
+
+    monkeypatch.setattr(ClientModel, "train_epoch", no_training)
+    config = ExperimentConfig(samples_per_scenario=20, temperature=0.05, rounds=1, out_dir=str(tmp_path / "out"))
+    config.validate()
+    with pytest.raises(DataError, match=r"scenario \d+, task \d+: every test label is [01]"):
+        harness.run_experiment(config)

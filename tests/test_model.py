@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -127,6 +130,26 @@ class TestParameterPartition:
         assert names == sorted(model.registry())
         kinds = {k.kind for k in key_map}
         assert kinds == {"expert_scenario", "tower", "expert_local", "local"}
+
+    def test_parameters_and_keys_are_views_of_the_buffers(self):
+        model = make_model()
+        buffer = model.buffer
+        assert sum(p.size for p in model.parameters()) == buffer.size
+        for p in [*model.parameters(), *model.key_map().values()]:
+            assert np.shares_memory(p.data, buffer.values)
+            assert np.shares_memory(p.grad, buffer.grads)
+        assert model.key_map() is model.key_map()
+
+    def test_dropped_model_frees_its_buffer_without_the_cycle_collector(self):
+        gc.disable()
+        try:
+            model = make_model()
+            opt = Adam(model.parameters())
+            buffer = weakref.ref(model.buffer)
+            del model, opt
+            assert buffer() is None
+        finally:
+            gc.enable()
 
     def test_scenario_set_size(self):
         model = make_model(n_experts=3, expert_widths=(6, 3))

@@ -68,6 +68,14 @@ class TestActivations:
         (g,) = relu(x)._backward(np.ones(1))
         assert g[0] == 0.0
 
+    def test_relu_bytes_match_the_masked_select_on_edge_values(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        x = np.array([0.0, -0.0, np.inf, -np.inf, tiny, -tiny, 1e-310, -1e-310, 1.5, -2.5])
+        assert relu(Tensor(x)).data.tobytes() == np.where(x > 0, x, 0.0).tobytes()
+
+    def test_relu_passes_nan_through(self):
+        assert np.isnan(relu(Tensor([np.nan])).data[0])
+
     def test_sigmoid_symmetry_point(self):
         x = Tensor([0.0])
         out = sigmoid(x)
