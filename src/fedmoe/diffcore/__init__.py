@@ -6,16 +6,18 @@ from .ops import (
     add_n,
     affine,
     bce,
+    block_sum_sq_diff,
     dropout,
     elementwise_mul,
-    embedding_row,
     mix_experts,
     relu,
     reshape,
     scale,
+    select,
     sigmoid,
     softmax,
     sum_sq_diff,
+    task_weights,
 )
 from .optim import Adam
 from .tensor import (
@@ -42,9 +44,9 @@ __all__ = [
     "as_f64",
     "batchnorm",
     "bce",
+    "block_sum_sq_diff",
     "dropout",
     "elementwise_mul",
-    "embedding_row",
     "grad_check",
     "is_grad_enabled",
     "mix_experts",
@@ -52,7 +54,9 @@ __all__ = [
     "relu",
     "reshape",
     "scale",
+    "select",
     "sigmoid",
     "softmax",
     "sum_sq_diff",
+    "task_weights",
 ]

@@ -24,9 +24,11 @@ __all__ = [
     "add_n",
     "scale",
     "reshape",
-    "embedding_row",
+    "select",
+    "task_weights",
     "mix_experts",
     "sum_sq_diff",
+    "block_sum_sq_diff",
 ]
 
 PROB_CLAMP = 1e-7
@@ -175,20 +177,68 @@ def reshape(x: Tensor, shape: tuple) -> Tensor:
     return Tensor(x.data.reshape(shape), (x,), backward)
 
 
-def embedding_row(table: Tensor, index: int) -> Tensor:
-    """Select row ``index`` of a 2-D table as a (1, d) tensor; grads scatter back."""
-    if table.ndim != 2:
-        raise ShapeMismatchError(f"embedding_row expects a 2-D table, got {table.shape}")
-    if not 0 <= index < table.shape[0]:
-        raise IndexError(f"row {index} out of range for table {table.shape}")
-    out = table.data[index : index + 1].copy()
+def select(x: Tensor, index) -> Tensor:
+    """``x.data[index]`` for an int or a tuple of ints over leading axes; grads scatter back.
+
+    The output shares memory with ``x``; ops never write to their inputs.
+    """
+    index = index if isinstance(index, tuple) else (index,)
+    if len(index) > x.ndim or not all(0 <= i < n for i, n in zip(index, x.shape)):
+        raise IndexError(f"index {index} out of range for shape {x.shape}")
 
     def backward(g):
-        gt = np.zeros_like(table.data)
-        gt[index] = g[0]
-        return (gt,)
+        gx = np.zeros_like(x.data)
+        gx[index] = g
+        return (gx,)
 
-    return Tensor(out, (table,), backward)
+    return Tensor(x.data[index], (x,), backward)
+
+
+def task_weights(
+    emb: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, w_loc: Tensor, w_s: Tensor
+) -> Tensor:
+    """Effective weights of one expert layer for every (task, expert) pair, in one node.
+
+    For task t and expert n the template MLP maps the task embedding row to
+    a weight block, ``W_t = relu(emb[t] @ w1[n] + b1[n]) @ w2[n] + b2[n]``
+    reshaped to (d_in, d_out), and the output is ``w_loc[n] * W_t * w_s[n]``.
+
+    Shapes: emb (T, e); w1 (N, e, e); b1 (N, e); w2 (N, e, d_in*d_out);
+    b2 (N, d_in*d_out); w_loc, w_s (N, d_in, d_out). Output (T, N, d_in, d_out).
+    Every (t, n) product is its own (1, e) row times a matrix, so each value
+    equals that of the per-pair composition of affine, relu, reshape and a
+    3-way elementwise_mul bit for bit.
+    """
+    if emb.ndim != 2 or w_loc.ndim != 3 or w_s.shape != w_loc.shape:
+        raise ShapeMismatchError(f"task_weights expects emb (T,e) and w_loc = w_s (N,d_in,d_out); got {emb.shape}, {w_loc.shape}, {w_s.shape}")
+    (t, e), (n, d_in, d_out) = emb.shape, w_loc.shape
+    expected = {"w1": (n, e, e), "b1": (n, e), "w2": (n, e, d_in * d_out), "b2": (n, d_in * d_out)}
+    for name, tensor in zip(expected, (w1, b1, w2, b2)):
+        if tensor.shape != expected[name]:
+            raise ShapeMismatchError(f"task_weights {name} has shape {tensor.shape}, expected {expected[name]}")
+    rows = emb.data[:, None, None, :]  # (T, 1, 1, e): one row per (t, n) product
+    pre = np.matmul(rows, w1.data[None])  # (T, N, 1, e)
+    pre += b1.data[:, None, :]
+    hidden = np.maximum(pre, 0.0)  # relu; its mask is hidden > 0
+    flat = np.matmul(hidden, w2.data[None])  # (T, N, 1, d_in*d_out)
+    flat += b2.data[:, None, :]
+    w_t = flat.reshape(t, n, d_in, d_out)
+    out = w_loc.data * w_t * w_s.data
+
+    def backward(g):
+        dw_loc = (g * w_t * w_s.data).sum(axis=0)
+        dw_s = (g * w_loc.data * w_t).sum(axis=0)
+        dflat = (g * w_loc.data * w_s.data).reshape(t, n, d_in * d_out).transpose(1, 0, 2)  # (N, T, .)
+        h = hidden.reshape(t, n, e).transpose(1, 0, 2)  # (N, T, e)
+        dpre = np.matmul(dflat, w2.data.transpose(0, 2, 1)) * (h > 0.0)  # (N, T, e)
+        demb = dpre.transpose(1, 0, 2).reshape(t, n * e) @ w1.data.transpose(0, 2, 1).reshape(n * e, e)
+        dw1 = np.matmul(emb.data.T, dpre)
+        db1 = dpre.sum(axis=1)
+        dw2 = np.matmul(h.transpose(0, 2, 1), dflat)
+        db2 = dflat.sum(axis=1)
+        return demb, dw1, db1, dw2, db2, dw_loc, dw_s
+
+    return Tensor(out, (emb, w1, b1, w2, b2, w_loc, w_s), backward)
 
 
 def mix_experts(gates: Tensor, experts: Sequence[Tensor]) -> Tensor:
@@ -226,3 +276,30 @@ def sum_sq_diff(p: Tensor, ref: np.ndarray) -> Tensor:
         return (2.0 * float(g) * diff,)
 
     return Tensor(np.float64(np.sum(diff * diff)), (p,), backward)
+
+
+def block_sum_sq_diff(params: Sequence[Tensor], refs: Sequence[Sequence[np.ndarray]]) -> Tensor:
+    """Squared L2 distance of stacked blocks to constant references, in one node.
+
+    ``params[j]`` stacks N blocks along axis 0 and ``refs[j][k]`` is the
+    reference for block k of it. The per-block sums are added for k = 0..N-1
+    and, within each k, for j in order: the float that ``add_n`` over
+    ``sum_sq_diff`` of the unstacked blocks, taken in that order, produces.
+    """
+    if len(params) != len(refs):
+        raise ShapeMismatchError(f"{len(params)} stacked tensors but {len(refs)} reference lists")
+    diffs = []
+    for p, blocks in zip(params, refs):
+        ref = np.asarray(blocks, dtype=np.float64)
+        if ref.shape != p.shape:
+            raise ShapeMismatchError(f"block_sum_sq_diff shapes disagree: {p.shape} vs {ref.shape}")
+        diffs.append(p.data - ref)
+    total = 0.0
+    for k in range(len(diffs[0]) if diffs else 0):
+        for d in diffs:
+            total += np.sum(d[k] * d[k])
+
+    def backward(g):
+        return tuple(2.0 * float(g) * d for d in diffs)
+
+    return Tensor(np.float64(total), tuple(params), backward)

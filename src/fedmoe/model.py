@@ -7,6 +7,17 @@ the unit of federated sharing. The effective layer weight is their
 element-wise product. Per-task softmax gates mix expert outputs; per-task
 tower MLPs with a sigmoid head produce probabilities.
 
+Layout. The parameters of expert layer l are stored stacked over the N
+experts, one Parameter per part: ``w_loc`` and ``w_s`` (N, d_in, d_out),
+``bias`` (N, d_out), and the template's ``tmpl.w1`` (N, e, e), ``tmpl.b1``
+(N, e), ``tmpl.w2`` (N, e, d_in*d_out) and ``tmpl.b2`` (N, d_in*d_out).
+One ``task_weights`` node per layer builds all T x N effective weights;
+each (task, expert) path then runs affine, relu and dropout on its slice.
+Every Parameter of the model is a view into one ParameterBuffer. The
+federated keys stay one per (expert, layer, part): ``key_map()`` maps each
+to a Parameter whose value and grad are views of expert n's slice of the
+stacked arrays, so uploads and server updates read and write the buffer.
+
 The scenario weight is initialized once from a scenario template applied to
 the client's scenario embedding and is afterwards trained directly; the
 additive server update needs it to be a concrete leaf tensor. Initialization
@@ -32,21 +43,20 @@ from .diffcore import (
     affine,
     batchnorm,
     bce,
+    block_sum_sq_diff,
     dropout,
-    elementwise_mul,
-    embedding_row,
     mix_experts,
-    no_grad,
     relu,
     reshape,
     scale,
+    select,
     sigmoid,
     softmax,
-    sum_sq_diff,
+    task_weights,
 )
 from .keys import SharedKey
 
-__all__ = ["ModelSpec", "TemplateNet", "ExpertLayer", "Expert", "Tower", "ClientModel", "TrainStats"]
+__all__ = ["ModelSpec", "Tower", "ClientModel", "TrainStats", "EXPERT_PARTS", "TEMPLATE_PARTS"]
 
 
 @dataclass(frozen=True)
@@ -80,69 +90,24 @@ def _head_init(rng: np.random.Generator, d_in: int, d_out: int) -> np.ndarray:
     return rng.normal(0.0, 1.0 / np.sqrt(d_in), size=(d_in, d_out))
 
 
-class TemplateNet:
-    """Two-layer perceptron mapping an embedding row to a flat weight block.
-
-    The output head starts at bias one with small weights, so generated
-    factors begin near the multiplicative identity.
-    """
-
-    def __init__(self, rng: np.random.Generator, d_emb: int, out_len: int, prefix: str):
-        self.out_len = out_len
-        self.w1 = Parameter(_he_init(rng, d_emb, d_emb), f"{prefix}.w1")
-        self.b1 = Parameter(np.zeros(d_emb), f"{prefix}.b1")
-        self.w2 = Parameter(rng.normal(0.0, 0.05 / np.sqrt(d_emb), size=(d_emb, out_len)), f"{prefix}.w2")
-        self.b2 = Parameter(np.ones(out_len), f"{prefix}.b2")
-
-    def generate(self, emb_row: Tensor) -> Tensor:
-        h = relu(affine(emb_row, self.w1, self.b1))
-        return affine(h, self.w2, self.b2)
-
-    def parameters(self) -> list[Parameter]:
-        return [self.w1, self.b1, self.w2, self.b2]
+# Parts of one stacked expert layer, in registry order; the names double as
+# the ``part`` of the layer's expert_local keys (all but w_s).
+TEMPLATE_PARTS = ("tmpl.w1", "tmpl.b1", "tmpl.w2", "tmpl.b2")
+EXPERT_PARTS = ("w_loc", "w_s", "bias", *TEMPLATE_PARTS)
 
 
-class ExpertLayer:
-    def __init__(self, rng: np.random.Generator, d_in: int, d_out: int, d_emb: int, expert: int, layer: int):
-        self.d_in, self.d_out = d_in, d_out
-        prefix = f"expert{expert}.l{layer}"
-        self.w_loc = Parameter(_he_init(rng, d_in, d_out), f"{prefix}.w_loc")
-        self.w_s = Parameter(np.ones((d_in, d_out)), f"{prefix}.w_s")
-        self.bias = Parameter(np.zeros(d_out), f"{prefix}.bias")
-        self.template = TemplateNet(rng, d_emb, d_in * d_out, f"{prefix}.tmpl")
-        self.key = SharedKey(kind="expert_scenario", index=expert, layer=layer, part="w_s")
-
-    def task_weight(self, task_emb_row: Tensor) -> Tensor:
-        """Generate this layer's task weight from the task embedding."""
-        flat = self.template.generate(task_emb_row)
-        if flat.size != self.d_in * self.d_out:
-            raise ValueError(f"template output {flat.size} != {self.d_in}x{self.d_out}")
-        return reshape(flat, (self.d_in, self.d_out))
-
-    def forward(self, h: Tensor, task_emb_row: Tensor, train: bool, rate: float, rng) -> Tensor:
-        effective = elementwise_mul(self.w_loc, self.task_weight(task_emb_row), self.w_s)
-        h = relu(affine(h, effective, self.bias))
-        return dropout(h, rate, train, rng)
-
-    def parameters(self) -> list[Parameter]:
-        return [self.w_loc, self.w_s, self.bias, *self.template.parameters()]
+def _template_w2_init(rng: np.random.Generator, d_emb: int, out_len: int) -> np.ndarray:
+    # Small output weights and a unit bias: generated factors start near the
+    # multiplicative identity.
+    return rng.normal(0.0, 0.05 / np.sqrt(d_emb), size=(d_emb, out_len))
 
 
-class Expert:
-    def __init__(self, rng: np.random.Generator, dims: Sequence[int], d_emb: int, index: int):
-        self.index = index
-        self.layers = [
-            ExpertLayer(rng, dims[i], dims[i + 1], d_emb, index, i) for i in range(len(dims) - 1)
-        ]
-
-    def forward(self, x: Tensor, task_emb_row: Tensor, train: bool, rate: float, rng) -> Tensor:
-        h = x
-        for layer in self.layers:
-            h = layer.forward(h, task_emb_row, train, rate, rng)
-        return h
-
-    def parameters(self) -> list[Parameter]:
-        return [p for layer in self.layers for p in layer.parameters()]
+def _expert_view(stacked: Parameter, n: int, name: str) -> Parameter:
+    """Expert n's slice of a stacked parameter; value and grad are views."""
+    view = Parameter((), name)  # empty placeholders, replaced by the views
+    view.data, view.grad = stacked.data[n], stacked.grad[n]
+    view.buffer = stacked.buffer  # packing a view elsewhere would detach it
+    return view
 
 
 class Tower:
@@ -201,9 +166,7 @@ class ClientModel:
         self.emb_scenario = rng.normal(0.0, 1.0, size=(spec.n_scenarios, spec.d_emb))
 
         self.bn_in = BNState.build(spec.d_feat, "bn_in")
-
-        dims = [spec.d_feat, *spec.expert_widths]
-        self.experts = [Expert(rng, dims, spec.d_emb, n) for n in range(spec.n_experts)]
+        self.expert_layers = self._init_expert_layers(rng)
 
         self.gates = []
         for i in range(spec.n_tasks):
@@ -211,7 +174,7 @@ class ClientModel:
             b = Parameter(np.zeros(spec.n_experts), f"gate{i}.b")
             self.gates.append((w, b))
 
-        self.towers = [Tower(rng, dims[-1], spec.tower_widths, i) for i in range(spec.n_tasks)]
+        self.towers = [Tower(rng, spec.expert_widths[-1], spec.tower_widths, i) for i in range(spec.n_tasks)]
 
         self._materialize_scenario_weights(rng)
         self.rng = np.random.default_rng([init_seed, 0xD60, spec.scenario])
@@ -219,21 +182,48 @@ class ClientModel:
         self.buffer = ParameterBuffer(self._registry.values())
         self._key_map = self._build_key_map()
 
+    def _init_expert_layers(self, rng: np.random.Generator) -> list[dict[str, Parameter]]:
+        """Stacked parameters per expert layer, drawn expert by expert, layer by layer."""
+        spec = self.spec
+        n, e = spec.n_experts, spec.d_emb
+        dims = [spec.d_feat, *spec.expert_widths]
+        layers = []
+        for li, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
+            init = {
+                "w_loc": np.empty((n, d_in, d_out)),
+                "w_s": np.ones((n, d_in, d_out)),
+                "bias": np.zeros((n, d_out)),
+                "tmpl.w1": np.empty((n, e, e)),
+                "tmpl.b1": np.zeros((n, e)),
+                "tmpl.w2": np.empty((n, e, d_in * d_out)),
+                "tmpl.b2": np.ones((n, d_in * d_out)),
+            }
+            layers.append({part: Parameter(init[part], f"experts.l{li}.{part}") for part in EXPERT_PARTS})
+        for k in range(n):
+            for layer in layers:
+                d_in, d_out = layer["w_loc"].shape[1:]
+                layer["w_loc"].data[k] = _he_init(rng, d_in, d_out)
+                layer["tmpl.w1"].data[k] = _he_init(rng, e, e)
+                layer["tmpl.w2"].data[k] = _template_w2_init(rng, e, d_in * d_out)
+        return layers
+
     def _materialize_scenario_weights(self, rng: np.random.Generator) -> None:
         # The scenario templates consume identical rng draws on every client,
-        # so clients differ only through their scenario embedding row.
-        row = Tensor(self.emb_scenario[self.spec.scenario : self.spec.scenario + 1])
-        with no_grad():
-            for expert in self.experts:
-                for layer in expert.layers:
-                    template = TemplateNet(rng, self.spec.d_emb, layer.d_in * layer.d_out, "scenario.tmp")
-                    generated = template.generate(row)
-                    layer.w_s.data[...] = generated.data.reshape(layer.d_in, layer.d_out)
+        # so clients differ only through their scenario embedding row. Their
+        # biases are zero (hidden) and one (output), as in the task templates.
+        row = self.emb_scenario[self.spec.scenario : self.spec.scenario + 1]
+        e = self.spec.d_emb
+        for k in range(self.spec.n_experts):
+            for layer in self.expert_layers:
+                w_s = layer["w_s"].data[k]
+                w1 = _he_init(rng, e, e)
+                w2 = _template_w2_init(rng, e, w_s.size)
+                w_s[...] = (np.maximum(row @ w1, 0.0) @ w2 + 1.0).reshape(w_s.shape)
 
     def _build_registry(self) -> dict[str, Parameter]:
         params: list[Parameter] = [self.emb_task, self.bn_in.gamma, self.bn_in.beta]
-        for expert in self.experts:
-            params.extend(expert.parameters())
+        for layer in self.expert_layers:
+            params.extend(layer.values())
         for w, b in self.gates:
             params.extend((w, b))
         for tower in self.towers:
@@ -244,6 +234,28 @@ class ClientModel:
                 raise ValueError(f"duplicate parameter name {p.name}")
             registry[p.name] = p
         return registry
+
+    def _build_key_map(self) -> dict[SharedKey, Parameter]:
+        """Scenario weights, tower tensors, other expert parts, then the rest."""
+        out: dict[SharedKey, Parameter] = {}
+        for k in range(self.spec.n_experts):
+            for li, layer in enumerate(self.expert_layers):
+                key = SharedKey(kind="expert_scenario", index=k, layer=li, part="w_s")
+                out[key] = _expert_view(layer["w_s"], k, f"expert{k}.l{li}.w_s")
+        for tower in self.towers:
+            out.update(tower.shared_keys())
+        for k in range(self.spec.n_experts):
+            for li, layer in enumerate(self.expert_layers):
+                for part in EXPERT_PARTS:
+                    if part != "w_s":
+                        key = SharedKey(kind="expert_local", index=k, layer=li, part=part)
+                        out[key] = _expert_view(layer[part], k, f"expert{k}.l{li}.{part}")
+        local = [self.emb_task, self.bn_in.gamma, self.bn_in.beta, *(p for wb in self.gates for p in wb)]
+        for p in local:
+            out[SharedKey(kind="local", index=-1, layer=-1, part=p.name)] = p
+        if sum(p.size for p in out.values()) != self.buffer.size:
+            raise ValueError("key map does not cover the parameter buffer")
+        return out
 
     # -- mode and parameter access ------------------------------------------------
 
@@ -262,59 +274,35 @@ class ClientModel:
     def zero_grad(self) -> None:
         self.buffer.zero_grad()
 
+    def key_map(self) -> dict[SharedKey, Parameter]:
+        """Total, disjoint keying of every trainable scalar (built once; do not mutate)."""
+        return self._key_map
+
+    def _keys_of_kind(self, kind: str) -> dict[SharedKey, Parameter]:
+        return {key: p for key, p in self._key_map.items() if key.kind == kind}
+
     def scenario_shared(self) -> dict[SharedKey, Parameter]:
         """The scenario-weight set, the default unit of federated sharing."""
-        out = {}
-        for expert in self.experts:
-            for layer in expert.layers:
-                out[layer.key] = layer.w_s
-        return out
+        return self._keys_of_kind("expert_scenario")
 
     def tower_shared(self) -> dict[SharedKey, Parameter]:
-        out = {}
-        for tower in self.towers:
-            out.update(tower.shared_keys())
-        return out
+        return self._keys_of_kind("tower")
 
     def expert_local(self) -> dict[SharedKey, Parameter]:
         """Expert parameters outside the scenario set (widened sharing variants)."""
-        out = {}
-        for expert in self.experts:
-            for li, layer in enumerate(expert.layers):
-                for p in layer.parameters():
-                    if p is layer.w_s:
-                        continue
-                    suffix = p.name.split(".", 2)[-1]  # e.g. "w_loc", "tmpl.w2"
-                    out[SharedKey(kind="expert_local", index=expert.index, layer=li, part=suffix)] = p
-        return out
+        return self._keys_of_kind("expert_local")
 
     def other_local(self) -> dict[SharedKey, Parameter]:
         """Everything else: embeddings, input BN, gates."""
-        claimed = set()
-        for group in (self.scenario_shared(), self.tower_shared(), self.expert_local()):
-            claimed.update(p.name for p in group.values())
-        out = {}
-        for name, p in self._registry.items():
-            if name not in claimed:
-                out[SharedKey(kind="local", index=-1, layer=-1, part=name)] = p
-        return out
-
-    def key_map(self) -> dict[SharedKey, Parameter]:
-        """Total, disjoint keying of every trainable parameter (built once; do not mutate)."""
-        return self._key_map
-
-    def _build_key_map(self) -> dict[SharedKey, Parameter]:
-        out: dict[SharedKey, Parameter] = {}
-        for group in (self.scenario_shared(), self.tower_shared(), self.expert_local(), self.other_local()):
-            for key, p in group.items():
-                if key in out:
-                    raise ValueError(f"duplicate shared key {key}")
-                out[key] = p
-        if len(out) != len(self._registry):
-            raise ValueError("key map does not cover the parameter registry")
-        return out
+        return self._keys_of_kind("local")
 
     # -- forward and loss ----------------------------------------------------------
+
+    def effective_weights(self, layer: int) -> Tensor:
+        """Expert layer ``layer``'s (T, N, d_in, d_out) weights w_loc * W_t * w_s."""
+        parts = self.expert_layers[layer]
+        template = (parts[name] for name in TEMPLATE_PARTS)
+        return task_weights(self.emb_task, *template, parts["w_loc"], parts["w_s"])
 
     def forward(self, x: np.ndarray) -> list[Tensor]:
         """Per-task probability vectors for a feature batch (K, d_feat)."""
@@ -324,10 +312,16 @@ class ClientModel:
         xt = Tensor(x)
         xhat = batchnorm(xt, self.bn_in, train=self.training)
         rate = self.dropout
+        weights = [self.effective_weights(li) for li in range(len(self.expert_layers))]
+        biases = [[select(layer["bias"], k) for k in range(self.spec.n_experts)] for layer in self.expert_layers]
         preds = []
         for i in range(self.spec.n_tasks):
-            t_row = embedding_row(self.emb_task, i)
-            outputs = [e.forward(xhat, t_row, self.training, rate, self.rng) for e in self.experts]
+            outputs = []
+            for k in range(self.spec.n_experts):
+                h = xhat
+                for w, b in zip(weights, biases):
+                    h = dropout(relu(affine(h, select(w, (i, k)), b[k])), rate, self.training, self.rng)
+                outputs.append(h)
             gate_w, gate_b = self.gates[i]
             gate = softmax(affine(xhat, gate_w, gate_b))
             mixed = mix_experts(gate, outputs)
@@ -350,13 +344,12 @@ class ClientModel:
         task_losses = [bce(preds[i], y[:, i]) for i in range(self.spec.n_tasks)]
         loss = add_n(task_losses)
         if lam > 0.0:
-            penalties = []
-            for key, param in self.scenario_shared().items():
+            blocks = [[None] * self.spec.n_experts for _ in self.expert_layers]
+            for key, view in self.scenario_shared().items():
                 ref = refs.get(key) if refs else None
-                if ref is None:
-                    ref = np.zeros_like(param.data)
-                penalties.append(sum_sq_diff(param, ref))
-            loss = add_n([loss, scale(add_n(penalties), lam)])
+                blocks[key.layer][key.index] = np.zeros_like(view.data) if ref is None else ref
+            penalty = block_sum_sq_diff([layer["w_s"] for layer in self.expert_layers], blocks)
+            loss = add_n([loss, scale(penalty, lam)])
         return loss, tuple(t.item() for t in task_losses)
 
     def train_epoch(

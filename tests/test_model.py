@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from fedmoe.data import BatchConfig, RecordSet, SyntheticSpec, generate_synthetic
-from fedmoe.diffcore import Adam, Tensor, batchnorm, embedding_row, no_grad
-from fedmoe.model import ClientModel, ModelSpec
+from fedmoe.diffcore import Adam, Tensor, affine, batchnorm, no_grad, relu, select, task_weights
+from fedmoe.model import EXPERT_PARTS, TEMPLATE_PARTS, ClientModel, ModelSpec
 
 
 def make_model(**kwargs):
@@ -18,55 +18,64 @@ def make_model(**kwargs):
     return ClientModel(ModelSpec(**defaults), init_seed=21)
 
 
+def task_weight_only(model, layer):
+    """The template's task weights alone: the product with unit local and scenario factors."""
+    parts = model.expert_layers[layer]
+    ones = Tensor(np.ones(parts["w_loc"].shape))
+    return task_weights(model.emb_task, *(parts[name] for name in TEMPLATE_PARTS), ones, ones).data
+
+
+def expert_path(model, h, task, expert):
+    """One expert's forward for one task, as the model runs it (dropout off)."""
+    for li, parts in enumerate(model.expert_layers):
+        w = select(model.effective_weights(li), (task, expert))
+        h = relu(affine(h, w, select(parts["bias"], expert)))
+    return h
+
+
 class TestTaskWeightGeneration:
     def test_constant_template_gives_all_ones(self):
         model = make_model()
-        layer = model.experts[0].layers[0]
-        layer.template.w2.data[...] = 0.0
-        layer.template.b2.data[...] = 1.0
-        w_t = layer.task_weight(embedding_row(model.emb_task, 0))
-        assert np.array_equal(w_t.data, np.ones((4, 6)))
+        parts = model.expert_layers[0]
+        parts["tmpl.w2"].data[0] = 0.0
+        parts["tmpl.b2"].data[0] = 1.0
+        w_t = task_weight_only(model, 0)
+        assert np.array_equal(w_t[:, 0], np.ones((2, 4, 6)))
+        assert not np.array_equal(w_t[:, 1], np.ones((2, 4, 6)))
 
     def test_distinct_tasks_give_distinct_weights(self):
         model = make_model()
-        layer = model.experts[0].layers[0]
-        w0 = layer.task_weight(embedding_row(model.emb_task, 0)).data
-        w1 = layer.task_weight(embedding_row(model.emb_task, 1)).data
-        assert not np.array_equal(w0, w1)
+        w_t = task_weight_only(model, 0)
+        assert not np.array_equal(w_t[0, 0], w_t[1, 0])
 
     def test_shape_matches_layer(self):
         model = make_model()
-        for expert in model.experts:
-            for layer in expert.layers:
-                w_t = layer.task_weight(embedding_row(model.emb_task, 1))
-                assert w_t.shape == (layer.d_in, layer.d_out)
+        for li, (d_in, d_out) in enumerate([(4, 6), (6, 3)]):
+            assert model.effective_weights(li).shape == (2, 2, d_in, d_out)
 
 
 class TestExpertForward:
     def test_product_identity_matches_plain_mlp(self):
         model = make_model()
-        expert = model.experts[0]
-        for layer in expert.layers:
-            layer.template.w2.data[...] = 0.0
-            layer.template.b2.data[...] = 1.0  # W_t == 1
-            layer.w_s.data[...] = 1.0  # W_s == 1
+        for parts in model.expert_layers:
+            parts["tmpl.w2"].data[0] = 0.0
+            parts["tmpl.b2"].data[0] = 1.0  # W_t == 1
+            parts["w_s"].data[0] = 1.0  # W_s == 1
         x = np.random.default_rng(0).normal(0, 1, (7, 4))
-        t_row = embedding_row(model.emb_task, 0)
-        out = expert.forward(Tensor(x), t_row, train=False, rate=0.0, rng=None)
+        out = expert_path(model, Tensor(x), task=0, expert=0)
         h = x
-        for layer in expert.layers:
-            h = np.maximum(h @ layer.w_loc.data + layer.bias.data, 0.0)
+        for parts in model.expert_layers:
+            h = np.maximum(h @ parts["w_loc"].data[0] + parts["bias"].data[0], 0.0)
         assert np.array_equal(out.data, h)
 
     def test_zero_scenario_weight_collapses_to_bias(self):
         model = make_model(expert_widths=(6,))
-        expert = model.experts[0]
-        layer = expert.layers[0]
-        layer.w_s.data[...] = 0.0
-        layer.bias.data[...] = np.linspace(-1, 1, 6)
+        parts = model.expert_layers[0]
+        parts["w_s"].data[0] = 0.0
+        parts["bias"].data[0] = np.linspace(-1, 1, 6)
         x = np.random.default_rng(1).normal(0, 1, (5, 4))
-        out = expert.forward(Tensor(x), embedding_row(model.emb_task, 0), train=False, rate=0.0, rng=None)
-        expected = np.tile(np.maximum(layer.bias.data, 0.0), (5, 1))
+        out = expert_path(model, Tensor(x), task=0, expert=0)
+        expected = np.tile(np.maximum(parts["bias"].data[0], 0.0), (5, 1))
         assert np.array_equal(out.data, expected)
 
 
@@ -78,20 +87,15 @@ class TestClientForward:
         # recompute the same pipeline piecewise; train-mode BN output is a pure
         # function of the batch, so state updates do not disturb equality
         xhat = batchnorm(Tensor(x), model.bn_in, train=True)
-        h = model.experts[0].forward(xhat, embedding_row(model.emb_task, 0), True, 0.0, model.rng)
+        h = expert_path(model, xhat, task=0, expert=0)
         expected = model.towers[0].forward(h, True, 0.0, model.rng)
         assert np.array_equal(preds[0].data, expected.data)
 
     def test_cloned_experts_ignore_gate_weights(self):
         model = make_model(n_experts=3)
-        source = model.experts[0]
-        for other in model.experts[1:]:
-            for ls, lo in zip(source.layers, other.layers):
-                lo.w_loc.data[...] = ls.w_loc.data
-                lo.w_s.data[...] = ls.w_s.data
-                lo.bias.data[...] = ls.bias.data
-                for ps, po in zip(ls.template.parameters(), lo.template.parameters()):
-                    po.data[...] = ps.data
+        for parts in model.expert_layers:
+            for p in parts.values():
+                p.data[1:] = p.data[0]
         x = np.random.default_rng(3).normal(0, 1, (5, 4))
         with no_grad():
             before = [p.data.copy() for p in model.forward(x)]
@@ -126,10 +130,15 @@ class TestParameterPartition:
     def test_key_map_is_exact_disjoint_cover(self):
         model = make_model()
         key_map = model.key_map()
-        names = sorted(p.name for p in key_map.values())
-        assert names == sorted(model.registry())
+        saved = model.buffer.values.copy()
+        model.buffer.values[...] = 0.0
+        for p in key_map.values():
+            p.data[...] += 1.0  # every scalar of the buffer is counted exactly once
+        assert np.array_equal(model.buffer.values, np.ones(model.buffer.size))
+        model.buffer.values[...] = saved
         kinds = {k.kind for k in key_map}
         assert kinds == {"expert_scenario", "tower", "expert_local", "local"}
+        assert len(key_map) == 2 * 2 * len(EXPERT_PARTS) + 2 * 2 * 2 + 3 + 2 * 2
 
     def test_parameters_and_keys_are_views_of_the_buffers(self):
         model = make_model()
@@ -277,13 +286,11 @@ class TestInitialization:
                                   d_feat=4, expert_widths=(6,), tower_widths=(4,)), init_seed=9)
         b = ClientModel(ModelSpec(scenario=1, n_scenarios=3, n_tasks=2, n_experts=2,
                                   d_feat=4, expert_widths=(6,), tower_widths=(4,)), init_seed=9)
-        scenario_names = {p.name for p in a.scenario_shared().values()}
-        for name in a.registry():
-            same = np.array_equal(a.registry()[name].data, b.registry()[name].data)
-            assert same != (name in scenario_names)
+        for key, p in a.key_map().items():
+            same = np.array_equal(p.data, b.key_map()[key].data)
+            assert same != (key.kind == "expert_scenario")
 
     def test_scenario_weights_differ_across_experts(self):
         model = make_model(n_experts=2, expert_widths=(6,))
-        w0 = model.experts[0].layers[0].w_s.data
-        w1 = model.experts[1].layers[0].w_s.data
-        assert not np.array_equal(w0, w1)
+        w_s = model.expert_layers[0]["w_s"].data
+        assert not np.array_equal(w_s[0], w_s[1])
