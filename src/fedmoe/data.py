@@ -26,7 +26,6 @@ __all__ = [
     "batch_iter",
     "generate_synthetic",
     "load_csv",
-    "load_csv_presplit",
     "mixing_matrix",
     "synthesize",
     "write_csv",
@@ -204,17 +203,6 @@ def load_csv(path: str, schema: CsvSchema, scenario: int = 0) -> ScenarioShard:
     """Parse one CSV file and apply the 70/15/15 split in file order."""
     records = _load_records(path, schema)
     return _split(records.features, records.labels, scenario)
-
-
-def load_csv_presplit(
-    train_path: str, val_path: str, test_path: str, schema: CsvSchema, scenario: int = 0
-) -> ScenarioShard:
-    return ScenarioShard(
-        scenario=scenario,
-        train=_load_records(train_path, schema),
-        val=_load_records(val_path, schema),
-        test=_load_records(test_path, schema),
-    )
 
 
 def write_csv(path: str, records: RecordSet, schema: CsvSchema) -> None:

@@ -146,12 +146,11 @@ class Tensor:
 class Parameter(Tensor):
     """Trainable leaf tensor with a stable name and a zero-initialized grad."""
 
-    __slots__ = ("name", "trainable", "_buffer")
+    __slots__ = ("name", "_buffer")
 
-    def __init__(self, data, name: str, trainable: bool = True):
+    def __init__(self, data, name: str):
         super().__init__(data)
         self.name = name
-        self.trainable = trainable
         self.grad = np.zeros_like(self.data)
         self._buffer: Optional[weakref.ref] = None
 

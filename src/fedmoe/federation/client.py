@@ -1,5 +1,8 @@
 """Client-side round protocol: local training, uploads, personalized apply.
 
+``local_phase`` is the client's one training loop: shuffled epochs over the
+train partition, one loss, backward and Adam step per batch.
+
 The client uploads value copies of the keyed tensors a strategy declares,
 never gradients or data. After the server round it either replaces a tensor
 (plain averages, first-round aggregates) or applies the personalized update
@@ -9,6 +12,11 @@ never gradients or data. After the server round it either replaces a tensor
 where psi is a per-key scalar learned by a one-step directional
 meta-gradient on a reserved held-out batch: psi falls when the local loss
 rises along the coordinated direction, and is clamped to [-2, 2].
+
+The proximal references are kept per round: ``apply_directive`` stacks the
+server's scenario-weight aggregates into one (N, d_in, d_out) array per
+expert layer, which every training step of the next round reuses. They are
+None until the first aggregate that carries scenario weights.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ import numpy as np
 from .. import data as data_mod
 from ..diffcore import Adam
 from ..metrics import EvalReport, evaluate_client
-from ..model import ClientModel, TrainStats
+from ..model import ClientModel
 from ..keys import SharedKey
 from .server import ServerDirective
 
@@ -75,9 +83,11 @@ class ClientSim:
         self.batch_size = int(batch_size)
         self.seed = int(seed)
         self.optimizer = Adam(model.parameters(), lr=lr)
-        self.refs: dict[SharedKey, np.ndarray] = {}
+        self.refs: Optional[list[np.ndarray]] = None
         self.psi = PersonalizationState(eta=eta_psi)
         self.round_start: dict[SharedKey, np.ndarray] = {}
+        if len(shard.train) < 2:
+            raise data_mod.DataError("train partition too small for a batch")
         k = min(self.batch_size, len(shard.val))
         if k < 2:
             raise data_mod.DataError("validation partition too small for a held-out batch")
@@ -94,11 +104,10 @@ class ClientSim:
         key_map = self.model.key_map()
         self.round_start = {key: key_map[key].data.copy() for key in upload_key_list}
 
-    def local_phase(self, round_index: int, epochs: int = 1, max_batches: Optional[int] = None) -> TrainStats:
-        self.model.train()
+    def local_phase(self, round_index: int, epochs: int = 1, max_batches: Optional[int] = None) -> float:
+        """Train ``epochs`` shuffled passes, each cut after ``max_batches``
+        batches; returns the mean training loss per sample."""
         loss_sum = 0.0
-        task_sums = np.zeros(self.model.spec.n_tasks)
-        n_batches = 0
         n_samples = 0
         for epoch in range(epochs):
             cfg = data_mod.BatchConfig(
@@ -106,20 +115,17 @@ class ClientSim:
                 shuffle=True,
                 seed=_mix(self.seed, self.index, round_index, epoch),
             )
-            stats = self.model.train_epoch(
-                self.shard.train, cfg, self.optimizer,
-                refs=self.refs, lam=self.lam, max_batches=max_batches,
-            )
-            loss_sum += stats.mean_loss * stats.n_samples
-            task_sums += np.array(stats.per_task_bce) * stats.n_samples
-            n_batches += stats.n_batches
-            n_samples += stats.n_samples
-        return TrainStats(
-            mean_loss=loss_sum / n_samples,
-            per_task_bce=tuple(task_sums / n_samples),
-            n_batches=n_batches,
-            n_samples=n_samples,
-        )
+            for n_batches, (bx, by) in enumerate(data_mod.batch_iter(self.shard.train, cfg), start=1):
+                loss, _ = self.model.local_loss(bx, by, refs=self.refs, lam=self.lam)
+                loss.require_finite("training loss")
+                loss.backward()
+                self.optimizer.step()
+                self.optimizer.zero_grad()
+                loss_sum += loss.item() * bx.shape[0]
+                n_samples += bx.shape[0]
+                if n_batches == max_batches:
+                    break
+        return loss_sum / n_samples
 
     def build_upload(self, upload_key_list: Sequence[SharedKey]) -> dict[SharedKey, np.ndarray]:
         """Value copies of the declared tensors; nothing else leaves the client."""
@@ -135,11 +141,13 @@ class ClientSim:
                 raise KeyError(f"no round-start snapshot for {key}")
             psi = self.psi.for_key(key)
             key_map[key].data[...] = self.round_start[key] + increment + psi * directive.coordinated[key]
-        self.refs = {
-            key: value.copy()
-            for key, value in directive.refs.items()
-            if key.kind == "expert_scenario" and key in key_map
-        }
+        self.refs = None
+        if any(key.kind == "expert_scenario" for key in directive.refs):
+            experts = range(self.model.spec.n_experts)
+            self.refs = [
+                np.stack([directive.refs[SharedKey("expert_scenario", k, li, "w_s")] for k in experts])
+                for li in range(len(self.model.expert_layers))
+            ]
 
     def meta_update_psi(self, directive: ServerDirective) -> None:
         """One directional meta-gradient step per coordinated key."""
@@ -160,24 +168,20 @@ class ClientSim:
         model = self.model
         key_map = model.key_map()
         x, y = self.held_out
-        was_training = model.training
-        saved_dropout = model.dropout
+        # Train-mode batch norm updates the running statistics; this pass
+        # must leave them as training left them.
         saved_rm = model.bn_in.running_mean.copy()
         saved_rv = model.bn_in.running_var.copy()
-        model.train()
-        model.dropout = 0.0  # the directional derivative must be noise-free
         model.zero_grad()
         try:
-            loss, _ = model.local_loss(x, y, refs=self.refs, lam=self.lam)
+            # Without dropout the directional derivative is noise-free.
+            loss, _ = model.local_loss(x, y, refs=self.refs, lam=self.lam, use_dropout=False)
             loss.backward()
             return {key: key_map[key].grad.copy() for key in directive.coordinated}
         finally:
             model.zero_grad()
-            model.dropout = saved_dropout
             model.bn_in.running_mean[...] = saved_rm
             model.bn_in.running_var[...] = saved_rv
-            if not was_training:
-                model.eval()
 
     def evaluate(self, round_index: int) -> EvalReport:
         return evaluate_client(self.model, self.shard.test, round_index=round_index)

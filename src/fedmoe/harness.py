@@ -8,7 +8,8 @@ A run writes, under its output directory:
     snapshots/round_<r>.bin   server state per round (absent for strategy "local")
 
 Every float is emitted with repr(), so identical runs produce identical
-bytes. Clients execute in canonical index order; the directive application
+bytes. Both CSVs are written and flushed round by round, so a run that
+fails leaves the rows of every finished round. Clients execute in canonical index order; the directive application
 is the synchronization barrier.
 """
 
@@ -138,36 +139,40 @@ def run_experiment(
         shard_checksum=checksum,
     )
 
-    metrics_rows: list[tuple] = []
-    convergence_rows: list[tuple] = []
     max_batches = 1 if config.comm_per_batch else None
-
-    for r in range(1, config.rounds + 1):
-        for client in clients:
-            client.begin_round(keys)
-            stats = client.local_phase(r, epochs=config.local_epochs, max_batches=max_batches)
-            artifacts.train_loss[(r, client.index)] = stats.mean_loss
-            convergence_rows.append((r, client.index, stats.mean_loss))
-
-        if server is not None:
-            uploads = {client.index: client.build_upload(keys) for client in clients}
-            directive = server.aggregate(uploads, r)
-            artifacts.fedbn_residual_max = max(artifacts.fedbn_residual_max, directive.fedbn_residual)
+    with (
+        open(artifacts.metrics_path, "w", newline="", encoding="utf-8") as metrics_fh,
+        open(artifacts.convergence_path, "w", newline="", encoding="utf-8") as convergence_fh,
+    ):
+        metrics = csv.writer(metrics_fh)
+        metrics.writerow(("round", "client", "task", "auc", "bce"))
+        convergence = csv.writer(convergence_fh)
+        convergence.writerow(("round", "client", "train_loss"))
+        for r in range(1, config.rounds + 1):
             for client in clients:
-                client.apply_directive(directive)
+                client.begin_round(keys)
+                loss = client.local_phase(r, epochs=config.local_epochs, max_batches=max_batches)
+                artifacts.train_loss[(r, client.index)] = loss
+                convergence.writerow(_format_row((r, client.index, loss)))
+
+            if server is not None:
+                uploads = {client.index: client.build_upload(keys) for client in clients}
+                directive = server.aggregate(uploads, r)
+                artifacts.fedbn_residual_max = max(artifacts.fedbn_residual_max, directive.fedbn_residual)
+                for client in clients:
+                    client.apply_directive(directive)
+                for client in clients:
+                    client.meta_update_psi(directive)
+                write_snapshot(snapshot_dir / f"round_{r}.bin", plan.name, r, server.last_snapshot_entries)
+
             for client in clients:
-                client.meta_update_psi(directive)
-            write_snapshot(snapshot_dir / f"round_{r}.bin", plan.name, r, server.last_snapshot_entries)
-
-        for client in clients:
-            report = client.evaluate(r)
-            for i in range(config.tasks):
-                metrics_rows.append((r, client.index, i, report.auc[i], report.bce[i]))
-                artifacts.test_auc[(r, client.index, i)] = report.auc[i]
-                artifacts.test_bce[(r, client.index, i)] = report.bce[i]
-
-    _write_csv(artifacts.metrics_path, ("round", "client", "task", "auc", "bce"), metrics_rows)
-    _write_csv(artifacts.convergence_path, ("round", "client", "train_loss"), convergence_rows)
+                report = client.evaluate(r)
+                for i in range(config.tasks):
+                    metrics.writerow(_format_row((r, client.index, i, report.auc[i], report.bce[i])))
+                    artifacts.test_auc[(r, client.index, i)] = report.auc[i]
+                    artifacts.test_bce[(r, client.index, i)] = report.bce[i]
+            convergence_fh.flush()
+            metrics_fh.flush()
     return artifacts
 
 
@@ -239,10 +244,8 @@ def _combined_checksum(shards: list[data_mod.ScenarioShard]) -> str:
     return h.hexdigest()
 
 
-def _format(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _format_row(row: tuple) -> list[str]:
+    return [repr(v) if isinstance(v, float) else str(v) for v in row]
 
 
 def _write_csv(path: Path, header: tuple, rows: list[tuple]) -> None:
@@ -250,4 +253,4 @@ def _write_csv(path: Path, header: tuple, rows: list[tuple]) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_format(v) for v in row])
+            writer.writerow(_format_row(row))

@@ -83,20 +83,14 @@ class EvalReport:
 
 def evaluate_client(model, records: RecordSet, round_index: int = 0, chunk: int = 4096) -> EvalReport:
     """Score a test partition in eval mode; pure (no parameter or BN mutation)."""
-    was_training = model.training
-    model.eval()
-    try:
-        n = len(records)
-        scores = np.empty((n, model.spec.n_tasks))
-        with no_grad():
-            for start in range(0, n, chunk):
-                x = records.features[start : start + chunk]
-                preds = model.forward(x)
-                for i, p in enumerate(preds):
-                    scores[start : start + x.shape[0], i] = p.data.reshape(-1)
-    finally:
-        if was_training:
-            model.train()
+    n = len(records)
+    scores = np.empty((n, model.spec.n_tasks))
+    with no_grad():
+        for start in range(0, n, chunk):
+            x = records.features[start : start + chunk]
+            preds = model.forward(x, train=False)
+            for i, p in enumerate(preds):
+                scores[start : start + x.shape[0], i] = p.data.reshape(-1)
     aucs = tuple(auc_fast(scores[:, i], records.labels[:, i]) for i in range(model.spec.n_tasks))
     bces = tuple(mean_bce(scores[:, i], records.labels[:, i]) for i in range(model.spec.n_tasks))
     return EvalReport(round_index=round_index, client=model.spec.scenario, auc=aucs, bce=bces, n_samples=n)

@@ -18,6 +18,12 @@ federated keys stay one per (expert, layer, part): ``key_map()`` maps each
 to a Parameter whose value and grad are views of expert n's slice of the
 stacked arrays, so uploads and server updates read and write the buffer.
 
+The model holds no mode: ``forward`` takes ``train`` (batch statistics and
+dropout) and ``use_dropout`` as arguments, so evaluation and the held-out
+psi pass never switch a flag they must restore. ``local_loss`` takes the
+proximal references as one (N, d_in, d_out) stack per expert layer, the
+form the client keeps them in for a whole round.
+
 The scenario weight is initialized once from a scenario template applied to
 the client's scenario embedding and is afterwards trained directly; the
 additive server update needs it to be a concrete leaf tensor. Initialization
@@ -32,9 +38,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import data as data_mod
 from .diffcore import (
-    Adam,
     BNState,
     Parameter,
     ParameterBuffer,
@@ -56,7 +60,7 @@ from .diffcore import (
 )
 from .keys import SharedKey
 
-__all__ = ["ModelSpec", "Tower", "ClientModel", "TrainStats", "EXPERT_PARTS", "TEMPLATE_PARTS"]
+__all__ = ["ModelSpec", "Tower", "ClientModel", "EXPERT_PARTS", "TEMPLATE_PARTS"]
 
 
 @dataclass(frozen=True)
@@ -146,19 +150,9 @@ class Tower:
         return keys
 
 
-@dataclass
-class TrainStats:
-    mean_loss: float
-    per_task_bce: tuple[float, ...]
-    n_batches: int
-    n_samples: int
-
-
 class ClientModel:
     def __init__(self, spec: ModelSpec, init_seed: int):
         self.spec = spec
-        self.training = True
-        self.dropout = spec.dropout  # mutable so harness passes can silence it
         rng = np.random.default_rng([init_seed, 0xD0DE])
 
         self.emb_task = Parameter(rng.normal(0.0, 1.0, size=(spec.n_tasks, spec.d_emb)), "emb.task")
@@ -257,13 +251,7 @@ class ClientModel:
             raise ValueError("key map does not cover the parameter buffer")
         return out
 
-    # -- mode and parameter access ------------------------------------------------
-
-    def train(self) -> None:
-        self.training = True
-
-    def eval(self) -> None:
-        self.training = False
+    # -- parameter access ----------------------------------------------------------
 
     def parameters(self) -> list[Parameter]:
         return list(self._registry.values())
@@ -304,14 +292,19 @@ class ClientModel:
         template = (parts[name] for name in TEMPLATE_PARTS)
         return task_weights(self.emb_task, *template, parts["w_loc"], parts["w_s"])
 
-    def forward(self, x: np.ndarray) -> list[Tensor]:
-        """Per-task probability vectors for a feature batch (K, d_feat)."""
+    def forward(self, x: np.ndarray, train: bool = True, use_dropout: bool = True) -> list[Tensor]:
+        """Per-task probability vectors for a feature batch (K, d_feat).
+
+        ``train`` selects batch statistics for the input batch norm (and
+        updates its running statistics) over the running ones, and enables
+        dropout; ``use_dropout=False`` turns dropout off in train mode too.
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.spec.d_feat:
             raise ValueError(f"expected features (K, {self.spec.d_feat}), got {x.shape}")
         xt = Tensor(x)
-        xhat = batchnorm(xt, self.bn_in, train=self.training)
-        rate = self.dropout
+        xhat = batchnorm(xt, self.bn_in, train=train)
+        rate = self.spec.dropout if use_dropout else 0.0
         weights = [self.effective_weights(li) for li in range(len(self.expert_layers))]
         biases = [[select(layer["bias"], k) for k in range(self.spec.n_experts)] for layer in self.expert_layers]
         preds = []
@@ -320,74 +313,37 @@ class ClientModel:
             for k in range(self.spec.n_experts):
                 h = xhat
                 for w, b in zip(weights, biases):
-                    h = dropout(relu(affine(h, select(w, (i, k)), b[k])), rate, self.training, self.rng)
+                    h = dropout(relu(affine(h, select(w, (i, k)), b[k])), rate, train, self.rng)
                 outputs.append(h)
             gate_w, gate_b = self.gates[i]
             gate = softmax(affine(xhat, gate_w, gate_b))
             mixed = mix_experts(gate, outputs)
-            preds.append(self.towers[i].forward(mixed, self.training, rate, self.rng))
+            preds.append(self.towers[i].forward(mixed, train, rate, self.rng))
         return preds
 
     def local_loss(
         self,
         x: np.ndarray,
         y: np.ndarray,
-        refs: Optional[dict[SharedKey, np.ndarray]] = None,
+        refs: Optional[Sequence[np.ndarray]] = None,
         lam: float = 0.5,
+        use_dropout: bool = True,
     ) -> tuple[Tensor, tuple[float, ...]]:
-        """Multi-task BCE plus the proximal pull of scenario weights toward
-        the latest aggregates (zero references before the first round)."""
+        """Train-mode multi-task BCE plus the proximal pull of the scenario
+        weights toward the latest aggregates; also the per-task BCE values.
+
+        ``refs[l]`` is the (N, d_in, d_out) reference stack for expert layer
+        l's ``w_s``; None (before the first aggregate) means zero references.
+        """
         y = np.asarray(y, dtype=np.float64)
         if y.ndim != 2 or y.shape[1] != self.spec.n_tasks:
             raise ValueError(f"expected labels (K, {self.spec.n_tasks}), got {y.shape}")
-        preds = self.forward(x)
+        preds = self.forward(x, use_dropout=use_dropout)
         task_losses = [bce(preds[i], y[:, i]) for i in range(self.spec.n_tasks)]
         loss = add_n(task_losses)
         if lam > 0.0:
-            blocks = [[None] * self.spec.n_experts for _ in self.expert_layers]
-            for key, view in self.scenario_shared().items():
-                ref = refs.get(key) if refs else None
-                blocks[key.layer][key.index] = np.zeros_like(view.data) if ref is None else ref
-            penalty = block_sum_sq_diff([layer["w_s"] for layer in self.expert_layers], blocks)
-            loss = add_n([loss, scale(penalty, lam)])
+            w_s = [layer["w_s"] for layer in self.expert_layers]
+            if refs is None:
+                refs = [np.zeros_like(p.data) for p in w_s]
+            loss = add_n([loss, scale(block_sum_sq_diff(w_s, refs), lam)])
         return loss, tuple(t.item() for t in task_losses)
-
-    def train_epoch(
-        self,
-        records: data_mod.RecordSet,
-        batch_cfg: data_mod.BatchConfig,
-        optimizer: Adam,
-        refs: Optional[dict[SharedKey, np.ndarray]] = None,
-        lam: float = 0.5,
-        max_batches: Optional[int] = None,
-    ) -> TrainStats:
-        """One pass over the shard: loss, backward, Adam step per batch."""
-        if len(records) == 0:
-            raise data_mod.DataError("cannot train on an empty shard")
-        if not self.training:
-            raise RuntimeError("train_epoch requires train mode")
-        loss_sum = 0.0
-        task_sums = np.zeros(self.spec.n_tasks)
-        n_batches = 0
-        n_samples = 0
-        for bx, by in data_mod.batch_iter(records, batch_cfg):
-            loss, per_task = self.local_loss(bx, by, refs=refs, lam=lam)
-            loss.require_finite("training loss")
-            loss.backward()
-            optimizer.step()
-            optimizer.zero_grad()
-            k = bx.shape[0]
-            loss_sum += loss.item() * k
-            task_sums += np.array(per_task) * k
-            n_batches += 1
-            n_samples += k
-            if max_batches is not None and n_batches >= max_batches:
-                break
-        if n_batches == 0:
-            raise data_mod.DataError("shard produced no batches of size >= 2")
-        return TrainStats(
-            mean_loss=loss_sum / n_samples,
-            per_task_bce=tuple(task_sums / n_samples),
-            n_batches=n_batches,
-            n_samples=n_samples,
-        )

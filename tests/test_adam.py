@@ -7,7 +7,7 @@ from fedmoe.diffcore.optim import CHUNK
 
 class TestAdam:
     def test_first_step_moves_by_lr_times_sign(self):
-        p = Parameter([1.0, -2.0], "p", trainable=True)
+        p = Parameter([1.0, -2.0], "p")
         opt = Adam([p], lr=0.001)
         p.grad[...] = [0.3, -7.0]
         opt.step()
@@ -35,13 +35,6 @@ class TestAdam:
             return np.concatenate(trace)
 
         assert np.array_equal(run(), run())
-
-    def test_untrainable_parameter_is_skipped(self):
-        p = Parameter([1.0], "p", trainable=False)
-        opt = Adam([p])
-        p.grad[...] = 10.0
-        opt.step()
-        assert p.data[0] == 1.0
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
@@ -75,10 +68,10 @@ class TestAdam:
                 assert p.data.tobytes() == value.tobytes()
                 assert not p.grad.any()
 
-    def test_loose_parameters_are_packed_and_untrainable_left_out(self):
-        a, frozen, b = Parameter([1.0, 2.0], "a"), Parameter([3.0], "f", trainable=False), Parameter([[4.0]], "b")
-        opt = Adam([a, frozen, b])
-        assert opt.buffer.params == (a, b) and frozen.buffer is None
+    def test_loose_parameters_are_packed(self):
+        a, b = Parameter([1.0, 2.0], "a"), Parameter([[4.0]], "b")
+        opt = Adam([a, b])
+        assert opt.buffer.params == (a, b)
         assert np.shares_memory(a.data, opt.buffer.values) and np.shares_memory(b.grad, opt.buffer.grads)
         assert opt.buffer.values.tolist() == [1.0, 2.0, 4.0]
 

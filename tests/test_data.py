@@ -10,7 +10,6 @@ from fedmoe.data import (
     batch_iter,
     generate_synthetic,
     load_csv,
-    load_csv_presplit,
     mixing_matrix,
     synthesize,
     write_csv,
@@ -107,9 +106,10 @@ class TestCsv:
         records = RecordSet(rng.normal(0, 1e3, (25, 2)), (rng.random((25, 2)) < 0.5).astype(float))
         path = tmp_path / "rt.csv"
         write_csv(str(path), records, self.SCHEMA)
-        shard = load_csv_presplit(str(path), str(path), str(path), self.SCHEMA)
-        assert np.array_equal(shard.train.features, records.features)
-        assert np.array_equal(shard.train.labels, records.labels)
+        shard = load_csv(str(path), self.SCHEMA)
+        parts = (shard.train, shard.val, shard.test)
+        assert np.array_equal(np.concatenate([part.features for part in parts]), records.features)
+        assert np.array_equal(np.concatenate([part.labels for part in parts]), records.labels)
 
 
 class TestBatchIter:

@@ -186,7 +186,7 @@ class TestComposedGradients:
         rng = np.random.default_rng(10)
         x = rng.normal(0, 1, (6, 4))
         y = (rng.random((6, 2)) < 0.5).astype(float)
-        refs = {k: rng.normal(0, 1, p.shape) for k, p in model.scenario_shared().items()}
+        refs = [rng.normal(0, 1, layer["w_s"].shape) for layer in model.expert_layers]
 
         def f():
             loss, _ = model.local_loss(x, y, refs=refs, lam=0.5)

@@ -9,6 +9,7 @@ import fedmoe
 from fedmoe import harness
 from fedmoe.config import ExperimentConfig
 from fedmoe.data import DataError
+from fedmoe.federation import client as client_mod
 from fedmoe.model import ClientModel
 
 GOLDEN_FILES = ("metrics.csv", "convergence.csv", "config.echo")
@@ -31,8 +32,13 @@ def golden_bytes(run_dir: Path) -> dict[str, bytes]:
     return files
 
 
-def test_runs_are_byte_identical_in_process_and_from_the_cli(tmp_path, monkeypatch):
-    config = small_config()
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"strategy": "a4", "local_epochs": 2, "comm_per_batch": True}],
+    ids=["main", "a4_two_epochs_per_batch"],
+)
+def test_runs_are_byte_identical_in_process_and_from_the_cli(tmp_path, monkeypatch, overrides):
+    config = small_config(**overrides)
     ini = tmp_path / "experiment.ini"
     config.save(ini)
 
@@ -88,10 +94,27 @@ def test_ablation_suite_runs_each_distinct_configuration_once(tmp_path, monkeypa
 
 def test_single_class_test_partition_fails_before_training(tmp_path, monkeypatch):
     def no_training(*args, **kwargs):
-        raise AssertionError("train_epoch ran before the data check")
+        raise AssertionError("training ran before the data check")
 
-    monkeypatch.setattr(ClientModel, "train_epoch", no_training)
+    monkeypatch.setattr(ClientModel, "local_loss", no_training)
     config = ExperimentConfig(samples_per_scenario=20, temperature=0.05, rounds=1, out_dir=str(tmp_path / "out"))
     config.validate()
     with pytest.raises(DataError, match=r"scenario \d+, task \d+: every test label is [01]"):
         harness.run_experiment(config)
+
+
+def test_failed_run_leaves_the_rows_of_finished_rounds(tmp_path, monkeypatch):
+    evaluate_client = client_mod.evaluate_client
+
+    def fail_in_round_two(model, records, round_index=0, **kwargs):
+        if round_index == 2:
+            raise RuntimeError("evaluation failed")
+        return evaluate_client(model, records, round_index=round_index, **kwargs)
+
+    monkeypatch.setattr(client_mod, "evaluate_client", fail_in_round_two)
+    config = small_config(out_dir=str(tmp_path / "run"))
+    with pytest.raises(RuntimeError, match="evaluation failed"):
+        harness.run_experiment(config)
+    lines = (tmp_path / "run" / "metrics.csv").read_text().splitlines()
+    assert lines[0] == "round,client,task,auc,bce"
+    assert [line.split(",", 1)[0] for line in lines[1:]] == ["1"] * (config.scenarios * config.tasks)

@@ -4,8 +4,9 @@ import weakref
 import numpy as np
 import pytest
 
-from fedmoe.data import BatchConfig, RecordSet, SyntheticSpec, generate_synthetic
+from fedmoe.data import DataError, RecordSet, ScenarioShard, SyntheticSpec, generate_synthetic
 from fedmoe.diffcore import Adam, Tensor, affine, batchnorm, no_grad, relu, select, task_weights
+from fedmoe.federation.client import ClientSim
 from fedmoe.model import EXPERT_PARTS, TEMPLATE_PARTS, ClientModel, ModelSpec
 
 
@@ -184,16 +185,16 @@ class TestLocalLoss:
         rng = np.random.default_rng(8)
         x = rng.normal(0, 1, (8, 4))
         y = (rng.random((8, 2)) < 0.5).astype(float)
-        refs = {k: p.data.copy() for k, p in model.scenario_shared().items()}
+        refs = [layer["w_s"].data.copy() for layer in model.expert_layers]
         with_reg, _ = model.local_loss(x, y, refs=refs, lam=0.5)
         without, _ = model.local_loss(x, y, lam=0.0)
         assert with_reg.item() == pytest.approx(without.item(), rel=1e-12)
 
     def test_scalar_reference_case(self):
         model = make_model(n_experts=1, d_feat=1, expert_widths=(1,), tower_widths=(2,), n_tasks=1)
-        (key, w_s), = model.scenario_shared().items()
+        (w_s,) = model.scenario_shared().values()
         w_s.data[...] = 0.0
-        refs = {key: np.full((1, 1), 2.0)}
+        refs = [np.full((1, 1, 1), 2.0)]
         rng = np.random.default_rng(9)
         x = rng.normal(0, 1, (6, 1))
         y = (rng.random((6, 1)) < 0.5).astype(float)
@@ -203,9 +204,8 @@ class TestLocalLoss:
 
     def test_regularizer_zero_iff_equal(self):
         model = make_model()
-        refs = {k: p.data.copy() for k, p in model.scenario_shared().items()}
-        key = next(iter(refs))
-        refs[key] = refs[key] + 1e-3
+        refs = [layer["w_s"].data.copy() for layer in model.expert_layers]
+        refs[0][0] += 1e-3
         rng = np.random.default_rng(10)
         x = rng.normal(0, 1, (6, 4))
         y = (rng.random((6, 2)) < 0.5).astype(float)
@@ -233,10 +233,15 @@ class TestLocalLoss:
 
 
 class TestTrainEpoch:
+    """Local training, as ClientSim.local_phase runs it."""
+
     def shard(self, seed=12):
         return generate_synthetic(
             SyntheticSpec(n_scenarios=2, n_tasks=2, d_feat=4, samples_per_scenario=300, seed=seed)
         )[0]
+
+    def client(self, model=None, seed=12, lr=1e-3, lam=0.5):
+        return ClientSim(model or make_model(), self.shard(seed), lr=lr, lam=lam, batch_size=32, seed=seed)
 
     def test_loss_decreases_majority_of_seeds(self):
         wins = 0
@@ -246,38 +251,47 @@ class TestTrainEpoch:
                           d_feat=4, expert_widths=(6, 3), tower_widths=(4,), dropout=0.0),
                 init_seed=seed,
             )
-            records = self.shard(seed).train
-            opt = Adam(model.parameters(), lr=1e-3)
-            cfg = BatchConfig(32, shuffle=True, seed=seed)
-            first = model.train_epoch(records, cfg, opt, lam=0.0)
-            for _ in range(3):
-                last = model.train_epoch(records, cfg, opt, lam=0.0)
-            wins += last.mean_loss < first.mean_loss
+            client = self.client(model, seed=seed, lam=0.0)
+            first = client.local_phase(1)
+            for r in range(2, 5):
+                last = client.local_phase(r)
+            wins += last < first
         assert wins >= 3
 
     def test_zero_learning_rate_is_identity(self):
-        model = make_model()
-        records = self.shard().train
-        opt = Adam(model.parameters(), lr=0.0)
-        before = {n: p.data.copy() for n, p in model.registry().items()}
-        model.train_epoch(records, BatchConfig(32, seed=0), opt, lam=0.5)
-        for n, p in model.registry().items():
+        client = self.client(lr=0.0)
+        before = {n: p.data.copy() for n, p in client.model.registry().items()}
+        client.local_phase(1)
+        for n, p in client.model.registry().items():
             assert np.array_equal(before[n], p.data)
 
     def test_same_seed_identical_loss(self):
         def run():
-            model = make_model(dropout=0.2)
-            opt = Adam(model.parameters(), lr=1e-3)
-            stats = model.train_epoch(self.shard().train, BatchConfig(32, seed=5), opt, lam=0.5)
-            return stats.mean_loss
+            return self.client(make_model(dropout=0.2)).local_phase(1)
 
         assert run() == run()
 
+    @pytest.mark.parametrize("epochs, max_batches", [(1, 1), (2, None), (2, 3)])
+    def test_one_adam_step_per_batch(self, epochs, max_batches):
+        client = self.client()
+        n = len(client.shard.train)
+        assert n % client.batch_size != 1  # no trailing singleton batch to drop
+        per_epoch = -(-n // client.batch_size)
+        client.local_phase(1, epochs=epochs, max_batches=max_batches)
+        assert client.optimizer.step_count == epochs * min(per_epoch, max_batches or per_epoch)
+
+    def test_single_record_train_partition_rejected(self):
+        shard = self.shard()
+        one = RecordSet(shard.train.features[:1], shard.train.labels[:1])
+        small = ScenarioShard(scenario=0, train=one, val=shard.val, test=shard.test)
+        with pytest.raises(DataError, match="train partition"):
+            ClientSim(make_model(), small)
+
     def test_empty_shard_rejected(self):
-        model = make_model()
-        records = RecordSet(np.zeros((0, 4)), np.zeros((0, 2)))
-        with pytest.raises(Exception):
-            model.train_epoch(records, BatchConfig(32), Adam(model.parameters()))
+        full = RecordSet(np.zeros((4, 4)), np.zeros((4, 2)))
+        empty = RecordSet(np.zeros((0, 4)), np.zeros((0, 2)))
+        with pytest.raises(DataError, match="nonempty"):
+            ScenarioShard(scenario=0, train=empty, val=full, test=full)
 
 
 class TestInitialization:

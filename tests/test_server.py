@@ -153,19 +153,31 @@ class TestPsiMetaUpdate:
 
         x, y = client.held_out
         param = model.scenario_shared()[k]
-        saved_dropout = model.dropout
-        model.dropout = 0.0
         eps = 1e-6
 
         def loss_at(offset):
             param.data += offset * u_star
-            value, _ = model.local_loss(x, y, refs=client.refs, lam=client.lam)
+            value, _ = model.local_loss(x, y, refs=client.refs, lam=client.lam, use_dropout=False)
             param.data -= offset * u_star
             return value.item()
 
         numeric = (loss_at(eps) - loss_at(-eps)) / (2 * eps)
-        model.dropout = saved_dropout
         assert analytic == pytest.approx(numeric, rel=1e-3)
+
+    def test_psi_step_leaves_batchnorm_rng_and_grads(self):
+        clients, _ = make_clients(s=2, n_experts=1, widths=(6,), dropout=0.2)
+        client = clients[0]
+        model = client.model
+        client.local_phase(1, max_batches=2)
+        bn = (model.bn_in.running_mean.copy(), model.bn_in.running_var.copy())
+        rng_state = model.rng.bit_generator.state
+        u = {k: np.full(p.shape, 0.1) for k, p in model.scenario_shared().items()}
+        client.meta_update_psi(ServerDirective(round_index=2, strategy="main", coordinated=u))
+        assert client.psi.expert  # the step ran
+        assert np.array_equal(model.bn_in.running_mean, bn[0])
+        assert np.array_equal(model.bn_in.running_var, bn[1])
+        assert model.rng.bit_generator.state == rng_state
+        assert not model.buffer.grads.any()
 
     def test_psi_clamped(self):
         client = self.build_client()
@@ -300,7 +312,10 @@ class TestRoundProtocol:
         for c in clients:
             c.apply_directive(directive)
         for c in clients:
-            assert set(c.refs) == set(c.model.scenario_shared())
+            assert len(c.refs) == len(c.model.expert_layers)
+            for k, p in c.model.scenario_shared().items():
+                assert np.array_equal(c.refs[k.layer][k.index], directive.refs[k])
+                assert c.refs[k.layer][k.index].shape == p.shape
 
     def test_expert_layer_pool_shares_aggregate(self):
         clients, config = make_clients(s=2, n_experts=3)
