@@ -16,7 +16,8 @@ rises along the coordinated direction, and is clamped to [-2, 2].
 The proximal references are kept per round: ``apply_directive`` stacks the
 server's scenario-weight aggregates into one (N, d_in, d_out) array per
 expert layer, which every training step of the next round reuses. They are
-None until the first aggregate that carries scenario weights.
+None, and training adds no proximal pull, until an aggregate carries
+scenario weights; under ``a4`` and ``local`` none ever does.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ Strategy table (expert scenario-weight set / tower set):
     a2      plain       / coordinated   plain mean over ALL expert params
     a3      coordinated / coordinated   identical configuration to main
                                         (the ablation suite runs it once)
-    a4      none        / plain         experts untouched
+    a4      none        / plain         experts untouched, no proximal pull
     fedavg  plain       / plain         plain mean over every parameter
     local   none        / none          no aggregation at all
 
@@ -17,6 +17,10 @@ against the previous round's, solve the simplex weighting over its rows,
 and ship the mean increment plus the coordinated update for personalized
 application on each client. "plain" is the per-key mean over
 clients. The server sees nothing but keyed tensors.
+
+The aggregated scenario weights are also each client's proximal references
+for the next round. A strategy that does not aggregate them (``a4``,
+``local``) sends none, and its clients train with no proximal pull.
 """
 
 from __future__ import annotations

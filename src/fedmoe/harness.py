@@ -79,9 +79,6 @@ def build_shards(config: ExperimentConfig) -> list[data_mod.ScenarioShard]:
 def build_clients(
     config: ExperimentConfig, shards: list[data_mod.ScenarioShard], n_experts: Optional[int] = None
 ) -> list[ClientSim]:
-    # Without a server there are no aggregates to align with, so the
-    # proximal pull on the scenario weights is dropped entirely.
-    lam = 0.0 if config.strategy == "local" else config.lambda_reg
     clients = []
     for j in range(config.scenarios):
         model = ClientModel(config.model_spec(j, n_experts=n_experts), init_seed=config.seed)
@@ -90,7 +87,7 @@ def build_clients(
                 model,
                 shards[j],
                 lr=config.learning_rate,
-                lam=lam,
+                lam=config.lambda_reg,
                 eta_psi=config.eta_psi,
                 batch_size=config.batch_size,
                 seed=config.seed,

@@ -333,7 +333,9 @@ class ClientModel:
         weights toward the latest aggregates; also the per-task BCE values.
 
         ``refs[l]`` is the (N, d_in, d_out) reference stack for expert layer
-        l's ``w_s``; None (before the first aggregate) means zero references.
+        l's ``w_s``. No reference means no pull, as in FedProx: None (before
+        the first aggregate, and always under strategies that never
+        aggregate the scenario weights) adds no penalty.
         """
         y = np.asarray(y, dtype=np.float64)
         if y.ndim != 2 or y.shape[1] != self.spec.n_tasks:
@@ -341,9 +343,7 @@ class ClientModel:
         preds = self.forward(x, use_dropout=use_dropout)
         task_losses = [bce(preds[i], y[:, i]) for i in range(self.spec.n_tasks)]
         loss = add_n(task_losses)
-        if lam > 0.0:
+        if refs is not None and lam > 0.0:
             w_s = [layer["w_s"] for layer in self.expert_layers]
-            if refs is None:
-                refs = [np.zeros_like(p.data) for p in w_s]
             loss = add_n([loss, scale(block_sum_sq_diff(w_s, refs), lam)])
         return loss, tuple(t.item() for t in task_losses)

@@ -370,3 +370,40 @@ class TestPrivacyAudit:
         key_map = client.model.key_map()
         for k, tensor in upload.items():
             assert not np.shares_memory(tensor, key_map[k].data)
+
+
+class TestProximalRule:
+    """No reference means no pull: the penalty exists only after scenario weights were aggregated."""
+
+    def aggregate_once(self, clients, strategy):
+        plan = resolve_strategy(strategy)
+        keys = upload_keys(plan, clients[0].model)
+        server = FederationServer(plan)
+        for c in clients:
+            c.begin_round(keys)
+        directive = server.aggregate({c.index: c.build_upload(keys) for c in clients}, 1)
+        for c in clients:
+            c.apply_directive(directive)
+
+    def penalty(self, client):
+        x, y = client.held_out
+        loss, per_task = client.model.local_loss(x, y, refs=client.refs, lam=client.lam, use_dropout=False)
+        return loss.item() - sum(per_task)
+
+    def test_main_client_before_round_one_has_no_pull(self):
+        clients, _ = make_clients()
+        assert clients[0].refs is None
+        assert self.penalty(clients[0]) == pytest.approx(0.0, abs=1e-12)
+
+    def test_a4_client_has_no_pull_after_aggregating(self):
+        clients, _ = make_clients()
+        self.aggregate_once(clients, "a4")
+        assert clients[0].refs is None
+        assert self.penalty(clients[0]) == pytest.approx(0.0, abs=1e-12)
+
+    def test_main_aggregate_adds_the_pull(self):
+        clients, _ = make_clients()
+        self.aggregate_once(clients, "main")
+        w_s = clients[0].model.expert_layers[0]["w_s"]
+        w_s.data += 0.1  # round 1 sets w_s to its reference; move it off
+        assert self.penalty(clients[0]) == pytest.approx(clients[0].lam * 0.01 * w_s.size, rel=1e-9)
