@@ -9,8 +9,9 @@ A run writes, under its output directory:
 
 Every float is emitted with repr(), so identical runs produce identical
 bytes. Both CSVs are written and flushed round by round, so a run that
-fails leaves the rows of every finished round. Clients execute in canonical index order; the directive application
-is the synchronization barrier.
+fails leaves the rows of every finished round. Clients execute in
+canonical index order; the directive application is the synchronization
+barrier.
 """
 
 from __future__ import annotations
