@@ -155,6 +155,10 @@ class ExperimentConfig:
                 )
             if not self.feature_columns:
                 problems.append("data.feature_columns: required for csv source")
+            elif len(self.feature_columns) != self.d_feat:
+                problems.append(
+                    f"data.feature_columns: {len(self.feature_columns)} columns but model.d_feat is {self.d_feat}"
+                )
             if len(self.label_columns) != self.tasks:
                 problems.append(
                     f"data.label_columns: need one per task ({self.tasks}), got {len(self.label_columns)}"

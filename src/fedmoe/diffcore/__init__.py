@@ -7,10 +7,11 @@ from .ops import (
     affine,
     bce,
     block_sum_sq_diff,
-    dropout,
     elementwise_mul,
+    expert_layer,
     mix_experts,
     relu,
+    relu_dropout,
     reshape,
     scale,
     select,
@@ -45,13 +46,14 @@ __all__ = [
     "batchnorm",
     "bce",
     "block_sum_sq_diff",
-    "dropout",
     "elementwise_mul",
+    "expert_layer",
     "grad_check",
     "is_grad_enabled",
     "mix_experts",
     "no_grad",
     "relu",
+    "relu_dropout",
     "reshape",
     "scale",
     "select",

@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .tensor import ShapeMismatchError, Tensor
+from .tensor import ShapeMismatchError, Tensor, is_grad_enabled
 
 __all__ = [
     "affine",
@@ -19,13 +19,14 @@ __all__ = [
     "sigmoid",
     "elementwise_mul",
     "softmax",
-    "dropout",
+    "relu_dropout",
     "bce",
     "add_n",
     "scale",
     "reshape",
     "select",
     "task_weights",
+    "expert_layer",
     "mix_experts",
     "sum_sq_diff",
     "block_sum_sq_diff",
@@ -51,20 +52,51 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return Tensor(out, (x, w, b), backward)
 
 
-def relu(x: Tensor) -> Tensor:
-    """max(x, 0); a NaN passes through to the loss's finiteness check."""
-    mask = x.data > 0.0  # derivative at 0 defined as 0
+def _relu_dropout_(out: np.ndarray, rate: float, draw: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """ReLU, then inverted dropout where ``draw < rate``, on a fresh array in place.
+
+    Returns the float backward mask ``(h > 0) & kept`` / (1 - rate), or None
+    under ``no_grad``. Every value equals ``max(h, 0) * dropout_mask``,
+    byte for byte: kept, dropped and signed-zero entries alike.
+    """
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    np.maximum(out, 0.0, out=out)
+    if draw is None:
+        return (out > 0.0).astype(np.float64) if is_grad_enabled() else None
+    if draw.shape != out.shape:
+        raise ShapeMismatchError(f"dropout draw shape {draw.shape} does not match {out.shape}")
+    mask = ((draw >= rate) & (out > 0.0)) * (1.0 / (1.0 - rate))
+    out *= mask
+    return mask if is_grad_enabled() else None
+
+
+def relu_dropout(x: Tensor, rate: float, draw: Optional[np.ndarray] = None) -> Tensor:
+    """max(x, 0) with inverted dropout: zero where ``draw < rate``, scale survivors by 1/(1-rate).
+
+    ``draw`` holds uniforms of x's shape; None (evaluation, or dropout off)
+    gives plain ReLU. The derivative at 0 is 0, and a NaN passes through to
+    the loss's finiteness check.
+    """
+    out = x.data.copy()
+    mask = _relu_dropout_(out, rate, draw)
 
     def backward(g):
         return (g * mask,)
 
-    return Tensor(np.maximum(x.data, 0.0), (x,), backward)
+    return Tensor(out, (x,), backward)
+
+
+def relu(x: Tensor) -> Tensor:
+    """max(x, 0): ``relu_dropout`` with nothing dropped."""
+    return relu_dropout(x, 0.0)
 
 
 def sigmoid(x: Tensor) -> Tensor:
     # Stable in both tails: exp() only ever sees non-positive arguments.
     z = x.data
-    out = np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))), np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
+    e = np.exp(-np.abs(z))
+    out = np.where(z >= 0, 1.0, e) / (1.0 + e)
 
     def backward(g):
         return (g * out * (1.0 - out),)
@@ -100,22 +132,6 @@ def softmax(x: Tensor) -> Tensor:
         return (out * (g - inner),)
 
     return Tensor(out, (x,), backward)
-
-
-def dropout(x: Tensor, rate: float, train: bool, rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Inverted dropout: zero with probability ``rate``, scale survivors by 1/(1-rate)."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not train or rate == 0.0:
-        return x
-    if rng is None:
-        raise ValueError("train-mode dropout needs an explicit rng")
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
-
-    def backward(g):
-        return (g * mask,)
-
-    return Tensor(x.data * mask, (x,), backward)
 
 
 def bce(p: Tensor, y: np.ndarray) -> Tensor:
@@ -241,28 +257,55 @@ def task_weights(
     return Tensor(out, (emb, w1, b1, w2, b2, w_loc, w_s), backward)
 
 
-def mix_experts(gates: Tensor, experts: Sequence[Tensor]) -> Tensor:
-    """Convex mix of expert outputs: out = sum_n gates[:, n] * experts[n].
+def expert_layer(x: Tensor, w: Tensor, b: Tensor, rate: float, draw: Optional[np.ndarray] = None) -> Tensor:
+    """One expert layer for every (task, expert) path, in one node.
 
-    gates: (K, N) simplex rows; experts: N tensors of shape (K, d).
+    Path (t, n) computes ``relu_dropout(x[t, n] @ w[t, n] + b[n], rate, draw[t, n])``.
+
+    Shapes: x is the shared (K, d_in) input of the first layer or the
+    (T, N, K, d_in) output of the previous one; w (T, N, d_in, d_out), as
+    ``task_weights`` builds it; b (N, d_out); draw None or (T, N, K, d_out)
+    uniforms. Output (T, N, K, d_out). Each path's product is the same 2-D
+    gemm that ``affine`` runs, so every value equals that of the per-path
+    composition of affine and relu_dropout bit for bit. Only the gradient of
+    a shared x is summed in another order: over all paths at once.
     """
-    n = len(experts)
-    if gates.ndim != 2 or gates.shape[1] != n:
-        raise ShapeMismatchError(f"gates shape {gates.shape} does not match {n} experts")
-    k, d = experts[0].shape
-    if any(e.shape != (k, d) for e in experts):
-        raise ShapeMismatchError("expert outputs must share one shape")
-    if gates.shape[0] != k:
-        raise ShapeMismatchError(f"gates batch {gates.shape[0]} != expert batch {k}")
-    stacked = np.stack([e.data for e in experts], axis=1)  # (K, N, d)
-    out = np.einsum("kn,knd->kd", gates.data, stacked)
+    if w.ndim != 4 or b.shape != (w.shape[1], w.shape[3]):
+        raise ShapeMismatchError(f"expert_layer expects w (T,N,d_in,d_out) and b (N,d_out); got {w.shape}, {b.shape}")
+    t, n, d_in, d_out = w.shape
+    shared = x.ndim == 2
+    if not (shared or (x.ndim == 4 and x.shape[:2] == (t, n))) or x.shape[-1] != d_in:
+        raise ShapeMismatchError(f"expert_layer input {x.shape} does not fit weights {w.shape}")
+    out = np.matmul(x.data, w.data)
+    out += b.data[:, None, :]
+    mask = _relu_dropout_(out, rate, draw)
 
     def backward(g):
-        dgates = np.einsum("kd,knd->kn", g, stacked)
-        dexperts = tuple(gates.data[:, i : i + 1] * g for i in range(n))
-        return (dgates, *dexperts)
+        gm = g * mask
+        dw = np.matmul(np.swapaxes(x.data, -1, -2), gm)
+        dx = np.matmul(gm, np.swapaxes(w.data, -1, -2))
+        if shared:
+            dx = dx.sum(axis=(0, 1))
+        return dx, dw, gm.sum(axis=2).sum(axis=0)
 
-    return Tensor(out, (gates, *experts), backward)
+    return Tensor(out, (x, w, b), backward)
+
+
+def mix_experts(gates: Tensor, experts: Tensor) -> Tensor:
+    """Convex mix of expert outputs: out = sum_n gates[:, n] * experts[n].
+
+    gates: (K, N) simplex rows; experts: (N, K, d), one task's slice of an
+    ``expert_layer`` output.
+    """
+    if gates.ndim != 2 or experts.ndim != 3 or experts.shape[:2] != gates.shape[::-1]:
+        raise ShapeMismatchError(f"gates shape {gates.shape} does not match experts {experts.shape}")
+    out = np.einsum("kn,nkd->kd", gates.data, experts.data)
+
+    def backward(g):
+        dgates = np.einsum("kd,nkd->kn", g, experts.data)
+        return dgates, gates.data.T[:, :, None] * g
+
+    return Tensor(out, (gates, experts), backward)
 
 
 def sum_sq_diff(p: Tensor, ref: np.ndarray) -> Tensor:

@@ -26,6 +26,10 @@ __all__ = [
     "mean_bce",
 ]
 
+# Rows per evaluation forward. Scores do not depend on it; it bounds the
+# stacked (T, N, rows, d) expert activations an evaluation holds.
+EVAL_CHUNK = 1024
+
 
 class UndefinedAUCError(ValueError):
     """AUC needs at least one positive and one negative sample."""
@@ -81,13 +85,13 @@ class EvalReport:
     n_samples: int
 
 
-def evaluate_client(model, records: RecordSet, round_index: int = 0, chunk: int = 4096) -> EvalReport:
+def evaluate_client(model, records: RecordSet, round_index: int = 0) -> EvalReport:
     """Score a test partition in eval mode; pure (no parameter or BN mutation)."""
     n = len(records)
     scores = np.empty((n, model.spec.n_tasks))
     with no_grad():
-        for start in range(0, n, chunk):
-            x = records.features[start : start + chunk]
+        for start in range(0, n, EVAL_CHUNK):
+            x = records.features[start : start + EVAL_CHUNK]
             preds = model.forward(x, train=False)
             for i, p in enumerate(preds):
                 scores[start : start + x.shape[0], i] = p.data.reshape(-1)

@@ -11,8 +11,12 @@ Layout. The parameters of expert layer l are stored stacked over the N
 experts, one Parameter per part: ``w_loc`` and ``w_s`` (N, d_in, d_out),
 ``bias`` (N, d_out), and the template's ``tmpl.w1`` (N, e, e), ``tmpl.b1``
 (N, e), ``tmpl.w2`` (N, e, d_in*d_out) and ``tmpl.b2`` (N, d_in*d_out).
-One ``task_weights`` node per layer builds all T x N effective weights;
-each (task, expert) path then runs affine, relu and dropout on its slice.
+One ``task_weights`` node per layer builds all T x N effective weights,
+and one ``expert_layer`` node runs every (task, expert) path through affine,
+ReLU and dropout on them; its output stacks the paths as (T, N, K, d_out).
+A train-mode forward with dropout draws all of its uniforms in one rng
+call, in the order of the per-path forward: for each task, each expert's
+layer masks, then that task's tower masks.
 Every Parameter of the model is a view into one ParameterBuffer. The
 federated keys stay one per (expert, layer, part): ``key_map()`` maps each
 to a Parameter whose value and grad are views of expert n's slice of the
@@ -48,9 +52,9 @@ from .diffcore import (
     batchnorm,
     bce,
     block_sum_sq_diff,
-    dropout,
+    expert_layer,
     mix_experts,
-    relu,
+    relu_dropout,
     reshape,
     scale,
     select,
@@ -114,6 +118,15 @@ def _expert_view(stacked: Parameter, n: int, name: str) -> Parameter:
     return view
 
 
+def _carve(block: np.ndarray, k: int, widths: Sequence[int]) -> list[np.ndarray]:
+    """Consecutive (..., K, d) views of the last axis of ``block``, one per width d."""
+    views, start = [], 0
+    for d in widths:
+        views.append(block[..., start : start + k * d].reshape(*block.shape[:-1], k, d))
+        start += k * d
+    return views
+
+
 class Tower:
     """Per-task prediction head: ReLU hidden layers, sigmoid scalar output."""
 
@@ -129,9 +142,10 @@ class Tower:
         self.w_out = Parameter(_head_init(rng, dims[-1], 1), f"tower{task}.l{k}.w")
         self.b_out = Parameter(np.zeros(1), f"tower{task}.l{k}.b")
 
-    def forward(self, h: Tensor, train: bool, rate: float, rng) -> Tensor:
-        for w, b in self.hidden:
-            h = dropout(relu(affine(h, w, b)), rate, train, rng)
+    def forward(self, h: Tensor, rate: float = 0.0, draws: Optional[Sequence[np.ndarray]] = None) -> Tensor:
+        """``draws[j]`` holds hidden layer j's dropout uniforms; None runs no dropout."""
+        for j, (w, b) in enumerate(self.hidden):
+            h = relu_dropout(affine(h, w, b), rate, None if draws is None else draws[j])
         out = sigmoid(affine(h, self.w_out, self.b_out))
         return reshape(out, (out.shape[0],))
 
@@ -292,6 +306,22 @@ class ClientModel:
         template = (parts[name] for name in TEMPLATE_PARTS)
         return task_weights(self.emb_task, *template, parts["w_loc"], parts["w_s"])
 
+    def _dropout_draws(self, k: int) -> tuple[list[np.ndarray], list[list[np.ndarray]]]:
+        """All dropout uniforms of one train forward on K rows, from one rng call.
+
+        Returns each expert layer's (T, N, K, d) draws and, per task, one
+        (K, d) draw per tower hidden layer. All are views into the single
+        draw, carved in the order the paths consume them.
+        """
+        spec = self.spec
+        t, n = spec.n_tasks, spec.n_experts
+        per_expert = k * sum(spec.expert_widths)
+        per_task = n * per_expert + k * sum(spec.tower_widths)
+        draws = self.rng.random(t * per_task).reshape(t, per_task)
+        expert_draws = _carve(draws[:, : n * per_expert].reshape(t, n, per_expert), k, spec.expert_widths)
+        tower_draws = _carve(draws[:, n * per_expert :], k, spec.tower_widths)
+        return expert_draws, [[layer[i] for layer in tower_draws] for i in range(t)]
+
     def forward(self, x: np.ndarray, train: bool = True, use_dropout: bool = True) -> list[Tensor]:
         """Per-task probability vectors for a feature batch (K, d_feat).
 
@@ -302,23 +332,21 @@ class ClientModel:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.spec.d_feat:
             raise ValueError(f"expected features (K, {self.spec.d_feat}), got {x.shape}")
-        xt = Tensor(x)
-        xhat = batchnorm(xt, self.bn_in, train=train)
-        rate = self.spec.dropout if use_dropout else 0.0
-        weights = [self.effective_weights(li) for li in range(len(self.expert_layers))]
-        biases = [[select(layer["bias"], k) for k in range(self.spec.n_experts)] for layer in self.expert_layers]
+        xhat = batchnorm(Tensor(x), self.bn_in, train=train)
+        rate = self.spec.dropout if train and use_dropout else 0.0
+        if rate > 0.0:
+            expert_draws, tower_draws = self._dropout_draws(x.shape[0])
+        else:
+            expert_draws, tower_draws = [None] * len(self.expert_layers), [None] * self.spec.n_tasks
+        h = xhat
+        for li, layer in enumerate(self.expert_layers):
+            h = expert_layer(h, self.effective_weights(li), layer["bias"], rate, expert_draws[li])
         preds = []
         for i in range(self.spec.n_tasks):
-            outputs = []
-            for k in range(self.spec.n_experts):
-                h = xhat
-                for w, b in zip(weights, biases):
-                    h = dropout(relu(affine(h, select(w, (i, k)), b[k])), rate, train, self.rng)
-                outputs.append(h)
             gate_w, gate_b = self.gates[i]
             gate = softmax(affine(xhat, gate_w, gate_b))
-            mixed = mix_experts(gate, outputs)
-            preds.append(self.towers[i].forward(mixed, train, rate, self.rng))
+            mixed = mix_experts(gate, select(h, i))
+            preds.append(self.towers[i].forward(mixed, rate, tower_draws[i]))
         return preds
 
     def local_loss(

@@ -27,6 +27,24 @@ def test_run_and_ablate_with_single_class_test_data_exit_2(tmp_path, capsys):
     assert not (tmp_path / "out" / "metrics.csv").exists()
 
 
+def test_csv_feature_width_must_match_d_feat(tmp_path, capsys):
+    out = tmp_path / "out"
+    paths = []
+    for scenario in range(2):
+        path = tmp_path / f"s{scenario}.csv"
+        path.write_text("f0,f1,f2,click,buy\n" + "0.1,0.2,0.3,1,0\n" * 40)
+        paths.append(str(path))
+    ini = tmp_path / "narrow.ini"
+    ExperimentConfig(
+        scenarios=2, d_feat=16, source="csv", csv_paths=tuple(paths),
+        feature_columns=("f0", "f1", "f2"), label_columns=("click", "buy"), out_dir=str(out),
+    ).save(ini)
+    assert main(["run", "--config", str(ini)]) == 2
+    err = capsys.readouterr().err
+    assert "data.feature_columns: 3 columns but model.d_feat is 16" in err
+    assert not (out / "config.echo").exists()
+
+
 def test_config_save_load_round_trip(tmp_path):
     config = ExperimentConfig(
         strategy="a2", rounds=7, local_epochs=2, seed=13, comm_per_batch=True,

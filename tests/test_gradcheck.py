@@ -13,6 +13,7 @@ from fedmoe.diffcore import (
     BNState,
     block_sum_sq_diff,
     elementwise_mul,
+    expert_layer,
     grad_check,
     mix_experts,
     relu,
@@ -55,15 +56,15 @@ class TestPrimitiveGradients:
 
     def test_elementwise_and_softmax_mix(self):
         rng = np.random.default_rng(2)
-        a = Parameter(rng.normal(0, 1, (3, 2)), "a")
-        b = Parameter(rng.normal(0, 1, (3, 2)), "b")
-        c = Parameter(rng.normal(0, 1, (3, 2)), "c")
+        a = Parameter(rng.normal(0, 1, (2, 3, 2)), "a")
+        b = Parameter(rng.normal(0, 1, (2, 3, 2)), "b")
+        c = Parameter(rng.normal(0, 1, (2, 3, 2)), "c")
         gates = Parameter(rng.normal(0, 1, (3, 2)), "g")
         target = rng.normal(0, 1, (3, 2))
 
         def f():
-            prod = elementwise_mul(a, b, c)
-            mixed = mix_experts(softmax(gates), [prod, relu(prod)])
+            prod = elementwise_mul(a, b, c)  # two stacked (3, 2) expert outputs
+            mixed = mix_experts(softmax(gates), relu(prod))
             return sum_sq_diff(mixed, target)
 
         assert grad_check(f, [a, b, c, gates], rng=np.random.default_rng(3)) < TOL
@@ -164,6 +165,47 @@ class TestTaskWeights:
         ps["b2"] = Parameter(np.zeros((3, 5)), "b2")
         with pytest.raises(ValueError):
             task_weights(*ps.values())
+
+
+class TestExpertLayer:
+    T, N, K, D_IN, D_OUT = 2, 3, 5, 4, 3
+
+    def inputs(self, rng, shared):
+        x_shape = (self.K, self.D_IN) if shared else (self.T, self.N, self.K, self.D_IN)
+        x = Parameter(rng.normal(0, 1, x_shape), "x")
+        w = Parameter(rng.normal(0, 1, (self.T, self.N, self.D_IN, self.D_OUT)), "w")
+        b = Parameter(rng.normal(0, 0.5, (self.N, self.D_OUT)), "b")
+        return x, w, b
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared_x", "stacked_x"])
+    @pytest.mark.parametrize("rate", [0.0, 0.5])
+    def test_grad_check(self, shared, rate):
+        rng = np.random.default_rng(18)
+        x, w, b = self.inputs(rng, shared)
+        draw = rng.random((self.T, self.N, self.K, self.D_OUT))
+        target = rng.normal(0, 1, draw.shape)
+
+        def f():
+            return sum_sq_diff(expert_layer(x, w, b, rate, draw), target)
+
+        assert grad_check(f, [x, w, b], max_coords_per_param=16, rng=np.random.default_rng(19)) < TOL
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared_x", "stacked_x"])
+    def test_no_draw_equals_affine_then_relu(self, shared):
+        x, w, b = self.inputs(np.random.default_rng(20), shared)
+        out = expert_layer(x, w, b, 0.5)
+        for t in range(self.T):
+            for n in range(self.N):
+                h = x if shared else select(x, (t, n))
+                path = relu(affine(h, select(w, (t, n)), select(b, n)))
+                assert out.data[t, n].tobytes() == path.data.tobytes()
+
+    def test_rejects_mismatched_input(self):
+        x, w, b = self.inputs(np.random.default_rng(21), shared=False)
+        with pytest.raises(ValueError):
+            expert_layer(Tensor(x.data[:, :2]), w, b, 0.0)
+        with pytest.raises(ValueError):
+            expert_layer(x, w, Parameter(np.zeros((self.N, self.D_OUT + 1)), "b"), 0.0)
 
 
 class TestComposedGradients:

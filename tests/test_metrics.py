@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedmoe import metrics
 from fedmoe.data import RecordSet, SyntheticSpec, generate_synthetic
 from fedmoe.metrics import UndefinedAUCError, auc_bruteforce, auc_fast, evaluate_client
 from fedmoe.model import ClientModel, ModelSpec
@@ -100,3 +101,13 @@ class TestEvaluateClient:
         assert report.client == 0
         assert len(report.auc) == 2 and len(report.bce) == 2
         assert report.n_samples == len(shard.test)
+
+    def test_report_does_not_depend_on_the_chunk(self, monkeypatch):
+        model, _ = self.build()
+        test = generate_synthetic(
+            SyntheticSpec(n_scenarios=2, n_tasks=2, d_feat=6, samples_per_scenario=15000, seed=8)
+        )[0].test
+        assert len(test) > 2 * metrics.EVAL_CHUNK  # several chunks, the last one partial
+        chunked = evaluate_client(model, test)
+        monkeypatch.setattr(metrics, "EVAL_CHUNK", len(test))
+        assert evaluate_client(model, test) == chunked

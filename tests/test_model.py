@@ -1,3 +1,4 @@
+import copy
 import gc
 import weakref
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from fedmoe.data import DataError, RecordSet, ScenarioShard, SyntheticSpec, generate_synthetic
-from fedmoe.diffcore import Adam, Tensor, affine, batchnorm, no_grad, relu, select, task_weights
+from fedmoe.diffcore import Adam, Tensor, affine, batchnorm, mix_experts, no_grad, relu, select, sigmoid, softmax, task_weights
 from fedmoe.federation.client import ClientSim
 from fedmoe.model import EXPERT_PARTS, TEMPLATE_PARTS, ClientModel, ModelSpec
 
@@ -89,8 +90,48 @@ class TestClientForward:
         # function of the batch, so state updates do not disturb equality
         xhat = batchnorm(Tensor(x), model.bn_in, train=True)
         h = expert_path(model, xhat, task=0, expert=0)
-        expected = model.towers[0].forward(h, True, 0.0, model.rng)
+        expected = model.towers[0].forward(h)
         assert np.array_equal(preds[0].data, expected.data)
+
+    def test_forward_matches_the_per_path_reference(self):
+        model = make_model(n_experts=3, n_tasks=2)
+        x = np.random.default_rng(13).normal(0, 1, (9, 4))
+        preds = model.forward(x)
+        xhat = batchnorm(Tensor(x), model.bn_in, train=True)
+        for t, (gate_w, gate_b) in enumerate(model.gates):
+            paths = [expert_path(model, xhat, t, k).data for k in range(3)]
+            mixed = mix_experts(softmax(affine(xhat, gate_w, gate_b)), Tensor(np.stack(paths)))
+            assert preds[t].data.tobytes() == model.towers[t].forward(mixed).data.tobytes()
+
+    def test_dropout_forward_matches_a_reference_drawing_path_by_path(self):
+        """The per-path forward drew each mask in turn: for each task, each
+        expert's layers, then the task's tower layers."""
+        model = make_model(n_experts=3, expert_widths=(6, 5, 3), tower_widths=(4, 2), dropout=0.3)
+        x = np.random.default_rng(14).normal(0, 1, (7, 4))
+        rng = copy.deepcopy(model.rng)
+        preds = model.forward(x)
+
+        def drop(h, w, b):
+            keep = (rng.random((h.shape[0], w.shape[1])) >= 0.3) / (1.0 - 0.3)
+            return np.maximum(h @ w + b, 0.0) * keep
+
+        with no_grad():
+            xhat = batchnorm(Tensor(x), model.bn_in, train=True).data
+        weights = [model.effective_weights(li).data for li in range(3)]
+        for t, tower in enumerate(model.towers):
+            paths = []
+            for k in range(3):
+                h = xhat
+                for w, parts in zip(weights, model.expert_layers):
+                    h = drop(h, w[t, k], parts["bias"].data[k])
+                paths.append(h)
+            gate_w, gate_b = model.gates[t]
+            h = mix_experts(softmax(affine(Tensor(xhat), gate_w, gate_b)), Tensor(np.stack(paths))).data
+            for w, b in tower.hidden:
+                h = drop(h, w.data, b.data)
+            expected = sigmoid(affine(Tensor(h), tower.w_out, tower.b_out)).data.reshape(-1)
+            assert preds[t].data.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == model.rng.bit_generator.state
 
     def test_cloned_experts_ignore_gate_weights(self):
         model = make_model(n_experts=3)

@@ -13,10 +13,10 @@ from fedmoe.diffcore import (
     add_n,
     affine,
     bce,
-    dropout,
     elementwise_mul,
     no_grad,
     relu,
+    relu_dropout,
     sigmoid,
     softmax,
     sum_sq_diff,
@@ -76,6 +76,13 @@ class TestActivations:
     def test_relu_passes_nan_through(self):
         assert np.isnan(relu(Tensor([np.nan])).data[0])
 
+    def test_relu_backward_bytes_match_the_bool_mask(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        x = np.array([0.0, -0.0, np.inf, -np.inf, tiny, -tiny, 1.5, -2.5, np.nan, 3.0])
+        g = np.array([1.0, -1.0, -2.0, 3.0, -0.0, 0.0, -4.0, -5.0, 6.0, np.nan])
+        (gx,) = relu(Tensor(x))._backward(g)
+        assert gx.tobytes() == (g * (x > 0.0)).tobytes()
+
     def test_sigmoid_symmetry_point(self):
         x = Tensor([0.0])
         out = sigmoid(x)
@@ -90,6 +97,13 @@ class TestActivations:
     def test_sigmoid_extreme_inputs_finite(self):
         out = sigmoid(Tensor([-1000.0, 1000.0]))
         assert np.isfinite(out.data).all()
+
+    def test_sigmoid_bytes_match_the_three_exp_expression(self):
+        grid = np.random.default_rng(4).normal(0, 10, 1000)
+        z = np.concatenate([[0.0, -0.0, 700.0, -700.0, np.nan], grid])
+        e = np.exp
+        reference = np.where(z >= 0, 1.0 / (1.0 + e(-np.abs(z))), e(-np.abs(z)) / (1.0 + e(-np.abs(z))))
+        assert sigmoid(Tensor(z)).data.tobytes() == reference.tobytes()
 
 
 class TestElementwiseMul:
@@ -136,27 +150,47 @@ class TestSoftmax:
 
 
 class TestDropout:
+    """Inverted dropout as ``relu_dropout`` applies it after the ReLU."""
+
     def test_rate_zero_identity(self):
-        x = Tensor([1.0, 2.0])
-        assert dropout(x, 0.0, train=True, rng=np.random.default_rng(0)) is x
+        x = Tensor([1.0, -2.0, 0.5])
+        out = relu_dropout(x, 0.0, np.random.default_rng(0).random(3))
+        assert out.data.tobytes() == relu(x).data.tobytes()
 
     def test_eval_identity(self):
-        x = Tensor([1.0, 2.0])
-        assert dropout(x, 0.9, train=False) is x
+        x = np.array([1.0, -2.0, 0.0, -0.0, np.nan])
+        g = np.array([1.0, -1.0, -1.0, 1.0, 2.0])
+        fused, plain = relu_dropout(Tensor(x), 0.9), relu(Tensor(x))
+        assert fused.data.tobytes() == plain.data.tobytes()
+        assert fused._backward(g)[0].tobytes() == plain._backward(g)[0].tobytes()
 
     def test_survivor_scaling_mean(self):
-        rng = np.random.default_rng(123)
-        out = dropout(Tensor(np.ones(10**6)), 0.2, train=True, rng=rng)
+        draw = np.random.default_rng(123).random(10**6)
+        out = relu_dropout(Tensor(np.ones(10**6)), 0.2, draw)
         assert 0.995 <= out.data.mean() <= 1.005
 
     def test_rate_out_of_range(self):
         with pytest.raises(ValueError):
-            dropout(Tensor([1.0]), 1.0, train=True, rng=np.random.default_rng(0))
+            relu_dropout(Tensor([1.0]), 1.0, np.random.default_rng(0).random(1))
 
     def test_deterministic_under_seed(self):
-        a = dropout(Tensor(np.ones(64)), 0.5, train=True, rng=np.random.default_rng(9)).data
-        b = dropout(Tensor(np.ones(64)), 0.5, train=True, rng=np.random.default_rng(9)).data
+        a = relu_dropout(Tensor(np.ones(64)), 0.5, np.random.default_rng(9).random(64)).data
+        b = relu_dropout(Tensor(np.ones(64)), 0.5, np.random.default_rng(9).random(64)).data
         assert np.array_equal(a, b)
+
+    def test_bytes_match_relu_times_dropout_mask(self):
+        rate = 0.5
+        x = np.array([2.0, 2.0, -1.0, -1.0, 0.0, 0.0, -0.0, -0.0, np.nan])
+        draw = np.array([0.9, 0.1, 0.9, 0.1, 0.9, 0.1, 0.9, 0.1, 0.9])
+        g = np.array([-3.0, -3.0, -3.0, 3.0, -3.0, 3.0, -3.0, 3.0, 1.0])
+        keep = (draw >= rate) / (1.0 - rate)
+        out = relu_dropout(Tensor(x), rate, draw)
+        assert out.data.tobytes() == (np.maximum(x, 0.0) * keep).tobytes()
+        assert out._backward(g)[0].tobytes() == (g * keep * (x > 0.0)).tobytes()
+
+    def test_draw_shape_checked(self):
+        with pytest.raises(ShapeMismatchError):
+            relu_dropout(Tensor(np.ones(4)), 0.5, np.ones(3))
 
 
 class TestBce:
