@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -184,9 +185,13 @@ def _load_records(path: str, schema: CsvSchema) -> RecordSet:
         feats, labs = [], []
         for line_no, row in enumerate(reader, start=2):
             try:
-                feats.append([float(row[c]) for c in schema.feature_columns])
+                feat_row = [float(row[c]) for c in schema.feature_columns]
             except (TypeError, ValueError) as exc:
                 raise DataError(f"{path}:{line_no}: non-numeric feature value ({exc})") from exc
+            for c, value in zip(schema.feature_columns, feat_row):
+                if not math.isfinite(value):
+                    raise DataError(f"{path}:{line_no}: feature column {c!r} must be finite, got {row[c]!r}")
+            feats.append(feat_row)
             lab_row = []
             for c in schema.label_columns:
                 value = row[c]

@@ -7,7 +7,6 @@ from .ops import (
     affine,
     bce,
     block_sum_sq_diff,
-    elementwise_mul,
     expert_layer,
     mix_experts,
     relu,
@@ -17,7 +16,6 @@ from .ops import (
     select,
     sigmoid,
     softmax,
-    sum_sq_diff,
     task_weights,
 )
 from .optim import Adam
@@ -46,7 +44,6 @@ __all__ = [
     "batchnorm",
     "bce",
     "block_sum_sq_diff",
-    "elementwise_mul",
     "expert_layer",
     "grad_check",
     "is_grad_enabled",
@@ -59,6 +56,5 @@ __all__ = [
     "select",
     "sigmoid",
     "softmax",
-    "sum_sq_diff",
     "task_weights",
 ]

@@ -17,7 +17,6 @@ __all__ = [
     "affine",
     "relu",
     "sigmoid",
-    "elementwise_mul",
     "softmax",
     "relu_dropout",
     "bce",
@@ -28,7 +27,6 @@ __all__ = [
     "task_weights",
     "expert_layer",
     "mix_experts",
-    "sum_sq_diff",
     "block_sum_sq_diff",
 ]
 
@@ -52,37 +50,51 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return Tensor(out, (x, w, b), backward)
 
 
-def _relu_dropout_(out: np.ndarray, rate: float, draw: Optional[np.ndarray]) -> Optional[np.ndarray]:
-    """ReLU, then inverted dropout where ``draw < rate``, on a fresh array in place.
+def _relu_dropout_(out: np.ndarray, rate: float, keep: Optional[np.ndarray]) -> Optional[tuple]:
+    """ReLU, then inverted dropout where ``keep`` is False, on a fresh array in place.
 
-    Returns the float backward mask ``(h > 0) & kept`` / (1 - rate), or None
-    under ``no_grad``. Every value equals ``max(h, 0) * dropout_mask``,
-    byte for byte: kept, dropped and signed-zero entries alike.
+    Returns what the backward needs, ``(mask, scale)``: the bool mask
+    ``(h > 0) & keep`` and 1/(1 - rate), or scale None when nothing is
+    dropped; None under ``no_grad``. Multiplying by the bool mask is exact,
+    so each value is rounded once, by the scale, and equals
+    ``max(h, 0) * dropout_mask`` byte for byte: kept, dropped and
+    signed-zero entries alike.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     np.maximum(out, 0.0, out=out)
-    if draw is None:
-        return (out > 0.0).astype(np.float64) if is_grad_enabled() else None
-    if draw.shape != out.shape:
-        raise ShapeMismatchError(f"dropout draw shape {draw.shape} does not match {out.shape}")
-    mask = ((draw >= rate) & (out > 0.0)) * (1.0 / (1.0 - rate))
+    if keep is None:
+        return (out > 0.0, None) if is_grad_enabled() else None
+    if keep.shape != out.shape or keep.dtype != np.bool_:
+        raise ShapeMismatchError(f"dropout keep mask must be bool of shape {out.shape}, got {keep.dtype} {keep.shape}")
+    mask = out > 0.0
+    mask &= keep
+    scale = 1.0 / (1.0 - rate)
     out *= mask
-    return mask if is_grad_enabled() else None
+    out *= scale
+    return (mask, scale) if is_grad_enabled() else None
 
 
-def relu_dropout(x: Tensor, rate: float, draw: Optional[np.ndarray] = None) -> Tensor:
-    """max(x, 0) with inverted dropout: zero where ``draw < rate``, scale survivors by 1/(1-rate).
+def _masked(g: np.ndarray, mask: np.ndarray, scale: Optional[float]) -> np.ndarray:
+    """The gradient through ``_relu_dropout_``: ``g * mask``, then times the scale."""
+    gm = g * mask
+    if scale is not None:
+        gm *= scale
+    return gm
 
-    ``draw`` holds uniforms of x's shape; None (evaluation, or dropout off)
+
+def relu_dropout(x: Tensor, rate: float, keep: Optional[np.ndarray] = None) -> Tensor:
+    """max(x, 0) with inverted dropout: zero where ``keep`` is False, scale survivors by 1/(1-rate).
+
+    ``keep`` is a bool mask of x's shape; None (evaluation, or dropout off)
     gives plain ReLU. The derivative at 0 is 0, and a NaN passes through to
     the loss's finiteness check.
     """
     out = x.data.copy()
-    mask = _relu_dropout_(out, rate, draw)
+    saved = _relu_dropout_(out, rate, keep)
 
     def backward(g):
-        return (g * mask,)
+        return (_masked(g, *saved),)
 
     return Tensor(out, (x,), backward)
 
@@ -102,23 +114,6 @@ def sigmoid(x: Tensor) -> Tensor:
         return (g * out * (1.0 - out),)
 
     return Tensor(out, (x,), backward)
-
-
-def elementwise_mul(a: Tensor, b: Tensor, c: Optional[Tensor] = None) -> Tensor:
-    """Hadamard product of two or three same-shape tensors."""
-    if a.shape != b.shape or (c is not None and c.shape != a.shape):
-        shapes = (a.shape, b.shape) if c is None else (a.shape, b.shape, c.shape)
-        raise ShapeMismatchError(f"elementwise_mul requires equal shapes, got {shapes}")
-    if c is None:
-        def backward2(g):
-            return g * b.data, g * a.data
-
-        return Tensor(a.data * b.data, (a, b), backward2)
-
-    def backward3(g):
-        return g * b.data * c.data, g * a.data * c.data, g * a.data * b.data
-
-    return Tensor(a.data * b.data * c.data, (a, b, c), backward3)
 
 
 def softmax(x: Tensor) -> Tensor:
@@ -222,8 +217,8 @@ def task_weights(
     Shapes: emb (T, e); w1 (N, e, e); b1 (N, e); w2 (N, e, d_in*d_out);
     b2 (N, d_in*d_out); w_loc, w_s (N, d_in, d_out). Output (T, N, d_in, d_out).
     Every (t, n) product is its own (1, e) row times a matrix, so each value
-    equals that of the per-pair composition of affine, relu, reshape and a
-    3-way elementwise_mul bit for bit.
+    equals that of the per-pair composition of affine, relu, reshape and the
+    elementwise product ``w_loc[n] * W_t * w_s[n]`` bit for bit.
     """
     if emb.ndim != 2 or w_loc.ndim != 3 or w_s.shape != w_loc.shape:
         raise ShapeMismatchError(f"task_weights expects emb (T,e) and w_loc = w_s (N,d_in,d_out); got {emb.shape}, {w_loc.shape}, {w_s.shape}")
@@ -257,18 +252,19 @@ def task_weights(
     return Tensor(out, (emb, w1, b1, w2, b2, w_loc, w_s), backward)
 
 
-def expert_layer(x: Tensor, w: Tensor, b: Tensor, rate: float, draw: Optional[np.ndarray] = None) -> Tensor:
+def expert_layer(x: Tensor, w: Tensor, b: Tensor, rate: float, keep: Optional[np.ndarray] = None) -> Tensor:
     """One expert layer for every (task, expert) path, in one node.
 
-    Path (t, n) computes ``relu_dropout(x[t, n] @ w[t, n] + b[n], rate, draw[t, n])``.
+    Path (t, n) computes ``relu_dropout(x[t, n] @ w[t, n] + b[n], rate, keep[t, n])``.
 
     Shapes: x is the shared (K, d_in) input of the first layer or the
     (T, N, K, d_in) output of the previous one; w (T, N, d_in, d_out), as
-    ``task_weights`` builds it; b (N, d_out); draw None or (T, N, K, d_out)
-    uniforms. Output (T, N, K, d_out). Each path's product is the same 2-D
+    ``task_weights`` builds it; b (N, d_out); keep None or a (T, N, K, d_out)
+    bool mask. Output (T, N, K, d_out). Each path's product is the same 2-D
     gemm that ``affine`` runs, so every value equals that of the per-path
     composition of affine and relu_dropout bit for bit. Only the gradient of
-    a shared x is summed in another order: over all paths at once.
+    a shared x is summed in another order: path by path, in (t, n) order,
+    into one (K, d_in) array.
     """
     if w.ndim != 4 or b.shape != (w.shape[1], w.shape[3]):
         raise ShapeMismatchError(f"expert_layer expects w (T,N,d_in,d_out) and b (N,d_out); got {w.shape}, {b.shape}")
@@ -278,56 +274,60 @@ def expert_layer(x: Tensor, w: Tensor, b: Tensor, rate: float, draw: Optional[np
         raise ShapeMismatchError(f"expert_layer input {x.shape} does not fit weights {w.shape}")
     out = np.matmul(x.data, w.data)
     out += b.data[:, None, :]
-    mask = _relu_dropout_(out, rate, draw)
+    saved = _relu_dropout_(out, rate, keep)
 
     def backward(g):
-        gm = g * mask
+        gm = _masked(g, *saved)
         dw = np.matmul(np.swapaxes(x.data, -1, -2), gm)
-        dx = np.matmul(gm, np.swapaxes(w.data, -1, -2))
         if shared:
-            dx = dx.sum(axis=(0, 1))
+            dx = np.zeros(x.shape)
+            for i in range(t):
+                for j in range(n):
+                    dx += gm[i, j] @ w.data[i, j].T
+        else:
+            dx = np.matmul(gm, np.swapaxes(w.data, -1, -2))
         return dx, dw, gm.sum(axis=2).sum(axis=0)
 
     return Tensor(out, (x, w, b), backward)
 
 
-def mix_experts(gates: Tensor, experts: Tensor) -> Tensor:
-    """Convex mix of expert outputs: out = sum_n gates[:, n] * experts[n].
+def mix_experts(gates: Sequence[Tensor], experts: Tensor) -> Tensor:
+    """Convex mix of expert outputs for every task, in one node:
+    ``out[t] = sum_n gates[t][:, n] * experts[t, n]``.
 
-    gates: (K, N) simplex rows; experts: (N, K, d), one task's slice of an
-    ``expert_layer`` output.
+    gates: one (K, N) tensor of simplex rows per task; experts: the
+    (T, N, K, d) output of ``expert_layer``. Output (T, K, d). Each task
+    runs the same einsum as a mix of that task's slice alone, so values and
+    gradients equal the per-task ones bit for bit; the expert gradient is
+    written into one (T, N, K, d) array.
     """
-    if gates.ndim != 2 or experts.ndim != 3 or experts.shape[:2] != gates.shape[::-1]:
-        raise ShapeMismatchError(f"gates shape {gates.shape} does not match experts {experts.shape}")
-    out = np.einsum("kn,nkd->kd", gates.data, experts.data)
+    if experts.ndim != 4 or len(gates) != experts.shape[0]:
+        raise ShapeMismatchError(f"{len(gates)} gates do not match experts {experts.shape}")
+    t, n, k, d = experts.shape
+    if any(gate.shape != (k, n) for gate in gates):
+        raise ShapeMismatchError(f"gate shapes {[gate.shape for gate in gates]} do not match experts {experts.shape}")
+    out = np.empty((t, k, d))
+    for i, gate in enumerate(gates):
+        np.einsum("kn,nkd->kd", gate.data, experts.data[i], out=out[i])
 
     def backward(g):
-        dgates = np.einsum("kd,nkd->kn", g, experts.data)
-        return dgates, gates.data.T[:, :, None] * g
+        dgates = tuple(np.einsum("kd,nkd->kn", g[i], experts.data[i]) for i in range(t))
+        dexperts = np.empty_like(experts.data)
+        for i, gate in enumerate(gates):
+            np.multiply(gate.data.T[:, :, None], g[i], out=dexperts[i])
+        return (*dgates, dexperts)
 
-    return Tensor(out, (gates, experts), backward)
-
-
-def sum_sq_diff(p: Tensor, ref: np.ndarray) -> Tensor:
-    """Squared L2 distance to a constant reference tensor: sum((p - ref)^2)."""
-    ref = np.asarray(ref, dtype=np.float64)
-    if ref.shape != p.shape:
-        raise ShapeMismatchError(f"sum_sq_diff shapes disagree: {p.shape} vs {ref.shape}")
-    diff = p.data - ref
-
-    def backward(g):
-        return (2.0 * float(g) * diff,)
-
-    return Tensor(np.float64(np.sum(diff * diff)), (p,), backward)
+    return Tensor(out, (*gates, experts), backward)
 
 
 def block_sum_sq_diff(params: Sequence[Tensor], refs: Sequence[Sequence[np.ndarray]]) -> Tensor:
     """Squared L2 distance of stacked blocks to constant references, in one node.
 
     ``params[j]`` stacks N blocks along axis 0 and ``refs[j][k]`` is the
-    reference for block k of it. The per-block sums are added for k = 0..N-1
-    and, within each k, for j in order: the float that ``add_n`` over
-    ``sum_sq_diff`` of the unstacked blocks, taken in that order, produces.
+    reference for block k of it. Each block's ``np.sum(d * d)`` of its
+    difference d is added to one running float for k = 0..N-1 and, within
+    each k, for j in order: the float that summing the unstacked blocks'
+    squared distances one by one, in that order, produces.
     """
     if len(params) != len(refs):
         raise ShapeMismatchError(f"{len(params)} stacked tensors but {len(refs)} reference lists")

@@ -3,7 +3,11 @@
 Every differentiable op returns a Tensor that remembers its parent tensors
 and a closure mapping the output gradient to parent gradients. backward()
 walks the graph in reverse topological order and accumulates into .grad.
-There is no implicit broadcasting; each op validates the shapes it accepts.
+Only leaves keep their gradients: an op's output drops its ``.grad`` as soon
+as its closure has consumed it, so a backward pass holds the gradients of
+the nodes it has not reached yet, not of the whole tape. Leaves are
+Parameters and constant inputs, the tensors without a closure. There is no
+implicit broadcasting; each op validates the shapes it accepts.
 """
 
 from __future__ import annotations
@@ -105,7 +109,12 @@ class Tensor:
         return self
 
     def backward(self) -> None:
-        """Accumulate gradients of this scalar into every reachable tensor."""
+        """Accumulate gradients of this scalar into every reachable leaf.
+
+        An op's output (this root included) is left with ``.grad`` None once
+        its closure has run; the closures and parents stay, so the tape can
+        still be inspected.
+        """
         if self.data.size != 1:
             raise GraphError(f"backward() requires a scalar root, got shape {self.shape}")
         self.require_finite("backward root")
@@ -131,6 +140,7 @@ class Tensor:
             if node._backward is None or node.grad is None:
                 continue
             parent_grads = node._backward(node.grad)
+            node.grad = None
             for parent, g in zip(node._parents, parent_grads):
                 if g is None:
                     continue

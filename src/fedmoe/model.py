@@ -14,9 +14,13 @@ experts, one Parameter per part: ``w_loc`` and ``w_s`` (N, d_in, d_out),
 One ``task_weights`` node per layer builds all T x N effective weights,
 and one ``expert_layer`` node runs every (task, expert) path through affine,
 ReLU and dropout on them; its output stacks the paths as (T, N, K, d_out).
-A train-mode forward with dropout draws all of its uniforms in one rng
-call, in the order of the per-path forward: for each task, each expert's
-layer masks, then that task's tower masks.
+One ``mix_experts`` node mixes the last layer's paths for every task into a
+(T, K, d) stack, and each tower reads its task's slice of it.
+A train-mode forward with dropout draws its uniforms in the order of the
+per-path forward: for each task, one block per expert (that expert's layer
+masks), then one block for the task's tower masks. Each block is turned
+into bool keep masks (``draw >= rate``) at once, so a forward holds one
+block of uniforms at a time, and the tape keeps bool masks, not float ones.
 Every Parameter of the model is a view into one ParameterBuffer. The
 federated keys stay one per (expert, layer, part): ``key_map()`` maps each
 to a Parameter whose value and grad are views of expert n's slice of the
@@ -142,10 +146,10 @@ class Tower:
         self.w_out = Parameter(_head_init(rng, dims[-1], 1), f"tower{task}.l{k}.w")
         self.b_out = Parameter(np.zeros(1), f"tower{task}.l{k}.b")
 
-    def forward(self, h: Tensor, rate: float = 0.0, draws: Optional[Sequence[np.ndarray]] = None) -> Tensor:
-        """``draws[j]`` holds hidden layer j's dropout uniforms; None runs no dropout."""
+    def forward(self, h: Tensor, rate: float = 0.0, keeps: Optional[Sequence[np.ndarray]] = None) -> Tensor:
+        """``keeps[j]`` is hidden layer j's bool dropout keep mask; None runs no dropout."""
         for j, (w, b) in enumerate(self.hidden):
-            h = relu_dropout(affine(h, w, b), rate, None if draws is None else draws[j])
+            h = relu_dropout(affine(h, w, b), rate, None if keeps is None else keeps[j])
         out = sigmoid(affine(h, self.w_out, self.b_out))
         return reshape(out, (out.shape[0],))
 
@@ -306,21 +310,25 @@ class ClientModel:
         template = (parts[name] for name in TEMPLATE_PARTS)
         return task_weights(self.emb_task, *template, parts["w_loc"], parts["w_s"])
 
-    def _dropout_draws(self, k: int) -> tuple[list[np.ndarray], list[list[np.ndarray]]]:
-        """All dropout uniforms of one train forward on K rows, from one rng call.
+    def _dropout_keeps(self, k: int, rate: float) -> tuple[list[np.ndarray], list[list[np.ndarray]]]:
+        """The bool keep masks of one train forward on K rows.
 
-        Returns each expert layer's (T, N, K, d) draws and, per task, one
-        (K, d) draw per tower hidden layer. All are views into the single
-        draw, carved in the order the paths consume them.
+        Returns each expert layer's (T, N, K, d) masks, views into one bool
+        block, and, per task, one (K, d) mask per tower hidden layer. Uniforms are drawn one block per (task, expert) and one per
+        task's towers, in the order the per-path forward consumed them, so
+        the rng stream is that of a single draw for the whole forward; each
+        block is compared with the rate at once and then dropped.
         """
         spec = self.spec
         t, n = spec.n_tasks, spec.n_experts
-        per_expert = k * sum(spec.expert_widths)
-        per_task = n * per_expert + k * sum(spec.tower_widths)
-        draws = self.rng.random(t * per_task).reshape(t, per_task)
-        expert_draws = _carve(draws[:, : n * per_expert].reshape(t, n, per_expert), k, spec.expert_widths)
-        tower_draws = _carve(draws[:, n * per_expert :], k, spec.tower_widths)
-        return expert_draws, [[layer[i] for layer in tower_draws] for i in range(t)]
+        keeps = np.empty((t, n, k * sum(spec.expert_widths)), dtype=bool)
+        tower_keeps = []
+        for i in range(t):
+            for j in range(n):
+                np.greater_equal(self.rng.random(keeps.shape[2]), rate, out=keeps[i, j])
+            tower_keeps.append(_carve(self.rng.random(k * sum(spec.tower_widths)) >= rate, k, spec.tower_widths))
+        expert_keeps = _carve(keeps, k, spec.expert_widths)
+        return expert_keeps, tower_keeps
 
     def forward(self, x: np.ndarray, train: bool = True, use_dropout: bool = True) -> list[Tensor]:
         """Per-task probability vectors for a feature batch (K, d_feat).
@@ -335,19 +343,14 @@ class ClientModel:
         xhat = batchnorm(Tensor(x), self.bn_in, train=train)
         rate = self.spec.dropout if train and use_dropout else 0.0
         if rate > 0.0:
-            expert_draws, tower_draws = self._dropout_draws(x.shape[0])
+            expert_keeps, tower_keeps = self._dropout_keeps(x.shape[0], rate)
         else:
-            expert_draws, tower_draws = [None] * len(self.expert_layers), [None] * self.spec.n_tasks
+            expert_keeps, tower_keeps = [None] * len(self.expert_layers), [None] * self.spec.n_tasks
         h = xhat
         for li, layer in enumerate(self.expert_layers):
-            h = expert_layer(h, self.effective_weights(li), layer["bias"], rate, expert_draws[li])
-        preds = []
-        for i in range(self.spec.n_tasks):
-            gate_w, gate_b = self.gates[i]
-            gate = softmax(affine(xhat, gate_w, gate_b))
-            mixed = mix_experts(gate, select(h, i))
-            preds.append(self.towers[i].forward(mixed, rate, tower_draws[i]))
-        return preds
+            h = expert_layer(h, self.effective_weights(li), layer["bias"], rate, expert_keeps[li])
+        mixed = mix_experts([softmax(affine(xhat, w, b)) for w, b in self.gates], h)
+        return [tower.forward(select(mixed, i), rate, tower_keeps[i]) for i, tower in enumerate(self.towers)]
 
     def local_loss(
         self,

@@ -101,6 +101,13 @@ class TestCsv:
         with pytest.raises(DataError, match=":2:"):
             load_csv(str(path), self.SCHEMA)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_nonfinite_feature_names_file_line_and_column(self, tmp_path, cell):
+        path = tmp_path / "bad4.csv"
+        self.write_toy(path, [(0.1, 0.2, 1, 0), (0.1, 0.2, 0, 1), (cell, 0.2, 1, 1)])
+        with pytest.raises(DataError, match=rf"bad4\.csv:4: feature column 'f0' must be finite, got '{cell}'"):
+            load_csv(str(path), self.SCHEMA)
+
     def test_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(9)
         records = RecordSet(rng.normal(0, 1e3, (25, 2)), (rng.random((25, 2)) < 0.5).astype(float))

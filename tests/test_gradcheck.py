@@ -12,7 +12,6 @@ from fedmoe.diffcore import (
     bce,
     BNState,
     block_sum_sq_diff,
-    elementwise_mul,
     expert_layer,
     grad_check,
     mix_experts,
@@ -22,10 +21,10 @@ from fedmoe.diffcore import (
     select,
     sigmoid,
     softmax,
-    sum_sq_diff,
     task_weights,
 )
 from fedmoe.model import ClientModel, ModelSpec
+from reference_ops import elementwise_mul, mix_task, sum_sq_diff
 
 TOL = 1e-4
 
@@ -56,18 +55,46 @@ class TestPrimitiveGradients:
 
     def test_elementwise_and_softmax_mix(self):
         rng = np.random.default_rng(2)
-        a = Parameter(rng.normal(0, 1, (2, 3, 2)), "a")
-        b = Parameter(rng.normal(0, 1, (2, 3, 2)), "b")
-        c = Parameter(rng.normal(0, 1, (2, 3, 2)), "c")
-        gates = Parameter(rng.normal(0, 1, (3, 2)), "g")
-        target = rng.normal(0, 1, (3, 2))
+        a = Parameter(rng.normal(0, 1, (2, 2, 3, 2)), "a")
+        b = Parameter(rng.normal(0, 1, (2, 2, 3, 2)), "b")
+        c = Parameter(rng.normal(0, 1, (2, 2, 3, 2)), "c")
+        gates = [Parameter(rng.normal(0, 1, (3, 2)), f"g{t}") for t in range(2)]
+        target = rng.normal(0, 1, (2, 3, 2))
 
         def f():
-            prod = elementwise_mul(a, b, c)  # two stacked (3, 2) expert outputs
-            mixed = mix_experts(softmax(gates), relu(prod))
+            prod = elementwise_mul(a, b, c)  # two tasks' two stacked (3, 2) expert outputs
+            mixed = mix_experts([softmax(g) for g in gates], relu(prod))
             return sum_sq_diff(mixed, target)
 
-        assert grad_check(f, [a, b, c, gates], rng=np.random.default_rng(3)) < TOL
+        assert grad_check(f, [a, b, c, *gates], rng=np.random.default_rng(3)) < TOL
+
+    def test_mix_experts_matches_the_per_task_mix_bitwise(self):
+        rng = np.random.default_rng(22)
+        t, n, k, d = 3, 4, 5, 2
+        experts = Parameter(rng.normal(0, 1, (t, n, k, d)), "h")
+        gates = [Parameter(softmax(Tensor(rng.normal(0, 1, (k, n)))).data, f"g{i}") for i in range(t)]
+        target = rng.normal(0, 1, (t, k, d))
+        mixed = mix_experts(gates, experts)
+        sum_sq_diff(mixed, target).backward()
+
+        ref_experts = Parameter(experts.data.copy(), "ref_h")
+        ref_gates = [Parameter(g.data.copy(), f"ref_g{i}") for i, g in enumerate(gates)]
+        losses = []
+        for i, gate in enumerate(ref_gates):
+            one = mix_task(gate, select(ref_experts, i))
+            assert mixed.data[i].tobytes() == one.data.tobytes()
+            losses.append(sum_sq_diff(one, target[i]))
+        add_n(losses).backward()
+        assert experts.grad.tobytes() == ref_experts.grad.tobytes()
+        for gate, ref in zip(gates, ref_gates):
+            assert gate.grad.tobytes() == ref.grad.tobytes()
+
+    def test_mix_experts_rejects_mismatched_gates(self):
+        experts = Tensor(np.ones((2, 3, 4, 1)))
+        with pytest.raises(ValueError):
+            mix_experts([Tensor(np.ones((4, 3)))], experts)
+        with pytest.raises(ValueError):
+            mix_experts([Tensor(np.ones((4, 3))), Tensor(np.ones((4, 2)))], experts)
 
     def test_embedding_and_reshape(self):
         rng = np.random.default_rng(4)
@@ -182,11 +209,11 @@ class TestExpertLayer:
     def test_grad_check(self, shared, rate):
         rng = np.random.default_rng(18)
         x, w, b = self.inputs(rng, shared)
-        draw = rng.random((self.T, self.N, self.K, self.D_OUT))
-        target = rng.normal(0, 1, draw.shape)
+        keep = rng.random((self.T, self.N, self.K, self.D_OUT)) >= rate
+        target = rng.normal(0, 1, keep.shape)
 
         def f():
-            return sum_sq_diff(expert_layer(x, w, b, rate, draw), target)
+            return sum_sq_diff(expert_layer(x, w, b, rate, keep), target)
 
         assert grad_check(f, [x, w, b], max_coords_per_param=16, rng=np.random.default_rng(19)) < TOL
 
@@ -199,6 +226,20 @@ class TestExpertLayer:
                 h = x if shared else select(x, (t, n))
                 path = relu(affine(h, select(w, (t, n)), select(b, n)))
                 assert out.data[t, n].tobytes() == path.data.tobytes()
+
+    @pytest.mark.parametrize("rate", [0.0, 0.5])
+    def test_shared_input_grad_equals_the_sum_of_the_stacked_path_grads(self, rate):
+        """A shared x's gradient is the sum of the (T, N, K, d_in) per-path
+        gradients over (T, N), to the bit, though no such stack is built."""
+        rng = np.random.default_rng(23)
+        x, w, b = self.inputs(rng, shared=True)
+        keep = rng.random((self.T, self.N, self.K, self.D_OUT)) >= rate
+        out = expert_layer(x, w, b, rate, keep)
+        g = rng.normal(0, 1, out.shape)
+        dx, _, _ = out._backward(g)
+        gm = g * ((out.data > 0.0) / (1.0 - rate))
+        reference = np.matmul(gm, np.swapaxes(w.data, -1, -2)).sum(axis=(0, 1))
+        assert dx.tobytes() == reference.tobytes()
 
     def test_rejects_mismatched_input(self):
         x, w, b = self.inputs(np.random.default_rng(21), shared=False)

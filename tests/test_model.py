@@ -1,14 +1,17 @@
 import copy
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
+from fedmoe.config import ExperimentConfig
 from fedmoe.data import DataError, RecordSet, ScenarioShard, SyntheticSpec, generate_synthetic
-from fedmoe.diffcore import Adam, Tensor, affine, batchnorm, mix_experts, no_grad, relu, select, sigmoid, softmax, task_weights
+from fedmoe.diffcore import Adam, Tensor, affine, batchnorm, no_grad, relu, select, sigmoid, softmax, task_weights
 from fedmoe.federation.client import ClientSim
 from fedmoe.model import EXPERT_PARTS, TEMPLATE_PARTS, ClientModel, ModelSpec
+from reference_ops import mix_task
 
 
 def make_model(**kwargs):
@@ -100,7 +103,7 @@ class TestClientForward:
         xhat = batchnorm(Tensor(x), model.bn_in, train=True)
         for t, (gate_w, gate_b) in enumerate(model.gates):
             paths = [expert_path(model, xhat, t, k).data for k in range(3)]
-            mixed = mix_experts(softmax(affine(xhat, gate_w, gate_b)), Tensor(np.stack(paths)))
+            mixed = mix_task(softmax(affine(xhat, gate_w, gate_b)), Tensor(np.stack(paths)))
             assert preds[t].data.tobytes() == model.towers[t].forward(mixed).data.tobytes()
 
     def test_dropout_forward_matches_a_reference_drawing_path_by_path(self):
@@ -126,7 +129,7 @@ class TestClientForward:
                     h = drop(h, w[t, k], parts["bias"].data[k])
                 paths.append(h)
             gate_w, gate_b = model.gates[t]
-            h = mix_experts(softmax(affine(Tensor(xhat), gate_w, gate_b)), Tensor(np.stack(paths))).data
+            h = mix_task(softmax(affine(Tensor(xhat), gate_w, gate_b)), Tensor(np.stack(paths))).data
             for w, b in tower.hidden:
                 h = drop(h, w.data, b.data)
             expected = sigmoid(affine(Tensor(h), tower.w_out, tower.b_out)).data.reshape(-1)
@@ -166,6 +169,56 @@ class TestClientForward:
                 g = softmax(affine(xhat, w, b)).data
                 assert (g >= 0).all()
                 assert np.abs(g.sum(axis=1) - 1.0).max() < 1e-9
+
+
+class TestTapeMemory:
+    def default_step(self):
+        """One default-config train step on a 256-row batch, proximal references set."""
+        cfg = ExperimentConfig()
+        model = ClientModel(cfg.model_spec(0), init_seed=1)
+        rng = np.random.default_rng(0)
+        x = rng.normal(0, 1, (cfg.batch_size, cfg.d_feat))
+        y = (rng.random((cfg.batch_size, cfg.tasks)) < 0.5).astype(float)
+        refs = [layer["w_s"].data.copy() for layer in model.expert_layers]
+
+        def step():
+            loss, _ = model.local_loss(x, y, refs=refs, lam=cfg.lambda_reg)
+            loss.backward()
+            return loss
+
+        return model, step
+
+    def test_only_leaves_keep_their_grads(self):
+        model, step = self.default_step()
+        loss = step()
+        nodes, stack, seen = [], [loss], set()
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                nodes.append(node)
+                stack.extend(node._parents)
+        ops = [node for node in nodes if node._backward is not None]
+        leaves = [node for node in nodes if node._backward is None]
+        assert ops and all(node.grad is None for node in ops)
+        assert all(node.grad is not None for node in leaves)  # the batch's input tensor too
+        assert {id(p) for p in model.parameters()} <= {id(leaf) for leaf in leaves}
+        assert all(p.grad.any() for p in model.parameters())
+
+    def test_default_train_pass_peaks_under_three_mb(self):
+        """A pass that fits in the heap the allocator keeps mapped is not
+        re-faulted in by the next client's pass."""
+        model, step = self.default_step()
+        step()  # the first pass touches the grad buffer's pages
+        model.zero_grad()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 3.0 * 2**20
 
 
 class TestParameterPartition:
@@ -262,7 +315,8 @@ class TestLocalLoss:
         def sq_total():
             return sum(float(((p.data - refs[k]) ** 2).sum()) for k, p in model.scenario_shared().items())
 
-        from fedmoe.diffcore import add_n, sum_sq_diff
+        from fedmoe.diffcore import add_n
+        from reference_ops import sum_sq_diff
 
         before = sq_total()
         model.zero_grad()

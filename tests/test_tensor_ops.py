@@ -13,14 +13,13 @@ from fedmoe.diffcore import (
     add_n,
     affine,
     bce,
-    elementwise_mul,
     no_grad,
     relu,
     relu_dropout,
     sigmoid,
     softmax,
-    sum_sq_diff,
 )
+from reference_ops import elementwise_mul, sum_sq_diff
 
 
 class TestAffine:
@@ -149,12 +148,19 @@ class TestSoftmax:
         assert abs(out.sum() - 1.0) < 1e-12
 
 
+def float_mask_reference(x, g, rate, keep):
+    """Forward and backward bytes of dropout through a float mask {0, 1/(1-rate)}."""
+    out = np.maximum(x, 0.0)
+    mask = (keep & (out > 0.0)) * (1.0 / (1.0 - rate))
+    return out * mask, g * mask
+
+
 class TestDropout:
     """Inverted dropout as ``relu_dropout`` applies it after the ReLU."""
 
     def test_rate_zero_identity(self):
         x = Tensor([1.0, -2.0, 0.5])
-        out = relu_dropout(x, 0.0, np.random.default_rng(0).random(3))
+        out = relu_dropout(x, 0.0, np.random.default_rng(0).random(3) >= 0.0)
         assert out.data.tobytes() == relu(x).data.tobytes()
 
     def test_eval_identity(self):
@@ -165,32 +171,49 @@ class TestDropout:
         assert fused._backward(g)[0].tobytes() == plain._backward(g)[0].tobytes()
 
     def test_survivor_scaling_mean(self):
-        draw = np.random.default_rng(123).random(10**6)
-        out = relu_dropout(Tensor(np.ones(10**6)), 0.2, draw)
+        keep = np.random.default_rng(123).random(10**6) >= 0.2
+        out = relu_dropout(Tensor(np.ones(10**6)), 0.2, keep)
         assert 0.995 <= out.data.mean() <= 1.005
 
     def test_rate_out_of_range(self):
         with pytest.raises(ValueError):
-            relu_dropout(Tensor([1.0]), 1.0, np.random.default_rng(0).random(1))
+            relu_dropout(Tensor([1.0]), 1.0, np.ones(1, dtype=bool))
 
     def test_deterministic_under_seed(self):
-        a = relu_dropout(Tensor(np.ones(64)), 0.5, np.random.default_rng(9).random(64)).data
-        b = relu_dropout(Tensor(np.ones(64)), 0.5, np.random.default_rng(9).random(64)).data
+        a = relu_dropout(Tensor(np.ones(64)), 0.5, np.random.default_rng(9).random(64) >= 0.5).data
+        b = relu_dropout(Tensor(np.ones(64)), 0.5, np.random.default_rng(9).random(64) >= 0.5).data
         assert np.array_equal(a, b)
 
     def test_bytes_match_relu_times_dropout_mask(self):
         rate = 0.5
         x = np.array([2.0, 2.0, -1.0, -1.0, 0.0, 0.0, -0.0, -0.0, np.nan])
-        draw = np.array([0.9, 0.1, 0.9, 0.1, 0.9, 0.1, 0.9, 0.1, 0.9])
+        keep = np.array([0.9, 0.1, 0.9, 0.1, 0.9, 0.1, 0.9, 0.1, 0.9]) >= rate
         g = np.array([-3.0, -3.0, -3.0, 3.0, -3.0, 3.0, -3.0, 3.0, 1.0])
-        keep = (draw >= rate) / (1.0 - rate)
-        out = relu_dropout(Tensor(x), rate, draw)
-        assert out.data.tobytes() == (np.maximum(x, 0.0) * keep).tobytes()
-        assert out._backward(g)[0].tobytes() == (g * keep * (x > 0.0)).tobytes()
+        scaled = keep / (1.0 - rate)
+        out = relu_dropout(Tensor(x), rate, keep)
+        assert out.data.tobytes() == (np.maximum(x, 0.0) * scaled).tobytes()
+        assert out._backward(g)[0].tobytes() == (g * scaled * (x > 0.0)).tobytes()
+
+    @pytest.mark.parametrize("rate", [0.0, 0.2, 0.3, 0.5, 0.7])
+    def test_bool_mask_bytes_equal_the_float_mask_reference(self, rate):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        edges = np.array([2.5, 1e-300, tiny, 0.0, -0.0, -1.5, np.inf, -np.inf, np.nan, 1e300])
+        values = np.concatenate([np.repeat(edges, 2), np.random.default_rng(1).normal(0, 10, 500)])
+        keep = np.tile([True, False], values.size // 2)  # each edge value kept and dropped
+        g = np.concatenate([np.tile([3.0, -3.0, 0.0, -0.0, np.nan], 4), np.random.default_rng(2).normal(0, 1e3, 500)])
+        with np.errstate(invalid="ignore"):  # inf * 0 on the dropped infinities
+            out = relu_dropout(Tensor(values), rate, keep)
+            ref_out, ref_grad = float_mask_reference(values, g, rate, keep)
+            assert out.data.tobytes() == ref_out.tobytes()
+            assert out._backward(g)[0].tobytes() == ref_grad.tobytes()
 
     def test_draw_shape_checked(self):
         with pytest.raises(ShapeMismatchError):
-            relu_dropout(Tensor(np.ones(4)), 0.5, np.ones(3))
+            relu_dropout(Tensor(np.ones(4)), 0.5, np.ones(3, dtype=bool))
+
+    def test_keep_mask_must_be_bool(self):
+        with pytest.raises(ShapeMismatchError, match="bool"):
+            relu_dropout(Tensor(np.ones(4)), 0.5, np.random.default_rng(0).random(4))
 
 
 class TestBce:
@@ -231,6 +254,19 @@ class TestEngine:
         out = add_n([elementwise_mul(a, a)])  # d/da (a*a) = 2a
         out.backward()
         assert a.grad[0] == pytest.approx(6.0)
+
+    def test_backward_drops_consumed_grads(self):
+        w = Parameter([[1.0, -2.0], [0.5, 3.0]], "w")
+        b = Parameter([0.1, -5.0], "b")
+        x = Tensor([[1.0, 2.0]])
+        h = affine(x, w, b)  # [2.1, -0.8]
+        r = relu(h)
+        loss = add_n([sum_sq_diff(r, np.zeros((1, 2)))])
+        loss.backward()
+        assert loss.grad is None and h.grad is None and r.grad is None
+        assert np.allclose(w.grad, [[4.2, 0.0], [8.4, 0.0]]) and np.allclose(b.grad, [4.2, 0.0])
+        assert np.allclose(x.grad, [[4.2, 2.1]])  # a constant leaf keeps its gradient too
+        assert r._parents == (h,) and r._backward is not None  # the tape itself stays
 
     def test_no_grad_builds_leaf(self):
         a = Parameter([1.0, 2.0], "a")
