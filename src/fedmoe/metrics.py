@@ -1,9 +1,10 @@
-"""Evaluation: pairwise AUC with strict-inequality ties, per-client reports.
+"""Evaluation: pairwise AUC with half credit for ties, per-client reports.
 
-AUC here is the fraction of (positive, negative) score pairs with the
-positive strictly above the negative. Ties earn no credit, so an all-ties
-score list has AUC 0. This is deliberate; the usual convention of half
-credit for ties is not used.
+AUC here is the Mann-Whitney statistic: the fraction of (positive, negative)
+score pairs with the positive above the negative, a tied pair counting one
+half. A model that scores every sample alike (a collapsed one) gets 0.5,
+chance level, not 0. Both implementations count 2 * wins + ties as an
+integer and divide once, so they return the same float.
 """
 
 from __future__ import annotations
@@ -52,21 +53,25 @@ def _check_inputs(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, n
 def auc_bruteforce(scores: Sequence[float], labels: Sequence[float]) -> float:
     """Exact double loop over all positive-negative pairs (oracle)."""
     pos, neg = _check_inputs(np.asarray(scores), np.asarray(labels))
-    wins = 0
+    half_credits = 0
     for p in pos.tolist():
         for n in neg.tolist():
             if p > n:
-                wins += 1
-    return wins / (pos.size * neg.size)
+                half_credits += 2
+            elif p == n:
+                half_credits += 1
+    return half_credits / (2 * pos.size * neg.size)
 
 
 def auc_fast(scores: Sequence[float], labels: Sequence[float]) -> float:
-    """Sort-and-count equivalent of auc_bruteforce: same integer pair count."""
+    """Sort-and-count equivalent of auc_bruteforce: same integer count of half credits."""
     pos, neg = _check_inputs(np.asarray(scores), np.asarray(labels))
     neg_sorted = np.sort(neg)
-    # searchsorted(..., 'left') counts negatives strictly below each positive
-    wins = int(np.searchsorted(neg_sorted, pos, side="left").sum())
-    return wins / (pos.size * neg.size)
+    # 'left' counts the negatives strictly below each positive and 'right'
+    # those below or tied: their sum is 2 * wins + ties.
+    below = np.searchsorted(neg_sorted, pos, side="left").sum()
+    below_or_tied = np.searchsorted(neg_sorted, pos, side="right").sum()
+    return int(below + below_or_tied) / (2 * pos.size * neg.size)
 
 
 def mean_bce(scores: np.ndarray, labels: np.ndarray) -> float:

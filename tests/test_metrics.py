@@ -17,8 +17,12 @@ class TestBruteForce:
         # pairs: (.9,.5)+ (.9,.1)+ (.4,.5)- (.4,.1)+  -> 3/4
         assert auc_bruteforce([0.9, 0.4, 0.5, 0.1], [1, 1, 0, 0]) == 0.75
 
-    def test_all_ties_scores_zero(self):
-        assert auc_bruteforce([0.5, 0.5, 0.5], [1, 0, 1]) == 0.0
+    def test_all_ties_score_one_half(self):
+        assert auc_bruteforce([0.5, 0.5, 0.5], [1, 0, 1]) == 0.5
+
+    def test_tie_earns_half_credit(self):
+        # pairs: (.9,.4)+ (.9,.1)+ (.4,.4)= (.4,.1)+  -> 3.5/4
+        assert auc_bruteforce([0.9, 0.4, 0.4, 0.1], [1, 1, 0, 0]) == 0.875
 
     def test_single_class_undefined(self):
         with pytest.raises(UndefinedAUCError):
@@ -30,7 +34,8 @@ class TestFastEquivalence:
         assert auc_fast([0.9, 0.4, 0.5, 0.1], [1, 1, 0, 0]) == 0.75
 
     def test_all_ties(self):
-        assert auc_fast([0.3, 0.3], [1, 0]) == 0.0
+        assert auc_fast([0.3, 0.3], [1, 0]) == 0.5
+        assert auc_fast(np.full(60, 0.7), np.arange(60) % 2) == 0.5
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -54,6 +59,14 @@ class TestFastEquivalence:
     def test_relabel_complement(self):
         rng = np.random.default_rng(1)
         scores = rng.normal(size=50)  # continuous: tie-free
+        labels = rng.integers(0, 2, size=50)
+        labels[0], labels[1] = 0, 1
+        a = auc_fast(scores, labels)
+        assert auc_fast(scores, 1 - labels) == pytest.approx(1.0 - a, abs=1e-12)
+
+    def test_relabel_complement_holds_with_ties(self):
+        rng = np.random.default_rng(2)
+        scores = rng.integers(0, 4, size=50) / 4.0  # four levels: many ties
         labels = rng.integers(0, 2, size=50)
         labels[0], labels[1] = 0, 1
         a = auc_fast(scores, labels)
