@@ -54,8 +54,8 @@ def _relu_dropout_(out: np.ndarray, rate: float, keep: Optional[np.ndarray]) -> 
     """ReLU, then inverted dropout where ``keep`` is False, on a fresh array in place.
 
     Returns what the backward needs, ``(mask, scale)``: the bool mask
-    ``(h > 0) & keep`` and 1/(1 - rate), or scale None when nothing is
-    dropped; None under ``no_grad``. Multiplying by the bool mask is exact,
+    ``(h > 0) & keep`` and 1/(1 - rate), or scale None without a keep
+    mask; None under ``no_grad``. Multiplying by the bool mask is exact,
     so each value is rounded once, by the scale, and equals
     ``max(h, 0) * dropout_mask`` byte for byte: kept, dropped and
     signed-zero entries alike.
@@ -311,9 +311,9 @@ def mix_experts(gates: Sequence[Tensor], experts: Tensor) -> Tensor:
         np.einsum("kn,nkd->kd", gate.data, experts.data[i], out=out[i])
 
     def backward(g):
-        dgates = tuple(np.einsum("kd,nkd->kn", g[i], experts.data[i]) for i in range(t))
-        dexperts = np.empty_like(experts.data)
+        dgates, dexperts = [], np.empty_like(experts.data)
         for i, gate in enumerate(gates):
+            dgates.append(np.einsum("kd,nkd->kn", g[i], experts.data[i]))
             np.multiply(gate.data.T[:, :, None], g[i], out=dexperts[i])
         return (*dgates, dexperts)
 
