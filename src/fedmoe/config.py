@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -97,7 +98,13 @@ class ExperimentConfig:
     # -- validation -----------------------------------------------------------
 
     def validate(self) -> None:
-        problems: list[str] = []
+        # NaN passes every range check below, so finiteness comes first.
+        problems = [
+            f"{section}.{name}: must be finite, got {getattr(self, name)}"
+            for section, names in _SECTIONS.items()
+            for name in names
+            if isinstance(getattr(self, name), float) and not math.isfinite(getattr(self, name))
+        ]
         if self.strategy not in STRATEGY_IDS:
             problems.append(f"experiment.strategy: {self.strategy!r} not in {STRATEGY_IDS}")
         if self.rounds < 1:
@@ -227,18 +234,23 @@ class ExperimentConfig:
     @classmethod
     def from_ini(cls, path: str | Path) -> "ExperimentConfig":
         parser = configparser.ConfigParser()
-        read = parser.read(path, encoding="utf-8")
+        try:
+            read = parser.read(path, encoding="utf-8")
+            # values interpolate when read, so a stray "%" raises here
+            sections = {section: dict(parser[section]) for section in parser.sections()}
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError([f"cannot parse config file {path}: {exc}"]) from None
         if not read:
             raise ConfigError([f"cannot read config file {path}"])
         problems: list[str] = []
         values: dict = {}
         known = {f.name: f for f in fields(cls)}
         defaults = cls()
-        for section in parser.sections():
+        for section, items in sections.items():
             if section not in _SECTIONS:
                 problems.append(f"unknown section [{section}]")
                 continue
-            for name, raw in parser[section].items():
+            for name, raw in items.items():
                 if name not in _SECTIONS[section]:
                     problems.append(f"unknown key {section}.{name}")
                     continue

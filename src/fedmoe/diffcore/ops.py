@@ -7,6 +7,7 @@ by closures are freshly allocated arrays.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,20 +35,35 @@ PROB_CLAMP = 1e-7
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """out[k, o] = sum_i x[k, i] * w[i, o] + b[o]."""
-    if x.ndim != 2 or w.ndim != 2 or b.ndim != 1:
-        raise ShapeMismatchError(
-            f"affine expects (K,d_in), (d_in,d_out), (d_out,); got {x.shape}, {w.shape}, {b.shape}"
-        )
-    if x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
+    """out[..., k, o] = sum_i x[..., k, i] * w[..., i, o] + b[..., o].
+
+    One map, x (K, d_in), w (d_in, d_out), b (d_out,), or T stacked maps,
+    w (T, d_in, d_out), b (T, d_out), over a shared (K, d_in) or a stacked
+    (T, K, d_in) x. Each map runs the 2-D gemm of one map alone, so values
+    and grads equal those of T separate affines bit for bit.
+    """
+    lead = w.shape[:-2]  # () for one map, (T,) for stacked maps
+    fits = w.ndim in (2, 3) and x.ndim >= 2 and x.shape[:-2] in ((), lead) and x.shape[-1] == w.shape[-2]
+    if not fits or b.shape != (*lead, w.shape[-1]):
         raise ShapeMismatchError(f"affine dims disagree: {x.shape} @ {w.shape} + {b.shape}")
-    out = x.data @ w.data
-    out += b.data
+    out = np.matmul(x.data, w.data)
+    out += b.data[..., None, :]
+    return Tensor(out, (x, w, b), partial(_affine_grads, x.data, w.data))
 
-    def backward(g):
-        return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
 
-    return Tensor(out, (x, w, b), backward)
+def _affine_grads(x: np.ndarray, w: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(dx, dw, db per map) of ``matmul(x, w) + b``, w stacked over its leading axes.
+
+    A shared x (fewer axes than w) gets one gradient, summed map by map in C order.
+    """
+    dw = np.matmul(np.swapaxes(x, -1, -2), g)
+    if x.ndim < w.ndim:
+        dx = np.zeros(x.shape)
+        for index in np.ndindex(w.shape[:-2]):
+            dx += g[index] @ w[index].T
+    else:
+        dx = np.matmul(g, np.swapaxes(w, -1, -2))
+    return dx, dw, g.sum(axis=-2)
 
 
 def _relu_dropout_(out: np.ndarray, rate: float, keep: Optional[np.ndarray]) -> Optional[tuple]:
@@ -262,62 +278,47 @@ def expert_layer(x: Tensor, w: Tensor, b: Tensor, rate: float, keep: Optional[np
     ``task_weights`` builds it; b (N, d_out); keep None or a (T, N, K, d_out)
     bool mask. Output (T, N, K, d_out). Each path's product is the same 2-D
     gemm that ``affine`` runs, so every value equals that of the per-path
-    composition of affine and relu_dropout bit for bit. Only the gradient of
-    a shared x is summed in another order: path by path, in (t, n) order,
-    into one (K, d_in) array.
+    composition of affine and relu_dropout bit for bit. Only a shared x's
+    gradient is summed in another order, path by path (``_affine_grads``).
     """
     if w.ndim != 4 or b.shape != (w.shape[1], w.shape[3]):
         raise ShapeMismatchError(f"expert_layer expects w (T,N,d_in,d_out) and b (N,d_out); got {w.shape}, {b.shape}")
-    t, n, d_in, d_out = w.shape
-    shared = x.ndim == 2
-    if not (shared or (x.ndim == 4 and x.shape[:2] == (t, n))) or x.shape[-1] != d_in:
+    if not (x.ndim == 2 or (x.ndim == 4 and x.shape[:2] == w.shape[:2])) or x.shape[-1] != w.shape[2]:
         raise ShapeMismatchError(f"expert_layer input {x.shape} does not fit weights {w.shape}")
     out = np.matmul(x.data, w.data)
     out += b.data[:, None, :]
     saved = _relu_dropout_(out, rate, keep)
 
     def backward(g):
-        gm = _masked(g, *saved)
-        dw = np.matmul(np.swapaxes(x.data, -1, -2), gm)
-        if shared:
-            dx = np.zeros(x.shape)
-            for i in range(t):
-                for j in range(n):
-                    dx += gm[i, j] @ w.data[i, j].T
-        else:
-            dx = np.matmul(gm, np.swapaxes(w.data, -1, -2))
-        return dx, dw, gm.sum(axis=2).sum(axis=0)
+        dx, dw, db = _affine_grads(x.data, w.data, _masked(g, *saved))
+        return dx, dw, db.sum(axis=0)
 
     return Tensor(out, (x, w, b), backward)
 
 
-def mix_experts(gates: Sequence[Tensor], experts: Tensor) -> Tensor:
+def mix_experts(gates: Tensor, experts: Tensor) -> Tensor:
     """Convex mix of expert outputs for every task, in one node:
-    ``out[t] = sum_n gates[t][:, n] * experts[t, n]``.
+    ``out[t] = sum_n gates[t, :, n] * experts[t, n]``.
 
-    gates: one (K, N) tensor of simplex rows per task; experts: the
+    gates: the (T, K, N) simplex rows of every task; experts: the
     (T, N, K, d) output of ``expert_layer``. Output (T, K, d). Each task
     runs the same einsum as a mix of that task's slice alone, so values and
-    gradients equal the per-task ones bit for bit; the expert gradient is
-    written into one (T, N, K, d) array.
+    gradients equal the per-task ones bit for bit.
     """
-    if experts.ndim != 4 or len(gates) != experts.shape[0]:
-        raise ShapeMismatchError(f"{len(gates)} gates do not match experts {experts.shape}")
+    if experts.ndim != 4 or gates.shape != (experts.shape[0], experts.shape[2], experts.shape[1]):
+        raise ShapeMismatchError(f"gates {gates.shape} do not match experts {experts.shape}; expected (T,K,N) and (T,N,K,d)")
     t, n, k, d = experts.shape
-    if any(gate.shape != (k, n) for gate in gates):
-        raise ShapeMismatchError(f"gate shapes {[gate.shape for gate in gates]} do not match experts {experts.shape}")
     out = np.empty((t, k, d))
-    for i, gate in enumerate(gates):
-        np.einsum("kn,nkd->kd", gate.data, experts.data[i], out=out[i])
+    for i in range(t):
+        np.einsum("kn,nkd->kd", gates.data[i], experts.data[i], out=out[i])
 
     def backward(g):
-        dgates, dexperts = [], np.empty_like(experts.data)
-        for i, gate in enumerate(gates):
-            dgates.append(np.einsum("kd,nkd->kn", g[i], experts.data[i]))
-            np.multiply(gate.data.T[:, :, None], g[i], out=dexperts[i])
-        return (*dgates, dexperts)
+        dgates = np.empty_like(gates.data)
+        for i in range(t):
+            dgates[i] = np.einsum("kd,nkd->kn", g[i], experts.data[i])
+        return dgates, np.swapaxes(gates.data, 1, 2)[..., None] * g[:, None]
 
-    return Tensor(out, (*gates, experts), backward)
+    return Tensor(out, (gates, experts), backward)
 
 
 def block_sum_sq_diff(params: Sequence[Tensor], refs: Sequence[Sequence[np.ndarray]]) -> Tensor:

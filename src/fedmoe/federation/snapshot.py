@@ -49,7 +49,7 @@ def write_snapshot(path: str | Path, strategy: str, round_index: int, entries: M
 
 
 def read_snapshot(path: str | Path) -> tuple[str, int, dict[str, np.ndarray]]:
-    """Parse a snapshot file; any truncation or corrupt count raises a ValueError naming the file."""
+    """Parse a snapshot file; any truncation, corrupt count or repeated label raises a ValueError naming the file."""
     path = Path(path)
     buf = path.read_bytes()
     pos = 0
@@ -76,6 +76,8 @@ def read_snapshot(path: str | Path) -> tuple[str, int, dict[str, np.ndarray]]:
     entries: dict[str, np.ndarray] = {}
     for index in range(n_entries):
         label = text(f"entry {index} label")
+        if label in entries:
+            raise ValueError(f"{path}: entry {index} repeats the label {label!r}")
         (ndim,) = struct.unpack("<I", take(4, f"entry {label!r} ndim"))
         shape = struct.unpack(f"<{ndim}Q", take(8 * ndim, f"entry {label!r} extents"))
         raw = take(8 * math.prod(shape), f"entry {label!r} values")

@@ -7,23 +7,23 @@ the unit of federated sharing. The effective layer weight is their
 element-wise product. Per-task softmax gates mix expert outputs; per-task
 tower MLPs with a sigmoid head produce probabilities.
 
-Layout. The parameters of expert layer l are stored stacked over the N
-experts, one Parameter per part: ``w_loc`` and ``w_s`` (N, d_in, d_out),
+Layout. Every part is stored stacked, one Parameter per part. Expert
+layer l stacks over the N experts: ``w_loc`` and ``w_s`` (N, d_in, d_out),
 ``bias`` (N, d_out), and the template's ``tmpl.w1`` (N, e, e), ``tmpl.b1``
 (N, e), ``tmpl.w2`` (N, e, d_in*d_out) and ``tmpl.b2`` (N, d_in*d_out).
-One ``task_weights`` node per layer builds all T x N effective weights,
-and one ``expert_layer`` node runs every (task, expert) path through affine,
-ReLU and dropout on them; its output stacks the paths as (T, N, K, d_out).
-One ``mix_experts`` node mixes the last layer's paths for every task into a
-(T, K, d) stack, and each tower reads its task's slice of it.
-A train-mode forward with dropout draws its uniforms in the order of the
-per-path forward: for each task, one block per expert (that expert's layer
-masks), then one block for the task's tower masks. Each block is turned
-into bool keep masks (``draw >= rate``) at once, so a forward holds one
-block of uniforms at a time, and the tape keeps bool masks, not float ones.
+The gates and tower layers (sigmoid head last) stack over the T tasks:
+``gates.w`` (T, d_feat, N), ``gates.b`` (T, N), ``towers.l{l}.w``
+(T, d_in, d_out) and ``towers.l{l}.b`` (T, d_out). So each layer is one
+node for all paths: per expert layer one ``task_weights`` node builds the
+T x N effective weights and one ``expert_layer`` node runs every (task,
+expert) path through affine, ReLU and dropout, as (T, N, K, d_out); one
+stacked ``affine`` and ``softmax`` give every task's gate rows; one
+``mix_experts`` node mixes the paths into (T, K, d); and each tower layer
+is one stacked affine (and ReLU-dropout) whose head output is (T, K).
+A train-mode forward draws its dropout masks as ``_dropout_keeps`` says.
 Every Parameter of the model is a view into one ParameterBuffer. The
-federated keys stay one per (expert, layer, part): ``key_map()`` maps each
-to a Parameter whose value and grad are views of expert n's slice of the
+federated keys stay one per expert, or task, and part: ``key_map()`` maps
+each to a Parameter whose value and grad are views of its slice of the
 stacked arrays, so uploads and server updates read and write the buffer.
 
 The model holds no mode: ``forward`` takes ``train`` (batch statistics and
@@ -68,7 +68,7 @@ from .diffcore import (
 )
 from .keys import SharedKey
 
-__all__ = ["ModelSpec", "Tower", "ClientModel", "EXPERT_PARTS", "TEMPLATE_PARTS"]
+__all__ = ["ModelSpec", "ClientModel", "EXPERT_PARTS", "TEMPLATE_PARTS"]
 
 
 @dataclass(frozen=True)
@@ -114,10 +114,10 @@ def _template_w2_init(rng: np.random.Generator, d_emb: int, out_len: int) -> np.
     return rng.normal(0.0, 0.05 / np.sqrt(d_emb), size=(d_emb, out_len))
 
 
-def _expert_view(stacked: Parameter, n: int, name: str) -> Parameter:
-    """Expert n's slice of a stacked parameter; value and grad are views."""
+def _slice_view(stacked: Parameter, i: int, name: str) -> Parameter:
+    """Slice i (an expert's or a task's) of a stacked parameter; value and grad are views."""
     view = Parameter((), name)  # empty placeholders, replaced by the views
-    view.data, view.grad = stacked.data[n], stacked.grad[n]
+    view.data, view.grad = stacked.data[i], stacked.grad[i]
     view.buffer = stacked.buffer  # packing a view elsewhere would detach it
     return view
 
@@ -129,43 +129,6 @@ def _carve(block: np.ndarray, k: int, widths: Sequence[int]) -> list[np.ndarray]
         views.append(block[..., start : start + k * d].reshape(*block.shape[:-1], k, d))
         start += k * d
     return views
-
-
-class Tower:
-    """Per-task prediction head: ReLU hidden layers, sigmoid scalar output."""
-
-    def __init__(self, rng: np.random.Generator, d_in: int, widths: Sequence[int], task: int):
-        self.task = task
-        dims = [d_in, *widths]
-        self.hidden = []
-        for i in range(len(dims) - 1):
-            w = Parameter(_he_init(rng, dims[i], dims[i + 1]), f"tower{task}.l{i}.w")
-            b = Parameter(np.zeros(dims[i + 1]), f"tower{task}.l{i}.b")
-            self.hidden.append((w, b))
-        k = len(dims) - 1
-        self.w_out = Parameter(_head_init(rng, dims[-1], 1), f"tower{task}.l{k}.w")
-        self.b_out = Parameter(np.zeros(1), f"tower{task}.l{k}.b")
-
-    def forward(self, h: Tensor, rate: float = 0.0, keeps: Optional[Sequence[np.ndarray]] = None) -> Tensor:
-        """``keeps[j]`` is hidden layer j's bool dropout keep mask; None runs no dropout."""
-        for j, (w, b) in enumerate(self.hidden):
-            h = relu_dropout(affine(h, w, b), rate, None if keeps is None else keeps[j])
-        out = sigmoid(affine(h, self.w_out, self.b_out))
-        return reshape(out, (out.shape[0],))
-
-    def parameters(self) -> list[Parameter]:
-        flat = [p for wb in self.hidden for p in wb]
-        return [*flat, self.w_out, self.b_out]
-
-    def shared_keys(self) -> dict[SharedKey, Parameter]:
-        keys = {}
-        for i, (w, b) in enumerate(self.hidden):
-            keys[SharedKey(kind="tower", index=self.task, layer=i, part="w")] = w
-            keys[SharedKey(kind="tower", index=self.task, layer=i, part="b")] = b
-        k = len(self.hidden)
-        keys[SharedKey(kind="tower", index=self.task, layer=k, part="w")] = self.w_out
-        keys[SharedKey(kind="tower", index=self.task, layer=k, part="b")] = self.b_out
-        return keys
 
 
 class ClientModel:
@@ -180,13 +143,11 @@ class ClientModel:
         self.bn_in = BNState.build(spec.d_feat, "bn_in")
         self.expert_layers = self._init_expert_layers(rng)
 
-        self.gates = []
-        for i in range(spec.n_tasks):
-            w = Parameter(rng.normal(0.0, 0.1, size=(spec.d_feat, spec.n_experts)), f"gate{i}.w")
-            b = Parameter(np.zeros(spec.n_experts), f"gate{i}.b")
-            self.gates.append((w, b))
-
-        self.towers = [Tower(rng, spec.expert_widths[-1], spec.tower_widths, i) for i in range(spec.n_tasks)]
+        self.gate = {  # one draw fills the tasks' gates in turn
+            "w": Parameter(rng.normal(0.0, 0.1, size=(spec.n_tasks, spec.d_feat, spec.n_experts)), "gates.w"),
+            "b": Parameter(np.zeros((spec.n_tasks, spec.n_experts)), "gates.b"),
+        }
+        self.tower_layers = self._init_tower_layers(rng)
 
         self._materialize_scenario_weights(rng)
         self.rng = np.random.default_rng([init_seed, 0xD60, spec.scenario])
@@ -219,6 +180,23 @@ class ClientModel:
                 layer["tmpl.w2"].data[k] = _template_w2_init(rng, e, d_in * d_out)
         return layers
 
+    def _init_tower_layers(self, rng: np.random.Generator) -> list[dict[str, Parameter]]:
+        """Stacked (w, b) per tower layer, the sigmoid head last, drawn task by task."""
+        spec = self.spec
+        dims = [spec.expert_widths[-1], *spec.tower_widths, 1]
+        layers = [
+            {
+                "w": Parameter(np.empty((spec.n_tasks, d_in, d_out)), f"towers.l{li}.w"),
+                "b": Parameter(np.zeros((spec.n_tasks, d_out)), f"towers.l{li}.b"),
+            }
+            for li, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:]))
+        ]
+        for t in range(spec.n_tasks):
+            for layer in layers:
+                init = _head_init if layer is layers[-1] else _he_init
+                layer["w"].data[t] = init(rng, *layer["w"].shape[1:])
+        return layers
+
     def _materialize_scenario_weights(self, rng: np.random.Generator) -> None:
         # The scenario templates consume identical rng draws on every client,
         # so clients differ only through their scenario embedding row. Their
@@ -234,12 +212,8 @@ class ClientModel:
 
     def _build_registry(self) -> dict[str, Parameter]:
         params: list[Parameter] = [self.emb_task, self.bn_in.gamma, self.bn_in.beta]
-        for layer in self.expert_layers:
+        for layer in (*self.expert_layers, self.gate, *self.tower_layers):
             params.extend(layer.values())
-        for w, b in self.gates:
-            params.extend((w, b))
-        for tower in self.towers:
-            params.extend(tower.parameters())
         registry = {}
         for p in params:
             if p.name in registry:
@@ -253,16 +227,21 @@ class ClientModel:
         for k in range(self.spec.n_experts):
             for li, layer in enumerate(self.expert_layers):
                 key = SharedKey(kind="expert_scenario", index=k, layer=li, part="w_s")
-                out[key] = _expert_view(layer["w_s"], k, f"expert{k}.l{li}.w_s")
-        for tower in self.towers:
-            out.update(tower.shared_keys())
+                out[key] = _slice_view(layer["w_s"], k, f"expert{k}.l{li}.w_s")
+        for t in range(self.spec.n_tasks):
+            for li, layer in enumerate(self.tower_layers):
+                for part, p in layer.items():
+                    key = SharedKey(kind="tower", index=t, layer=li, part=part)
+                    out[key] = _slice_view(p, t, f"tower{t}.l{li}.{part}")
         for k in range(self.spec.n_experts):
             for li, layer in enumerate(self.expert_layers):
                 for part in EXPERT_PARTS:
                     if part != "w_s":
                         key = SharedKey(kind="expert_local", index=k, layer=li, part=part)
-                        out[key] = _expert_view(layer[part], k, f"expert{k}.l{li}.{part}")
-        local = [self.emb_task, self.bn_in.gamma, self.bn_in.beta, *(p for wb in self.gates for p in wb)]
+                        out[key] = _slice_view(layer[part], k, f"expert{k}.l{li}.{part}")
+        local = [self.emb_task, self.bn_in.gamma, self.bn_in.beta]
+        for t in range(self.spec.n_tasks):
+            local.extend(_slice_view(p, t, f"gate{t}.{part}") for part, p in self.gate.items())
         for p in local:
             out[SharedKey(kind="local", index=-1, layer=-1, part=p.name)] = p
         if sum(p.size for p in out.values()) != self.buffer.size:
@@ -310,25 +289,26 @@ class ClientModel:
         template = (parts[name] for name in TEMPLATE_PARTS)
         return task_weights(self.emb_task, *template, parts["w_loc"], parts["w_s"])
 
-    def _dropout_keeps(self, k: int, rate: float) -> tuple[list[np.ndarray], list[list[np.ndarray]]]:
+    def _dropout_keeps(self, k: int, rate: float) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """The bool keep masks of one train forward on K rows.
 
-        Returns each expert layer's (T, N, K, d) masks, views into one bool
-        block, and, per task, one (K, d) mask per tower hidden layer. Uniforms are drawn one block per (task, expert) and one per
-        task's towers, in the order the per-path forward consumed them, so
-        the rng stream is that of a single draw for the whole forward; each
-        block is compared with the rate at once and then dropped.
+        Returns each expert layer's (T, N, K, d) masks and each tower hidden
+        layer's (T, K, d) masks, views into one bool block each. Uniforms
+        are drawn task by task: one block per expert (that expert's layer
+        masks), then the task's tower row. That is the order in which the
+        per-path forward consumed them, so the rng stream is that of a
+        single draw for the whole forward. Each block is turned into masks
+        (``draw >= rate``) at once, so a forward holds one block of uniforms
+        at a time, and the tape keeps bool masks, not float ones.
         """
         spec = self.spec
-        t, n = spec.n_tasks, spec.n_experts
-        keeps = np.empty((t, n, k * sum(spec.expert_widths)), dtype=bool)
-        tower_keeps = []
-        for i in range(t):
-            for j in range(n):
+        keeps = np.empty((spec.n_tasks, spec.n_experts, k * sum(spec.expert_widths)), dtype=bool)
+        tower_keeps = np.empty((spec.n_tasks, k * sum(spec.tower_widths)), dtype=bool)
+        for i in range(spec.n_tasks):
+            for j in range(spec.n_experts):
                 np.greater_equal(self.rng.random(keeps.shape[2]), rate, out=keeps[i, j])
-            tower_keeps.append(_carve(self.rng.random(k * sum(spec.tower_widths)) >= rate, k, spec.tower_widths))
-        expert_keeps = _carve(keeps, k, spec.expert_widths)
-        return expert_keeps, tower_keeps
+            np.greater_equal(self.rng.random(tower_keeps.shape[1]), rate, out=tower_keeps[i])
+        return _carve(keeps, k, spec.expert_widths), _carve(tower_keeps, k, spec.tower_widths)
 
     def forward(self, x: np.ndarray, train: bool = True, use_dropout: bool = True) -> list[Tensor]:
         """Per-task probability vectors for a feature batch (K, d_feat).
@@ -345,12 +325,16 @@ class ClientModel:
         if rate > 0.0:
             expert_keeps, tower_keeps = self._dropout_keeps(x.shape[0], rate)
         else:
-            expert_keeps, tower_keeps = [None] * len(self.expert_layers), [None] * self.spec.n_tasks
+            expert_keeps, tower_keeps = [None] * len(self.expert_layers), [None] * len(self.spec.tower_widths)
         h = xhat
         for li, layer in enumerate(self.expert_layers):
             h = expert_layer(h, self.effective_weights(li), layer["bias"], rate, expert_keeps[li])
-        mixed = mix_experts([softmax(affine(xhat, w, b)) for w, b in self.gates], h)
-        return [tower.forward(select(mixed, i), rate, tower_keeps[i]) for i, tower in enumerate(self.towers)]
+        h = mix_experts(softmax(affine(xhat, self.gate["w"], self.gate["b"])), h)
+        *hidden, head = self.tower_layers
+        for layer, keep in zip(hidden, tower_keeps):
+            h = relu_dropout(affine(h, layer["w"], layer["b"]), rate, keep)
+        probs = reshape(sigmoid(affine(h, head["w"], head["b"])), (self.spec.n_tasks, x.shape[0]))
+        return [select(probs, t) for t in range(self.spec.n_tasks)]
 
     def local_loss(
         self,

@@ -1,5 +1,12 @@
+import math
+from dataclasses import fields
+
+import pytest
+
 from fedmoe.cli import main
-from fedmoe.config import ExperimentConfig
+from fedmoe.config import ConfigError, ExperimentConfig
+
+FLOAT_FIELDS = [f.name for f in fields(ExperimentConfig) if isinstance(f.default, float)]
 
 
 def test_selftest_passes_every_oracle(capsys):
@@ -15,6 +22,31 @@ def test_run_with_invalid_config_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(ini)]) == 2
     assert "experiment.rounds" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        b"[experiment]\nrounds = 1\n\n[experiment]\nseed = 2\n",
+        b"[experiment]\nrounds = 1\nrounds = 2\n",
+        b"rounds = 1\n",
+        b"[experiment]\nstrategy = \xff\n",
+        b"[output]\nout_dir = runs/100%\n",
+    ],
+    ids=["duplicate_section", "duplicate_key", "no_section_header", "not_utf8", "bad_interpolation"],
+)
+def test_unparsable_config_exits_2_naming_the_file(tmp_path, capsys, text):
+    ini = tmp_path / "broken.ini"
+    ini.write_bytes(text)
+    assert main(["run", "--config", str(ini)]) == 2
+    assert f"cannot parse config file {ini}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_non_finite_float_field_is_rejected_by_name(name, value):
+    with pytest.raises(ConfigError, match=rf"\.{name}: must be finite, got {value}"):
+        ExperimentConfig(**{name: value}).validate()
 
 
 def test_run_and_ablate_with_single_class_test_data_exit_2(tmp_path, capsys):

@@ -58,43 +58,44 @@ class TestPrimitiveGradients:
         a = Parameter(rng.normal(0, 1, (2, 2, 3, 2)), "a")
         b = Parameter(rng.normal(0, 1, (2, 2, 3, 2)), "b")
         c = Parameter(rng.normal(0, 1, (2, 2, 3, 2)), "c")
-        gates = [Parameter(rng.normal(0, 1, (3, 2)), f"g{t}") for t in range(2)]
+        gates = Parameter(rng.normal(0, 1, (2, 3, 2)), "gates")  # two tasks' (3, 2) gate logits
         target = rng.normal(0, 1, (2, 3, 2))
 
         def f():
             prod = elementwise_mul(a, b, c)  # two tasks' two stacked (3, 2) expert outputs
-            mixed = mix_experts([softmax(g) for g in gates], relu(prod))
+            mixed = mix_experts(softmax(gates), relu(prod))
             return sum_sq_diff(mixed, target)
 
-        assert grad_check(f, [a, b, c, *gates], rng=np.random.default_rng(3)) < TOL
+        assert grad_check(f, [a, b, c, gates], rng=np.random.default_rng(3)) < TOL
 
     def test_mix_experts_matches_the_per_task_mix_bitwise(self):
         rng = np.random.default_rng(22)
         t, n, k, d = 3, 4, 5, 2
         experts = Parameter(rng.normal(0, 1, (t, n, k, d)), "h")
-        gates = [Parameter(softmax(Tensor(rng.normal(0, 1, (k, n)))).data, f"g{i}") for i in range(t)]
+        gates = Parameter(softmax(Tensor(rng.normal(0, 1, (t, k, n)))).data, "g")
         target = rng.normal(0, 1, (t, k, d))
         mixed = mix_experts(gates, experts)
         sum_sq_diff(mixed, target).backward()
 
         ref_experts = Parameter(experts.data.copy(), "ref_h")
-        ref_gates = [Parameter(g.data.copy(), f"ref_g{i}") for i, g in enumerate(gates)]
+        ref_gates = Parameter(gates.data.copy(), "ref_g")
         losses = []
-        for i, gate in enumerate(ref_gates):
-            one = mix_task(gate, select(ref_experts, i))
+        for i in range(t):
+            one = mix_task(select(ref_gates, i), select(ref_experts, i))
             assert mixed.data[i].tobytes() == one.data.tobytes()
             losses.append(sum_sq_diff(one, target[i]))
         add_n(losses).backward()
         assert experts.grad.tobytes() == ref_experts.grad.tobytes()
-        for gate, ref in zip(gates, ref_gates):
-            assert gate.grad.tobytes() == ref.grad.tobytes()
+        assert gates.grad.tobytes() == ref_gates.grad.tobytes()
 
     def test_mix_experts_rejects_mismatched_gates(self):
         experts = Tensor(np.ones((2, 3, 4, 1)))
         with pytest.raises(ValueError):
-            mix_experts([Tensor(np.ones((4, 3)))], experts)
+            mix_experts(Tensor(np.ones((1, 4, 3))), experts)  # one task's gates for two
         with pytest.raises(ValueError):
-            mix_experts([Tensor(np.ones((4, 3))), Tensor(np.ones((4, 2)))], experts)
+            mix_experts(Tensor(np.ones((2, 4, 2))), experts)  # two experts' gates for three
+        with pytest.raises(ValueError):
+            mix_experts(Tensor(np.ones((4, 3))), experts)  # unstacked gates
 
     def test_embedding_and_reshape(self):
         rng = np.random.default_rng(4)
@@ -247,6 +248,58 @@ class TestExpertLayer:
             expert_layer(Tensor(x.data[:, :2]), w, b, 0.0)
         with pytest.raises(ValueError):
             expert_layer(x, w, Parameter(np.zeros((self.N, self.D_OUT + 1)), "b"), 0.0)
+
+
+class TestStackedAffine:
+    T, K, D_IN, D_OUT = 3, 5, 4, 2
+
+    def inputs(self, rng, shared):
+        x = Parameter(rng.normal(0, 1, (self.K, self.D_IN) if shared else (self.T, self.K, self.D_IN)), "x")
+        w = Parameter(rng.normal(0, 1, (self.T, self.D_IN, self.D_OUT)), "w")
+        b = Parameter(rng.normal(0, 0.5, (self.T, self.D_OUT)), "b")
+        return x, w, b
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared_x", "stacked_x"])
+    def test_grad_check(self, shared):
+        rng = np.random.default_rng(24)
+        x, w, b = self.inputs(rng, shared)
+        target = rng.normal(0, 1, (self.T, self.K, self.D_OUT))
+
+        def f():
+            return sum_sq_diff(relu(affine(x, w, b)), target)
+
+        assert grad_check(f, [x, w, b], rng=np.random.default_rng(25)) < TOL
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared_x", "stacked_x"])
+    def test_matches_one_affine_per_map_bitwise(self, shared):
+        """Values, weight and bias grads equal T one-map affines on the
+        slices; a shared x's grad is their x grads summed in task order."""
+        rng = np.random.default_rng(26)
+        x, w, b = self.inputs(rng, shared)
+        out = affine(x, w, b)
+        g = rng.normal(0, 1, out.shape)
+        dx, dw, db = out._backward(g)
+        shared_dx = np.zeros((self.K, self.D_IN))
+        for t in range(self.T):
+            one = affine(x if shared else select(x, t), select(w, t), select(b, t))
+            assert out.data[t].tobytes() == one.data.tobytes()
+            gx, gw, gb = one._backward(g[t])
+            assert (dw[t].tobytes(), db[t].tobytes()) == (gw.tobytes(), gb.tobytes())
+            if shared:
+                shared_dx += gx
+            else:
+                assert dx[t].tobytes() == gx.tobytes()
+        if shared:
+            assert dx.tobytes() == shared_dx.tobytes()
+
+    def test_rejects_mismatched_maps(self):
+        x, w, b = self.inputs(np.random.default_rng(27), shared=False)
+        with pytest.raises(ValueError):
+            affine(Tensor(x.data[:2]), w, b)  # two tasks' inputs for three maps
+        with pytest.raises(ValueError):
+            affine(x, w, Parameter(np.zeros(self.D_OUT), "b"))  # one bias for three maps
+        with pytest.raises(ValueError):
+            affine(x, select(w, 0), select(b, 0))  # a stacked input needs stacked maps
 
 
 class TestComposedGradients:

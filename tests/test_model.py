@@ -8,7 +8,7 @@ import pytest
 
 from fedmoe.config import ExperimentConfig
 from fedmoe.data import DataError, RecordSet, ScenarioShard, SyntheticSpec, generate_synthetic
-from fedmoe.diffcore import Adam, Tensor, affine, batchnorm, no_grad, relu, select, sigmoid, softmax, task_weights
+from fedmoe.diffcore import Adam, Tensor, affine, batchnorm, no_grad, relu, reshape, select, sigmoid, softmax, task_weights
 from fedmoe.federation.client import ClientSim
 from fedmoe.model import EXPERT_PARTS, TEMPLATE_PARTS, ClientModel, ModelSpec
 from reference_ops import mix_task
@@ -36,6 +36,21 @@ def expert_path(model, h, task, expert):
         w = select(model.effective_weights(li), (task, expert))
         h = relu(affine(h, w, select(parts["bias"], expert)))
     return h
+
+
+def gate_probs(model, xhat, task):
+    """One task's softmax gate rows, from that task's slice of the stacked gate."""
+    return softmax(affine(xhat, select(model.gate["w"], task), select(model.gate["b"], task)))
+
+
+def tower_path(model, h, task):
+    """One task's tower on its slices of the stacked layers (dropout off):
+    ReLU hidden layers, then the sigmoid head, as (K,) probabilities."""
+    *hidden, head = model.tower_layers
+    for layer in hidden:
+        h = relu(affine(h, select(layer["w"], task), select(layer["b"], task)))
+    out = sigmoid(affine(h, select(head["w"], task), select(head["b"], task)))
+    return reshape(out, (out.shape[0],))
 
 
 class TestTaskWeightGeneration:
@@ -93,18 +108,18 @@ class TestClientForward:
         # function of the batch, so state updates do not disturb equality
         xhat = batchnorm(Tensor(x), model.bn_in, train=True)
         h = expert_path(model, xhat, task=0, expert=0)
-        expected = model.towers[0].forward(h)
+        expected = tower_path(model, h, task=0)
         assert np.array_equal(preds[0].data, expected.data)
 
     def test_forward_matches_the_per_path_reference(self):
-        model = make_model(n_experts=3, n_tasks=2)
+        model = make_model(n_experts=3, n_tasks=3, tower_widths=(4, 2))
         x = np.random.default_rng(13).normal(0, 1, (9, 4))
         preds = model.forward(x)
         xhat = batchnorm(Tensor(x), model.bn_in, train=True)
-        for t, (gate_w, gate_b) in enumerate(model.gates):
+        for t in range(3):
             paths = [expert_path(model, xhat, t, k).data for k in range(3)]
-            mixed = mix_task(softmax(affine(xhat, gate_w, gate_b)), Tensor(np.stack(paths)))
-            assert preds[t].data.tobytes() == model.towers[t].forward(mixed).data.tobytes()
+            mixed = mix_task(gate_probs(model, xhat, t), Tensor(np.stack(paths)))
+            assert preds[t].data.tobytes() == tower_path(model, mixed, t).data.tobytes()
 
     def test_dropout_forward_matches_a_reference_drawing_path_by_path(self):
         """The per-path forward drew each mask in turn: for each task, each
@@ -121,18 +136,18 @@ class TestClientForward:
         with no_grad():
             xhat = batchnorm(Tensor(x), model.bn_in, train=True).data
         weights = [model.effective_weights(li).data for li in range(3)]
-        for t, tower in enumerate(model.towers):
+        *hidden, head = model.tower_layers
+        for t in range(2):
             paths = []
             for k in range(3):
                 h = xhat
                 for w, parts in zip(weights, model.expert_layers):
                     h = drop(h, w[t, k], parts["bias"].data[k])
                 paths.append(h)
-            gate_w, gate_b = model.gates[t]
-            h = mix_task(softmax(affine(Tensor(xhat), gate_w, gate_b)), Tensor(np.stack(paths))).data
-            for w, b in tower.hidden:
-                h = drop(h, w.data, b.data)
-            expected = sigmoid(affine(Tensor(h), tower.w_out, tower.b_out)).data.reshape(-1)
+            h = mix_task(gate_probs(model, Tensor(xhat), t), Tensor(np.stack(paths))).data
+            for layer in hidden:
+                h = drop(h, layer["w"].data[t], layer["b"].data[t])
+            expected = sigmoid(affine(Tensor(h), select(head["w"], t), select(head["b"], t))).data.reshape(-1)
             assert preds[t].data.tobytes() == expected.tobytes()
         assert rng.bit_generator.state == model.rng.bit_generator.state
 
@@ -144,8 +159,8 @@ class TestClientForward:
         x = np.random.default_rng(3).normal(0, 1, (5, 4))
         with no_grad():
             before = [p.data.copy() for p in model.forward(x)]
-            model.gates[0][0].data[...] = np.random.default_rng(4).normal(0, 3, (4, 3))
-            model.gates[1][1].data[...] = 7.0
+            model.gate["w"].data[0] = np.random.default_rng(4).normal(0, 3, (4, 3))
+            model.gate["b"].data[1] = 7.0
             after = [p.data.copy() for p in model.forward(x)]
         for a, b in zip(before, after):
             assert np.allclose(a, b, atol=1e-12)
@@ -160,15 +175,27 @@ class TestClientForward:
 
     def test_gate_outputs_are_simplex_rows(self):
         model = make_model(n_experts=4)
-        from fedmoe.diffcore import affine, softmax
-
         x = np.random.default_rng(6).normal(0, 1, (32, 4))
         with no_grad():
             xhat = batchnorm(Tensor(x), model.bn_in, train=True)
-            for w, b in model.gates:
-                g = softmax(affine(xhat, w, b)).data
-                assert (g >= 0).all()
-                assert np.abs(g.sum(axis=1) - 1.0).max() < 1e-9
+            g = softmax(affine(xhat, model.gate["w"], model.gate["b"])).data
+            assert g.shape == (2, 32, 4)
+            assert (g >= 0).all()
+            assert np.abs(g.sum(axis=2) - 1.0).max() < 1e-9
+            for t in range(2):
+                assert g[t].tobytes() == gate_probs(model, xhat, t).data.tobytes()
+
+
+def tape_nodes(root):
+    """Every node of the tape that ends at ``root``, leaves included."""
+    nodes, stack, seen = [], [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
 
 
 class TestTapeMemory:
@@ -190,20 +217,25 @@ class TestTapeMemory:
 
     def test_only_leaves_keep_their_grads(self):
         model, step = self.default_step()
-        loss = step()
-        nodes, stack, seen = [], [loss], set()
-        while stack:
-            node = stack.pop()
-            if id(node) not in seen:
-                seen.add(id(node))
-                nodes.append(node)
-                stack.extend(node._parents)
+        nodes = tape_nodes(step())
         ops = [node for node in nodes if node._backward is not None]
         leaves = [node for node in nodes if node._backward is None]
         assert ops and all(node.grad is None for node in ops)
         assert all(node.grad is not None for node in leaves)  # the batch's input tensor too
         assert {id(p) for p in model.parameters()} <= {id(leaf) for leaf in leaves}
         assert all(p.grad.any() for p in model.parameters())
+
+    def test_default_train_step_runs_23_ops(self):
+        """One node per op for all tasks: batch norm, per expert layer a
+        task_weights and an expert_layer node, the gates' affine and softmax,
+        the mix, per tower layer an affine (and a relu_dropout below the
+        head), sigmoid, reshape, then per task a select and a BCE, and the
+        loss sum with the proximal term (block_sum_sq_diff, scale, add_n)."""
+        model, step = self.default_step()
+        nodes = tape_nodes(step())
+        ops = [node for node in nodes if node._backward is not None]
+        assert len(ops) == 1 + 2 * 2 + 2 + 1 + (2 * 2 + 1) + 2 + 2 * 2 + 4 == 23
+        assert len(nodes) - len(ops) == len(model.parameters()) + 1 == 26  # leaves: parameters and the batch
 
     def test_default_train_pass_peaks_under_three_mb(self):
         """Bool dropout masks, one mix node and dropped op gradients keep a
@@ -398,6 +430,29 @@ class TestInitialization:
         for key, p in a.key_map().items():
             same = np.array_equal(p.data, b.key_map()[key].data)
             assert same != (key.kind == "expert_scenario")
+
+    def test_gates_then_towers_draw_task_by_task(self, monkeypatch):
+        """The stacked gates and towers hold the draws of the per-task ones:
+        every task's gate in turn, then each task's tower layers, head last."""
+        states = []
+        init_expert_layers = ClientModel._init_expert_layers
+
+        def capture(model, rng):
+            layers = init_expert_layers(model, rng)
+            states.append(copy.deepcopy(rng))  # the gates draw next
+            return layers
+
+        monkeypatch.setattr(ClientModel, "_init_expert_layers", capture)
+        model = make_model(n_tasks=3, tower_widths=(4, 2))
+        (rng,) = states
+        for t in range(3):
+            assert model.gate["w"].data[t].tobytes() == rng.normal(0.0, 0.1, (4, 2)).tobytes()
+        dims = [3, 4, 2, 1]
+        for t in range(3):
+            for li, layer in enumerate(model.tower_layers):
+                std = 1.0 / np.sqrt(dims[li]) if li == 2 else np.sqrt(2.0 / dims[li])
+                assert layer["w"].data[t].tobytes() == rng.normal(0.0, std, dims[li : li + 2]).tobytes()
+        assert not any(layer["b"].data.any() for layer in (model.gate, *model.tower_layers))
 
     def test_scenario_weights_differ_across_experts(self):
         model = make_model(n_experts=2, expert_widths=(6,))

@@ -86,3 +86,15 @@ class TestReadSnapshot:
         snapshot_file.write_bytes(snapshot_file.read_bytes() + b"\0")
         with pytest.raises(ValueError, match="trailing"):
             read_snapshot(snapshot_file)
+
+    def test_repeated_label(self, tmp_path):
+        def entry(label: bytes, value: float) -> bytes:
+            return struct.pack("<I", len(label)) + label + struct.pack("<IQ", 1, 1) + struct.pack("<d", value)
+
+        path = tmp_path / "twice.bin"
+        header = MAGIC + struct.pack("<I", 4) + b"main" + struct.pack("<QQ", 1, 2)
+        path.write_bytes(header + entry(b"ref/a", 1.0) + entry(b"ref/a", 2.0))
+        with pytest.raises(ValueError, match="twice.bin: entry 1 repeats the label 'ref/a'"):
+            read_snapshot(path)
+        path.write_bytes(header + entry(b"ref/a", 1.0) + entry(b"ref/b", 2.0))  # the same file, distinct labels
+        assert list(read_snapshot(path)[2]) == ["ref/a", "ref/b"]
