@@ -210,7 +210,7 @@ class ExperimentConfig:
     # -- serialization ------------------------------------------------------------
 
     def to_ini(self) -> str:
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)
         for section, names in _SECTIONS.items():
             parser[section] = {}
             for name in names:
@@ -233,10 +233,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_ini(cls, path: str | Path) -> "ExperimentConfig":
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)  # "%" is a plain character
         try:
             read = parser.read(path, encoding="utf-8")
-            # values interpolate when read, so a stray "%" raises here
             sections = {section: dict(parser[section]) for section in parser.sections()}
         except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError([f"cannot parse config file {path}: {exc}"]) from None

@@ -7,13 +7,10 @@ from .ops import (
     affine,
     bce,
     block_sum_sq_diff,
-    expert_layer,
+    hidden_layer,
     mix_experts,
     relu,
-    relu_dropout,
     reshape,
-    scale,
-    select,
     sigmoid,
     softmax,
     task_weights,
@@ -44,16 +41,13 @@ __all__ = [
     "batchnorm",
     "bce",
     "block_sum_sq_diff",
-    "expert_layer",
     "grad_check",
+    "hidden_layer",
     "is_grad_enabled",
     "mix_experts",
     "no_grad",
     "relu",
-    "relu_dropout",
     "reshape",
-    "scale",
-    "select",
     "sigmoid",
     "softmax",
     "task_weights",

@@ -19,14 +19,11 @@ __all__ = [
     "relu",
     "sigmoid",
     "softmax",
-    "relu_dropout",
     "bce",
     "add_n",
-    "scale",
     "reshape",
-    "select",
     "task_weights",
-    "expert_layer",
+    "hidden_layer",
     "mix_experts",
     "block_sum_sq_diff",
 ]
@@ -99,25 +96,16 @@ def _masked(g: np.ndarray, mask: np.ndarray, scale: Optional[float]) -> np.ndarr
     return gm
 
 
-def relu_dropout(x: Tensor, rate: float, keep: Optional[np.ndarray] = None) -> Tensor:
-    """max(x, 0) with inverted dropout: zero where ``keep`` is False, scale survivors by 1/(1-rate).
-
-    ``keep`` is a bool mask of x's shape; None (evaluation, or dropout off)
-    gives plain ReLU. The derivative at 0 is 0, and a NaN passes through to
-    the loss's finiteness check.
-    """
+def relu(x: Tensor) -> Tensor:
+    """max(x, 0). The derivative at 0 is 0, and a NaN passes through to the
+    loss's finiteness check."""
     out = x.data.copy()
-    saved = _relu_dropout_(out, rate, keep)
+    saved = _relu_dropout_(out, 0.0, None)
 
     def backward(g):
         return (_masked(g, *saved),)
 
     return Tensor(out, (x,), backward)
-
-
-def relu(x: Tensor) -> Tensor:
-    """max(x, 0): ``relu_dropout`` with nothing dropped."""
-    return relu_dropout(x, 0.0)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -146,21 +134,29 @@ def softmax(x: Tensor) -> Tensor:
 
 
 def bce(p: Tensor, y: np.ndarray) -> Tensor:
-    """Mean binary cross-entropy over the batch, probabilities clamped to [1e-7, 1-1e-7].
+    """Binary cross-entropy, probabilities clamped to [1e-7, 1-1e-7]: the
+    batch mean of one task, or the sum of the batch means of T tasks.
 
-    ``y`` is a constant {0,1} label vector; no gradient flows into it.
+    ``y`` holds constant {0,1} labels, one task's (K,) or T tasks' (T, K);
+    no gradient flows into it. ``p`` is read in y's shape. Each row's mean
+    is the 1-D mean of that row and the rows are added from row 0 on, so
+    value and gradient equal those of T one-task calls summed by ``add_n``
+    bit for bit.
     """
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    flat = p.data.reshape(-1)
-    if flat.shape != y.shape:
+    y = np.asarray(y, dtype=np.float64)
+    if y.ndim not in (1, 2) or p.size != y.size:
         raise ShapeMismatchError(f"bce shapes disagree: {p.shape} vs {y.shape}")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("bce labels must be 0 or 1")
+    rows = p.data.reshape(y.shape)
     lo, hi = PROB_CLAMP, 1.0 - PROB_CLAMP
-    pc = np.clip(flat, lo, hi)
-    k = float(y.size)
-    loss = float(np.mean(-y * np.log(pc) - (1.0 - y) * np.log(1.0 - pc)))
-    inside = (flat > lo) & (flat < hi)  # clamp blocks gradient at the rails
+    pc = np.clip(rows, lo, hi)
+    k = float(y.shape[-1])
+    terms = -y * np.log(pc) - (1.0 - y) * np.log(1.0 - pc)
+    loss = 0.0
+    for row in terms.reshape(-1, terms.shape[-1]):
+        loss += float(np.mean(row))
+    inside = (rows > lo) & (rows < hi)  # clamp blocks gradient at the rails
 
     def backward(g):
         dp = (-(y / pc) + (1.0 - y) / (1.0 - pc)) * inside * (float(g) / k)
@@ -186,15 +182,6 @@ def add_n(terms: Sequence[Tensor]) -> Tensor:
     return Tensor(out, tuple(terms), backward)
 
 
-def scale(x: Tensor, s: float) -> Tensor:
-    s = float(s)
-
-    def backward(g):
-        return (g * s,)
-
-    return Tensor(x.data * s, (x,), backward)
-
-
 def reshape(x: Tensor, shape: tuple) -> Tensor:
     orig = x.shape
 
@@ -202,23 +189,6 @@ def reshape(x: Tensor, shape: tuple) -> Tensor:
         return (g.reshape(orig),)
 
     return Tensor(x.data.reshape(shape), (x,), backward)
-
-
-def select(x: Tensor, index) -> Tensor:
-    """``x.data[index]`` for an int or a tuple of ints over leading axes; grads scatter back.
-
-    The output shares memory with ``x``; ops never write to their inputs.
-    """
-    index = index if isinstance(index, tuple) else (index,)
-    if len(index) > x.ndim or not all(0 <= i < n for i, n in zip(index, x.shape)):
-        raise IndexError(f"index {index} out of range for shape {x.shape}")
-
-    def backward(g):
-        gx = np.zeros_like(x.data)
-        gx[index] = g
-        return (gx,)
-
-    return Tensor(x.data[index], (x,), backward)
 
 
 def task_weights(
@@ -268,30 +238,37 @@ def task_weights(
     return Tensor(out, (emb, w1, b1, w2, b2, w_loc, w_s), backward)
 
 
-def expert_layer(x: Tensor, w: Tensor, b: Tensor, rate: float, keep: Optional[np.ndarray] = None) -> Tensor:
-    """One expert layer for every (task, expert) path, in one node.
+def hidden_layer(x: Tensor, w: Tensor, b: Tensor, rate: float, keep: Optional[np.ndarray] = None) -> Tensor:
+    """Affine, ReLU and inverted dropout for every path of a hidden layer, in one node.
 
-    Path (t, n) computes ``relu_dropout(x[t, n] @ w[t, n] + b[n], rate, keep[t, n])``.
+    Path i, an index (t, n) or (t,) over w's leading axes, computes
+    ``max(x[i] @ w[i] + b[i[-1]], 0)`` (x itself if x is shared), zeroed
+    where ``keep[i]`` is False and scaled by 1/(1 - rate) where it is True.
+    Two kinds of layer are stacked this way:
 
-    Shapes: x is the shared (K, d_in) input of the first layer or the
-    (T, N, K, d_in) output of the previous one; w (T, N, d_in, d_out), as
-    ``task_weights`` builds it; b (N, d_out); keep None or a (T, N, K, d_out)
-    bool mask. Output (T, N, K, d_out). Each path's product is the same 2-D
-    gemm that ``affine`` runs, so every value equals that of the per-path
-    composition of affine and relu_dropout bit for bit. Only a shared x's
-    gradient is summed in another order, path by path (``_affine_grads``).
+    - an expert layer: w (T, N, d_in, d_out) as ``task_weights`` builds it
+      and b (N, d_out), shared by the tasks; x is the shared (K, d_in) input
+      of the first layer or the (T, N, K, d_in) output of the previous one;
+    - a tower layer: w (T, d_in, d_out), b (T, d_out) and x (T, K, d_in).
+
+    So ``b.shape == (w.shape[-3], d_out)``, and b's gradient is summed down
+    to b's shape. ``keep`` is None (plain ReLU) or a bool mask of the
+    output's shape. Each path's product is the same 2-D gemm that ``affine``
+    runs, so every value equals that of the per-path composition of affine,
+    ReLU and dropout bit for bit. Only a shared x's gradient is summed in
+    another order, path by path (``_affine_grads``).
     """
-    if w.ndim != 4 or b.shape != (w.shape[1], w.shape[3]):
-        raise ShapeMismatchError(f"expert_layer expects w (T,N,d_in,d_out) and b (N,d_out); got {w.shape}, {b.shape}")
-    if not (x.ndim == 2 or (x.ndim == 4 and x.shape[:2] == w.shape[:2])) or x.shape[-1] != w.shape[2]:
-        raise ShapeMismatchError(f"expert_layer input {x.shape} does not fit weights {w.shape}")
+    if w.ndim not in (3, 4) or b.shape != (w.shape[-3], w.shape[-1]):
+        raise ShapeMismatchError(f"hidden_layer expects w (T,[N,]d_in,d_out) and b (T or N, d_out); got {w.shape}, {b.shape}")
+    if not (x.ndim == 2 or x.shape[:-2] == w.shape[:-2]) or x.shape[-1] != w.shape[-2]:
+        raise ShapeMismatchError(f"hidden_layer input {x.shape} does not fit weights {w.shape}")
     out = np.matmul(x.data, w.data)
     out += b.data[:, None, :]
     saved = _relu_dropout_(out, rate, keep)
 
     def backward(g):
         dx, dw, db = _affine_grads(x.data, w.data, _masked(g, *saved))
-        return dx, dw, db.sum(axis=0)
+        return dx, dw, (db.sum(axis=0) if db.ndim > b.ndim else db)
 
     return Tensor(out, (x, w, b), backward)
 
@@ -321,17 +298,19 @@ def mix_experts(gates: Tensor, experts: Tensor) -> Tensor:
     return Tensor(out, (gates, experts), backward)
 
 
-def block_sum_sq_diff(params: Sequence[Tensor], refs: Sequence[Sequence[np.ndarray]]) -> Tensor:
-    """Squared L2 distance of stacked blocks to constant references, in one node.
+def block_sum_sq_diff(params: Sequence[Tensor], refs: Sequence[Sequence[np.ndarray]], lam: float = 1.0) -> Tensor:
+    """``lam`` times the squared L2 distance of stacked blocks to constant references, in one node.
 
     ``params[j]`` stacks N blocks along axis 0 and ``refs[j][k]`` is the
     reference for block k of it. Each block's ``np.sum(d * d)`` of its
     difference d is added to one running float for k = 0..N-1 and, within
     each k, for j in order: the float that summing the unstacked blocks'
-    squared distances one by one, in that order, produces.
+    squared distances one by one, in that order, produces. That total is
+    multiplied by ``lam`` last, and the gradient is ``2 * lam * d``.
     """
     if len(params) != len(refs):
         raise ShapeMismatchError(f"{len(params)} stacked tensors but {len(refs)} reference lists")
+    lam = float(lam)
     diffs = []
     for p, blocks in zip(params, refs):
         ref = np.asarray(blocks, dtype=np.float64)
@@ -344,6 +323,6 @@ def block_sum_sq_diff(params: Sequence[Tensor], refs: Sequence[Sequence[np.ndarr
             total += np.sum(d[k] * d[k])
 
     def backward(g):
-        return tuple(2.0 * float(g) * d for d in diffs)
+        return tuple(2.0 * (float(g) * lam) * d for d in diffs)
 
-    return Tensor(np.float64(total), tuple(params), backward)
+    return Tensor(np.float64(total * lam), tuple(params), backward)

@@ -97,9 +97,7 @@ def evaluate_client(model, records: RecordSet, round_index: int = 0) -> EvalRepo
     with no_grad():
         for start in range(0, n, EVAL_CHUNK):
             x = records.features[start : start + EVAL_CHUNK]
-            preds = model.forward(x, train=False)
-            for i, p in enumerate(preds):
-                scores[start : start + x.shape[0], i] = p.data.reshape(-1)
+            scores[start : start + x.shape[0]] = model.forward(x, train=False).data.T
     aucs = tuple(auc_fast(scores[:, i], records.labels[:, i]) for i in range(model.spec.n_tasks))
     bces = tuple(mean_bce(scores[:, i], records.labels[:, i]) for i in range(model.spec.n_tasks))
     return EvalReport(round_index=round_index, client=model.spec.scenario, auc=aucs, bce=bces, n_samples=n)

@@ -15,11 +15,13 @@ The gates and tower layers (sigmoid head last) stack over the T tasks:
 ``gates.w`` (T, d_feat, N), ``gates.b`` (T, N), ``towers.l{l}.w``
 (T, d_in, d_out) and ``towers.l{l}.b`` (T, d_out). So each layer is one
 node for all paths: per expert layer one ``task_weights`` node builds the
-T x N effective weights and one ``expert_layer`` node runs every (task,
+T x N effective weights and one ``hidden_layer`` node runs every (task,
 expert) path through affine, ReLU and dropout, as (T, N, K, d_out); one
 stacked ``affine`` and ``softmax`` give every task's gate rows; one
-``mix_experts`` node mixes the paths into (T, K, d); and each tower layer
-is one stacked affine (and ReLU-dropout) whose head output is (T, K).
+``mix_experts`` node mixes the paths into (T, K, d); each hidden tower
+layer is one ``hidden_layer`` node over (T, K, d_in); and the head's
+affine, sigmoid and reshape give one (T, K) probability tensor, which
+one ``bce`` node scores against all tasks' labels.
 A train-mode forward draws its dropout masks as ``_dropout_keeps`` says.
 Every Parameter of the model is a view into one ParameterBuffer. The
 federated keys stay one per expert, or task, and part: ``key_map()`` maps
@@ -56,12 +58,9 @@ from .diffcore import (
     batchnorm,
     bce,
     block_sum_sq_diff,
-    expert_layer,
+    hidden_layer,
     mix_experts,
-    relu_dropout,
     reshape,
-    scale,
-    select,
     sigmoid,
     softmax,
     task_weights,
@@ -310,8 +309,8 @@ class ClientModel:
             np.greater_equal(self.rng.random(tower_keeps.shape[1]), rate, out=tower_keeps[i])
         return _carve(keeps, k, spec.expert_widths), _carve(tower_keeps, k, spec.tower_widths)
 
-    def forward(self, x: np.ndarray, train: bool = True, use_dropout: bool = True) -> list[Tensor]:
-        """Per-task probability vectors for a feature batch (K, d_feat).
+    def forward(self, x: np.ndarray, train: bool = True, use_dropout: bool = True) -> Tensor:
+        """The (T, K) probabilities of every task for a feature batch (K, d_feat).
 
         ``train`` selects batch statistics for the input batch norm (and
         updates its running statistics) over the running ones, and enables
@@ -328,13 +327,12 @@ class ClientModel:
             expert_keeps, tower_keeps = [None] * len(self.expert_layers), [None] * len(self.spec.tower_widths)
         h = xhat
         for li, layer in enumerate(self.expert_layers):
-            h = expert_layer(h, self.effective_weights(li), layer["bias"], rate, expert_keeps[li])
+            h = hidden_layer(h, self.effective_weights(li), layer["bias"], rate, expert_keeps[li])
         h = mix_experts(softmax(affine(xhat, self.gate["w"], self.gate["b"])), h)
         *hidden, head = self.tower_layers
         for layer, keep in zip(hidden, tower_keeps):
-            h = relu_dropout(affine(h, layer["w"], layer["b"]), rate, keep)
-        probs = reshape(sigmoid(affine(h, head["w"], head["b"])), (self.spec.n_tasks, x.shape[0]))
-        return [select(probs, t) for t in range(self.spec.n_tasks)]
+            h = hidden_layer(h, layer["w"], layer["b"], rate, keep)
+        return reshape(sigmoid(affine(h, head["w"], head["b"])), (self.spec.n_tasks, x.shape[0]))
 
     def local_loss(
         self,
@@ -343,9 +341,9 @@ class ClientModel:
         refs: Optional[Sequence[np.ndarray]] = None,
         lam: float = 0.5,
         use_dropout: bool = True,
-    ) -> tuple[Tensor, tuple[float, ...]]:
+    ) -> tuple[Tensor, Tensor]:
         """Train-mode multi-task BCE plus the proximal pull of the scenario
-        weights toward the latest aggregates; also the per-task BCE values.
+        weights toward the latest aggregates; also the (T, K) probabilities.
 
         ``refs[l]`` is the (N, d_in, d_out) reference stack for expert layer
         l's ``w_s``. No reference means no pull, as in FedProx: None (before
@@ -355,10 +353,9 @@ class ClientModel:
         y = np.asarray(y, dtype=np.float64)
         if y.ndim != 2 or y.shape[1] != self.spec.n_tasks:
             raise ValueError(f"expected labels (K, {self.spec.n_tasks}), got {y.shape}")
-        preds = self.forward(x, use_dropout=use_dropout)
-        task_losses = [bce(preds[i], y[:, i]) for i in range(self.spec.n_tasks)]
-        loss = add_n(task_losses)
+        probs = self.forward(x, use_dropout=use_dropout)
+        loss = bce(probs, y.T)
         if refs is not None and lam > 0.0:
             w_s = [layer["w_s"] for layer in self.expert_layers]
-            loss = add_n([loss, scale(block_sum_sq_diff(w_s, refs), lam)])
-        return loss, tuple(t.item() for t in task_losses)
+            loss = add_n([loss, block_sum_sq_diff(w_s, refs, lam)])
+        return loss, probs

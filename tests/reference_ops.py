@@ -1,7 +1,9 @@
 """Plain per-tensor ops that the tests use as references for the fused ones.
 
 The model builds no graph from these; they live with the tests so the
-library's op set holds only what the model runs.
+library's op set holds only what the model runs. ``relu_dropout`` is an
+independent float-mask version of the library's fused layer op's
+activation, so comparing the two checks the bool-mask arithmetic.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import numpy as np
 
 from fedmoe.diffcore import ShapeMismatchError, Tensor
 
-__all__ = ["elementwise_mul", "mix_task", "sum_sq_diff"]
+__all__ = ["elementwise_mul", "mix_task", "relu_dropout", "scale", "select", "sum_sq_diff"]
 
 
 def elementwise_mul(a: Tensor, b: Tensor, c: Optional[Tensor] = None) -> Tensor:
@@ -59,3 +61,48 @@ def mix_task(gates: Tensor, experts: Tensor) -> Tensor:
         return dgates, gates.data.T[:, :, None] * g
 
     return Tensor(out, (gates, experts), backward)
+
+
+def relu_dropout(x: Tensor, rate: float, keep: Optional[np.ndarray] = None) -> Tensor:
+    """max(x, 0) with inverted dropout: zero where ``keep`` is False, survivors
+    scaled by 1/(1 - rate); ``keep`` None gives plain ReLU. The mask is a float
+    array {0, 1/(1 - rate)}, multiplied into value and gradient."""
+    out = np.maximum(x.data, 0.0)
+    mask = out > 0.0
+    if keep is not None:
+        if keep.shape != x.shape:
+            raise ShapeMismatchError(f"dropout keep mask must have shape {x.shape}, got {keep.shape}")
+        mask = (keep & mask) * (1.0 / (1.0 - rate))
+        out = out * mask
+
+    def backward(g):
+        return (g * mask,)
+
+    return Tensor(out, (x,), backward)
+
+
+def scale(x: Tensor, s: float) -> Tensor:
+    """x times a constant float."""
+    s = float(s)
+
+    def backward(g):
+        return (g * s,)
+
+    return Tensor(x.data * s, (x,), backward)
+
+
+def select(x: Tensor, index) -> Tensor:
+    """``x.data[index]`` for an int or a tuple of ints over leading axes; grads scatter back.
+
+    The output shares memory with ``x``; ops never write to their inputs.
+    """
+    index = index if isinstance(index, tuple) else (index,)
+    if len(index) > x.ndim or not all(0 <= i < n for i, n in zip(index, x.shape)):
+        raise IndexError(f"index {index} out of range for shape {x.shape}")
+
+    def backward(g):
+        gx = np.zeros_like(x.data)
+        gx[index] = g
+        return (gx,)
+
+    return Tensor(x.data[index], (x,), backward)

@@ -31,15 +31,28 @@ def test_run_with_invalid_config_exits_2(tmp_path, capsys):
         b"[experiment]\nrounds = 1\nrounds = 2\n",
         b"rounds = 1\n",
         b"[experiment]\nstrategy = \xff\n",
-        b"[output]\nout_dir = runs/100%\n",
     ],
-    ids=["duplicate_section", "duplicate_key", "no_section_header", "not_utf8", "bad_interpolation"],
+    ids=["duplicate_section", "duplicate_key", "no_section_header", "not_utf8"],
 )
 def test_unparsable_config_exits_2_naming_the_file(tmp_path, capsys, text):
     ini = tmp_path / "broken.ini"
     ini.write_bytes(text)
     assert main(["run", "--config", str(ini)]) == 2
     assert f"cannot parse config file {ini}" in capsys.readouterr().err
+
+
+def test_run_with_a_percent_sign_in_the_paths_exits_0(tmp_path, capsys):
+    """"%" is a plain character in config files, both in the one read and in config.echo."""
+    config = ExperimentConfig(
+        rounds=1, scenarios=2, experts=2, d_feat=4, expert_widths=(6, 3), tower_widths=(4,),
+        samples_per_scenario=200, batch_size=32, out_dir=str(tmp_path / "runs" / "100%"),
+    )
+    ini = tmp_path / "percent.ini"
+    config.save(ini)
+    out = tmp_path / "runs" / "50%"
+    assert main(["run", "--config", str(ini), "--out", str(out)]) == 0
+    assert ExperimentConfig.from_ini(ini) == config
+    assert ExperimentConfig.from_ini(out / "config.echo") == config.with_overrides(out_dir=str(out))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -12,19 +12,17 @@ from fedmoe.diffcore import (
     bce,
     BNState,
     block_sum_sq_diff,
-    expert_layer,
     grad_check,
+    hidden_layer,
     mix_experts,
     relu,
     reshape,
-    scale,
-    select,
     sigmoid,
     softmax,
     task_weights,
 )
 from fedmoe.model import ClientModel, ModelSpec
-from reference_ops import elementwise_mul, mix_task, sum_sq_diff
+from reference_ops import elementwise_mul, mix_task, relu_dropout, scale, select, sum_sq_diff
 
 TOL = 1e-4
 
@@ -214,14 +212,14 @@ class TestExpertLayer:
         target = rng.normal(0, 1, keep.shape)
 
         def f():
-            return sum_sq_diff(expert_layer(x, w, b, rate, keep), target)
+            return sum_sq_diff(hidden_layer(x, w, b, rate, keep), target)
 
         assert grad_check(f, [x, w, b], max_coords_per_param=16, rng=np.random.default_rng(19)) < TOL
 
     @pytest.mark.parametrize("shared", [True, False], ids=["shared_x", "stacked_x"])
     def test_no_draw_equals_affine_then_relu(self, shared):
         x, w, b = self.inputs(np.random.default_rng(20), shared)
-        out = expert_layer(x, w, b, 0.5)
+        out = hidden_layer(x, w, b, 0.5)
         for t in range(self.T):
             for n in range(self.N):
                 h = x if shared else select(x, (t, n))
@@ -235,7 +233,7 @@ class TestExpertLayer:
         rng = np.random.default_rng(23)
         x, w, b = self.inputs(rng, shared=True)
         keep = rng.random((self.T, self.N, self.K, self.D_OUT)) >= rate
-        out = expert_layer(x, w, b, rate, keep)
+        out = hidden_layer(x, w, b, rate, keep)
         g = rng.normal(0, 1, out.shape)
         dx, _, _ = out._backward(g)
         gm = g * ((out.data > 0.0) / (1.0 - rate))
@@ -245,9 +243,60 @@ class TestExpertLayer:
     def test_rejects_mismatched_input(self):
         x, w, b = self.inputs(np.random.default_rng(21), shared=False)
         with pytest.raises(ValueError):
-            expert_layer(Tensor(x.data[:, :2]), w, b, 0.0)
+            hidden_layer(Tensor(x.data[:, :2]), w, b, 0.0)
         with pytest.raises(ValueError):
-            expert_layer(x, w, Parameter(np.zeros((self.N, self.D_OUT + 1)), "b"), 0.0)
+            hidden_layer(x, w, Parameter(np.zeros((self.N, self.D_OUT + 1)), "b"), 0.0)
+
+
+class TestTowerLayer:
+    """``hidden_layer`` on tower-shaped maps: w (T, d_in, d_out), b (T, d_out), x (T, K, d_in)."""
+
+    T, K, D_IN, D_OUT = 3, 5, 4, 2
+
+    def inputs(self, rng):
+        x = Parameter(rng.normal(0, 1, (self.T, self.K, self.D_IN)), "x")
+        w = Parameter(rng.normal(0, 1, (self.T, self.D_IN, self.D_OUT)), "w")
+        b = Parameter(rng.normal(0, 0.5, (self.T, self.D_OUT)), "b")
+        return x, w, b
+
+    @pytest.mark.parametrize("rate", [0.0, 0.5])
+    def test_grad_check(self, rate):
+        rng = np.random.default_rng(28)
+        x, w, b = self.inputs(rng)
+        keep = rng.random((self.T, self.K, self.D_OUT)) >= rate
+        target = rng.normal(0, 1, keep.shape)
+
+        def f():
+            return sum_sq_diff(hidden_layer(x, w, b, rate, keep), target)
+
+        assert grad_check(f, [x, w, b], rng=np.random.default_rng(29)) < TOL
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_matches_affine_then_relu_dropout_per_task_bitwise(self, rate):
+        """Values and x, w, b grads equal one affine and relu_dropout per task
+        on its slices, with each task's dropout mask."""
+        rng = np.random.default_rng(30)
+        x, w, b = self.inputs(rng)
+        keep = rng.random((self.T, self.K, self.D_OUT)) >= rate
+        out = hidden_layer(x, w, b, rate, keep)
+        g = rng.normal(0, 1, out.shape)
+        dx, dw, db = out._backward(g)
+        for t in range(self.T):
+            pre = affine(select(x, t), select(w, t), select(b, t))
+            one = relu_dropout(pre, rate, keep[t])
+            assert out.data[t].tobytes() == one.data.tobytes()
+            (gm,) = one._backward(g[t])
+            gx, gw, gb = pre._backward(gm)
+            assert (dx[t].tobytes(), dw[t].tobytes(), db[t].tobytes()) == (gx.tobytes(), gw.tobytes(), gb.tobytes())
+
+    def test_rejects_mismatched_maps(self):
+        x, w, b = self.inputs(np.random.default_rng(31))
+        with pytest.raises(ValueError):
+            hidden_layer(Tensor(x.data[:2]), w, b, 0.0)  # two tasks' inputs for three maps
+        with pytest.raises(ValueError):
+            hidden_layer(x, w, Parameter(np.zeros(self.D_OUT), "b"), 0.0)  # one bias for three maps
+        with pytest.raises(ValueError):
+            hidden_layer(x, w, Parameter(np.zeros((self.T, self.D_OUT)), "b"), 0.0, np.ones((self.T, self.K, 1), dtype=bool))
 
 
 class TestStackedAffine:

@@ -8,10 +8,10 @@ import pytest
 
 from fedmoe.config import ExperimentConfig
 from fedmoe.data import DataError, RecordSet, ScenarioShard, SyntheticSpec, generate_synthetic
-from fedmoe.diffcore import Adam, Tensor, affine, batchnorm, no_grad, relu, reshape, select, sigmoid, softmax, task_weights
+from fedmoe.diffcore import Adam, Tensor, affine, batchnorm, bce, no_grad, relu, reshape, sigmoid, softmax, task_weights
 from fedmoe.federation.client import ClientSim
 from fedmoe.model import EXPERT_PARTS, TEMPLATE_PARTS, ClientModel, ModelSpec
-from reference_ops import mix_task
+from reference_ops import mix_task, select
 
 
 def make_model(**kwargs):
@@ -109,7 +109,8 @@ class TestClientForward:
         xhat = batchnorm(Tensor(x), model.bn_in, train=True)
         h = expert_path(model, xhat, task=0, expert=0)
         expected = tower_path(model, h, task=0)
-        assert np.array_equal(preds[0].data, expected.data)
+        assert preds.shape == (2, 6)
+        assert np.array_equal(preds.data[0], expected.data)
 
     def test_forward_matches_the_per_path_reference(self):
         model = make_model(n_experts=3, n_tasks=3, tower_widths=(4, 2))
@@ -119,7 +120,7 @@ class TestClientForward:
         for t in range(3):
             paths = [expert_path(model, xhat, t, k).data for k in range(3)]
             mixed = mix_task(gate_probs(model, xhat, t), Tensor(np.stack(paths)))
-            assert preds[t].data.tobytes() == tower_path(model, mixed, t).data.tobytes()
+            assert preds.data[t].tobytes() == tower_path(model, mixed, t).data.tobytes()
 
     def test_dropout_forward_matches_a_reference_drawing_path_by_path(self):
         """The per-path forward drew each mask in turn: for each task, each
@@ -148,7 +149,7 @@ class TestClientForward:
             for layer in hidden:
                 h = drop(h, layer["w"].data[t], layer["b"].data[t])
             expected = sigmoid(affine(Tensor(h), select(head["w"], t), select(head["b"], t))).data.reshape(-1)
-            assert preds[t].data.tobytes() == expected.tobytes()
+            assert preds.data[t].tobytes() == expected.tobytes()
         assert rng.bit_generator.state == model.rng.bit_generator.state
 
     def test_cloned_experts_ignore_gate_weights(self):
@@ -158,20 +159,19 @@ class TestClientForward:
                 p.data[1:] = p.data[0]
         x = np.random.default_rng(3).normal(0, 1, (5, 4))
         with no_grad():
-            before = [p.data.copy() for p in model.forward(x)]
+            before = model.forward(x).data.copy()
             model.gate["w"].data[0] = np.random.default_rng(4).normal(0, 3, (4, 3))
             model.gate["b"].data[1] = 7.0
-            after = [p.data.copy() for p in model.forward(x)]
-        for a, b in zip(before, after):
-            assert np.allclose(a, b, atol=1e-12)
+            after = model.forward(x).data.copy()
+        assert np.allclose(before, after, atol=1e-12)
 
     def test_outputs_are_probabilities(self):
         model = make_model()
         x = np.random.default_rng(5).normal(0, 3, (1000, 4))
         with no_grad():
             preds = model.forward(x)
-        for p in preds:
-            assert ((p.data > 0.0) & (p.data < 1.0)).all()
+        assert preds.shape == (2, 1000)
+        assert ((preds.data > 0.0) & (preds.data < 1.0)).all()
 
     def test_gate_outputs_are_simplex_rows(self):
         model = make_model(n_experts=4)
@@ -225,16 +225,16 @@ class TestTapeMemory:
         assert {id(p) for p in model.parameters()} <= {id(leaf) for leaf in leaves}
         assert all(p.grad.any() for p in model.parameters())
 
-    def test_default_train_step_runs_23_ops(self):
+    def test_default_train_step_runs_16_ops(self):
         """One node per op for all tasks: batch norm, per expert layer a
-        task_weights and an expert_layer node, the gates' affine and softmax,
-        the mix, per tower layer an affine (and a relu_dropout below the
-        head), sigmoid, reshape, then per task a select and a BCE, and the
-        loss sum with the proximal term (block_sum_sq_diff, scale, add_n)."""
+        task_weights and a hidden_layer node, the gates' affine and softmax,
+        the mix, a hidden_layer node per hidden tower layer, the head's
+        affine, sigmoid and reshape, one BCE over every task, and the loss
+        sum with the proximal term (block_sum_sq_diff, add_n)."""
         model, step = self.default_step()
         nodes = tape_nodes(step())
         ops = [node for node in nodes if node._backward is not None]
-        assert len(ops) == 1 + 2 * 2 + 2 + 1 + (2 * 2 + 1) + 2 + 2 * 2 + 4 == 23
+        assert len(ops) == 1 + 2 * 2 + 2 + 1 + 2 + 3 + 1 + 2 == 16
         assert len(nodes) - len(ops) == len(model.parameters()) + 1 == 26  # leaves: parameters and the batch
 
     def test_default_train_pass_peaks_under_three_mb(self):
@@ -303,7 +303,9 @@ class TestLocalLoss:
         rng = np.random.default_rng(7)
         x = rng.normal(0, 1, (8, 4))
         y = (rng.random((8, 2)) < 0.5).astype(float)
-        loss, per_task = model.local_loss(x, y, lam=0.0)
+        loss, probs = model.local_loss(x, y, lam=0.0)
+        assert probs.shape == (2, 8)
+        per_task = [bce(Tensor(probs.data[t]), y[:, t]).item() for t in range(2)]
         assert loss.item() == pytest.approx(sum(per_task), rel=1e-12)
 
     def test_matching_refs_zero_regularizer(self):

@@ -3,6 +3,7 @@ import pytest
 
 from fedmoe.config import ExperimentConfig
 from fedmoe.data import SyntheticSpec, generate_synthetic
+from fedmoe.diffcore import Tensor, bce
 from fedmoe.federation.client import ClientSim
 from fedmoe.federation.server import FederationServer, ServerDirective, resolve_strategy, upload_keys
 from fedmoe.harness import build_clients, run_experiment
@@ -387,7 +388,8 @@ class TestProximalRule:
 
     def penalty(self, client):
         x, y = client.held_out
-        loss, per_task = client.model.local_loss(x, y, refs=client.refs, lam=client.lam, use_dropout=False)
+        loss, probs = client.model.local_loss(x, y, refs=client.refs, lam=client.lam, use_dropout=False)
+        per_task = [bce(Tensor(probs.data[t]), y[:, t]).item() for t in range(probs.shape[0])]
         return loss.item() - sum(per_task)
 
     def test_main_client_before_round_one_has_no_pull(self):

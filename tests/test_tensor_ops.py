@@ -1,10 +1,14 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fedmoe
+from fedmoe.diffcore import ops
 from fedmoe.diffcore import (
     GraphError,
     Parameter,
@@ -13,13 +17,13 @@ from fedmoe.diffcore import (
     add_n,
     affine,
     bce,
+    hidden_layer,
     no_grad,
     relu,
-    relu_dropout,
     sigmoid,
     softmax,
 )
-from reference_ops import elementwise_mul, sum_sq_diff
+from reference_ops import elementwise_mul, select, sum_sq_diff
 
 
 class TestAffine:
@@ -155,34 +159,61 @@ def float_mask_reference(x, g, rate, keep):
     return out * mask, g * mask
 
 
+UNIT_MAP = np.ones((1, 1, 1))  # one task's 1x1 identity weight
+
+
+def column_layer(values, rate, keep=None):
+    """``hidden_layer`` on one task's (K, 1) column of ``values`` through the
+    1x1 identity map with bias -0.0, and its pre-activation, whose bytes are
+    those of ``values`` except that a -0.0 turns into 0.0 in the product."""
+    x = Tensor(np.reshape(values, (1, -1, 1)))
+    b = Tensor(np.full((1, 1), -0.0))
+    keep = None if keep is None else np.reshape(keep, x.shape)
+    pre = np.matmul(x.data, UNIT_MAP)
+    pre += b.data[:, None, :]
+    return hidden_layer(x, Tensor(UNIT_MAP), b, rate, keep), pre
+
+
+def input_grad(layer, g):
+    """The layer input's gradient for an upstream gradient of ``g``'s values."""
+    return layer._backward(np.reshape(g, layer.shape))[0]
+
+
+def through_unit_map(gm):
+    """The input gradient that a masked gradient ``gm`` gives through the unit map."""
+    return np.matmul(np.reshape(gm, (1, -1, 1)), UNIT_MAP)
+
+
 class TestDropout:
-    """Inverted dropout as ``relu_dropout`` applies it after the ReLU."""
+    """Inverted dropout as the fused ``hidden_layer`` applies it after the ReLU."""
 
     def test_rate_zero_identity(self):
-        x = Tensor([1.0, -2.0, 0.5])
-        out = relu_dropout(x, 0.0, np.random.default_rng(0).random(3) >= 0.0)
-        assert out.data.tobytes() == relu(x).data.tobytes()
+        x = np.array([1.0, -2.0, 0.5])
+        out, pre = column_layer(x, 0.0, np.random.default_rng(0).random(3) >= 0.0)
+        assert out.data.tobytes() == relu(Tensor(pre)).data.tobytes()
 
     def test_eval_identity(self):
         x = np.array([1.0, -2.0, 0.0, -0.0, np.nan])
         g = np.array([1.0, -1.0, -1.0, 1.0, 2.0])
-        fused, plain = relu_dropout(Tensor(x), 0.9), relu(Tensor(x))
+        fused, pre = column_layer(x, 0.9)
+        plain = relu(Tensor(pre))
         assert fused.data.tobytes() == plain.data.tobytes()
-        assert fused._backward(g)[0].tobytes() == plain._backward(g)[0].tobytes()
+        plain_gx = through_unit_map(plain._backward(g.reshape(plain.shape))[0])
+        assert input_grad(fused, g).tobytes() == plain_gx.tobytes()
 
     def test_survivor_scaling_mean(self):
         keep = np.random.default_rng(123).random(10**6) >= 0.2
-        out = relu_dropout(Tensor(np.ones(10**6)), 0.2, keep)
+        out, _ = column_layer(np.ones(10**6), 0.2, keep)
         assert 0.995 <= out.data.mean() <= 1.005
 
     def test_rate_out_of_range(self):
         with pytest.raises(ValueError):
-            relu_dropout(Tensor([1.0]), 1.0, np.ones(1, dtype=bool))
+            column_layer(np.array([1.0]), 1.0, np.ones(1, dtype=bool))
 
     def test_deterministic_under_seed(self):
-        a = relu_dropout(Tensor(np.ones(64)), 0.5, np.random.default_rng(9).random(64) >= 0.5).data
-        b = relu_dropout(Tensor(np.ones(64)), 0.5, np.random.default_rng(9).random(64) >= 0.5).data
-        assert np.array_equal(a, b)
+        a, _ = column_layer(np.ones(64), 0.5, np.random.default_rng(9).random(64) >= 0.5)
+        b, _ = column_layer(np.ones(64), 0.5, np.random.default_rng(9).random(64) >= 0.5)
+        assert np.array_equal(a.data, b.data)
 
     def test_bytes_match_relu_times_dropout_mask(self):
         rate = 0.5
@@ -190,9 +221,10 @@ class TestDropout:
         keep = np.array([0.9, 0.1, 0.9, 0.1, 0.9, 0.1, 0.9, 0.1, 0.9]) >= rate
         g = np.array([-3.0, -3.0, -3.0, 3.0, -3.0, 3.0, -3.0, 3.0, 1.0])
         scaled = keep / (1.0 - rate)
-        out = relu_dropout(Tensor(x), rate, keep)
-        assert out.data.tobytes() == (np.maximum(x, 0.0) * scaled).tobytes()
-        assert out._backward(g)[0].tobytes() == (g * scaled * (x > 0.0)).tobytes()
+        out, pre = column_layer(x, rate, keep)
+        pre = pre.reshape(-1)
+        assert out.data.tobytes() == (np.maximum(pre, 0.0) * scaled).reshape(out.shape).tobytes()
+        assert input_grad(out, g).tobytes() == through_unit_map(g * scaled * (pre > 0.0)).tobytes()
 
     @pytest.mark.parametrize("rate", [0.0, 0.2, 0.3, 0.5, 0.7])
     def test_bool_mask_bytes_equal_the_float_mask_reference(self, rate):
@@ -202,18 +234,19 @@ class TestDropout:
         keep = np.tile([True, False], values.size // 2)  # each edge value kept and dropped
         g = np.concatenate([np.tile([3.0, -3.0, 0.0, -0.0, np.nan], 4), np.random.default_rng(2).normal(0, 1e3, 500)])
         with np.errstate(invalid="ignore"):  # inf * 0 on the dropped infinities
-            out = relu_dropout(Tensor(values), rate, keep)
-            ref_out, ref_grad = float_mask_reference(values, g, rate, keep)
-            assert out.data.tobytes() == ref_out.tobytes()
-            assert out._backward(g)[0].tobytes() == ref_grad.tobytes()
+            out, pre = column_layer(values, rate, keep)
+            ref_out, ref_grad = float_mask_reference(pre.reshape(-1), g, rate, keep)
+            assert out.data.tobytes() == ref_out.reshape(out.shape).tobytes()
+            assert input_grad(out, g).tobytes() == through_unit_map(ref_grad).tobytes()
 
     def test_draw_shape_checked(self):
+        x, w, b = Tensor(np.ones((1, 4, 1))), Tensor(UNIT_MAP), Tensor(np.zeros((1, 1)))
         with pytest.raises(ShapeMismatchError):
-            relu_dropout(Tensor(np.ones(4)), 0.5, np.ones(3, dtype=bool))
+            hidden_layer(x, w, b, 0.5, np.ones((1, 3, 1), dtype=bool))
 
     def test_keep_mask_must_be_bool(self):
         with pytest.raises(ShapeMismatchError, match="bool"):
-            relu_dropout(Tensor(np.ones(4)), 0.5, np.random.default_rng(0).random(4))
+            column_layer(np.ones(4), 0.5, np.random.default_rng(0).random(4))
 
 
 class TestBce:
@@ -238,6 +271,31 @@ class TestBce:
     def test_clamp_blocks_infinite_loss(self):
         loss = bce(Tensor([0.0, 1.0]), np.array([1.0, 0.0]))
         assert np.isfinite(loss.item())
+
+    @pytest.mark.parametrize("k", [2, 127, 256, 1000])
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_stacked_labels_equal_one_call_per_task_bitwise(self, t, k):
+        """T tasks' (T, K) labels, given as the transpose of a (K, T) label
+        batch, score like one call per task summed by add_n: value and
+        gradient byte for byte, clamped rails included."""
+        rng = np.random.default_rng(100 * t + k)
+        probs = rng.random((t, k))
+        rails = np.array([0.0, 1.0, 1e-9, 1.0 - 1e-9])[: probs.size]  # on and past the clamp rails
+        probs.reshape(-1)[: rails.size] = rails
+        labels = (rng.random((k, t)) < 0.4).astype(float)
+        assert t == 1 or not labels.T.flags.c_contiguous
+        p = Parameter(probs, "p")
+        stacked = bce(p, labels.T)
+        stacked.backward()
+        ref_p = Parameter(probs.copy(), "ref_p")
+        reference = add_n([bce(select(ref_p, i), labels[:, i]) for i in range(t)])
+        reference.backward()
+        assert stacked.data.tobytes() == reference.data.tobytes()
+        assert p.grad.tobytes() == ref_p.grad.tobytes()
+
+    def test_stacked_shape_mismatch(self):
+        with pytest.raises(ShapeMismatchError):
+            bce(Tensor(np.full((2, 3), 0.5)), np.ones((2, 4)))
 
 
 class TestEngine:
@@ -284,3 +342,23 @@ class TestEngine:
             return relu(t).data
 
         assert np.array_equal(run(), run())
+
+
+def called_names(path: Path) -> set[str]:
+    """Names that the calls in a Python file call, as ``f(...)`` or ``m.f(...)``."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            names.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+    return names
+
+
+def test_every_exported_op_is_called_by_the_package():
+    """The library holds only ops the package runs; test-only ops live in
+    reference_ops. ops.py itself and the __init__ re-exports do not count."""
+    package = Path(fedmoe.__file__).parent
+    own = Path(ops.__file__).resolve()
+    callers = [p for p in package.rglob("*.py") if p.name != "__init__.py" and p.resolve() != own]
+    called = set().union(*(called_names(p) for p in callers))
+    assert set(ops.__all__) - called == set()
