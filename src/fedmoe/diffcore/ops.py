@@ -298,24 +298,26 @@ def mix_experts(gates: Tensor, experts: Tensor) -> Tensor:
     return Tensor(out, (gates, experts), backward)
 
 
-def block_sum_sq_diff(params: Sequence[Tensor], refs: Sequence[Sequence[np.ndarray]], lam: float = 1.0) -> Tensor:
+def block_sum_sq_diff(params: Sequence[Tensor], refs: Sequence[np.ndarray], lam: float = 1.0) -> Tensor:
     """``lam`` times the squared L2 distance of stacked blocks to constant references, in one node.
 
-    ``params[j]`` stacks N blocks along axis 0 and ``refs[j][k]`` is the
-    reference for block k of it. Each block's ``np.sum(d * d)`` of its
+    ``params[j]`` stacks N blocks along axis 0 and ``refs[j]`` is its
+    reference: any array that broadcasts to ``params[j]``'s shape, such as
+    one reference per block stacked the same way, or one block-shaped
+    reference that every block shares. Each block's ``np.sum(d * d)`` of its
     difference d is added to one running float for k = 0..N-1 and, within
     each k, for j in order: the float that summing the unstacked blocks'
     squared distances one by one, in that order, produces. That total is
     multiplied by ``lam`` last, and the gradient is ``2 * lam * d``.
     """
     if len(params) != len(refs):
-        raise ShapeMismatchError(f"{len(params)} stacked tensors but {len(refs)} reference lists")
+        raise ShapeMismatchError(f"{len(params)} stacked tensors but {len(refs)} references")
     lam = float(lam)
     diffs = []
-    for p, blocks in zip(params, refs):
-        ref = np.asarray(blocks, dtype=np.float64)
-        if ref.shape != p.shape:
-            raise ShapeMismatchError(f"block_sum_sq_diff shapes disagree: {p.shape} vs {ref.shape}")
+    for p, ref in zip(params, refs):
+        ref = np.asarray(ref, dtype=np.float64)
+        if ref.ndim > p.ndim or any(r not in (1, n) for r, n in zip(ref.shape[::-1], p.shape[::-1])):
+            raise ShapeMismatchError(f"block_sum_sq_diff reference {ref.shape} does not broadcast to {p.shape}")
         diffs.append(p.data - ref)
     total = 0.0
     for k in range(len(diffs[0]) if diffs else 0):

@@ -9,15 +9,16 @@ never gradients or data. After the server round it either replaces a tensor
 
     value = round_start + mean_increment + psi * coordinated_update,
 
-where psi is a per-key scalar learned by a one-step directional
-meta-gradient on a reserved held-out batch: psi falls when the local loss
-rises along the coordinated direction, and is clamped to [-2, 2].
+with one increment and one update per coordination pool, and psi a scalar
+per slot (an expert's layer, a task's tower) learned by a one-step
+directional meta-gradient on a reserved held-out batch: psi falls when the
+local loss rises along the coordinated direction, and is clamped to [-2, 2].
 
-The proximal references are kept per round: ``apply_directive`` stacks the
-server's scenario-weight aggregates into one (N, d_in, d_out) array per
-expert layer, which every training step of the next round reuses. They are
-None, and training adds no proximal pull, until an aggregate carries
-scenario weights; under ``a4`` and ``local`` none ever does.
+The proximal references are kept per round: ``apply_directive`` takes the
+server's reference per expert layer as is, one pool mean that every expert
+shares or a stack of per-expert means, and every training step of the next
+round reuses it. They are None, and training adds no proximal pull, until
+an aggregate carries scenario weights; under ``a4`` and ``local`` none does.
 """
 
 from __future__ import annotations
@@ -41,26 +42,22 @@ PSI_CLAMP = 2.0
 
 @dataclass
 class PersonalizationState:
-    """Per-key mixing scalars, zero-initialized, clamped to [-2, 2]."""
+    """Mixing scalars per slot, zero-initialized, clamped to [-2, 2]."""
 
     eta: float = 0.01
-    expert: dict[SharedKey, float] = field(default_factory=dict)
-    tower: dict[int, float] = field(default_factory=dict)
+    values: dict[tuple, float] = field(default_factory=dict)
+
+    @staticmethod
+    def slot(key: SharedKey) -> tuple:
+        """A scenario weight's (expert, layer); every tensor of a task's tower shares the task."""
+        return (key.kind, key.index) if key.kind == "tower" else (key.kind, key.index, key.layer)
 
     def for_key(self, key: SharedKey) -> float:
-        if key.kind == "expert_scenario":
-            return self.expert.get(key, 0.0)
-        if key.kind == "tower":
-            return self.tower.get(key.index, 0.0)
-        return 0.0
+        return self.values.get(self.slot(key), 0.0)
 
-    def nudge_expert(self, key: SharedKey, directional: float) -> None:
-        value = self.expert.get(key, 0.0) - self.eta * directional
-        self.expert[key] = float(np.clip(value, -PSI_CLAMP, PSI_CLAMP))
-
-    def nudge_tower(self, task: int, directional: float) -> None:
-        value = self.tower.get(task, 0.0) - self.eta * directional
-        self.tower[task] = float(np.clip(value, -PSI_CLAMP, PSI_CLAMP))
+    def nudge(self, slot: tuple, directional: float) -> None:
+        value = self.values.get(slot, 0.0) - self.eta * directional
+        self.values[slot] = float(np.clip(value, -PSI_CLAMP, PSI_CLAMP))
 
 
 class ClientSim:
@@ -84,7 +81,7 @@ class ClientSim:
         self.batch_size = int(batch_size)
         self.seed = int(seed)
         self.optimizer = Adam(model.parameters(), lr=lr)
-        self.refs: Optional[list[np.ndarray]] = None
+        self.refs: Optional[list[np.ndarray]] = None  # per expert layer, shared with the directive
         self.psi = PersonalizationState(eta=eta_psi)
         self.round_start: dict[SharedKey, np.ndarray] = {}
         if len(shard.train) < 2:
@@ -137,35 +134,30 @@ class ClientSim:
         key_map = self.model.key_map()
         for key, value in directive.replace.items():
             key_map[key].data[...] = value
-        for key, increment in directive.mean_increment.items():
+        for key, param in key_map.items():
+            group = key.group()
+            if group not in directive.mean_increment:
+                continue
             if key not in self.round_start:
-                raise KeyError(f"no round-start snapshot for {key}")
+                raise KeyError(f"no round-start snapshot for {key.label()} of coordination pool {group}")
             psi = self.psi.for_key(key)
-            key_map[key].data[...] = self.round_start[key] + increment + psi * directive.coordinated[key]
-        self.refs = None
-        if any(key.kind == "expert_scenario" for key in directive.refs):
-            experts = range(self.model.spec.n_experts)
-            self.refs = [
-                np.stack([directive.refs[SharedKey("expert_scenario", k, li, "w_s")] for k in experts])
-                for li in range(len(self.model.expert_layers))
-            ]
+            param.data[...] = self.round_start[key] + directive.mean_increment[group] + psi * directive.coordinated[group]
+        layers = sorted({key.group() for key in self.model.scenario_shared()})
+        self.refs = [directive.refs[g] for g in layers] if layers[0] in directive.refs else None
 
     def meta_update_psi(self, directive: ServerDirective) -> None:
-        """One directional meta-gradient step per coordinated key."""
+        """One directional meta-gradient step per psi slot, along its keys' coordinated updates."""
         if not directive.coordinated:
             return
-        grads = self._held_out_grads(directive)
-        tower_dots: dict[int, float] = {}
-        for key, u_star in sorted(directive.coordinated.items()):
-            dot = float(np.sum(grads[key] * u_star))
-            if key.kind == "expert_scenario":
-                self.psi.nudge_expert(key, dot)
-            elif key.kind == "tower":
-                tower_dots[key.index] = tower_dots.get(key.index, 0.0) + dot
-        for task in sorted(tower_dots):
-            self.psi.nudge_tower(task, tower_dots[task])
+        dots: dict[tuple, float] = {}
+        for key, grad in sorted(self._held_out_grads(directive).items()):
+            slot = self.psi.slot(key)
+            dots[slot] = dots.get(slot, 0.0) + float(np.sum(grad * directive.coordinated[key.group()]))
+        for slot, dot in dots.items():
+            self.psi.nudge(slot, dot)
 
     def _held_out_grads(self, directive: ServerDirective) -> dict[SharedKey, np.ndarray]:
+        """Held-out loss gradients of every key in a coordinated pool."""
         model = self.model
         key_map = model.key_map()
         x, y = self.held_out
@@ -178,7 +170,7 @@ class ClientSim:
             # Without dropout the directional derivative is noise-free.
             loss, _ = model.local_loss(x, y, refs=self.refs, lam=self.lam, use_dropout=False)
             loss.backward()
-            return {key: key_map[key].grad.copy() for key in directive.coordinated}
+            return {key: p.grad.copy() for key, p in key_map.items() if key.group() in directive.coordinated}
         finally:
             model.zero_grad()
             model.bn_in.running_mean[...] = saved_rm

@@ -14,9 +14,10 @@ Strategy table (expert scenario-weight set / tower set):
 "coordinated" means: normalize each pool's uploads server-side as one
 batch, stacked in (client, key) order, average them, difference the stack
 against the previous round's, solve the simplex weighting over its rows,
-and ship the mean increment plus the coordinated update for personalized
-application on each client. "plain" is the per-key mean over
-clients. The server sees nothing but keyed tensors.
+and ship one mean increment plus one coordinated update per pool, keyed by
+``SharedKey.group()``, for personalized application to every key of the
+pool on each client. "plain" is the per-key mean over clients. The server
+sees nothing but keyed tensors.
 
 The aggregated scenario weights are also each client's proximal references
 for the next round. A strategy that does not aggregate them (``a4``,
@@ -30,7 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .coordination import CoordinationResult, compose_coordinated_update, solve_conflict_weights
+from .coordination import compose_coordinated_update, solve_conflict_weights
 from .fedbn import fed_average, fedbn_normalize
 from ..keys import SharedKey
 
@@ -61,8 +62,14 @@ class StrategyPlan:
     widen_all_local: bool = False
 
     @property
+    def coordinated_kinds(self) -> frozenset[str]:
+        """Key kinds sent through normalization and the coordination solve."""
+        modes = {"expert_scenario": self.expert_mode, "tower": self.tower_mode}
+        return frozenset(kind for kind, mode in modes.items() if mode == COORDINATED)
+
+    @property
     def uses_fedbn(self) -> bool:
-        return COORDINATED in (self.expert_mode, self.tower_mode)
+        return bool(self.coordinated_kinds)
 
     @property
     def uses_server(self) -> bool:
@@ -100,16 +107,20 @@ def upload_keys(plan: StrategyPlan, model) -> list[SharedKey]:
 
 @dataclass
 class ServerDirective:
-    """Broadcast payload: identical for every client; personalization is local."""
+    """Broadcast payload: identical for every client; personalization is local.
+
+    ``replace`` is keyed by SharedKey, the rest by pool (``SharedKey.group()``):
+    each coordinated pool's mean increment and coordinated update (from round
+    2) and its normalized mean (``refs``); a plain-averaged expert layer's
+    ``refs`` entry stacks its N per-expert means to (N, d_in, d_out).
+    """
 
     round_index: int
-    strategy: str
     replace: dict[SharedKey, np.ndarray] = field(default_factory=dict)
-    mean_increment: dict[SharedKey, np.ndarray] = field(default_factory=dict)
-    coordinated: dict[SharedKey, np.ndarray] = field(default_factory=dict)
-    refs: dict[SharedKey, np.ndarray] = field(default_factory=dict)
+    mean_increment: dict[tuple, np.ndarray] = field(default_factory=dict)
+    coordinated: dict[tuple, np.ndarray] = field(default_factory=dict)
+    refs: dict[tuple, np.ndarray] = field(default_factory=dict)
     fedbn_residual: float = 0.0
-    coordination: dict[tuple, CoordinationResult] = field(default_factory=dict)
 
 
 class FederationServer:
@@ -128,16 +139,6 @@ class FederationServer:
         self.audit_hook = audit_hook
         self.prev_normalized: dict[tuple, PoolStack] = {}
         self.last_snapshot_entries: dict[str, np.ndarray] = {}
-
-    # -- key bookkeeping ----------------------------------------------------------
-
-    def _coordinated_kinds(self) -> set[str]:
-        kinds = set()
-        if self.plan.expert_mode == COORDINATED:
-            kinds.add("expert_scenario")
-        if self.plan.tower_mode == COORDINATED:
-            kinds.add("tower")
-        return kinds
 
     # -- aggregation --------------------------------------------------------------
 
@@ -159,23 +160,26 @@ class FederationServer:
                 if self.audit_hook is not None:
                     self.audit_hook(j, key, uploads[j][key])
 
-        directive = ServerDirective(round_index=round_index, strategy=self.plan.name)
-        coordinated_kinds = self._coordinated_kinds()
+        directive = ServerDirective(round_index=round_index)
         pools: dict[tuple, list[SharedKey]] = {}
+        expert_means: dict[tuple, list[np.ndarray]] = {}
+        coordinated_kinds = self.plan.coordinated_kinds
         for key in key_set:
             if key.kind in coordinated_kinds:
                 pools.setdefault(key.group(), []).append(key)
-            else:
-                value = fed_average([uploads[j][key] for j in clients])
-                directive.replace[key] = value
-                directive.refs[key] = value
+                continue
+            directive.replace[key] = fed_average([uploads[j][key] for j in clients])
+            if key.kind == "expert_scenario":  # sorted keys list a layer's experts in index order
+                expert_means.setdefault(key.group(), []).append(directive.replace[key])
+        for group, means in expert_means.items():
+            directive.refs[group] = np.stack(means)
 
         normalized = {
             group: self._coordinate_pool(group, keys, uploads, clients, directive)
             for group, keys in sorted(pools.items())
         }
         self.prev_normalized = normalized
-        self.last_snapshot_entries = self._snapshot_entries(directive, normalized)
+        self.last_snapshot_entries = self._snapshot_entries(directive, pools, normalized)
         return directive
 
     def _coordinate_pool(
@@ -197,8 +201,7 @@ class FederationServer:
         normalized, state = fedbn_normalize([uploads[j][key] for j, key in rows], gammas, betas)
         wbar = normalized.mean(axis=0)
         directive.fedbn_residual = max(directive.fedbn_residual, float(np.abs(wbar - state.beta).max()))
-        for key in keys:
-            directive.refs[key] = wbar
+        directive.refs[group] = wbar
 
         if directive.round_index < 2 or not self.prev_normalized:  # no history: set, do not increment
             for key in keys:
@@ -213,28 +216,26 @@ class FederationServer:
         deltas = normalized - previous
         mean_delta = deltas.mean(axis=0)
         result = solve_conflict_weights(deltas, mean_delta, self.c)
-        u_star = compose_coordinated_update(result).reshape(mean_delta.shape)
-        directive.coordination[group] = result
-        for key in keys:
-            directive.mean_increment[key] = mean_delta
-            directive.coordinated[key] = u_star
+        directive.mean_increment[group] = mean_delta
+        directive.coordinated[group] = compose_coordinated_update(result).reshape(mean_delta.shape)
         return rows, normalized
 
     # -- persistence --------------------------------------------------------------
 
     def _snapshot_entries(
-        self, directive: ServerDirective, normalized: dict[tuple, PoolStack]
+        self, directive: ServerDirective, pools: dict[tuple, list[SharedKey]], normalized: dict[tuple, PoolStack]
     ) -> dict[str, np.ndarray]:
+        """Per-key entries: a pool's reference, increment and update are written under each of its keys."""
         entries: dict[str, np.ndarray] = {}
-        for rows, stacked in normalized.values():
-            for (client, key), arr in zip(rows, stacked):
-                entries[f"norm/{key.label()}/c{client}"] = arr
-        for key, arr in directive.refs.items():
-            entries[f"ref/{key.label()}"] = arr
         for key, arr in directive.replace.items():
             entries[f"set/{key.label()}"] = arr
-        for key, arr in directive.mean_increment.items():
-            entries[f"dmean/{key.label()}"] = arr
-        for key, arr in directive.coordinated.items():
-            entries[f"ustar/{key.label()}"] = arr
+            entries[f"ref/{key.label()}"] = arr
+        for group, (rows, stacked) in normalized.items():
+            for (client, key), arr in zip(rows, stacked):
+                entries[f"norm/{key.label()}/c{client}"] = arr
+            for key in pools[group]:
+                entries[f"ref/{key.label()}"] = directive.refs[group]
+                if group in directive.mean_increment:
+                    entries[f"dmean/{key.label()}"] = directive.mean_increment[group]
+                    entries[f"ustar/{key.label()}"] = directive.coordinated[group]
         return entries

@@ -345,10 +345,11 @@ class ClientModel:
         """Train-mode multi-task BCE plus the proximal pull of the scenario
         weights toward the latest aggregates; also the (T, K) probabilities.
 
-        ``refs[l]`` is the (N, d_in, d_out) reference stack for expert layer
-        l's ``w_s``. No reference means no pull, as in FedProx: None (before
-        the first aggregate, and always under strategies that never
-        aggregate the scenario weights) adds no penalty.
+        ``refs[l]`` is expert layer l's ``w_s`` reference: an (N, d_in, d_out)
+        stack, or one (d_in, d_out) array every expert shares. No reference
+        means no pull, as in FedProx: None (before the first aggregate, and
+        always under strategies that never aggregate the scenario weights)
+        adds no penalty.
         """
         y = np.asarray(y, dtype=np.float64)
         if y.ndim != 2 or y.shape[1] != self.spec.n_tasks:

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -23,6 +24,49 @@ def small_config(**overrides) -> ExperimentConfig:
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+# sha256 of each output file of a small_config run, per strategy. Recorded
+# with numpy's bundled OpenBLAS on x86-64, identical at 1 and 2 BLAS threads.
+# A change that keeps the outputs byte-identical leaves these as they are; a
+# deliberate re-baseline replaces them and says why in CHANGES.md.
+PINNED_SHA256 = {
+    "main": {
+        "metrics.csv": "601fcc8def69bd3686ea3b0d1f01ebb450444f55690a18c0110ca40d733bfe07",
+        "convergence.csv": "4bf5c6ff311dec354d3c5210b65084ccc2f9c5f116056cdd2ccdd06a016b9308",
+        "snapshots/round_1.bin": "0dc4d13f542fd63bc31b3194f1475580cff1c783dccd92bc7157db01649a19ea",
+        "snapshots/round_2.bin": "938ffcd704f86c125e1ed5a018747f22ebfb3659c791e0b78c7cebb6235b4d69",
+        "snapshots/round_3.bin": "79460f155454449b2a2a4b976be8bdb1d37d6b8e90a28e2ff049fdb5b884d561",
+    },
+    "a1": {
+        "metrics.csv": "099efd7bc10d3478333f35ee2d998c0b564946b9aebec96f20ff350e91cfdc70",
+        "convergence.csv": "ca264edc73d4de796a5dd6f8f5ad3de9891d96632d253ede166fa456d0dada7b",
+        "snapshots/round_1.bin": "02c60350ee970c16ffbee9ad7b163572da0fe9cb15ca66b7672137fc9ebd10e0",
+        "snapshots/round_2.bin": "8da1925ef06069fdf296ebf3ce0ec6f2c4e96916f64e5aae4a7a22035133605e",
+        "snapshots/round_3.bin": "bfc46b382b476cee6f7e805c137a814152b1dcb99160b3ca28027b0c751fd2b7",
+    },
+    "a2": {
+        "metrics.csv": "da1c35bec3b2f71816af35fb8f8fd292a852f2aee1031ea1f22900076728d6ce",
+        "convergence.csv": "2d391974d6db14403d7ae62850a9f4cc5e8d1ccde28586a7812fea125329f163",
+        "snapshots/round_1.bin": "6e7e58fee92a2210dd66bb9aa2c99c670edd3c63f1825d62870c95d25a0702b4",
+        "snapshots/round_2.bin": "64cb337f82a60086060971aa87df94ac15fc6edbc6529328e9731130ee3dc618",
+        "snapshots/round_3.bin": "ec3528ecb0018c05ef2a2f466b73e0f3a480609ca57cbac5f4c3826075b9e8d7",
+    },
+    "a4": {
+        "metrics.csv": "d6c12d60c9c8f4447700e23d4e0fbac5dd8ed9f76eed6d363d11c48cc6c3a538",
+        "convergence.csv": "f8aa0c29109fa8dd21c821f4b4a3c1cd34e2bc5a5f308a0f9dd8760a8de9e91b",
+        "snapshots/round_1.bin": "a865e5b050eee3c09b93e3c547d2c4ffed97490b393cc123bd0af8fae646fe9c",
+        "snapshots/round_2.bin": "fef2c9d640212d7314bbbe3965b637fdb06c7154d130ccbc6b588df4259d4164",
+        "snapshots/round_3.bin": "45932aefb5732798fb97412f0fa2fd4e51dea4346fd1f1a6132610ad4cc1875c",
+    },
+    "fedavg": {
+        "metrics.csv": "ecea4cacd5bdaaade60b479341cede3d48bc34b987c59c1f0c3403d67af02be3",
+        "convergence.csv": "0c3cecb8fc4fce5806d4ba4394bd449f5351b39fd0d7df00272589e723e96950",
+        "snapshots/round_1.bin": "83528a23e73f2354f6af6080a69708bc5b2d18197ed7c019cd8a8b6d47bd9465",
+        "snapshots/round_2.bin": "cd0a5eb1af9cbd578778220095921d0a7c41593c8cf646702c6523255fcc6317",
+        "snapshots/round_3.bin": "b856ae1bfa6204a39e1fb72ba38ac1134afbab8ef6ae0734f1a6536e0e1429ef",
+    },
+}
 
 
 def golden_bytes(run_dir: Path) -> dict[str, bytes]:
@@ -63,6 +107,16 @@ def test_runs_are_byte_identical_in_process_and_from_the_cli(tmp_path, monkeypat
 
     assert len(outputs[0]) == len(GOLDEN_FILES) + config.rounds
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("strategy", list(PINNED_SHA256))
+def test_outputs_match_the_pinned_digests(tmp_path, strategy):
+    """Byte identity across commits, not just between two runs of one commit."""
+    run_dir = tmp_path / "run"
+    harness.run_experiment(small_config(strategy=strategy, out_dir=str(run_dir)))
+    files = {name: data for name, data in golden_bytes(run_dir).items() if name != "config.echo"}
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
+    assert digests == PINNED_SHA256[strategy]
 
 
 def test_ablation_suite_runs_each_distinct_configuration_once(tmp_path, monkeypatch):

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from fedmoe.config import ExperimentConfig
 from fedmoe.data import SyntheticSpec, generate_synthetic
 from fedmoe.diffcore import Tensor, bce
+from fedmoe.federation import server as server_mod
 from fedmoe.federation.client import ClientSim
 from fedmoe.federation.server import FederationServer, ServerDirective, resolve_strategy, upload_keys
 from fedmoe.harness import build_clients, run_experiment
@@ -33,6 +36,20 @@ def same_uploads(values, clients=(0, 1)):
     return {j: {k: np.asarray(v, dtype=float) for k, v in values.items()} for j in clients}
 
 
+@pytest.fixture
+def solve_rows(monkeypatch):
+    """Row counts of every coordination solve the server module runs."""
+    rows = []
+    solve = server_mod.solve_conflict_weights
+
+    def spy(deltas, mean_delta, c):
+        rows.append(deltas.shape[0])
+        return solve(deltas, mean_delta, c)
+
+    monkeypatch.setattr(server_mod, "solve_conflict_weights", spy)
+    return rows
+
+
 class TestComputeDeltas:
     """Round-over-round increments, as FederationServer.aggregate takes them per pool."""
 
@@ -47,26 +64,38 @@ class TestComputeDeltas:
         uploads = {0: {key(): np.ones(3)}, 1: {key(): np.full(3, 2.0)}}
         server.aggregate(uploads, 1)
         directive = server.aggregate(uploads, 2)
-        assert np.array_equal(directive.mean_increment[key()], np.zeros(3))
-        assert np.array_equal(directive.coordinated[key()], np.zeros(3))
+        assert np.array_equal(directive.mean_increment[key().group()], np.zeros(3))
+        assert np.array_equal(directive.coordinated[key().group()], np.zeros(3))
         assert key() not in directive.replace
 
-    def test_single_pair_delta(self):
+    def test_single_pair_delta(self, solve_rows):
         server = FederationServer(resolve_strategy("main"))
         server.aggregate(same_uploads({key(): np.array([1.0])}), 1)
         directive = server.aggregate(same_uploads({key(): np.array([3.0])}), 2)
-        assert directive.mean_increment[key()][0] == 2.0
-        rows = directive.coordination[key().group()].weights.size
-        assert rows == 2  # one row per (client, key)
+        assert directive.mean_increment[key().group()][0] == 2.0
+        assert solve_rows == [2]  # one row per (client, key)
 
-    def test_group_mean_pools_expert_layer(self):
+    def test_group_mean_pools_expert_layer(self, solve_rows):
         k0, k1 = key(index=0), key(index=1)
         server = FederationServer(resolve_strategy("main"))
         server.aggregate(same_uploads({k0: np.zeros(2), k1: np.zeros(2)}), 1)
         directive = server.aggregate(same_uploads({k0: np.full(2, 1.0), k1: np.full(2, 3.0)}), 2)
-        assert np.allclose(directive.mean_increment[k0], np.full(2, 2.0), atol=1e-12)
-        assert directive.mean_increment[k0] is directive.mean_increment[k1]
-        assert set(directive.coordination) == {k0.group()}
+        assert set(directive.mean_increment) == set(directive.coordinated) == {k0.group()}
+        assert np.allclose(directive.mean_increment[k0.group()], np.full(2, 2.0), atol=1e-12)
+        assert solve_rows == [4]  # one solve over both clients' rows of both keys
+
+    def test_directive_holds_one_entry_per_pool(self):
+        clients, config = make_clients(s=2)
+        plan = resolve_strategy("main")
+        keys = upload_keys(plan, clients[0].model)
+        server = FederationServer(plan, c=config.c)
+        uploads = {c.index: c.build_upload(keys) for c in clients}
+        server.aggregate(uploads, 1)
+        directive = server.aggregate(uploads, 2)
+        pools = {k.group() for k in keys}
+        assert len(pools) < len(keys)
+        assert set(directive.mean_increment) == set(directive.coordinated) == set(directive.refs) == pools
+        assert directive.replace == {}
 
     def test_missing_history_is_an_error(self):
         server = FederationServer(resolve_strategy("main"))
@@ -83,11 +112,11 @@ class TestPersonalizedApply:
         shape = client.model.scenario_shared()[k].shape
         client.model.scenario_shared()[k].data[...] = 1.0
         client.begin_round([k])
-        client.psi.expert[k] = 2.0
+        client.psi.values[client.psi.slot(k)] = 2.0
         directive = ServerDirective(
-            round_index=2, strategy="main",
-            mean_increment={k: np.full(shape, 0.5)},
-            coordinated={k: np.full(shape, 0.25)},
+            round_index=2,
+            mean_increment={k.group(): np.full(shape, 0.5)},
+            coordinated={k.group(): np.full(shape, 0.25)},
         )
         client.apply_directive(directive)
         assert np.allclose(client.model.scenario_shared()[k].data, 2.0)
@@ -99,11 +128,22 @@ class TestPersonalizedApply:
         start = client.model.scenario_shared()[k].data.copy()
         client.begin_round([k])
         directive = ServerDirective(
-            round_index=2, strategy="main",
-            mean_increment={k: np.zeros(start.shape)},
-            coordinated={k: np.full(start.shape, 9.0)},
+            round_index=2,
+            mean_increment={k.group(): np.zeros(start.shape)},
+            coordinated={k.group(): np.full(start.shape, 9.0)},
         )
         client.apply_directive(directive)  # psi defaults to 0
+        assert np.array_equal(client.model.scenario_shared()[k].data, start)
+
+    def test_increment_without_round_start_names_the_pool(self):
+        clients, _ = make_clients(s=2, n_experts=1, widths=(6,))
+        client = clients[0]
+        k = next(iter(client.model.scenario_shared()))
+        start = client.model.scenario_shared()[k].data.copy()
+        zeros = np.zeros(start.shape)
+        directive = ServerDirective(round_index=2, mean_increment={k.group(): zeros}, coordinated={k.group(): zeros})
+        with pytest.raises(KeyError, match=f"round-start snapshot .*pool {re.escape(str(k.group()))}"):
+            client.apply_directive(directive)  # no begin_round
         assert np.array_equal(client.model.scenario_shared()[k].data, start)
 
     def test_replace_path(self):
@@ -112,7 +152,7 @@ class TestPersonalizedApply:
         k = next(iter(client.model.scenario_shared()))
         value = np.full(client.model.scenario_shared()[k].shape, 7.0)
         client.begin_round([k])
-        client.apply_directive(ServerDirective(round_index=1, strategy="main", replace={k: value}))
+        client.apply_directive(ServerDirective(round_index=1, replace={k: value}))
         assert np.array_equal(client.model.scenario_shared()[k].data, value)
 
 
@@ -125,22 +165,21 @@ class TestPsiMetaUpdate:
         client = self.build_client()
         k = next(iter(client.model.scenario_shared()))
         directive = ServerDirective(
-            round_index=2, strategy="main",
-            coordinated={k: np.zeros(client.model.scenario_shared()[k].shape)},
+            round_index=2,
+            coordinated={k.group(): np.zeros(client.model.scenario_shared()[k].shape)},
         )
         client.meta_update_psi(directive)
-        assert client.psi.expert.get(k, 0.0) == 0.0
+        assert client.psi.for_key(k) == 0.0
 
     def test_descending_direction_raises_psi(self):
         client = self.build_client()
         k = next(iter(client.model.scenario_shared()))
         grads = client._held_out_grads(
-            ServerDirective(round_index=2, strategy="main",
-                            coordinated={k: np.zeros(client.model.scenario_shared()[k].shape)})
+            ServerDirective(round_index=2, coordinated={k.group(): np.zeros(client.model.scenario_shared()[k].shape)})
         )
-        directive = ServerDirective(round_index=2, strategy="main", coordinated={k: -grads[k]})
+        directive = ServerDirective(round_index=2, coordinated={k.group(): -grads[k]})
         client.meta_update_psi(directive)
-        assert client.psi.expert[k] > 0.0
+        assert client.psi.for_key(k) > 0.0
 
     def test_directional_derivative_matches_finite_difference(self):
         client = self.build_client()
@@ -148,7 +187,7 @@ class TestPsiMetaUpdate:
         k = next(iter(model.scenario_shared()))
         rng = np.random.default_rng(0)
         u_star = rng.normal(0, 0.1, model.scenario_shared()[k].shape)
-        directive = ServerDirective(round_index=2, strategy="main", coordinated={k: u_star})
+        directive = ServerDirective(round_index=2, coordinated={k.group(): u_star})
         grads = client._held_out_grads(directive)
         analytic = float(np.sum(grads[k] * u_star))
 
@@ -172,9 +211,9 @@ class TestPsiMetaUpdate:
         client.local_phase(1, max_batches=2)
         bn = (model.bn_in.running_mean.copy(), model.bn_in.running_var.copy())
         rng_state = model.rng.bit_generator.state
-        u = {k: np.full(p.shape, 0.1) for k, p in model.scenario_shared().items()}
-        client.meta_update_psi(ServerDirective(round_index=2, strategy="main", coordinated=u))
-        assert client.psi.expert  # the step ran
+        u = {k.group(): np.full(p.shape, 0.1) for k, p in model.scenario_shared().items()}
+        client.meta_update_psi(ServerDirective(round_index=2, coordinated=u))
+        assert client.psi.values  # the step ran
         assert np.array_equal(model.bn_in.running_mean, bn[0])
         assert np.array_equal(model.bn_in.running_var, bn[1])
         assert model.rng.bit_generator.state == rng_state
@@ -185,9 +224,25 @@ class TestPsiMetaUpdate:
         client.psi.eta = 1e9
         k = next(iter(client.model.scenario_shared()))
         u = np.full(client.model.scenario_shared()[k].shape, 1.0)
-        directive = ServerDirective(round_index=2, strategy="main", coordinated={k: u})
+        directive = ServerDirective(round_index=2, coordinated={k.group(): u})
         client.meta_update_psi(directive)
-        assert abs(client.psi.expert[k]) <= 2.0
+        assert abs(client.psi.for_key(k)) == 2.0
+
+    def test_tower_tensors_of_a_task_share_one_step(self):
+        """A task's tower tensors share one psi, stepped once by the sum of their directional derivatives."""
+        client = self.build_client()
+        towers = client.model.tower_shared()
+        rng = np.random.default_rng(1)
+        u = {k.group(): rng.normal(0, 0.1, p.shape) for k, p in towers.items()}
+        directive = ServerDirective(round_index=2, coordinated=u)
+        grads = client._held_out_grads(directive)
+        client.meta_update_psi(directive)
+        for task in range(client.model.spec.n_tasks):
+            task_keys = sorted(k for k in towers if k.index == task)
+            dot = 0.0
+            for k in task_keys:
+                dot += float(np.sum(grads[k] * u[k.group()]))
+            assert {client.psi.for_key(k) for k in task_keys} == {-client.psi.eta * dot}
 
 
 class TestStrategies:
@@ -195,6 +250,16 @@ class TestStrategies:
         a3 = resolve_strategy("a3")
         main = resolve_strategy("main")
         assert (a3.expert_mode, a3.tower_mode) == (main.expert_mode, main.tower_mode)
+
+    @pytest.mark.parametrize(
+        "strategy, kinds",
+        [("main", {"expert_scenario", "tower"}), ("a1", set()), ("a2", {"tower"}), ("a3", {"expert_scenario", "tower"}),
+         ("a4", set()), ("fedavg", set()), ("local", set())],
+    )
+    def test_coordinated_kinds_follow_the_strategy_table(self, strategy, kinds):
+        plan = resolve_strategy(strategy)
+        assert plan.coordinated_kinds == kinds
+        assert plan.uses_fedbn == bool(kinds)
 
     def test_upload_key_sets(self):
         clients, _ = make_clients(s=2)
@@ -315,8 +380,23 @@ class TestRoundProtocol:
         for c in clients:
             assert len(c.refs) == len(c.model.expert_layers)
             for k, p in c.model.scenario_shared().items():
-                assert np.array_equal(c.refs[k.layer][k.index], directive.refs[k])
-                assert c.refs[k.layer][k.index].shape == p.shape
+                assert c.refs[k.layer] is directive.refs[k.group()]  # one pool mean, never copied per client
+                assert c.refs[k.layer].shape == p.shape
+
+    def test_plain_expert_refs_stack_the_per_key_means(self):
+        clients, config = make_clients(s=2, n_experts=3)
+        plan = resolve_strategy("a1")
+        keys = upload_keys(plan, clients[0].model)
+        server = FederationServer(plan, c=config.c)
+        for c in clients:
+            c.begin_round(keys)
+        directive = server.aggregate({c.index: c.build_upload(keys) for c in clients}, 1)
+        for c in clients:
+            c.apply_directive(directive)
+        for li, layer in enumerate(clients[0].model.expert_layers):
+            assert clients[0].refs[li].shape == layer["w_s"].shape
+            for k in (k for k in clients[0].model.scenario_shared() if k.layer == li):
+                assert np.array_equal(clients[0].refs[li][k.index], directive.replace[k])
 
     def test_expert_layer_pool_shares_aggregate(self):
         clients, config = make_clients(s=2, n_experts=3)

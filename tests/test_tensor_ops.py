@@ -17,6 +17,7 @@ from fedmoe.diffcore import (
     add_n,
     affine,
     bce,
+    block_sum_sq_diff,
     hidden_layer,
     no_grad,
     relu,
@@ -296,6 +297,28 @@ class TestBce:
     def test_stacked_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             bce(Tensor(np.full((2, 3), 0.5)), np.ones((2, 4)))
+
+
+class TestBlockSumSqDiff:
+    def test_shared_reference_equals_the_stacked_one_bitwise(self):
+        """A (d_in, d_out) reference broadcast over N blocks gives the value
+        and gradient of the same reference stacked N times, byte for byte."""
+        rng = np.random.default_rng(21)
+        data = [rng.normal(0, 1, (4, 3, 5)), rng.normal(0, 1, (4, 5, 2))]
+        shared = [rng.normal(0, 1, d.shape[1:]) for d in data]
+        outputs = []
+        for refs in (shared, [np.stack([r] * 4) for r in shared]):
+            params = [Parameter(d.copy(), f"w{i}") for i, d in enumerate(data)]
+            out = block_sum_sq_diff(params, refs, lam=0.5)
+            out.backward()
+            outputs.append([out.data.tobytes(), *(p.grad.tobytes() for p in params)])
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 3, 5), (5, 4, 3, 5)], ids=["inner", "blocks", "extra_axis"])
+    def test_reference_that_does_not_broadcast_is_rejected(self, shape):
+        p = Parameter(np.zeros((4, 3, 5)), "w")
+        with pytest.raises(ShapeMismatchError, match="does not broadcast"):
+            block_sum_sq_diff([p], [np.zeros(shape)])
 
 
 class TestEngine:
