@@ -151,6 +151,8 @@ class ExperimentConfig:
                 )
             if self.rho < 0:
                 problems.append(f"data.rho: must be >= 0, got {self.rho}")
+            if self.coef_scale < 0:
+                problems.append(f"data.coef_scale: must be >= 0, got {self.coef_scale}")
             if self.temperature <= 0:
                 problems.append(f"data.temperature: must be > 0, got {self.temperature}")
             if not 0.0 <= self.task_mix_alpha <= 1.0:

@@ -100,6 +100,8 @@ class SyntheticSpec:
             raise DataError("all synthetic counts must be positive")
         if self.rho < 0:
             raise DataError("rho must be >= 0")
+        if self.coef_scale < 0:
+            raise DataError("coef_scale must be >= 0")
         if self.temperature <= 0:
             raise DataError("temperature must be > 0")
         if self.mix is not None and self.mix.shape != (self.n_tasks, self.n_tasks):
@@ -175,30 +177,34 @@ class CsvSchema:
 
 
 def _load_records(path: str, schema: CsvSchema) -> RecordSet:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataError(f"{path}: missing header row")
-        missing = [c for c in (*schema.feature_columns, *schema.label_columns) if c not in reader.fieldnames]
-        if missing:
-            raise DataError(f"{path}: missing columns {missing}")
-        feats, labs = [], []
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                feat_row = [float(row[c]) for c in schema.feature_columns]
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"{path}:{line_no}: non-numeric feature value ({exc})") from exc
-            for c, value in zip(schema.feature_columns, feat_row):
-                if not math.isfinite(value):
-                    raise DataError(f"{path}:{line_no}: feature column {c!r} must be finite, got {row[c]!r}")
-            feats.append(feat_row)
-            lab_row = []
-            for c in schema.label_columns:
-                value = row[c]
-                if value not in ("0", "1"):
-                    raise DataError(f"{path}:{line_no}: label column {c!r} must be 0 or 1, got {value!r}")
-                lab_row.append(float(value))
-            labs.append(lab_row)
+    """The file's rows; DataError naming the file if it cannot be read as UTF-8 text or parsed."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                raise DataError(f"{path}: missing header row")
+            missing = [c for c in (*schema.feature_columns, *schema.label_columns) if c not in reader.fieldnames]
+            if missing:
+                raise DataError(f"{path}: missing columns {missing}")
+            feats, labs = [], []
+            for line_no, row in enumerate(reader, start=2):
+                try:
+                    feat_row = [float(row[c]) for c in schema.feature_columns]
+                except (TypeError, ValueError) as exc:
+                    raise DataError(f"{path}:{line_no}: non-numeric feature value ({exc})") from exc
+                for c, value in zip(schema.feature_columns, feat_row):
+                    if not math.isfinite(value):
+                        raise DataError(f"{path}:{line_no}: feature column {c!r} must be finite, got {row[c]!r}")
+                feats.append(feat_row)
+                lab_row = []
+                for c in schema.label_columns:
+                    value = row[c]
+                    if value not in ("0", "1"):
+                        raise DataError(f"{path}:{line_no}: label column {c!r} must be 0 or 1, got {value!r}")
+                    lab_row.append(float(value))
+                labs.append(lab_row)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read CSV file {path}: {exc}") from None
     if not feats:
         raise DataError(f"{path}: no data rows")
     return RecordSet(np.array(feats, dtype=np.float64), np.array(labs, dtype=np.float64))

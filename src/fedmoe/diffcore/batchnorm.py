@@ -33,15 +33,12 @@ class BNState:
             raise ValueError(f"BN momentum must be in (0, 1), got {self.momentum}")
 
     @classmethod
-    def build(cls, d: int, name_prefix: str, eps: float = 1e-5, momentum: float = 0.1) -> "BNState":
-        return cls(
-            gamma=Parameter(np.ones(d), f"{name_prefix}.gamma"),
-            beta=Parameter(np.zeros(d), f"{name_prefix}.beta"),
-            eps=eps,
-            running_mean=np.zeros(d),
-            running_var=np.ones(d),
-            momentum=momentum,
-        )
+    def build(cls, gamma: Parameter, beta: Parameter, eps: float = 1e-5, momentum: float = 0.1) -> "BNState":
+        """The state of a fresh layer over ``gamma``'s features; sets gamma to 1 and beta to 0 in place."""
+        gamma.data[...] = 1.0
+        beta.data[...] = 0.0
+        d = gamma.shape[0]
+        return cls(gamma, beta, eps, running_mean=np.zeros(d), running_var=np.ones(d), momentum=momentum)
 
 
 def batchnorm(x: Tensor, state: BNState, train: bool) -> Tensor:

@@ -304,11 +304,12 @@ def block_sum_sq_diff(params: Sequence[Tensor], refs: Sequence[np.ndarray], lam:
     ``params[j]`` stacks N blocks along axis 0 and ``refs[j]`` is its
     reference: any array that broadcasts to ``params[j]``'s shape, such as
     one reference per block stacked the same way, or one block-shaped
-    reference that every block shares. Each block's ``np.sum(d * d)`` of its
-    difference d is added to one running float for k = 0..N-1 and, within
-    each k, for j in order: the float that summing the unstacked blocks'
-    squared distances one by one, in that order, produces. That total is
-    multiplied by ``lam`` last, and the gradient is ``2 * lam * d``.
+    reference that every block shares. Every stack holds the same N. Each
+    block's ``np.sum(d * d)`` of its difference d is added to one running
+    float for k = 0..N-1 and, within each k, for j in order: the float that
+    summing the unstacked blocks' squared distances one by one, in that
+    order, produces. That total is multiplied by ``lam`` last, and the
+    gradient is ``2 * lam * d``.
     """
     if len(params) != len(refs):
         raise ShapeMismatchError(f"{len(params)} stacked tensors but {len(refs)} references")
@@ -319,10 +320,12 @@ def block_sum_sq_diff(params: Sequence[Tensor], refs: Sequence[np.ndarray], lam:
         if ref.ndim > p.ndim or any(r not in (1, n) for r, n in zip(ref.shape[::-1], p.shape[::-1])):
             raise ShapeMismatchError(f"block_sum_sq_diff reference {ref.shape} does not broadcast to {p.shape}")
         diffs.append(p.data - ref)
+    # Each block's sum is one row of a 2-D sum, the same float as its own np.sum.
+    sums = [(d * d).reshape(len(d), -1).sum(axis=1).tolist() for d in diffs]
     total = 0.0
-    for k in range(len(diffs[0]) if diffs else 0):
-        for d in diffs:
-            total += np.sum(d[k] * d[k])
+    for blocks in zip(*sums, strict=True):
+        for block in blocks:
+            total += block
 
     def backward(g):
         return tuple(2.0 * (float(g) * lam) * d for d in diffs)

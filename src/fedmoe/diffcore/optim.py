@@ -1,12 +1,10 @@
-"""Adam optimizer with bias correction, applied in place to Parameters."""
+"""Adam optimizer with bias correction, applied in place to a ParameterBuffer."""
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
-from .tensor import Parameter, ParameterBuffer
+from .tensor import ParameterBuffer
 
 __all__ = ["Adam"]
 
@@ -22,29 +20,21 @@ EPS = 1e-8
 class Adam:
     """Standard Adam: m/v moment tracking, bias-corrected step, grads untouched.
 
-    The parameters must be exactly the contents of one ParameterBuffer;
-    loose parameters are packed into a new one. The step then runs over the
-    flat buffers with in-place ufuncs, in the same per-element order of
-    operations as the textbook per-parameter update, so it is bit-identical
-    to it.
+    Steps every parameter of one ParameterBuffer. The update runs over the
+    flat value and grad arrays with in-place ufuncs, in the same per-element
+    order of operations as the textbook per-parameter update, so it is
+    bit-identical to it.
 
     The caller zeroes gradients; a step with all-zero fresh gradients leaves
     parameter values unchanged.
     """
 
-    def __init__(self, params: Iterable[Parameter], lr: float = 1e-3):
-        self.params = tuple(params)
-        names = [p.name for p in self.params]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate parameter names in optimizer")
+    def __init__(self, buffer: ParameterBuffer, lr: float = 1e-3):
+        self.buffer = buffer
         self.lr = float(lr)
         self.step_count = 0
-        packed = self.params[0].buffer if self.params else None
-        if packed is None or packed.params != self.params:
-            packed = ParameterBuffer(self.params)
-        self.buffer = packed
-        self._m = np.zeros(packed.size)
-        self._v = np.zeros(packed.size)
+        self._m = np.zeros(buffer.size)
+        self._v = np.zeros(buffer.size)
 
     def step(self) -> None:
         self.step_count += 1

@@ -13,8 +13,8 @@ implicit broadcasting; each op validates the shapes it accepts.
 from __future__ import annotations
 
 import contextlib
-import weakref
-from typing import Callable, Optional, Sequence
+import math
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -154,29 +154,17 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Trainable leaf tensor with a stable name and a zero-initialized grad."""
+    """Trainable leaf tensor with a stable name and a gradient of its shape.
 
-    __slots__ = ("name", "_buffer")
+    ``grad`` defaults to zeros; a ParameterBuffer passes a view of its grads.
+    """
 
-    def __init__(self, data, name: str):
+    __slots__ = ("name",)
+
+    def __init__(self, data, name: str, grad: Optional[np.ndarray] = None):
         super().__init__(data)
         self.name = name
-        self.grad = np.zeros_like(self.data)
-        self._buffer: Optional[weakref.ref] = None
-
-    @property
-    def buffer(self) -> Optional["ParameterBuffer"]:
-        """The live ParameterBuffer whose views ``data`` and ``grad`` are, else None.
-
-        The reference is weak: the buffer holds its parameters, and a cycle
-        would keep a dropped model's buffers alive until the cyclic collector
-        runs.
-        """
-        return self._buffer() if self._buffer is not None else None
-
-    @buffer.setter
-    def buffer(self, buffer: Optional["ParameterBuffer"]) -> None:
-        self._buffer = weakref.ref(buffer) if buffer is not None else None
+        self.grad = np.zeros_like(self.data) if grad is None else grad
 
     def zero_grad(self) -> None:
         self.grad[...] = 0.0
@@ -186,35 +174,30 @@ class Parameter(Tensor):
 
 
 class ParameterBuffer:
-    """One contiguous float64 value buffer and a twin grad buffer behind Parameters.
+    """One contiguous float64 value array and a twin grad array behind named Parameters.
 
-    Packing copies each parameter's value and grad in, in the given order,
-    and rebinds ``.data`` and ``.grad`` to views of the buffers, so whole-set
-    updates (the optimizer step, zeroing grads) act on two flat arrays. Code
-    must update parameters in place from then on; assigning a new array to
+    ``shapes`` maps each parameter's name to its shape, in buffer order.
+    ``params`` holds one Parameter per name whose ``data`` and ``grad`` are
+    views of its slice of ``values`` and ``grads``, so whole-set updates (the
+    optimizer step, zeroing grads) act on two flat arrays. Values start
+    uninitialized and grads at zero: the owner fills every value in place,
+    and updates them in place from then on, since assigning a new array to
     ``.data`` would detach it.
     """
 
-    __slots__ = ("params", "values", "grads", "__weakref__")
+    __slots__ = ("params", "values", "grads")
 
-    def __init__(self, params: Sequence[Parameter]):
-        self.params = tuple(params)
-        if any(p.buffer is not None for p in self.params):
-            raise ValueError("a parameter is already packed in another buffer")
-        size = sum(p.size for p in self.params)
-        self.values = np.empty(size)
-        # Zeroed lazily by the allocator: most parameters arrive with zero
-        # grads, and their pages are then first touched by a backward pass.
-        self.grads = np.zeros(size)
+    def __init__(self, shapes: Mapping[str, Sequence[int]]):
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        self.values = np.empty(sum(sizes))
+        # Zeroed lazily by the allocator, so pages are first touched by a backward pass.
+        self.grads = np.zeros(sum(sizes))
+        self.params: dict[str, Parameter] = {}
         offset = 0
-        for p in self.params:
-            end = offset + p.size
-            self.values[offset:end] = p.data.reshape(-1)
-            if p.grad.any():
-                self.grads[offset:end] = p.grad.reshape(-1)
-            p.data = self.values[offset:end].reshape(p.shape)
-            p.grad = self.grads[offset:end].reshape(p.shape)
-            p.buffer = self
+        for (name, shape), size in zip(shapes.items(), sizes):
+            end = offset + size
+            value, grad = self.values[offset:end].reshape(shape), self.grads[offset:end].reshape(shape)
+            self.params[name] = Parameter(value, name, grad=grad)
             offset = end
 
     @property

@@ -80,7 +80,7 @@ class ClientSim:
         self.lam = float(lam)
         self.batch_size = int(batch_size)
         self.seed = int(seed)
-        self.optimizer = Adam(model.parameters(), lr=lr)
+        self.optimizer = Adam(model.buffer, lr=lr)
         self.refs: Optional[list[np.ndarray]] = None  # per expert layer, shared with the directive
         self.psi = PersonalizationState(eta=eta_psi)
         self.round_start: dict[SharedKey, np.ndarray] = {}

@@ -114,6 +114,8 @@ def run_experiment(
     out.mkdir(parents=True, exist_ok=True)
     echo_path = out / "config.echo"
     config.save(echo_path)
+    for stale in out.glob("snapshots/round_*.bin"):  # an earlier run's rounds; this run may stop sooner
+        stale.unlink()
 
     shards = build_shards(config)
     checksum = _combined_checksum(shards)

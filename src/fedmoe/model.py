@@ -23,10 +23,13 @@ layer is one ``hidden_layer`` node over (T, K, d_in); and the head's
 affine, sigmoid and reshape give one (T, K) probability tensor, which
 one ``bce`` node scores against all tasks' labels.
 A train-mode forward draws its dropout masks as ``_dropout_keeps`` says.
-Every Parameter of the model is a view into one ParameterBuffer. The
-federated keys stay one per expert, or task, and part: ``key_map()`` maps
-each to a Parameter whose value and grad are views of its slice of the
-stacked arrays, so uploads and server updates read and write the buffer.
+``_shapes`` is the one table of every part's name and shape in buffer
+order. The model allocates its ParameterBuffer from it first, and each
+stacked Parameter is that buffer's view, filled in place in the rng's draw
+order, so no parameter exists outside the buffer. The federated keys stay
+one per expert, or task, and part: ``key_map()`` maps each to a Parameter
+whose value and grad are views of its slice of the stacked arrays, so
+uploads and server updates read and write the buffer.
 
 The model holds no mode: ``forward`` takes ``train`` (batch statistics and
 dropout) and ``use_dropout`` as arguments, so evaluation and the held-out
@@ -101,7 +104,7 @@ def _head_init(rng: np.random.Generator, d_in: int, d_out: int) -> np.ndarray:
     return rng.normal(0.0, 1.0 / np.sqrt(d_in), size=(d_in, d_out))
 
 
-# Parts of one stacked expert layer, in registry order; the names double as
+# Parts of one stacked expert layer, in buffer order; the names double as
 # the ``part`` of the layer's expert_local keys (all but w_s).
 TEMPLATE_PARTS = ("tmpl.w1", "tmpl.b1", "tmpl.w2", "tmpl.b2")
 EXPERT_PARTS = ("w_loc", "w_s", "bias", *TEMPLATE_PARTS)
@@ -113,12 +116,32 @@ def _template_w2_init(rng: np.random.Generator, d_emb: int, out_len: int) -> np.
     return rng.normal(0.0, 0.05 / np.sqrt(d_emb), size=(d_emb, out_len))
 
 
+def _shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
+    """Every parameter's name and shape, in buffer order."""
+    t, n, e = spec.n_tasks, spec.n_experts, spec.d_emb
+    shapes = {"emb.task": (t, e), "bn_in.gamma": (spec.d_feat,), "bn_in.beta": (spec.d_feat,)}
+    dims = [spec.d_feat, *spec.expert_widths]
+    for li, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
+        parts = {
+            "w_loc": (n, d_in, d_out),
+            "w_s": (n, d_in, d_out),
+            "bias": (n, d_out),
+            "tmpl.w1": (n, e, e),
+            "tmpl.b1": (n, e),
+            "tmpl.w2": (n, e, d_in * d_out),
+            "tmpl.b2": (n, d_in * d_out),
+        }
+        shapes.update((f"experts.l{li}.{part}", parts[part]) for part in EXPERT_PARTS)
+    shapes["gates.w"], shapes["gates.b"] = (t, spec.d_feat, n), (t, n)
+    dims = [spec.expert_widths[-1], *spec.tower_widths, 1]
+    for li, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
+        shapes[f"towers.l{li}.w"], shapes[f"towers.l{li}.b"] = (t, d_in, d_out), (t, d_out)
+    return shapes
+
+
 def _slice_view(stacked: Parameter, i: int, name: str) -> Parameter:
     """Slice i (an expert's or a task's) of a stacked parameter; value and grad are views."""
-    view = Parameter((), name)  # empty placeholders, replaced by the views
-    view.data, view.grad = stacked.data[i], stacked.grad[i]
-    view.buffer = stacked.buffer  # packing a view elsewhere would detach it
-    return view
+    return Parameter(stacked.data[i], name, grad=stacked.grad[i])
 
 
 def _carve(block: np.ndarray, k: int, widths: Sequence[int]) -> list[np.ndarray]:
@@ -134,67 +157,55 @@ class ClientModel:
     def __init__(self, spec: ModelSpec, init_seed: int):
         self.spec = spec
         rng = np.random.default_rng([init_seed, 0xD0DE])
+        self.buffer = ParameterBuffer(_shapes(spec))
+        params = self.buffer.params
 
-        self.emb_task = Parameter(rng.normal(0.0, 1.0, size=(spec.n_tasks, spec.d_emb)), "emb.task")
+        self.emb_task = params["emb.task"]
+        self.emb_task.data[...] = rng.normal(0.0, 1.0, size=self.emb_task.shape)
         # Scenario embeddings seed the scenario weights and are frozen afterwards.
         self.emb_scenario = rng.normal(0.0, 1.0, size=(spec.n_scenarios, spec.d_emb))
 
-        self.bn_in = BNState.build(spec.d_feat, "bn_in")
-        self.expert_layers = self._init_expert_layers(rng)
+        self.bn_in = BNState.build(params["bn_in.gamma"], params["bn_in.beta"])
+        self.expert_layers = [
+            {part: params[f"experts.l{li}.{part}"] for part in EXPERT_PARTS} for li in range(len(spec.expert_widths))
+        ]
+        self._init_expert_layers(rng)
 
-        self.gate = {  # one draw fills the tasks' gates in turn
-            "w": Parameter(rng.normal(0.0, 0.1, size=(spec.n_tasks, spec.d_feat, spec.n_experts)), "gates.w"),
-            "b": Parameter(np.zeros((spec.n_tasks, spec.n_experts)), "gates.b"),
-        }
-        self.tower_layers = self._init_tower_layers(rng)
+        self.gate = {"w": params["gates.w"], "b": params["gates.b"]}
+        # one draw fills the tasks' gates in turn
+        self.gate["w"].data[...] = rng.normal(0.0, 0.1, size=self.gate["w"].shape)
+        self.gate["b"].data[...] = 0.0
+        self.tower_layers = [
+            {"w": params[f"towers.l{li}.w"], "b": params[f"towers.l{li}.b"]} for li in range(len(spec.tower_widths) + 1)
+        ]
+        self._init_tower_layers(rng)
 
         self._materialize_scenario_weights(rng)
         self.rng = np.random.default_rng([init_seed, 0xD60, spec.scenario])
-        self._registry = self._build_registry()
-        self.buffer = ParameterBuffer(self._registry.values())
         self._key_map = self._build_key_map()
 
-    def _init_expert_layers(self, rng: np.random.Generator) -> list[dict[str, Parameter]]:
-        """Stacked parameters per expert layer, drawn expert by expert, layer by layer."""
-        spec = self.spec
-        n, e = spec.n_experts, spec.d_emb
-        dims = [spec.d_feat, *spec.expert_widths]
-        layers = []
-        for li, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
-            init = {
-                "w_loc": np.empty((n, d_in, d_out)),
-                "w_s": np.ones((n, d_in, d_out)),
-                "bias": np.zeros((n, d_out)),
-                "tmpl.w1": np.empty((n, e, e)),
-                "tmpl.b1": np.zeros((n, e)),
-                "tmpl.w2": np.empty((n, e, d_in * d_out)),
-                "tmpl.b2": np.ones((n, d_in * d_out)),
-            }
-            layers.append({part: Parameter(init[part], f"experts.l{li}.{part}") for part in EXPERT_PARTS})
-        for k in range(n):
-            for layer in layers:
+    def _init_expert_layers(self, rng: np.random.Generator) -> None:
+        """Fill every expert layer but ``w_s``, drawing expert by expert, layer by layer."""
+        e = self.spec.d_emb
+        for layer in self.expert_layers:
+            layer["bias"].data[...] = 0.0
+            layer["tmpl.b1"].data[...] = 0.0
+            layer["tmpl.b2"].data[...] = 1.0
+        for k in range(self.spec.n_experts):
+            for layer in self.expert_layers:
                 d_in, d_out = layer["w_loc"].shape[1:]
                 layer["w_loc"].data[k] = _he_init(rng, d_in, d_out)
                 layer["tmpl.w1"].data[k] = _he_init(rng, e, e)
                 layer["tmpl.w2"].data[k] = _template_w2_init(rng, e, d_in * d_out)
-        return layers
 
-    def _init_tower_layers(self, rng: np.random.Generator) -> list[dict[str, Parameter]]:
-        """Stacked (w, b) per tower layer, the sigmoid head last, drawn task by task."""
-        spec = self.spec
-        dims = [spec.expert_widths[-1], *spec.tower_widths, 1]
-        layers = [
-            {
-                "w": Parameter(np.empty((spec.n_tasks, d_in, d_out)), f"towers.l{li}.w"),
-                "b": Parameter(np.zeros((spec.n_tasks, d_out)), f"towers.l{li}.b"),
-            }
-            for li, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:]))
-        ]
-        for t in range(spec.n_tasks):
-            for layer in layers:
-                init = _head_init if layer is layers[-1] else _he_init
+    def _init_tower_layers(self, rng: np.random.Generator) -> None:
+        """Fill the tower layers, the sigmoid head last, drawing task by task."""
+        for layer in self.tower_layers:
+            layer["b"].data[...] = 0.0
+        for t in range(self.spec.n_tasks):
+            for layer in self.tower_layers:
+                init = _head_init if layer is self.tower_layers[-1] else _he_init
                 layer["w"].data[t] = init(rng, *layer["w"].shape[1:])
-        return layers
 
     def _materialize_scenario_weights(self, rng: np.random.Generator) -> None:
         # The scenario templates consume identical rng draws on every client,
@@ -208,17 +219,6 @@ class ClientModel:
                 w1 = _he_init(rng, e, e)
                 w2 = _template_w2_init(rng, e, w_s.size)
                 w_s[...] = (np.maximum(row @ w1, 0.0) @ w2 + 1.0).reshape(w_s.shape)
-
-    def _build_registry(self) -> dict[str, Parameter]:
-        params: list[Parameter] = [self.emb_task, self.bn_in.gamma, self.bn_in.beta]
-        for layer in (*self.expert_layers, self.gate, *self.tower_layers):
-            params.extend(layer.values())
-        registry = {}
-        for p in params:
-            if p.name in registry:
-                raise ValueError(f"duplicate parameter name {p.name}")
-            registry[p.name] = p
-        return registry
 
     def _build_key_map(self) -> dict[SharedKey, Parameter]:
         """Scenario weights, tower tensors, other expert parts, then the rest."""
@@ -250,10 +250,7 @@ class ClientModel:
     # -- parameter access ----------------------------------------------------------
 
     def parameters(self) -> list[Parameter]:
-        return list(self._registry.values())
-
-    def registry(self) -> dict[str, Parameter]:
-        return dict(self._registry)
+        return list(self.buffer.params.values())
 
     def zero_grad(self) -> None:
         self.buffer.zero_grad()

@@ -1,31 +1,41 @@
 import numpy as np
 import pytest
 
-from fedmoe.diffcore import Adam, Parameter, ParameterBuffer
+from fedmoe.diffcore import Adam, ParameterBuffer
 from fedmoe.diffcore.optim import CHUNK
+
+
+def buffer_of(**values):
+    """A ParameterBuffer holding one parameter per keyword, filled with its value."""
+    buffer = ParameterBuffer({name: np.shape(value) for name, value in values.items()})
+    for name, value in values.items():
+        buffer.params[name].data[...] = value
+    return buffer
 
 
 class TestAdam:
     def test_first_step_moves_by_lr_times_sign(self):
-        p = Parameter([1.0, -2.0], "p")
-        opt = Adam([p], lr=0.001)
+        buffer = buffer_of(p=[1.0, -2.0])
+        p = buffer.params["p"]
+        opt = Adam(buffer, lr=0.001)
         p.grad[...] = [0.3, -7.0]
         opt.step()
         assert p.data[0] == pytest.approx(1.0 - 0.001, abs=1e-6)
         assert p.data[1] == pytest.approx(-2.0 + 0.001, abs=1e-6)
 
     def test_zero_grad_is_noop_on_values(self):
-        p = Parameter(np.array([5.0, 6.0]), "p")
-        opt = Adam([p])
+        buffer = buffer_of(p=[5.0, 6.0])
+        opt = Adam(buffer)
         for _ in range(3):
             opt.step()
-        assert np.array_equal(p.data, [5.0, 6.0])
+        assert np.array_equal(buffer.params["p"].data, [5.0, 6.0])
 
     def test_deterministic_replay(self):
         def run():
             rng = np.random.default_rng(77)
-            p = Parameter([0.5], "p")
-            opt = Adam([p], lr=0.01)
+            buffer = buffer_of(p=[0.5])
+            p = buffer.params["p"]
+            opt = Adam(buffer, lr=0.01)
             trace = []
             for _ in range(20):
                 p.grad[...] = rng.normal(size=1)
@@ -36,16 +46,13 @@ class TestAdam:
 
         assert np.array_equal(run(), run())
 
-    def test_duplicate_names_rejected(self):
-        with pytest.raises(ValueError):
-            Adam([Parameter([1.0], "p"), Parameter([2.0], "p")])
-
     def test_packed_step_equals_per_parameter_formula(self):
         rng = np.random.default_rng(5)
         shapes = [(3, 4), (7,), (2, CHUNK // 3), (), (5, 2, 2)]  # spans a chunk border
         start = [rng.normal(size=s) for s in shapes]
-        params = [Parameter(v.copy(), f"p{i}") for i, v in enumerate(start)]
-        opt = Adam(params, lr=0.01)
+        buffer = buffer_of(**{f"p{i}": v for i, v in enumerate(start)})
+        params = list(buffer.params.values())
+        opt = Adam(buffer, lr=0.01)
 
         ref = [v.copy() for v in start]
         ms = [np.zeros_like(v) for v in ref]
@@ -68,16 +75,15 @@ class TestAdam:
                 assert p.data.tobytes() == value.tobytes()
                 assert not p.grad.any()
 
-    def test_loose_parameters_are_packed(self):
-        a, b = Parameter([1.0, 2.0], "a"), Parameter([[4.0]], "b")
-        opt = Adam([a, b])
-        assert opt.buffer.params == (a, b)
-        assert np.shares_memory(a.data, opt.buffer.values) and np.shares_memory(b.grad, opt.buffer.grads)
-        assert opt.buffer.values.tolist() == [1.0, 2.0, 4.0]
-
-    def test_packed_parameters_are_reused_not_copied(self):
-        params = [Parameter(np.ones(3), "a"), Parameter(np.zeros((2, 2)), "b")]
-        buffer = ParameterBuffer(params)
-        assert Adam(params).buffer is buffer
-        with pytest.raises(ValueError):
-            Adam(params[:1])  # a subset would need a second buffer
+    def test_parameters_are_views_of_the_buffer_in_order(self):
+        buffer = ParameterBuffer({"a": (2,), "s": (), "b": (1, 1)})
+        assert list(buffer.params) == ["a", "s", "b"] and buffer.size == 4
+        a, s, b = buffer.params.values()
+        assert (a.name, a.shape, s.shape, b.shape) == ("a", (2,), (), (1, 1))
+        a.data[...], s.data[...], b.data[...] = [1.0, 2.0], 3.0, [[4.0]]
+        assert buffer.values.tolist() == [1.0, 2.0, 3.0, 4.0]
+        b.grad[...] = 5.0
+        assert buffer.grads.tolist() == [0.0, 0.0, 0.0, 5.0]
+        buffer.zero_grad()
+        assert not b.grad.any()
+        assert Adam(buffer).buffer is buffer

@@ -5,7 +5,7 @@ from fedmoe.diffcore import BNState, Parameter, Tensor, batchnorm, bce, grad_che
 
 
 def make_state(d=1, eps=1e-5):
-    return BNState.build(d, "bn", eps=eps)
+    return BNState.build(Parameter(np.empty(d), "bn.gamma"), Parameter(np.empty(d), "bn.beta"), eps=eps)
 
 
 class TestForward:

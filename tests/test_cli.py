@@ -90,6 +90,32 @@ def test_csv_feature_width_must_match_d_feat(tmp_path, capsys):
     assert not (out / "config.echo").exists()
 
 
+def test_negative_coef_scale_exits_2_naming_the_field(tmp_path, capsys):
+    ini = tmp_path / "negative.ini"
+    ExperimentConfig(coef_scale=-1.0, out_dir=str(tmp_path / "out")).save(ini)
+    assert main(["run", "--config", str(ini)]) == 2
+    assert "data.coef_scale: must be >= 0, got -1.0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("problem", ["missing", "directory", "not_utf8"])
+def test_unreadable_csv_exits_2_naming_the_file(tmp_path, capsys, problem):
+    good = tmp_path / "good.csv"
+    good.write_text("f0,click\n" + "0.5,1\n0.25,0\n" * 20)
+    bad = tmp_path / "bad.csv"
+    if problem == "directory":
+        bad.mkdir()
+    elif problem == "not_utf8":
+        bad.write_bytes(b"f0,click\n0.5,1\n\xff\xfe,0\n")
+    ini = tmp_path / "csv.ini"
+    ExperimentConfig(
+        scenarios=2, tasks=1, d_feat=1, source="csv", csv_paths=(str(good), str(bad)),
+        feature_columns=("f0",), label_columns=("click",), out_dir=str(tmp_path / "out"),
+    ).save(ini)
+    assert main(["run", "--config", str(ini)]) == 2
+    assert f"cannot read CSV file {bad}" in capsys.readouterr().err
+
+
 def test_config_save_load_round_trip(tmp_path):
     config = ExperimentConfig(
         strategy="a2", rounds=7, local_epochs=2, seed=13, comm_per_batch=True,

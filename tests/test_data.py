@@ -64,6 +64,10 @@ class TestSynthetic:
         with pytest.raises(DataError):
             mixing_matrix(2, 1.5)
 
+    def test_negative_coef_scale_rejected(self):
+        with pytest.raises(DataError, match="coef_scale"):
+            spec(coef_scale=-1.0)
+
 
 class TestCsv:
     SCHEMA = CsvSchema(feature_columns=("f0", "f1"), label_columns=("ctr", "ctcvr"))

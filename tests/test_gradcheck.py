@@ -112,22 +112,34 @@ class TestPrimitiveGradients:
 
     def test_block_sum_sq_diff(self):
         rng = np.random.default_rng(12)
-        stacks = [Parameter(rng.normal(0, 1, (3, 2, 4)), "a"), Parameter(rng.normal(0, 1, (3, 5)), "b")]
-        refs = [[rng.normal(0, 1, p.shape[1:]) for _ in range(3)] for p in stacks]
+        small = [Parameter(rng.normal(0, 1, (3, 2, 4)), "a"), Parameter(rng.normal(0, 1, (3, 5)), "b")]
+        per_block = [np.stack([rng.normal(0, 1, p.shape[1:]) for _ in range(3)]) for p in small]
+        cases = [(small, per_block)]
+        # The default expert stacks, with one reference every block shares (a
+        # coordinated pool's). Blocks this long are summed pairwise, so a wrong
+        # block sum shows in the total on most draws, not on all: take several.
+        for _ in range(4):
+            default = [Parameter(rng.normal(0, 1, (4, 16, 32)), "w0"), Parameter(rng.normal(0, 1, (4, 32, 16)), "w1")]
+            cases.append((default, [rng.normal(0, 1, p.shape[1:]) for p in default]))
+        for stacks, refs in cases:
 
-        def f():
-            return block_sum_sq_diff(stacks, refs)
+            def f():
+                return block_sum_sq_diff(stacks, refs)
 
-        assert grad_check(f, stacks, rng=np.random.default_rng(13)) < TOL
-        # same float as adding the unstacked blocks' sum_sq_diff block by block, k-major
-        blocks = [sum_sq_diff(Tensor(p.data[k]), refs[j][k]) for k in range(3) for j, p in enumerate(stacks)]
-        assert f().item() == add_n(blocks).item()
-
+            assert grad_check(f, stacks, rng=np.random.default_rng(13)) < TOL
+            # same float as adding the unstacked blocks' sum_sq_diff block by block, k-major
+            n = len(stacks[0].data)
+            blocks = [
+                sum_sq_diff(Tensor(p.data[k]), np.broadcast_to(refs[j], p.shape)[k])
+                for k in range(n)
+                for j, p in enumerate(stacks)
+            ]
+            assert f().item() == add_n(blocks).item()
 
     def test_batchnorm_train_chain(self):
         rng = np.random.default_rng(6)
         x = rng.normal(1, 2, (8, 3))
-        state = BNState.build(3, "bn")
+        state = BNState.build(Parameter(np.empty(3), "bn.gamma"), Parameter(np.empty(3), "bn.beta"))
         w = Parameter(rng.normal(0, 1, (3, 1)), "w")
         y = (rng.random(8) < 0.5).astype(float)
 

@@ -26,8 +26,9 @@ def small_config(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**base)
 
 
-# sha256 of each output file of a small_config run, per strategy. Recorded
-# with numpy's bundled OpenBLAS on x86-64, identical at 1 and 2 BLAS threads.
+# sha256 of each output file of a small_config run, per strategy or per case
+# of PINNED_OVERRIDES. Recorded with numpy's bundled OpenBLAS on x86-64,
+# identical at 1 and 2 BLAS threads.
 # A change that keeps the outputs byte-identical leaves these as they are; a
 # deliberate re-baseline replaces them and says why in CHANGES.md.
 PINNED_SHA256 = {
@@ -66,6 +67,23 @@ PINNED_SHA256 = {
         "snapshots/round_2.bin": "cd0a5eb1af9cbd578778220095921d0a7c41593c8cf646702c6523255fcc6317",
         "snapshots/round_3.bin": "b856ae1bfa6204a39e1fb72ba38ac1134afbab8ef6ae0734f1a6536e0e1429ef",
     },
+    "local_one_task_one_expert": {
+        "metrics.csv": "bd6237893185784fa03d98bd23465a22cd87f741112b07c5e6d1457efd13c72f",
+        "convergence.csv": "df11b04c3b543d1e597d30738fad89ad2f188133567ede12533dffb04ccb1c85",
+    },
+    "main_three_tasks_no_tower": {
+        "metrics.csv": "939dd75da3b4da9e28a69c12fe819744cc10b8471780318374aab29300a9ddfc",
+        "convergence.csv": "75f4183e270d5acb8ef0b0fe3b5bf7785c7f796b3d1680fa0fed11ad63dbc1e3",
+        "snapshots/round_1.bin": "9956c1709eedce8f88df2eb453f6ccad4c2b16a6a7cbc0a0722f6c5fae0c2f92",
+        "snapshots/round_2.bin": "de7d27944273bd18aa2b09c06878d151660fe5bf30e8d67113a5e5af2cf40065",
+        "snapshots/round_3.bin": "1fdc8ac5f91305f018d8a551fd3fca556ed4e09f7f322ede31bc30d68e448eaf",
+    },
+}
+# The cases that are not a strategy on small_config: the smallest model, and
+# a head straight on the experts' output for three tasks.
+PINNED_OVERRIDES = {
+    "local_one_task_one_expert": {"strategy": "local", "tasks": 1, "experts": 1},
+    "main_three_tasks_no_tower": {"strategy": "main", "tasks": 3, "tower_widths": ()},
 }
 
 
@@ -113,10 +131,29 @@ def test_runs_are_byte_identical_in_process_and_from_the_cli(tmp_path, monkeypat
 def test_outputs_match_the_pinned_digests(tmp_path, strategy):
     """Byte identity across commits, not just between two runs of one commit."""
     run_dir = tmp_path / "run"
-    harness.run_experiment(small_config(strategy=strategy, out_dir=str(run_dir)))
+    overrides = PINNED_OVERRIDES.get(strategy, {"strategy": strategy})
+    harness.run_experiment(small_config(out_dir=str(run_dir), **overrides))
     files = {name: data for name, data in golden_bytes(run_dir).items() if name != "config.echo"}
     digests = {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
     assert digests == PINNED_SHA256[strategy]
+
+
+@pytest.mark.parametrize(
+    "first, second, left",
+    [
+        ({"rounds": 3}, {"rounds": 2}, ["round_1.bin", "round_2.bin"]),
+        ({"strategy": "main"}, {"strategy": "local"}, []),
+    ],
+    ids=["three_then_two_rounds", "local_after_main"],
+)
+def test_rerun_removes_the_earlier_runs_snapshots(tmp_path, first, second, left):
+    run_dir = tmp_path / "run"
+    harness.run_experiment(small_config(out_dir=str(run_dir), **first))
+    other = run_dir / "snapshots" / "notes.txt"
+    other.write_text("kept")
+    harness.run_experiment(small_config(out_dir=str(run_dir), **second))
+    assert sorted(p.name for p in (run_dir / "snapshots").glob("round_*.bin")) == left
+    assert other.read_text() == "kept"  # only the snapshot pattern is removed
 
 
 def test_ablation_suite_runs_each_distinct_configuration_once(tmp_path, monkeypatch):

@@ -96,13 +96,13 @@ class TestEvaluateClient:
 
     def test_evaluation_is_pure(self):
         model, shard = self.build()
-        before = {name: p.data.copy() for name, p in model.registry().items()}
+        before = {name: p.data.copy() for name, p in model.buffer.params.items()}
         rm = model.bn_in.running_mean.copy()
         rv = model.bn_in.running_var.copy()
         r1 = evaluate_client(model, shard.test)
         r2 = evaluate_client(model, shard.test)
         assert r1 == r2
-        for name, p in model.registry().items():
+        for name, p in model.buffer.params.items():
             assert np.array_equal(before[name], p.data)
         assert np.array_equal(rm, model.bn_in.running_mean)
         assert np.array_equal(rv, model.bn_in.running_var)

@@ -280,12 +280,27 @@ class TestParameterPartition:
         gc.disable()
         try:
             model = make_model()
-            opt = Adam(model.parameters())
-            buffer = weakref.ref(model.buffer)
+            opt = Adam(model.buffer)
+            values = weakref.ref(model.buffer.values)  # every parameter and key is a view of it
             del model, opt
-            assert buffer() is None
+            assert values() is None
         finally:
             gc.enable()
+
+    def test_construction_fills_every_scalar_of_the_buffer(self, monkeypatch):
+        reference = make_model(n_tasks=3)
+        real_empty = np.empty
+
+        def nan_filled(*args, **kwargs):
+            out = real_empty(*args, **kwargs)
+            out.fill(np.nan)
+            return out
+
+        monkeypatch.setattr(np, "empty", nan_filled)  # a scalar nothing writes stays NaN
+        model = make_model(n_tasks=3)
+        monkeypatch.undo()
+        assert np.isfinite(model.buffer.values).all()
+        assert model.buffer.values.tobytes() == reference.buffer.values.tobytes()
 
     def test_scenario_set_size(self):
         model = make_model(n_experts=3, expert_widths=(6, 3))
@@ -389,9 +404,9 @@ class TestTrainEpoch:
 
     def test_zero_learning_rate_is_identity(self):
         client = self.client(lr=0.0)
-        before = {n: p.data.copy() for n, p in client.model.registry().items()}
+        before = {n: p.data.copy() for n, p in client.model.buffer.params.items()}
         client.local_phase(1)
-        for n, p in client.model.registry().items():
+        for n, p in client.model.buffer.params.items():
             assert np.array_equal(before[n], p.data)
 
     def test_same_seed_identical_loss(self):

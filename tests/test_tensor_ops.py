@@ -320,6 +320,11 @@ class TestBlockSumSqDiff:
         with pytest.raises(ShapeMismatchError, match="does not broadcast"):
             block_sum_sq_diff([p], [np.zeros(shape)])
 
+    def test_stacks_of_different_lengths_are_rejected(self):
+        params = [Parameter(np.zeros((4, 3)), "a"), Parameter(np.zeros((3, 3)), "b")]
+        with pytest.raises(ValueError):
+            block_sum_sq_diff(params, [np.zeros(3), np.zeros(3)])
+
 
 class TestEngine:
     def test_backward_requires_scalar(self):
