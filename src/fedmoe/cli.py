@@ -78,7 +78,7 @@ def run_selftest() -> int:
 
 
 def _check_collapse() -> str:
-    from .federation.fedbn import fed_average, fedbn_normalize
+    from .federation.fedbn import fedbn_normalize
 
     rng = np.random.default_rng(7)
     worst = 0.0
@@ -86,28 +86,28 @@ def _check_collapse() -> str:
         m = int(rng.integers(2, 13))
         n_clients = int(rng.integers(2, m + 1))
         shape = (int(rng.integers(1, 65)), int(rng.integers(1, 65)))
-        uploads = [rng.normal(0, 3, shape) for _ in range(m)]
-        gammas = [rng.normal(1, 0.2, shape) for _ in range(n_clients)]
-        betas = [rng.normal(0, 1, shape) for _ in range(n_clients)]
-        normalized, state = fedbn_normalize(uploads, gammas, betas)
-        worst = max(worst, float(np.abs(fed_average(normalized) - state.beta).max()))
+        uploads = rng.normal(0, 3, (m, *shape))
+        betas = rng.normal(0, 1, (n_clients, *shape))
+        normalized, beta = fedbn_normalize(uploads, betas)
+        worst = max(worst, float(np.abs(normalized.mean(axis=0) - beta).max()))
     assert worst < 1e-9, f"max residual {worst:.2e}"
     return f"max residual {worst:.2e}"
 
 
 def _check_coordination() -> str:
-    from .federation.coordination import coordinate
+    from .federation.coordination import solve_conflict_weights
 
     rng = np.random.default_rng(11)
     worst = 0.0
     for _ in range(100):
         m = int(rng.integers(1, 7))
-        deltas = [rng.normal(0, 1, 12) for _ in range(m)]
+        deltas = rng.normal(0, 1, (m, 12))
+        mean_delta = deltas.mean(axis=0)
         c = float(rng.uniform(0, 0.9))
-        result = coordinate(deltas, c)
-        radius = float(np.linalg.norm(result.u_star - result.mean_delta))
-        target = c * float(np.linalg.norm(result.mean_delta))
-        if float(np.linalg.norm(result.u_w)) > 1e-12:
+        result = solve_conflict_weights(deltas, mean_delta, c)
+        radius = float(np.linalg.norm(result.u_star - mean_delta))
+        target = c * float(np.linalg.norm(mean_delta))
+        if float(np.linalg.norm(deltas.T @ result.weights)) > 1e-12:
             worst = max(worst, abs(radius - target))
     assert worst < 1e-6, f"radius error {worst:.2e}"
     return f"max radius error {worst:.2e}"

@@ -232,7 +232,6 @@ def write_csv(path: str, records: RecordSet, schema: CsvSchema) -> None:
 @dataclass(frozen=True)
 class BatchConfig:
     batch_size: int
-    shuffle: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -241,13 +240,12 @@ class BatchConfig:
 
 
 def batch_iter(records: RecordSet, cfg: BatchConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (features, labels) batches; a trailing batch smaller than 2 is dropped."""
+    """Yield shuffled (features, labels) batches; a trailing batch smaller than 2 is dropped."""
     n = len(records)
     if n == 0:
         raise DataError("cannot batch an empty record set")
     order = np.arange(n)
-    if cfg.shuffle:
-        np.random.default_rng([cfg.seed, 0xBA7C]).shuffle(order)
+    np.random.default_rng([cfg.seed, 0xBA7C]).shuffle(order)
     for start in range(0, n, cfg.batch_size):
         idx = order[start : start + cfg.batch_size]
         if idx.size < 2:

@@ -1,14 +1,8 @@
 """Federated round protocol: normalization, coordination, personalization."""
 
 from .client import ClientSim, PersonalizationState
-from .coordination import (
-    CoordinationResult,
-    compose_coordinated_update,
-    coordinate,
-    project_simplex,
-    solve_conflict_weights,
-)
-from .fedbn import FedBNState, fed_average, fedbn_normalize
+from .coordination import CoordinationResult, project_simplex, solve_conflict_weights
+from .fedbn import fedbn_normalize
 from ..keys import SharedKey
 from .server import (
     STRATEGY_IDS,
@@ -24,15 +18,11 @@ __all__ = [
     "STRATEGY_IDS",
     "ClientSim",
     "CoordinationResult",
-    "FedBNState",
     "FederationServer",
     "PersonalizationState",
     "ServerDirective",
     "SharedKey",
     "StrategyPlan",
-    "compose_coordinated_update",
-    "coordinate",
-    "fed_average",
     "fedbn_normalize",
     "project_simplex",
     "read_snapshot",

@@ -17,26 +17,19 @@ loop stops once the Frank-Wolfe gap
 
 falls below GAP_TOL * (||b||_inf + sqrt(phi) * max_m ||delta_m||), with
 b_m = <delta_m, mean>, or after MAX_ITERS steps. F is convex, so the gap
-bounds F(w) - min F from above. The coordinated update is then
-U* = mean + sqrt(phi) * U_w / ||U_w||, which sits exactly on the ball
-boundary whenever U_w is nonzero.
+bounds F(w) - min F from above. The solver then composes the coordinated
+update U* = mean + sqrt(phi) * U_w / ||U_w||, which sits exactly on the
+ball boundary whenever U_w is nonzero, and falls back to the mean when U_w
+or phi is zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
-__all__ = [
-    "CoordinationResult",
-    "project_simplex",
-    "solve_conflict_weights",
-    "compose_coordinated_update",
-    "coordinate",
-    "objective",
-]
+__all__ = ["CoordinationResult", "project_simplex", "solve_conflict_weights", "objective"]
 
 MAX_ITERS = 500
 GAP_TOL = 1e-6
@@ -55,16 +48,12 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoordinationResult:
     weights: np.ndarray  # simplex weights, one per increment
-    u_w: np.ndarray  # weighted combination of increments
-    phi: float  # squared ball radius, c^2 ||mean||^2
-    mean_delta: np.ndarray
-    c: float
+    u_star: np.ndarray  # coordinated update, shaped like the mean increment
     iterations: int
     objective: float
-    u_star: Optional[np.ndarray] = None  # set by compose_coordinated_update
 
 
 def objective(weights: np.ndarray, deltas: np.ndarray, mean_delta: np.ndarray, c: float) -> float:
@@ -74,17 +63,16 @@ def objective(weights: np.ndarray, deltas: np.ndarray, mean_delta: np.ndarray, c
     return float(u_w @ mean_delta + np.sqrt(phi) * np.linalg.norm(u_w))
 
 
-def solve_conflict_weights(
-    deltas: Sequence[np.ndarray] | np.ndarray, mean_delta: np.ndarray, c: float
-) -> CoordinationResult:
-    """Minimize F(w) over the simplex; ``deltas`` holds one increment per row.
+def solve_conflict_weights(deltas: np.ndarray, mean_delta: np.ndarray, c: float) -> CoordinationResult:
+    """Minimize F(w) over the simplex and compose U*; ``deltas`` stacks one increment per row.
 
-    All-zero deltas short-circuit to the degenerate zero-update result.
+    All-zero deltas short-circuit to uniform weights and U* = mean.
     """
     if not 0.0 <= c < 1.0:
         raise ValueError(f"c must be in [0, 1), got {c}")
     if len(deltas) == 0:
         raise ValueError("need at least one increment")
+    shape = np.shape(mean_delta)
     d = np.asarray(deltas, dtype=np.float64)
     d = d.reshape(d.shape[0], -1)  # (M, L)
     mean_delta = np.asarray(mean_delta, dtype=np.float64).ravel()
@@ -100,10 +88,7 @@ def solve_conflict_weights(
 
     w = np.full(d.shape[0], 1.0 / d.shape[0])
     if max_norm <= NORM_FLOOR:
-        return CoordinationResult(
-            weights=w, u_w=np.zeros_like(mean_delta), phi=phi, mean_delta=mean_delta,
-            c=c, iterations=0, objective=0.0,
-        )
+        return CoordinationResult(weights=w, u_star=mean_delta.reshape(shape).copy(), iterations=0, objective=0.0)
     scale = float(np.abs(b).max()) + sqrt_phi * max_norm  # sets the tolerance and the first step
     tol = GAP_TOL * scale
 
@@ -143,27 +128,10 @@ def solve_conflict_weights(
         w, f, g, t = x, f_x, grad(x), t_next
         f_y, g_y = value(y), grad(y)
 
-    return CoordinationResult(
-        weights=w, u_w=d.T @ w, phi=phi, mean_delta=mean_delta, c=c,
-        iterations=iterations, objective=f,
-    )
-
-
-def compose_coordinated_update(result: CoordinationResult) -> np.ndarray:
-    """U* = mean + sqrt(phi) / ||U_w|| * U_w; degenerate cases fall back to the mean."""
-    u_w_norm = float(np.linalg.norm(result.u_w))
-    if u_w_norm < NORM_FLOOR or result.phi == 0.0:
-        u_star = result.mean_delta.copy()
+    u_w = d.T @ w
+    u_w_norm = float(np.linalg.norm(u_w))
+    if u_w_norm < NORM_FLOOR or phi == 0.0:
+        u_star = mean_delta.copy()
     else:
-        u_star = result.mean_delta + (np.sqrt(result.phi) / u_w_norm) * result.u_w
-    result.u_star = u_star
-    return u_star
-
-
-def coordinate(deltas: Sequence[np.ndarray], c: float) -> CoordinationResult:
-    """Solve and compose in one call; the mean increment is taken over ``deltas``."""
-    d = [np.asarray(x, dtype=np.float64).ravel() for x in deltas]
-    mean_delta = np.mean(np.stack(d), axis=0)
-    result = solve_conflict_weights(d, mean_delta, c)
-    compose_coordinated_update(result)
-    return result
+        u_star = mean_delta + (sqrt_phi / u_w_norm) * u_w
+    return CoordinationResult(weights=w, u_star=u_star.reshape(shape), iterations=iterations, objective=f)

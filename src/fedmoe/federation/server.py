@@ -11,13 +11,15 @@ Strategy table (expert scenario-weight set / tower set):
     fedavg  plain       / plain         plain mean over every parameter
     local   none        / none          no aggregation at all
 
-"coordinated" means: normalize each pool's uploads server-side as one
-batch, stacked in (client, key) order, average them, difference the stack
-against the previous round's, solve the simplex weighting over its rows,
-and ship one mean increment plus one coordinated update per pool, keyed by
+"coordinated" means: stack each pool's uploads once, in (client, key) row
+order, normalize the stack server-side as one batch around the clients'
+averaged own-upload means, average it, difference it against the previous
+round's stack, solve the simplex weighting over its rows, and ship one mean
+increment plus one coordinated update per pool, keyed by
 ``SharedKey.group()``, for personalized application to every key of the
 pool on each client. "plain" is the per-key mean over clients. The server
-sees nothing but keyed tensors.
+sees nothing but keyed tensors, and ``aggregate`` checks each client's key
+set, shapes and finiteness before it uses any of them.
 
 The aggregated scenario weights are also each client's proximal references
 for the next round. A strategy that does not aggregate them (``a4``,
@@ -31,8 +33,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .coordination import compose_coordinated_update, solve_conflict_weights
-from .fedbn import fed_average, fedbn_normalize
+from .coordination import solve_conflict_weights
+from .fedbn import fedbn_normalize
 from ..keys import SharedKey
 
 __all__ = [
@@ -150,15 +152,23 @@ class FederationServer:
             raise ValueError("no uploads")
         if self.plan.uses_fedbn and len(clients) < 2:
             raise ValueError(f"strategy {self.plan.name!r} needs >= 2 clients (got {len(clients)})")
-        key_set = sorted(uploads[clients[0]])
+        first = uploads[clients[0]]
+        key_set = sorted(first)
         for j in clients:
             if sorted(uploads[j]) != key_set:
-                raise ValueError(f"client {j} uploaded a different key set")
+                differ = ", ".join(k.label() for k in sorted(set(uploads[j]) ^ set(key_set)))
+                raise ValueError(f"client {j} uploaded a different key set than client {clients[0]}: {differ}")
             for key in key_set:
-                if not np.isfinite(uploads[j][key]).all():
+                arr = uploads[j][key]
+                if arr.shape != first[key].shape:
+                    raise ValueError(
+                        f"client {j} uploaded {key.label()} with shape {arr.shape}, "
+                        f"client {clients[0]} with {first[key].shape}"
+                    )
+                if not np.isfinite(arr).all():
                     raise ValueError(f"client {j} uploaded a non-finite value for {key.label()}")
                 if self.audit_hook is not None:
-                    self.audit_hook(j, key, uploads[j][key])
+                    self.audit_hook(j, key, arr)
 
         directive = ServerDirective(round_index=round_index)
         pools: dict[tuple, list[SharedKey]] = {}
@@ -168,7 +178,7 @@ class FederationServer:
             if key.kind in coordinated_kinds:
                 pools.setdefault(key.group(), []).append(key)
                 continue
-            directive.replace[key] = fed_average([uploads[j][key] for j in clients])
+            directive.replace[key] = np.mean(np.stack([uploads[j][key] for j in clients]), axis=0)
             if key.kind == "expert_scenario":  # sorted keys list a layer's experts in index order
                 expert_means.setdefault(key.group(), []).append(directive.replace[key])
         for group, means in expert_means.items():
@@ -192,15 +202,15 @@ class FederationServer:
     ) -> PoolStack:
         """Normalize one pool's uploads, then either set the pool mean or coordinate its increments."""
         rows = [(j, key) for j in clients for key in keys]
-        # Affine restore terms come from the clients' own uploads: one
-        # (gamma=1, beta=mean of own tensors) pair per client, so the
-        # averaged beta recovers the plain pooled mean and the batch
-        # normalization only reshapes the spread around it.
-        betas = [np.mean(np.stack([uploads[j][key] for key in keys]), axis=0) for j in clients]
-        gammas = [np.ones_like(betas[0]) for _ in clients]
-        normalized, state = fedbn_normalize([uploads[j][key] for j, key in rows], gammas, betas)
+        stack = np.stack([uploads[j][key] for j, key in rows])
+        # The shift comes from the clients' own uploads: one beta per client,
+        # the mean of its P keys (client-major rows), so the averaged beta
+        # recovers the plain pooled mean and the batch normalization only
+        # reshapes the spread around it.
+        betas = stack.reshape(len(clients), len(keys), *stack.shape[1:]).mean(axis=1)
+        normalized, beta = fedbn_normalize(stack, betas)
         wbar = normalized.mean(axis=0)
-        directive.fedbn_residual = max(directive.fedbn_residual, float(np.abs(wbar - state.beta).max()))
+        directive.fedbn_residual = max(directive.fedbn_residual, float(np.abs(wbar - beta).max()))
         directive.refs[group] = wbar
 
         if directive.round_index < 2 or not self.prev_normalized:  # no history: set, do not increment
@@ -215,9 +225,8 @@ class FederationServer:
             )
         deltas = normalized - previous
         mean_delta = deltas.mean(axis=0)
-        result = solve_conflict_weights(deltas, mean_delta, self.c)
         directive.mean_increment[group] = mean_delta
-        directive.coordinated[group] = compose_coordinated_update(result).reshape(mean_delta.shape)
+        directive.coordinated[group] = solve_conflict_weights(deltas, mean_delta, self.c).u_star
         return rows, normalized
 
     # -- persistence --------------------------------------------------------------

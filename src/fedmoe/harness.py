@@ -45,9 +45,7 @@ class RunArtifacts:
     config_echo_path: Path
     snapshot_dir: Optional[Path]
     shard_checksum: str
-    train_loss: dict[tuple[int, int], float] = field(default_factory=dict)  # (round, client)
     test_auc: dict[tuple[int, int, int], float] = field(default_factory=dict)  # (round, client, task)
-    test_bce: dict[tuple[int, int, int], float] = field(default_factory=dict)
     fedbn_residual_max: float = 0.0
 
     def final_mean_auc(self) -> float:
@@ -109,6 +107,11 @@ def run_experiment(
     if out_dir is not None:
         config = config.with_overrides(out_dir=str(out_dir))
     config.validate()
+    shards = build_shards(config)  # before any file is touched: bad data leaves an earlier run intact
+    checksum = _combined_checksum(shards)
+    clients = build_clients(config, shards)
+    plan = resolve_strategy(config.strategy)
+    keys = upload_keys(plan, clients[0].model)
 
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -116,12 +119,6 @@ def run_experiment(
     config.save(echo_path)
     for stale in out.glob("snapshots/round_*.bin"):  # an earlier run's rounds; this run may stop sooner
         stale.unlink()
-
-    shards = build_shards(config)
-    checksum = _combined_checksum(shards)
-    clients = build_clients(config, shards)
-    plan = resolve_strategy(config.strategy)
-    keys = upload_keys(plan, clients[0].model)
 
     server: Optional[FederationServer] = None
     snapshot_dir: Optional[Path] = None
@@ -152,7 +149,6 @@ def run_experiment(
             for client in clients:
                 client.begin_round(keys)
                 loss = client.local_phase(r, epochs=config.local_epochs, max_batches=max_batches)
-                artifacts.train_loss[(r, client.index)] = loss
                 convergence.writerow(_format_row((r, client.index, loss)))
 
             if server is not None:
@@ -170,7 +166,6 @@ def run_experiment(
                 for i in range(config.tasks):
                     metrics.writerow(_format_row((r, client.index, i, report.auc[i], report.bce[i])))
                     artifacts.test_auc[(r, client.index, i)] = report.auc[i]
-                    artifacts.test_bce[(r, client.index, i)] = report.bce[i]
             convergence_fh.flush()
             metrics_fh.flush()
     return artifacts

@@ -3,15 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
-from fedmoe.federation.coordination import (
-    GAP_TOL,
-    MAX_ITERS,
-    compose_coordinated_update,
-    coordinate,
-    objective,
-    project_simplex,
-    solve_conflict_weights,
-)
+from fedmoe.federation.coordination import GAP_TOL, MAX_ITERS, objective, project_simplex, solve_conflict_weights
+
+
+def solve(deltas, c: float):
+    """Solve over the rows of ``deltas`` around their mean; returns (result, mean)."""
+    deltas = np.asarray(deltas, dtype=np.float64)
+    mean_delta = deltas.mean(axis=0)
+    return solve_conflict_weights(deltas, mean_delta, c), mean_delta
 
 
 def grid_minimum(deltas: np.ndarray, mean_delta: np.ndarray, c: float, resolution: float = 1e-3) -> float:
@@ -75,22 +74,32 @@ class TestProjection:
 class TestSolver:
     def test_single_delta_closed_form(self):
         delta = np.array([3.0, 4.0])
-        result = solve_conflict_weights([delta], delta, c=0.5)
+        result = solve_conflict_weights(delta[None], delta, c=0.5)
         assert np.array_equal(result.weights, [1.0])
-        assert np.array_equal(result.u_w, delta)
-        assert np.sqrt(result.phi) == pytest.approx(2.5)
-        assert result.objective == pytest.approx(37.5)
+        assert np.array_equal(delta[None].T @ result.weights, delta)  # U_w
+        assert result.objective == pytest.approx(37.5)  # <d, d> + (0.5 ||d||) ||d||
+        assert np.allclose(result.u_star, 1.5 * delta, atol=1e-12)
 
     def test_opposite_deltas_cancel(self):
         d = np.array([1.0, -2.0, 0.5])
-        result = coordinate([d, -d], c=0.5)
-        assert result.phi == pytest.approx(0.0)
+        result, mean_delta = solve([d, -d], c=0.5)
+        assert np.linalg.norm(mean_delta) == pytest.approx(0.0)  # phi = c^2 ||mean||^2 = 0
         assert np.linalg.norm(result.u_star) == pytest.approx(0.0)
 
     def test_all_zero_deltas_degenerate(self):
-        result = coordinate([np.zeros(3), np.zeros(3)], c=0.4)
+        result, _ = solve([np.zeros(3), np.zeros(3)], c=0.4)
         assert np.array_equal(result.u_star, np.zeros(3))
-        assert result.objective == 0.0
+        assert np.array_equal(result.weights, [0.5, 0.5])
+        assert result.objective == 0.0 and result.iterations == 0
+
+    def test_u_star_keeps_the_mean_increments_shape(self):
+        rng = np.random.default_rng(9)
+        deltas = rng.normal(0, 1, (4, 3, 2))
+        mean_delta = deltas.mean(axis=0)
+        result = solve_conflict_weights(deltas, mean_delta, 0.4)
+        flat = solve_conflict_weights(deltas.reshape(4, -1), mean_delta.ravel(), 0.4)
+        assert result.u_star.shape == (3, 2)
+        assert np.array_equal(result.u_star.ravel(), flat.u_star)
 
     def test_non_finite_increments_rejected(self):
         deltas = np.array([[1.0, np.nan], [0.5, 1.0]])
@@ -105,7 +114,7 @@ class TestSolver:
             deltas = rng.normal(0, 10.0 ** rng.uniform(-1, 1), (m, dim))
             c = float(rng.uniform(0, 0.9))
             mean_delta = deltas.mean(axis=0)
-            result = solve_conflict_weights(list(deltas), mean_delta, c)
+            result = solve_conflict_weights(deltas, mean_delta, c)
             assert result.objective - grid_minimum(deltas, mean_delta, c) < 1e-4
 
     def test_frank_wolfe_gap_within_tolerance(self):
@@ -134,48 +143,47 @@ class TestSolver:
 class TestCompose:
     def test_zero_radius_returns_mean(self):
         rng = np.random.default_rng(2)
-        deltas = [rng.normal(0, 1, 6) for _ in range(4)]
-        result = coordinate(deltas, c=0.0)
-        assert np.array_equal(result.u_star, result.mean_delta)
+        result, mean_delta = solve(rng.normal(0, 1, (4, 6)), c=0.0)
+        assert np.array_equal(result.u_star, mean_delta)
 
     def test_single_delta_scaling(self):
         delta = np.array([1.0, 2.0, 2.0])
         for c in (0.1, 0.4, 0.8):
-            result = coordinate([delta], c=c)
+            result, _ = solve([delta], c=c)
             assert np.allclose(result.u_star, (1.0 + c) * delta, atol=1e-12)
 
     def test_ball_boundary_tightness(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             m = int(rng.integers(2, 9))
-            deltas = [rng.normal(0, 2, 10) for _ in range(m)]
+            deltas = rng.normal(0, 2, (m, 10))
             c = float(rng.uniform(0.05, 0.9))
-            result = coordinate(deltas, c)
-            if np.linalg.norm(result.u_w) > 1e-12:
-                radius = np.linalg.norm(result.u_star - result.mean_delta)
-                assert radius == pytest.approx(c * np.linalg.norm(result.mean_delta), abs=1e-6)
+            result, mean_delta = solve(deltas, c)
+            if np.linalg.norm(deltas.T @ result.weights) > 1e-12:  # U_w nonzero
+                radius = np.linalg.norm(result.u_star - mean_delta)
+                assert radius == pytest.approx(c * np.linalg.norm(mean_delta), abs=1e-6)
 
     def test_worst_pair_improvement(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
             m = int(rng.integers(2, 7))
-            deltas = [rng.normal(0, 1, 8) for _ in range(m)]
-            result = coordinate(deltas, c=0.4)
+            deltas = rng.normal(0, 1, (m, 8))
+            result, mean_delta = solve(deltas, c=0.4)
             at_star = min(float(d @ result.u_star) for d in deltas)
-            at_mean = min(float(d @ result.mean_delta) for d in deltas)
+            at_mean = min(float(d @ mean_delta) for d in deltas)
             assert at_star >= at_mean - 1e-6
 
     def test_continuity_in_c(self):
         rng = np.random.default_rng(5)
-        deltas = [rng.normal(0, 1, 5) for _ in range(3)]
+        deltas = rng.normal(0, 1, (3, 5))
         norms = []
         for c in (0.2, 0.1, 0.05, 0.01, 0.001):
-            result = coordinate(deltas, c)
-            norms.append(np.linalg.norm(result.u_star - result.mean_delta))
+            result, mean_delta = solve(deltas, c)
+            norms.append(np.linalg.norm(result.u_star - mean_delta))
         assert all(a > b for a, b in zip(norms, norms[1:]))
         assert norms[-1] < 1e-2
-        exact = coordinate(deltas, 0.0)
-        assert np.array_equal(exact.u_star, exact.mean_delta)
+        exact, mean_delta = solve(deltas, 0.0)
+        assert np.array_equal(exact.u_star, mean_delta)
 
 
 class TestObjectiveHelper:
@@ -183,5 +191,5 @@ class TestObjectiveHelper:
         rng = np.random.default_rng(6)
         deltas = rng.normal(0, 1, (3, 5))
         mean_delta = deltas.mean(axis=0)
-        result = solve_conflict_weights(list(deltas), mean_delta, 0.3)
+        result = solve_conflict_weights(deltas, mean_delta, 0.3)
         assert objective(result.weights, deltas, mean_delta, 0.3) == pytest.approx(result.objective)

@@ -128,16 +128,12 @@ class TestBatchIter:
         return RecordSet(np.arange(n, dtype=float).reshape(n, 1), np.zeros((n, 1)))
 
     def test_final_short_batch_kept_when_two(self):
-        sizes = [x.shape[0] for x, _ in batch_iter(self.records(10), BatchConfig(4, shuffle=False))]
+        sizes = [x.shape[0] for x, _ in batch_iter(self.records(10), BatchConfig(4))]
         assert sizes == [4, 4, 2]
 
     def test_final_singleton_dropped(self):
-        sizes = [x.shape[0] for x, _ in batch_iter(self.records(9), BatchConfig(4, shuffle=False))]
+        sizes = [x.shape[0] for x, _ in batch_iter(self.records(9), BatchConfig(4))]
         assert sizes == [4, 4]
-
-    def test_no_shuffle_preserves_order(self):
-        batches = [x for x, _ in batch_iter(self.records(6), BatchConfig(3, shuffle=False))]
-        assert np.array_equal(np.vstack(batches).ravel(), np.arange(6.0))
 
     def test_shuffle_deterministic_under_seed(self):
         def order(seed):
@@ -145,6 +141,7 @@ class TestBatchIter:
 
         assert np.array_equal(order(3), order(3))
         assert not np.array_equal(order(3), order(4))
+        assert np.array_equal(np.sort(order(3).ravel()), np.arange(10.0))  # a permutation of the records
 
     def test_batch_size_floor(self):
         with pytest.raises(DataError):

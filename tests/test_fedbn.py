@@ -1,25 +1,25 @@
 import numpy as np
 import pytest
 
-from fedmoe.federation.fedbn import fed_average, fedbn_normalize
+from fedmoe.federation.fedbn import DEFAULT_EPS, fedbn_normalize
 
 
 class TestNormalize:
     def test_identical_uploads_collapse_to_beta(self):
-        uploads = [np.full((3, 2), 5.0) for _ in range(4)]
-        betas = [np.full((3, 2), b) for b in (0.1, 0.2, 0.3, 0.4)]
-        gammas = [np.ones((3, 2))] * 4
-        normalized, state = fedbn_normalize(uploads, gammas, betas)
+        uploads = np.full((4, 3, 2), 5.0)
+        betas = np.stack([np.full((3, 2), b) for b in (0.1, 0.2, 0.3, 0.4)])
+        normalized, beta = fedbn_normalize(uploads, betas)
         for n in normalized:
-            assert np.allclose(n, state.beta, atol=1e-12)
-        assert np.allclose(state.beta, 0.25)
+            assert np.allclose(n, beta, atol=1e-12)
+        assert np.allclose(beta, 0.25)
 
     def test_symmetric_pair_with_unit_affine(self):
-        uploads = [np.array([-1.0]), np.array([1.0])]
-        normalized, state = fedbn_normalize(uploads, [np.ones(1)] * 2, [np.zeros(1)] * 2)
+        uploads = np.array([[-1.0], [1.0]])
+        normalized, beta = fedbn_normalize(uploads, np.zeros((2, 1)))
         assert np.allclose(normalized[0], [-1.0], atol=1e-4)
         assert np.allclose(normalized[1], [1.0], atol=1e-4)
-        assert state.var[0] == pytest.approx(1.0)
+        assert normalized[1, 0] == pytest.approx(1.0 / np.sqrt(1.0 + DEFAULT_EPS))  # pooled variance 1
+        assert np.array_equal(beta, [0.0])
 
     def test_collapse_identity_random(self):
         rng = np.random.default_rng(0)
@@ -27,43 +27,32 @@ class TestNormalize:
             m = int(rng.integers(2, 13))
             s = int(rng.integers(2, m + 1))
             shape = (int(rng.integers(1, 9)), int(rng.integers(1, 9)))
-            uploads = [rng.normal(0, 5, shape) for _ in range(m)]
-            gammas = [rng.normal(1, 0.5, shape) for _ in range(s)]
-            betas = [rng.normal(0, 2, shape) for _ in range(s)]
-            normalized, state = fedbn_normalize(uploads, gammas, betas)
-            assert np.abs(np.mean(np.stack(normalized), axis=0) - state.beta).max() < 1e-9
+            uploads = rng.normal(0, 5, (m, *shape))
+            betas = rng.normal(0, 2, (s, *shape))
+            normalized, beta = fedbn_normalize(uploads, betas)
+            assert np.abs(normalized.mean(axis=0) - beta).max() < 1e-9
 
     def test_collapse_identity_survives_tiny_eps(self):
         rng = np.random.default_rng(1)
-        uploads = [np.full((4, 4), 0.1)] * 3  # zero spread
-        betas = [rng.normal(0, 1, (4, 4)) for _ in range(3)]
-        normalized, state = fedbn_normalize(uploads, [np.ones((4, 4))] * 3, betas, eps=1e-30)
-        assert np.abs(np.mean(np.stack(normalized), axis=0) - state.beta).max() < 1e-9
+        uploads = np.full((3, 4, 4), 0.1)  # zero spread
+        betas = rng.normal(0, 1, (3, 4, 4))
+        normalized, beta = fedbn_normalize(uploads, betas, eps=1e-30)
+        assert np.abs(normalized.mean(axis=0) - beta).max() < 1e-9
 
     def test_requires_two_uploads(self):
-        with pytest.raises(ValueError):
-            fedbn_normalize([np.ones(2)], [np.ones(2)], [np.zeros(2)])
+        with pytest.raises(ValueError, match=">= 2 uploads"):
+            fedbn_normalize(np.ones((1, 2)), np.zeros((1, 2)))
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            fedbn_normalize([np.ones(2), np.ones(3)], [np.ones(2)] * 2, [np.zeros(2)] * 2)
+    def test_eps_must_be_positive(self):
+        with pytest.raises(ValueError, match="eps"):
+            fedbn_normalize(np.ones((2, 2)), np.zeros((2, 2)), eps=0.0)
 
 
 class TestAverage:
     def test_mean_of_normalized_equals_beta(self):
         rng = np.random.default_rng(2)
-        uploads = [rng.normal(0, 1, (5,)) for _ in range(6)]
-        betas = [rng.normal(0, 1, (5,)) for _ in range(3)]
-        normalized, state = fedbn_normalize(uploads, [np.ones(5)] * 3, betas)
-        assert np.abs(fed_average(normalized) - state.beta).max() < 1e-9
-
-    def test_single_upload_is_itself(self):
-        v = np.array([1.5, -2.0])
-        assert np.array_equal(fed_average([v]), v)
-
-    def test_plain_mean_baseline_path(self):
-        assert fed_average([np.array([2.0]), np.array([4.0])])[0] == 3.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            fed_average([])
+        uploads = rng.normal(0, 1, (6, 5))
+        betas = rng.normal(0, 1, (3, 5))
+        normalized, beta = fedbn_normalize(uploads, betas)
+        assert np.abs(normalized.mean(axis=0) - beta).max() < 1e-9
+        assert np.array_equal(beta, betas.mean(axis=0))

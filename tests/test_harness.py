@@ -78,12 +78,22 @@ PINNED_SHA256 = {
         "snapshots/round_2.bin": "de7d27944273bd18aa2b09c06878d151660fe5bf30e8d67113a5e5af2cf40065",
         "snapshots/round_3.bin": "1fdc8ac5f91305f018d8a551fd3fca556ed4e09f7f322ede31bc30d68e448eaf",
     },
+    "main_three_clients_three_experts": {
+        "metrics.csv": "9f0093b9ac473bfd49b602da18d0bf3176f2332b2142fad4360c64ed0667409b",
+        "convergence.csv": "4357c2bfb92f16adf4171d3d565620d08300b5fdfb9b9cd4e1f8a7defd888f90",
+        "snapshots/round_1.bin": "0f4a7589af2ee163c9950cc648114c00d3249634a19ea03c062da9a6f3689d5f",
+        "snapshots/round_2.bin": "5e68cae3dcb0ecc8a79998d92f0be7964889f1c8bec8496d5d0e42d76b376402",
+        "snapshots/round_3.bin": "6da84c0eedff051cdf32751955f337f8bc3e1de4c49c350e6365dd02d25b7c1f",
+    },
 }
-# The cases that are not a strategy on small_config: the smallest model, and
-# a head straight on the experts' output for three tasks.
+# The cases that are not a strategy on small_config: the smallest model, a
+# head straight on the experts' output for three tasks, and three clients of
+# three experts each, whose expert pools stack 9 rows of 3 keys per client (a
+# pool read in (key, client) order instead of (client, key) order fails it).
 PINNED_OVERRIDES = {
     "local_one_task_one_expert": {"strategy": "local", "tasks": 1, "experts": 1},
     "main_three_tasks_no_tower": {"strategy": "main", "tasks": 3, "tower_widths": ()},
+    "main_three_clients_three_experts": {"strategy": "main", "scenarios": 3, "experts": 3},
 }
 
 
@@ -154,6 +164,28 @@ def test_rerun_removes_the_earlier_runs_snapshots(tmp_path, first, second, left)
     harness.run_experiment(small_config(out_dir=str(run_dir), **second))
     assert sorted(p.name for p in (run_dir / "snapshots").glob("round_*.bin")) == left
     assert other.read_text() == "kept"  # only the snapshot pattern is removed
+
+
+@pytest.mark.parametrize("problem", ["missing_csv", "single_class_test_partition"])
+def test_rerun_that_fails_on_its_data_leaves_the_earlier_run_intact(tmp_path, problem):
+    run_dir = tmp_path / "run"
+    harness.run_experiment(small_config(out_dir=str(run_dir), rounds=2))
+    before = {p.relative_to(run_dir): p.read_bytes() for p in sorted(run_dir.rglob("*")) if p.is_file()}
+    assert Path("snapshots/round_2.bin") in before
+
+    if problem == "missing_csv":
+        bad = small_config(
+            out_dir=str(run_dir), tasks=1, d_feat=1, source="csv",
+            csv_paths=(str(tmp_path / "a.csv"), str(tmp_path / "missing.csv")),
+            feature_columns=("f0",), label_columns=("click",),
+        )
+        (tmp_path / "a.csv").write_text("f0,click\n" + "0.5,1\n0.25,0\n" * 20)
+    else:
+        bad = ExperimentConfig(samples_per_scenario=20, temperature=0.05, rounds=1, out_dir=str(run_dir))
+    with pytest.raises(DataError):
+        harness.run_experiment(bad)
+    after = {p.relative_to(run_dir): p.read_bytes() for p in sorted(run_dir.rglob("*")) if p.is_file()}
+    assert after == before
 
 
 def test_ablation_suite_runs_each_distinct_configuration_once(tmp_path, monkeypatch):

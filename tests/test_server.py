@@ -335,6 +335,13 @@ class TestStrategies:
         for k, p in source.tower_shared().items():
             assert np.allclose(p.data, before[k], atol=1e-12)
 
+    def test_plain_keys_take_the_mean_over_clients(self):
+        server = FederationServer(resolve_strategy("a1"))
+        directive = server.aggregate({0: {key(): np.array([2.0, 1.0])}, 1: {key(): np.array([4.0, 1.0])}}, 1)
+        assert np.array_equal(directive.replace[key()], [3.0, 1.0])
+        single = np.array([1.5, -2.0])
+        assert np.array_equal(server.aggregate({0: {key(): single}}, 2).replace[key()], single)
+
     def test_single_client_rejected(self):
         clients, config = make_clients(s=2)
         plan = resolve_strategy("main")
@@ -354,6 +361,34 @@ class TestStrategies:
             FederationServer(plan, c=config.c).aggregate(uploads, 1)
 
 
+class TestInputChecks:
+    """aggregate is where client input enters the server: each bad upload is named before any is used."""
+
+    @pytest.mark.parametrize("strategy", ["main", "a1"])
+    def test_no_uploads_rejected(self, strategy):
+        with pytest.raises(ValueError, match="no uploads"):
+            FederationServer(resolve_strategy(strategy)).aggregate({}, 1)
+
+    @pytest.mark.parametrize("strategy", ["main", "a1"])
+    def test_different_key_set_names_the_client_and_key(self, strategy):
+        tower = key(kind="tower", index=1, layer=0, part="b")
+        uploads = {0: {key(): np.ones(2)}, 1: {key(): np.ones(2), tower: np.ones(2)}}
+        with pytest.raises(ValueError, match=f"client 1 .*different key set.*{re.escape(tower.label())}"):
+            FederationServer(resolve_strategy(strategy)).aggregate(uploads, 1)
+
+    @pytest.mark.parametrize("strategy", ["main", "a1"])
+    def test_wrong_shape_names_the_client_and_key(self, strategy):
+        uploads = {0: {key(): np.ones((2, 3))}, 1: {key(): np.ones((2, 3))}, 2: {key(): np.ones((3, 2))}}
+        with pytest.raises(ValueError, match=rf"client 2 .*{re.escape(key().label())} with shape \(3, 2\)"):
+            FederationServer(resolve_strategy(strategy)).aggregate(uploads, 1)
+
+    def test_non_finite_value_on_a_plain_key_names_the_client_and_key(self):
+        # TestStrategies.test_non_finite_upload_rejected covers a coordinated key
+        uploads = {0: {key(): np.ones(2)}, 1: {key(): np.array([1.0, np.inf])}}
+        with pytest.raises(ValueError, match=f"client 1 .*non-finite.*{re.escape(key().label())}"):
+            FederationServer(resolve_strategy("a1")).aggregate(uploads, 1)
+
+
 class TestRoundProtocol:
     def test_five_round_smoke_emits_metrics(self, tmp_path):
         config = ExperimentConfig(
@@ -363,9 +398,9 @@ class TestRoundProtocol:
         )
         artifacts = run_experiment(config)
         assert len(artifacts.test_auc) == 5 * 2 * 2
-        assert len(artifacts.train_loss) == 5 * 2
         lines = artifacts.metrics_path.read_text().strip().splitlines()
         assert len(lines) == 1 + 5 * 2 * 2
+        assert len(artifacts.convergence_path.read_text().strip().splitlines()) == 1 + 5 * 2
 
     def test_refs_reach_clients_after_round(self, tmp_path):
         clients, config = make_clients(s=2)
