@@ -2,6 +2,15 @@ import numpy as np
 import pytest
 
 from fedmoe.federation.fedbn import DEFAULT_EPS, fedbn_normalize
+from fedmoe.federation.server import FederationServer, resolve_strategy
+from fedmoe.keys import SharedKey
+
+
+def plain_mean(uploads):
+    """The server's plain-average path: one uncoordinated key, one upload per client."""
+    key = SharedKey(kind="expert_scenario", index=0, layer=0, part="w_s")
+    server = FederationServer(resolve_strategy("a1"))
+    return server.aggregate({j: {key: u} for j, u in enumerate(uploads)}, 1).replace[key]
 
 
 class TestNormalize:
@@ -56,3 +65,10 @@ class TestAverage:
         normalized, beta = fedbn_normalize(uploads, betas)
         assert np.abs(normalized.mean(axis=0) - beta).max() < 1e-9
         assert np.array_equal(beta, betas.mean(axis=0))
+
+    def test_single_upload_is_itself(self):
+        v = np.array([1.5, -2.0])
+        assert np.array_equal(plain_mean([v]), v)
+
+    def test_plain_mean_baseline_path(self):
+        assert np.array_equal(plain_mean([np.array([2.0, 1.0]), np.array([4.0, 1.0])]), [3.0, 1.0])

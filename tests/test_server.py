@@ -335,13 +335,6 @@ class TestStrategies:
         for k, p in source.tower_shared().items():
             assert np.allclose(p.data, before[k], atol=1e-12)
 
-    def test_plain_keys_take_the_mean_over_clients(self):
-        server = FederationServer(resolve_strategy("a1"))
-        directive = server.aggregate({0: {key(): np.array([2.0, 1.0])}, 1: {key(): np.array([4.0, 1.0])}}, 1)
-        assert np.array_equal(directive.replace[key()], [3.0, 1.0])
-        single = np.array([1.5, -2.0])
-        assert np.array_equal(server.aggregate({0: {key(): single}}, 2).replace[key()], single)
-
     def test_single_client_rejected(self):
         clients, config = make_clients(s=2)
         plan = resolve_strategy("main")
