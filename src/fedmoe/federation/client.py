@@ -7,12 +7,14 @@ The client uploads value copies of the keyed tensors a strategy declares,
 never gradients or data. After the server round it either replaces a tensor
 (plain averages, first-round aggregates) or applies the personalized update
 
-    value = round_start + mean_increment + psi * coordinated_update,
+    value = round_start + mean_increment + psi[:, None, ...] * coordinated_update,
 
-with one increment and one update per coordination pool, and psi a scalar
-per slot (an expert's layer, a task's tower) learned by a one-step
-directional meta-gradient on a reserved held-out batch: psi falls when the
-local loss rises along the coordinated direction, and is clamped to [-2, 2].
+with one increment and one update per coordinated key, each of one row's
+shape, and psi one scalar per row: an expert of a layer's scenario-weight
+stack, or the task of a tower tensor (every tensor of a task's tower shares
+it). Each psi is learned by a one-step directional meta-gradient on a
+reserved held-out batch: psi falls when the local loss rises along the
+coordinated direction, and is clamped to [-2, 2].
 
 The proximal references are kept per round: ``apply_directive`` takes the
 server's reference per expert layer as is, one pool mean that every expert
@@ -48,12 +50,14 @@ class PersonalizationState:
     values: dict[tuple, float] = field(default_factory=dict)
 
     @staticmethod
-    def slot(key: SharedKey) -> tuple:
-        """A scenario weight's (expert, layer); every tensor of a task's tower shares the task."""
-        return (key.kind, key.index) if key.kind == "tower" else (key.kind, key.index, key.layer)
+    def slots(key: SharedKey, rows: int) -> list[tuple]:
+        """The slot of each of a coordinated key's rows: a layer stack's (expert, layer), a tower tensor's task."""
+        if key.kind == "tower":
+            return [(key.kind, key.index)]
+        return [(key.kind, k, key.layer) for k in range(rows)]
 
-    def for_key(self, key: SharedKey) -> float:
-        return self.values.get(self.slot(key), 0.0)
+    def for_key(self, key: SharedKey, rows: int) -> np.ndarray:
+        return np.array([self.values.get(slot, 0.0) for slot in self.slots(key, rows)])
 
     def nudge(self, slot: tuple, directional: float) -> None:
         value = self.values.get(slot, 0.0) - self.eta * directional
@@ -130,30 +134,29 @@ class ClientSim:
         key_map = self.model.key_map()
         for key, value in directive.replace.items():
             key_map[key].data[...] = value
-        for key, param in key_map.items():
-            group = key.group()
-            if group not in directive.mean_increment:
-                continue
+        for key, mean_increment in directive.mean_increment.items():
             if key not in self.round_start:
-                raise KeyError(f"no round-start snapshot for {key.label()} of coordination pool {group}")
-            psi = self.psi.for_key(key)
-            param.data[...] = self.round_start[key] + directive.mean_increment[group] + psi * directive.coordinated[group]
-        layers = sorted({key.group() for key in self.model.scenario_shared()})
-        self.refs = [directive.refs[g] for g in layers] if layers[0] in directive.refs else None
+                raise KeyError(f"no round-start snapshot for coordinated key {key.label()}")
+            start = self.round_start[key]
+            psi = self.psi.for_key(key, len(start)).reshape(-1, *[1] * (start.ndim - 1))
+            key_map[key].data[...] = start + mean_increment + psi * directive.coordinated[key]
+        layers = sorted(self.model.scenario_shared())
+        self.refs = [directive.refs[k] for k in layers] if layers[0] in directive.refs else None
 
     def meta_update_psi(self, directive: ServerDirective) -> None:
-        """One directional meta-gradient step per psi slot, along its keys' coordinated updates."""
+        """One directional meta-gradient step per psi slot, along its rows' coordinated updates."""
         if not directive.coordinated:
             return
         dots: dict[tuple, float] = {}
         for key, grad in sorted(self._held_out_grads(directive).items()):
-            slot = self.psi.slot(key)
-            dots[slot] = dots.get(slot, 0.0) + float(np.sum(grad * directive.coordinated[key.group()]))
+            rows = (grad * directive.coordinated[key]).reshape(len(grad), -1).sum(axis=1)
+            for slot, dot in zip(self.psi.slots(key, len(grad)), rows):
+                dots[slot] = dots.get(slot, 0.0) + float(dot)
         for slot, dot in dots.items():
             self.psi.nudge(slot, dot)
 
     def _held_out_grads(self, directive: ServerDirective) -> dict[SharedKey, np.ndarray]:
-        """Held-out loss gradients of every key in a coordinated pool."""
+        """Held-out loss gradients of every coordinated key."""
         model = self.model
         key_map = model.key_map()
         x, y = self.held_out
@@ -166,7 +169,7 @@ class ClientSim:
             # Without dropout the directional derivative is noise-free.
             loss, _ = model.local_loss(x, y, refs=self.refs, lam=self.lam, use_dropout=False)
             loss.backward()
-            return {key: p.grad.copy() for key, p in key_map.items() if key.group() in directive.coordinated}
+            return {key: key_map[key].grad.copy() for key in directive.coordinated}
         finally:
             model.zero_grad()
             model.bn_in.running_mean[...] = saved_rm

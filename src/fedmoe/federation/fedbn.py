@@ -1,8 +1,8 @@
 """Server-side batch normalization over uploaded parameter tensors.
 
-A pool's uploads, stacked on axis 0, are treated as a batch: normalize each
-with the pooled mean and biased variance, then shift by the clients'
-averaged beta. The mean of the normalized batch equals that beta to
+A coordinated key's uploads, C·P rows stacked on axis 0, are a batch:
+normalize each row with the pooled mean and biased variance, then shift by
+the clients' averaged beta. The mean of the normalized batch equals that beta to
 rounding error regardless of epsilon, which is what makes the subsequent
 parameter average collapse onto it; deviations are computed with a second
 centering pass so the identity survives near-zero variance.

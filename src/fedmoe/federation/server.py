@@ -11,15 +11,16 @@ Strategy table (expert scenario-weight set / tower set):
     fedavg  plain       / plain         plain mean over every parameter
     local   none        / none          no aggregation at all
 
-"coordinated" means: stack each pool's uploads once, in (client, key) row
-order, normalize the stack server-side as one batch around the clients'
-averaged own-upload means, average it, difference it against the previous
-round's stack, solve the simplex weighting over its rows, and ship one mean
-increment plus one coordinated update per pool, keyed by
-``SharedKey.group()``, for personalized application to every key of the
-pool on each client. "plain" is the per-key mean over clients. The server
-sees nothing but keyed tensors, and ``aggregate`` checks each client's key
-set, shapes and finiteness before it uses any of them.
+"coordinated" means, per key: stack the clients' (P, ...) uploads as
+(C, P, ...), normalize its C·P rows server-side as one batch around the
+clients' averaged own-upload means, average them, difference them against
+the key's previous-round rows, solve the simplex weighting over the rows,
+and ship one mean increment plus one coordinated update, for personalized
+application on each client. A key is a coordination pool: an expert
+layer's scenario weights (P = N experts) or one task's tower tensor
+(P = 1). "plain" is the per-key mean over clients. The server sees nothing
+but keyed tensors, and ``aggregate`` checks each client's key set, shapes
+and finiteness before it uses any of them.
 
 The aggregated scenario weights are also each client's proximal references
 for the next round. A strategy that does not aggregate them (``a4``,
@@ -29,7 +30,6 @@ for the next round. A strategy that does not aggregate them (``a4``,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -49,10 +49,6 @@ __all__ = [
 STRATEGY_IDS = ("main", "a1", "a2", "a3", "a4", "fedavg", "local")
 
 COORDINATED, PLAIN, NONE = "coordinated", "plain", "none"
-
-# One coordination pool's normalized uploads: the (client, key) row order and
-# the uploads stacked on axis 0 in that order.
-PoolStack = tuple[list[tuple[int, SharedKey]], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -111,35 +107,34 @@ def upload_keys(plan: StrategyPlan, model) -> list[SharedKey]:
 class ServerDirective:
     """Broadcast payload: identical for every client; personalization is local.
 
-    ``replace`` is keyed by SharedKey, the rest by pool (``SharedKey.group()``):
-    each coordinated pool's mean increment and coordinated update (from round
-    2) and its normalized mean (``refs``); a plain-averaged expert layer's
-    ``refs`` entry stacks its N per-expert means to (N, d_in, d_out).
+    Every dict is keyed by SharedKey. ``replace`` holds the values a client
+    sets: each plain key's mean, and each coordinated key's normalized mean
+    before it has history. From round 2 a coordinated key instead carries
+    its mean increment and coordinated update, each of one row's shape.
+    ``refs`` holds each key's aggregate: a plain key's mean, or a
+    coordinated key's normalized mean.
     """
 
     round_index: int
     replace: dict[SharedKey, np.ndarray] = field(default_factory=dict)
-    mean_increment: dict[tuple, np.ndarray] = field(default_factory=dict)
-    coordinated: dict[tuple, np.ndarray] = field(default_factory=dict)
-    refs: dict[tuple, np.ndarray] = field(default_factory=dict)
+    mean_increment: dict[SharedKey, np.ndarray] = field(default_factory=dict)
+    coordinated: dict[SharedKey, np.ndarray] = field(default_factory=dict)
+    refs: dict[SharedKey, np.ndarray] = field(default_factory=dict)
     fedbn_residual: float = 0.0
 
 
 class FederationServer:
     """Aggregates keyed uploads; never sees features, labels, or local params."""
 
-    def __init__(
-        self,
-        plan: StrategyPlan,
-        c: float = 0.4,
-        audit_hook: Optional[Callable[[int, SharedKey, np.ndarray], None]] = None,
-    ):
+    def __init__(self, plan: StrategyPlan, c: float = 0.4):
         if not 0.0 <= c < 1.0:
             raise ValueError(f"c must be in [0, 1), got {c}")
         self.plan = plan
         self.c = float(c)
-        self.audit_hook = audit_hook
-        self.prev_normalized: dict[tuple, PoolStack] = {}
+        # The last round's clients and, per coordinated key, its normalized
+        # (C·P, ...) rows in client-major order.
+        self.prev_clients: list[int] = []
+        self.prev_normalized: dict[SharedKey, np.ndarray] = {}
         self.last_snapshot_entries: dict[str, np.ndarray] = {}
 
     # -- aggregation --------------------------------------------------------------
@@ -167,84 +162,64 @@ class FederationServer:
                     )
                 if not np.isfinite(arr).all():
                     raise ValueError(f"client {j} uploaded a non-finite value for {key.label()}")
-                if self.audit_hook is not None:
-                    self.audit_hook(j, key, arr)
 
         directive = ServerDirective(round_index=round_index)
-        pools: dict[tuple, list[SharedKey]] = {}
-        expert_means: dict[tuple, list[np.ndarray]] = {}
+        normalized: dict[SharedKey, np.ndarray] = {}
         coordinated_kinds = self.plan.coordinated_kinds
         for key in key_set:
+            stack = np.stack([uploads[j][key] for j in clients])
             if key.kind in coordinated_kinds:
-                pools.setdefault(key.group(), []).append(key)
-                continue
-            directive.replace[key] = np.mean(np.stack([uploads[j][key] for j in clients]), axis=0)
-            if key.kind == "expert_scenario":  # sorted keys list a layer's experts in index order
-                expert_means.setdefault(key.group(), []).append(directive.replace[key])
-        for group, means in expert_means.items():
-            directive.refs[group] = np.stack(means)
-
-        normalized = {
-            group: self._coordinate_pool(group, keys, uploads, clients, directive)
-            for group, keys in sorted(pools.items())
-        }
-        self.prev_normalized = normalized
-        self.last_snapshot_entries = self._snapshot_entries(directive, pools, normalized)
+                normalized[key] = self._coordinate(key, stack, clients, directive)
+            else:
+                directive.replace[key] = directive.refs[key] = stack.mean(axis=0)
+        self.prev_clients, self.prev_normalized = clients, normalized
+        self.last_snapshot_entries = self._snapshot_entries(directive, clients, normalized)
         return directive
 
-    def _coordinate_pool(
-        self,
-        group: tuple,
-        keys: list[SharedKey],
-        uploads: dict[int, dict[SharedKey, np.ndarray]],
-        clients: list[int],
-        directive: ServerDirective,
-    ) -> PoolStack:
-        """Normalize one pool's uploads, then either set the pool mean or coordinate its increments."""
-        rows = [(j, key) for j in clients for key in keys]
-        stack = np.stack([uploads[j][key] for j, key in rows])
+    def _coordinate(
+        self, key: SharedKey, stack: np.ndarray, clients: list[int], directive: ServerDirective
+    ) -> np.ndarray:
+        """Normalize one key's (C, P, ...) uploads as C·P rows; set their mean, or coordinate their increments."""
         # The shift comes from the clients' own uploads: one beta per client,
-        # the mean of its P keys (client-major rows), so the averaged beta
-        # recovers the plain pooled mean and the batch normalization only
-        # reshapes the spread around it.
-        betas = stack.reshape(len(clients), len(keys), *stack.shape[1:]).mean(axis=1)
-        normalized, beta = fedbn_normalize(stack, betas)
+        # the mean of its P rows, so the averaged beta recovers the plain
+        # pooled mean and the batch normalization only reshapes the spread
+        # around it.
+        normalized, beta = fedbn_normalize(stack.reshape(-1, *stack.shape[2:]), stack.mean(axis=1))
         wbar = normalized.mean(axis=0)
         directive.fedbn_residual = max(directive.fedbn_residual, float(np.abs(wbar - beta).max()))
-        directive.refs[group] = wbar
+        directive.refs[key] = wbar
 
         if directive.round_index < 2 or not self.prev_normalized:  # no history: set, do not increment
-            for key in keys:
-                directive.replace[key] = wbar
-            return rows, normalized
+            directive.replace[key] = wbar
+            return normalized
 
-        prev_rows, previous = self.prev_normalized.get(group, (None, None))
-        if prev_rows != rows:
+        if clients != self.prev_clients or key not in self.prev_normalized:
             raise ValueError(
-                f"coordination pool {group} changed its (client, key) rows since round {directive.round_index - 1}"
+                f"coordinated key {key.label()} has no round {directive.round_index - 1} rows for clients "
+                f"{clients}: the clients or the key set changed"
             )
-        deltas = normalized - previous
+        deltas = normalized - self.prev_normalized[key]
         mean_delta = deltas.mean(axis=0)
-        directive.mean_increment[group] = mean_delta
-        directive.coordinated[group] = solve_conflict_weights(deltas, mean_delta, self.c).u_star
-        return rows, normalized
+        directive.mean_increment[key] = mean_delta
+        directive.coordinated[key] = solve_conflict_weights(deltas, mean_delta, self.c).u_star
+        return normalized
 
     # -- persistence --------------------------------------------------------------
 
+    @staticmethod
     def _snapshot_entries(
-        self, directive: ServerDirective, pools: dict[tuple, list[SharedKey]], normalized: dict[tuple, PoolStack]
+        directive: ServerDirective, clients: list[int], normalized: dict[SharedKey, np.ndarray]
     ) -> dict[str, np.ndarray]:
-        """Per-key entries: a pool's reference, increment and update are written under each of its keys."""
+        """One entry per key and role; a coordinated key's normalized rows are split by client."""
         entries: dict[str, np.ndarray] = {}
-        for key, arr in directive.replace.items():
-            entries[f"set/{key.label()}"] = arr
-            entries[f"ref/{key.label()}"] = arr
-        for group, (rows, stacked) in normalized.items():
-            for (client, key), arr in zip(rows, stacked):
-                entries[f"norm/{key.label()}/c{client}"] = arr
-            for key in pools[group]:
-                entries[f"ref/{key.label()}"] = directive.refs[group]
-                if group in directive.mean_increment:
-                    entries[f"dmean/{key.label()}"] = directive.mean_increment[group]
-                    entries[f"ustar/{key.label()}"] = directive.coordinated[group]
+        for role, arrays in (
+            ("set", directive.replace),
+            ("ref", directive.refs),
+            ("dmean", directive.mean_increment),
+            ("ustar", directive.coordinated),
+        ):
+            entries.update((f"{role}/{key.label()}", arr) for key, arr in arrays.items())
+        for key, rows in normalized.items():
+            per_client = rows.reshape(len(clients), -1, *rows.shape[1:])
+            entries.update((f"norm/{key.label()}/c{j}", arr) for j, arr in zip(clients, per_client))
         return entries

@@ -19,16 +19,15 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import data as data_mod
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .federation.client import ClientSim
 from .federation.server import FederationServer, resolve_strategy, upload_keys
 from .federation.snapshot import write_snapshot
-from .keys import SharedKey
 from .model import ClientModel
 
 __all__ = ["RunArtifacts", "AblationArtifacts", "build_shards", "build_clients", "run_experiment", "run_ablation_suite"]
@@ -99,7 +98,6 @@ def run_experiment(
     config: ExperimentConfig,
     out_dir: Optional[str | Path] = None,
     seed: Optional[int] = None,
-    audit_hook: Optional[Callable[[int, SharedKey, np.ndarray], None]] = None,
 ) -> RunArtifacts:
     """Run one full experiment; deterministic for a fixed config and seed."""
     if seed is not None:
@@ -107,13 +105,14 @@ def run_experiment(
     if out_dir is not None:
         config = config.with_overrides(out_dir=str(out_dir))
     config.validate()
+    out = Path(config.out_dir)
+    _require_directory(out)
     shards = build_shards(config)  # before any file is touched: bad data leaves an earlier run intact
     checksum = _combined_checksum(shards)
     clients = build_clients(config, shards)
     plan = resolve_strategy(config.strategy)
     keys = upload_keys(plan, clients[0].model)
 
-    out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     echo_path = out / "config.echo"
     config.save(echo_path)
@@ -123,7 +122,7 @@ def run_experiment(
     server: Optional[FederationServer] = None
     snapshot_dir: Optional[Path] = None
     if plan.uses_server:
-        server = FederationServer(plan, c=config.c, audit_hook=audit_hook)
+        server = FederationServer(plan, c=config.c)
         snapshot_dir = out / "snapshots"
         snapshot_dir.mkdir(exist_ok=True)
 
@@ -191,6 +190,7 @@ def run_ablation_suite(config: ExperimentConfig, out_dir: Optional[str | Path] =
     """
     config.validate()
     out = Path(out_dir) if out_dir is not None else Path(config.out_dir)
+    _require_directory(out)
     out.mkdir(parents=True, exist_ok=True)
 
     variants = [(name, name, config.experts) for name in ABLATION_VARIANTS]
@@ -228,6 +228,13 @@ def run_ablation_suite(config: ExperimentConfig, out_dir: Optional[str | Path] =
             reused = f" reuses={source[label]}" if label in source else ""
             fh.write(f"{label} shard_sha256={digest}{reused}\n")
     return AblationArtifacts(out_dir=out, table_path=table_path, log_path=log_path, runs=runs, shard_checksums=checksums)
+
+
+def _require_directory(out: Path) -> None:
+    """Reject an output path that is, or lies under, an existing non-directory."""
+    existing = next((p for p in (out, *out.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise ConfigError([f"output.out_dir: {existing} exists and is not a directory"])
 
 
 def _combined_checksum(shards: list[data_mod.ScenarioShard]) -> str:

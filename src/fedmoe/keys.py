@@ -1,15 +1,17 @@
 """Stable identifiers for federated tensors.
 
-A SharedKey names one aggregatable tensor on each client. Scenario-weight
-keys pool per expert layer (all experts and clients share one layer shape);
-tower keys pool per (task, layer, part) across clients. The widened kinds
-exist for ablations that average additional parameter sets.
+A SharedKey names one aggregatable tensor on each client, and it is also
+the unit the server pools. An expert layer's scenario weights are one key,
+the layer's whole (N, d_in, d_out) stack with ``index=-1``; each tower
+tensor is one key per (task, layer, part), a (1, ...) view of the task's
+row. So a coordinated key's leading axis is its rows: the experts of a
+layer, or the one task of a tower tensor. The widened kinds exist for
+ablations that average additional parameter sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 KINDS = ("expert_scenario", "tower", "expert_local", "local")
 
@@ -17,21 +19,13 @@ KINDS = ("expert_scenario", "tower", "expert_local", "local")
 @dataclass(frozen=True, order=True)
 class SharedKey:
     kind: str
-    index: int  # expert index, task index, or -1
+    index: int  # task index, or -1
     layer: int  # layer index within the stack, or -1
     part: str  # tensor role within the layer ("w_s", "w", "b", ...)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown key kind {self.kind!r}")
-
-    def group(self) -> Optional[tuple]:
-        """Coordination pool this key belongs to; None for plain-average kinds."""
-        if self.kind == "expert_scenario":
-            return ("expert_scenario", self.layer)
-        if self.kind == "tower":
-            return ("tower", self.index, self.layer, self.part)
-        return None
 
     def label(self) -> str:
         return f"{self.kind}:{self.index}:{self.layer}:{self.part}"

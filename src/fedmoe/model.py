@@ -26,10 +26,12 @@ A train-mode forward draws its dropout masks as ``_dropout_keeps`` says.
 ``_shapes`` is the one table of every part's name and shape in buffer
 order. The model allocates its ParameterBuffer from it first, and each
 stacked Parameter is that buffer's view, filled in place in the rng's draw
-order, so no parameter exists outside the buffer. The federated keys stay
-one per expert, or task, and part: ``key_map()`` maps each to a Parameter
-whose value and grad are views of its slice of the stacked arrays, so
-uploads and server updates read and write the buffer.
+order, so no parameter exists outside the buffer. ``key_map()`` maps each
+federated key to a Parameter whose value and grad are views of the buffer,
+so uploads and server updates read and write it in place: an expert
+layer's parts, the task embedding, the input batch norm and the gates are
+keyed as their whole stacked Parameters, and each tower tensor as its
+task's (1, ...) row.
 
 The model holds no mode: ``forward`` takes ``train`` (batch statistics and
 dropout) and ``use_dropout`` as arguments, so evaluation and the held-out
@@ -139,9 +141,9 @@ def _shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def _slice_view(stacked: Parameter, i: int, name: str) -> Parameter:
-    """Slice i (an expert's or a task's) of a stacked parameter; value and grad are views."""
-    return Parameter(stacked.data[i], name, grad=stacked.grad[i])
+def _slice_view(stacked: Parameter, t: int, name: str) -> Parameter:
+    """Task t's (1, ...) row of a stacked tower parameter; value and grad are views."""
+    return Parameter(stacked.data[t : t + 1], name, grad=stacked.grad[t : t + 1])
 
 
 def _carve(block: np.ndarray, k: int, widths: Sequence[int]) -> list[np.ndarray]:
@@ -223,25 +225,18 @@ class ClientModel:
     def _build_key_map(self) -> dict[SharedKey, Parameter]:
         """Scenario weights, tower tensors, other expert parts, then the rest."""
         out: dict[SharedKey, Parameter] = {}
-        for k in range(self.spec.n_experts):
-            for li, layer in enumerate(self.expert_layers):
-                key = SharedKey(kind="expert_scenario", index=k, layer=li, part="w_s")
-                out[key] = _slice_view(layer["w_s"], k, f"expert{k}.l{li}.w_s")
+        for li, layer in enumerate(self.expert_layers):
+            out[SharedKey(kind="expert_scenario", index=-1, layer=li, part="w_s")] = layer["w_s"]
         for t in range(self.spec.n_tasks):
             for li, layer in enumerate(self.tower_layers):
                 for part, p in layer.items():
                     key = SharedKey(kind="tower", index=t, layer=li, part=part)
                     out[key] = _slice_view(p, t, f"tower{t}.l{li}.{part}")
-        for k in range(self.spec.n_experts):
-            for li, layer in enumerate(self.expert_layers):
-                for part in EXPERT_PARTS:
-                    if part != "w_s":
-                        key = SharedKey(kind="expert_local", index=k, layer=li, part=part)
-                        out[key] = _slice_view(layer[part], k, f"expert{k}.l{li}.{part}")
-        local = [self.emb_task, self.bn_in.gamma, self.bn_in.beta]
-        for t in range(self.spec.n_tasks):
-            local.extend(_slice_view(p, t, f"gate{t}.{part}") for part, p in self.gate.items())
-        for p in local:
+        for li, layer in enumerate(self.expert_layers):
+            for part in EXPERT_PARTS:
+                if part != "w_s":
+                    out[SharedKey(kind="expert_local", index=-1, layer=li, part=part)] = layer[part]
+        for p in (self.emb_task, self.bn_in.gamma, self.bn_in.beta, self.gate["w"], self.gate["b"]):
             out[SharedKey(kind="local", index=-1, layer=-1, part=p.name)] = p
         if sum(p.size for p in out.values()) != self.buffer.size:
             raise ValueError("key map does not cover the parameter buffer")

@@ -3,6 +3,7 @@ from dataclasses import fields
 
 import pytest
 
+from fedmoe import harness
 from fedmoe.cli import main
 from fedmoe.config import ConfigError, ExperimentConfig
 
@@ -53,6 +54,25 @@ def test_run_with_a_percent_sign_in_the_paths_exits_0(tmp_path, capsys):
     assert main(["run", "--config", str(ini), "--out", str(out)]) == 0
     assert ExperimentConfig.from_ini(ini) == config
     assert ExperimentConfig.from_ini(out / "config.echo") == config.with_overrides(out_dir=str(out))
+
+
+@pytest.mark.parametrize("command", ["run", "ablate"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_a_file"])
+def test_out_path_that_is_a_file_exits_2_before_any_set_up(tmp_path, capsys, monkeypatch, command, under):
+    existing = tmp_path / "taken"
+    existing.write_bytes(b"not a run directory")
+    ini = tmp_path / "experiment.ini"
+    ExperimentConfig(out_dir=str(tmp_path / "out")).save(ini)
+
+    def no_set_up(config):
+        raise AssertionError("shards were built for an output path that cannot be a directory")
+
+    monkeypatch.setattr(harness, "build_shards", no_set_up)
+    out = existing / "run" if under else existing
+    assert main([command, "--config", str(ini), "--out", str(out)]) == 2
+    assert f"output.out_dir: {existing} exists and is not a directory" in capsys.readouterr().err
+    assert existing.read_bytes() == b"not a run directory"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["experiment.ini", "taken"]
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -35,37 +35,37 @@ PINNED_SHA256 = {
     "main": {
         "metrics.csv": "601fcc8def69bd3686ea3b0d1f01ebb450444f55690a18c0110ca40d733bfe07",
         "convergence.csv": "4bf5c6ff311dec354d3c5210b65084ccc2f9c5f116056cdd2ccdd06a016b9308",
-        "snapshots/round_1.bin": "0dc4d13f542fd63bc31b3194f1475580cff1c783dccd92bc7157db01649a19ea",
-        "snapshots/round_2.bin": "938ffcd704f86c125e1ed5a018747f22ebfb3659c791e0b78c7cebb6235b4d69",
-        "snapshots/round_3.bin": "79460f155454449b2a2a4b976be8bdb1d37d6b8e90a28e2ff049fdb5b884d561",
+        "snapshots/round_1.bin": "55cb0d63eea5c3f6d7a806a1a228cee3814a7fdd66701932a08512d33b192f20",
+        "snapshots/round_2.bin": "15de1ce9b70f7b6f2aab8db43dfeedd03d6eefcddd20ec2c289be3f13b0a85d5",
+        "snapshots/round_3.bin": "d85dd985d3b7dab2ccef1d2f6007c6ebdd4aba2173447b4ec5e2792f1f14eef1",
     },
     "a1": {
         "metrics.csv": "099efd7bc10d3478333f35ee2d998c0b564946b9aebec96f20ff350e91cfdc70",
         "convergence.csv": "ca264edc73d4de796a5dd6f8f5ad3de9891d96632d253ede166fa456d0dada7b",
-        "snapshots/round_1.bin": "02c60350ee970c16ffbee9ad7b163572da0fe9cb15ca66b7672137fc9ebd10e0",
-        "snapshots/round_2.bin": "8da1925ef06069fdf296ebf3ce0ec6f2c4e96916f64e5aae4a7a22035133605e",
-        "snapshots/round_3.bin": "bfc46b382b476cee6f7e805c137a814152b1dcb99160b3ca28027b0c751fd2b7",
+        "snapshots/round_1.bin": "f42f909381c3ed6d35c8703b0b5e43c6d5f4f822a09794d5297f9ce05339285d",
+        "snapshots/round_2.bin": "f7e2d77671c54edb9149a8e5723aa61fb3fbe479a189893bf802ea67b568ac4e",
+        "snapshots/round_3.bin": "7167694564aeb9784d5dba16eb5a513430bec0dd76610934a67cf725dfaeca0f",
     },
     "a2": {
         "metrics.csv": "da1c35bec3b2f71816af35fb8f8fd292a852f2aee1031ea1f22900076728d6ce",
         "convergence.csv": "2d391974d6db14403d7ae62850a9f4cc5e8d1ccde28586a7812fea125329f163",
-        "snapshots/round_1.bin": "6e7e58fee92a2210dd66bb9aa2c99c670edd3c63f1825d62870c95d25a0702b4",
-        "snapshots/round_2.bin": "64cb337f82a60086060971aa87df94ac15fc6edbc6529328e9731130ee3dc618",
-        "snapshots/round_3.bin": "ec3528ecb0018c05ef2a2f466b73e0f3a480609ca57cbac5f4c3826075b9e8d7",
+        "snapshots/round_1.bin": "de8aba8a03e7455851d3513bce675c331f7a1e84e92d6a83f193cc8725ac1082",
+        "snapshots/round_2.bin": "5e784e7b5df2778f81d8c88f81eeeeff9a1f82ff7c679a8f6071491be57f0600",
+        "snapshots/round_3.bin": "8e545a40d8764dba9b2d4059dbac8226f9007959a9c7d6a0505e0feded0fcae1",
     },
     "a4": {
         "metrics.csv": "d6c12d60c9c8f4447700e23d4e0fbac5dd8ed9f76eed6d363d11c48cc6c3a538",
         "convergence.csv": "f8aa0c29109fa8dd21c821f4b4a3c1cd34e2bc5a5f308a0f9dd8760a8de9e91b",
-        "snapshots/round_1.bin": "a865e5b050eee3c09b93e3c547d2c4ffed97490b393cc123bd0af8fae646fe9c",
-        "snapshots/round_2.bin": "fef2c9d640212d7314bbbe3965b637fdb06c7154d130ccbc6b588df4259d4164",
-        "snapshots/round_3.bin": "45932aefb5732798fb97412f0fa2fd4e51dea4346fd1f1a6132610ad4cc1875c",
+        "snapshots/round_1.bin": "c3fd2873b94160b7ab160de38c2f5998a176f2d89f200c2a681c3dee9a9d677f",
+        "snapshots/round_2.bin": "7d4fd10879b916b2787739cb362edd97d768b5f20c9fad5328e5015830f82054",
+        "snapshots/round_3.bin": "b10dc942acc804b376b9b2cd62cb0856aa410292a6ef8703eda901d8cecab25d",
     },
     "fedavg": {
         "metrics.csv": "ecea4cacd5bdaaade60b479341cede3d48bc34b987c59c1f0c3403d67af02be3",
         "convergence.csv": "0c3cecb8fc4fce5806d4ba4394bd449f5351b39fd0d7df00272589e723e96950",
-        "snapshots/round_1.bin": "83528a23e73f2354f6af6080a69708bc5b2d18197ed7c019cd8a8b6d47bd9465",
-        "snapshots/round_2.bin": "cd0a5eb1af9cbd578778220095921d0a7c41593c8cf646702c6523255fcc6317",
-        "snapshots/round_3.bin": "b856ae1bfa6204a39e1fb72ba38ac1134afbab8ef6ae0734f1a6536e0e1429ef",
+        "snapshots/round_1.bin": "8ba9c4864f520df7545d7b2ef881113db5e72719898648cfc91d8fc069d3d0e9",
+        "snapshots/round_2.bin": "3845486e546cde329ab592ca312e325a64cbb9cb35ddf0d75e48ad2b1beabc78",
+        "snapshots/round_3.bin": "25fdad8fcc8b1c0e3e1b6963dceec9061f8c62a68d5fe58a70c98edb22fe1739",
     },
     "local_one_task_one_expert": {
         "metrics.csv": "bd6237893185784fa03d98bd23465a22cd87f741112b07c5e6d1457efd13c72f",
@@ -74,22 +74,23 @@ PINNED_SHA256 = {
     "main_three_tasks_no_tower": {
         "metrics.csv": "939dd75da3b4da9e28a69c12fe819744cc10b8471780318374aab29300a9ddfc",
         "convergence.csv": "75f4183e270d5acb8ef0b0fe3b5bf7785c7f796b3d1680fa0fed11ad63dbc1e3",
-        "snapshots/round_1.bin": "9956c1709eedce8f88df2eb453f6ccad4c2b16a6a7cbc0a0722f6c5fae0c2f92",
-        "snapshots/round_2.bin": "de7d27944273bd18aa2b09c06878d151660fe5bf30e8d67113a5e5af2cf40065",
-        "snapshots/round_3.bin": "1fdc8ac5f91305f018d8a551fd3fca556ed4e09f7f322ede31bc30d68e448eaf",
+        "snapshots/round_1.bin": "74f90c149b5e628066274b7092971081bb3b7f79ed2647dc7ac4be09da50f5b8",
+        "snapshots/round_2.bin": "07ce7862bf4f9670a2ea873c36e5bdba5fdcdae5e9c780dfabfb90de12bdde4e",
+        "snapshots/round_3.bin": "43c423b805be82ed77783f349866a2fe8291c77ed85b137ee5ecb9e41cd11d40",
     },
     "main_three_clients_three_experts": {
         "metrics.csv": "9f0093b9ac473bfd49b602da18d0bf3176f2332b2142fad4360c64ed0667409b",
         "convergence.csv": "4357c2bfb92f16adf4171d3d565620d08300b5fdfb9b9cd4e1f8a7defd888f90",
-        "snapshots/round_1.bin": "0f4a7589af2ee163c9950cc648114c00d3249634a19ea03c062da9a6f3689d5f",
-        "snapshots/round_2.bin": "5e68cae3dcb0ecc8a79998d92f0be7964889f1c8bec8496d5d0e42d76b376402",
-        "snapshots/round_3.bin": "6da84c0eedff051cdf32751955f337f8bc3e1de4c49c350e6365dd02d25b7c1f",
+        "snapshots/round_1.bin": "c0b2c7aaac1695d8055951e229d8a7389086938e948984a1ca63f27e71873c0b",
+        "snapshots/round_2.bin": "77242032ac207bdb56fc679d1115ebb63e58a2852efe88632a0f2afc851f385b",
+        "snapshots/round_3.bin": "39ac3a94f46f0fd179c35280aea01448977e5717a326da5e01e7e45a31665f0c",
     },
 }
 # The cases that are not a strategy on small_config: the smallest model, a
 # head straight on the experts' output for three tasks, and three clients of
-# three experts each, whose expert pools stack 9 rows of 3 keys per client (a
-# pool read in (key, client) order instead of (client, key) order fails it).
+# three experts each, whose expert layer keys stack 9 rows, 3 per client (a
+# stack read in (expert, client) order instead of (client, expert) order
+# fails it).
 PINNED_OVERRIDES = {
     "local_one_task_one_expert": {"strategy": "local", "tasks": 1, "experts": 1},
     "main_three_tasks_no_tower": {"strategy": "main", "tasks": 3, "tower_widths": ()},

@@ -265,7 +265,20 @@ class TestParameterPartition:
         model.buffer.values[...] = saved
         kinds = {k.kind for k in key_map}
         assert kinds == {"expert_scenario", "tower", "expert_local", "local"}
-        assert len(key_map) == 2 * 2 * len(EXPERT_PARTS) + 2 * 2 * 2 + 3 + 2 * 2
+        assert len(key_map) == 2 * len(EXPERT_PARTS) + 2 * 2 * 2 + 5
+
+    def test_layer_keys_are_the_stacked_parameters_and_tower_keys_task_rows(self):
+        model = make_model()
+        key_map = model.key_map()
+        stacked = [*(layer[part] for layer in model.expert_layers for part in EXPERT_PARTS), *model.gate.values()]
+        stacked += [model.emb_task, model.bn_in.gamma, model.bn_in.beta]
+        keyed_whole = [p for k, p in key_map.items() if k.kind != "tower"]
+        assert len(keyed_whole) == len(stacked) and all(any(p is q for q in stacked) for p in keyed_whole)
+        assert all(k.index == -1 for k, p in key_map.items() if k.kind != "tower")
+        for k, p in model.tower_shared().items():
+            whole = model.tower_layers[k.layer][k.part]
+            assert p.shape == (1, *whole.shape[1:])
+            assert np.shares_memory(p.data, whole.data[k.index]) and np.shares_memory(p.grad, whole.grad[k.index])
 
     def test_parameters_and_keys_are_views_of_the_buffers(self):
         model = make_model()
@@ -304,7 +317,8 @@ class TestParameterPartition:
 
     def test_scenario_set_size(self):
         model = make_model(n_experts=3, expert_widths=(6, 3))
-        assert len(model.scenario_shared()) == 3 * 2
+        shapes = [p.shape for p in model.scenario_shared().values()]
+        assert shapes == [(3, 4, 6), (3, 6, 3)]  # one key per layer: its whole expert stack
 
     def test_tower_set_covers_all_tower_params(self):
         model = make_model(tower_widths=(4, 2))

@@ -9,12 +9,13 @@ from fedmoe.diffcore import Tensor, bce
 from fedmoe.federation import server as server_mod
 from fedmoe.federation.client import ClientSim
 from fedmoe.federation.server import FederationServer, ServerDirective, resolve_strategy, upload_keys
+from fedmoe.federation.snapshot import read_snapshot, write_snapshot
 from fedmoe.harness import build_clients, run_experiment
 from fedmoe.keys import SharedKey
 from fedmoe.model import ClientModel, ModelSpec
 
 
-def key(kind="expert_scenario", index=0, layer=0, part="w_s"):
+def key(kind="expert_scenario", index=-1, layer=0, part="w_s"):
     return SharedKey(kind=kind, index=index, layer=layer, part=part)
 
 
@@ -32,8 +33,8 @@ def make_clients(s=2, n_experts=2, seed=0, lam=0.5, dropout=0.0, widths=(6, 3)):
 
 
 def same_uploads(values, clients=(0, 1)):
-    """Every client uploads the same tensors: zero spread, so normalization returns them unchanged."""
-    return {j: {k: np.asarray(v, dtype=float) for k, v in values.items()} for j in clients}
+    """Every client uploads its own copy of the same tensors: zero spread, so normalization returns them unchanged."""
+    return {j: {k: np.array(v, dtype=float) for k, v in values.items()} for j in clients}
 
 
 @pytest.fixture
@@ -51,38 +52,41 @@ def solve_rows(monkeypatch):
 
 
 class TestComputeDeltas:
-    """Round-over-round increments, as FederationServer.aggregate takes them per pool."""
+    """Round-over-round increments, as FederationServer.aggregate takes them per key.
+
+    A coordinated upload's leading axis is its rows; the increments and
+    the update have one row's shape.
+    """
 
     def test_round_one_signals_skip(self):
         server = FederationServer(resolve_strategy("main"))
-        directive = server.aggregate(same_uploads({key(): np.ones(2)}), 1)
+        directive = server.aggregate(same_uploads({key(): np.ones((1, 2))}), 1)
         assert directive.mean_increment == {} and directive.coordinated == {}
         assert np.array_equal(directive.replace[key()], np.ones(2))
 
     def test_identical_rounds_give_zero(self):
         server = FederationServer(resolve_strategy("main"))
-        uploads = {0: {key(): np.ones(3)}, 1: {key(): np.full(3, 2.0)}}
+        uploads = {0: {key(): np.ones((1, 3))}, 1: {key(): np.full((1, 3), 2.0)}}
         server.aggregate(uploads, 1)
         directive = server.aggregate(uploads, 2)
-        assert np.array_equal(directive.mean_increment[key().group()], np.zeros(3))
-        assert np.array_equal(directive.coordinated[key().group()], np.zeros(3))
+        assert np.array_equal(directive.mean_increment[key()], np.zeros(3))
+        assert np.array_equal(directive.coordinated[key()], np.zeros(3))
         assert key() not in directive.replace
 
     def test_single_pair_delta(self, solve_rows):
         server = FederationServer(resolve_strategy("main"))
-        server.aggregate(same_uploads({key(): np.array([1.0])}), 1)
-        directive = server.aggregate(same_uploads({key(): np.array([3.0])}), 2)
-        assert directive.mean_increment[key().group()][0] == 2.0
-        assert solve_rows == [2]  # one row per (client, key)
+        server.aggregate(same_uploads({key(): np.array([[1.0]])}), 1)
+        directive = server.aggregate(same_uploads({key(): np.array([[3.0]])}), 2)
+        assert directive.mean_increment[key()][0] == 2.0
+        assert solve_rows == [2]  # one row per client
 
     def test_group_mean_pools_expert_layer(self, solve_rows):
-        k0, k1 = key(index=0), key(index=1)
         server = FederationServer(resolve_strategy("main"))
-        server.aggregate(same_uploads({k0: np.zeros(2), k1: np.zeros(2)}), 1)
-        directive = server.aggregate(same_uploads({k0: np.full(2, 1.0), k1: np.full(2, 3.0)}), 2)
-        assert set(directive.mean_increment) == set(directive.coordinated) == {k0.group()}
-        assert np.allclose(directive.mean_increment[k0.group()], np.full(2, 2.0), atol=1e-12)
-        assert solve_rows == [4]  # one solve over both clients' rows of both keys
+        server.aggregate(same_uploads({key(): np.zeros((2, 2))}), 1)
+        directive = server.aggregate(same_uploads({key(): np.array([[1.0, 1.0], [3.0, 3.0]])}), 2)
+        assert set(directive.mean_increment) == set(directive.coordinated) == {key()}
+        assert np.allclose(directive.mean_increment[key()], np.full(2, 2.0), atol=1e-12)
+        assert solve_rows == [4]  # one solve over both clients' rows of both experts
 
     def test_directive_holds_one_entry_per_pool(self):
         clients, config = make_clients(s=2)
@@ -92,34 +96,45 @@ class TestComputeDeltas:
         uploads = {c.index: c.build_upload(keys) for c in clients}
         server.aggregate(uploads, 1)
         directive = server.aggregate(uploads, 2)
-        pools = {k.group() for k in keys}
-        assert len(pools) < len(keys)
-        assert set(directive.mean_increment) == set(directive.coordinated) == set(directive.refs) == pools
+        model = clients[0].model
+        assert sum(k.kind == "expert_scenario" for k in keys) == len(model.expert_layers)
+        assert set(directive.mean_increment) == set(directive.coordinated) == set(directive.refs) == set(keys)
         assert directive.replace == {}
+        for k in keys:  # one row's shape
+            assert directive.mean_increment[k].shape == directive.coordinated[k].shape == model.key_map()[k].shape[1:]
 
     def test_missing_history_is_an_error(self):
         server = FederationServer(resolve_strategy("main"))
-        server.aggregate(same_uploads({key(): np.zeros(2)}), 1)
+        server.aggregate(same_uploads({key(): np.zeros((1, 2))}), 1)
         with pytest.raises(ValueError, match="changed"):
-            server.aggregate(same_uploads({key(): np.zeros(2)}, clients=(0, 1, 2)), 2)
+            server.aggregate(same_uploads({key(): np.zeros((1, 2))}, clients=(0, 1, 2)), 2)
+
+    def test_key_without_history_is_an_error(self):
+        server = FederationServer(resolve_strategy("main"))
+        server.aggregate(same_uploads({key(layer=0): np.zeros((1, 2))}), 1)
+        with pytest.raises(ValueError, match=f"{re.escape(key(layer=1).label())} has no round 1 rows.*changed"):
+            server.aggregate(same_uploads({key(layer=1): np.zeros((1, 2))}), 2)
 
 
 class TestPersonalizedApply:
     def test_scalar_update_arithmetic(self):
-        clients, _ = make_clients(s=2, n_experts=1, widths=(6,))
+        """Each expert row of a layer moves by its own psi along the one coordinated update."""
+        clients, _ = make_clients(s=2, n_experts=2, widths=(6,))
         client = clients[0]
         k = next(iter(client.model.scenario_shared()))
-        shape = client.model.scenario_shared()[k].shape
-        client.model.scenario_shared()[k].data[...] = 1.0
+        param = client.model.scenario_shared()[k]
+        param.data[...] = 1.0
         client.begin_round([k])
-        client.psi.values[client.psi.slot(k)] = 2.0
+        for slot, psi in zip(client.psi.slots(k, 2), (2.0, -1.0)):
+            client.psi.values[slot] = psi
         directive = ServerDirective(
             round_index=2,
-            mean_increment={k.group(): np.full(shape, 0.5)},
-            coordinated={k.group(): np.full(shape, 0.25)},
+            mean_increment={k: np.full(param.shape[1:], 0.5)},
+            coordinated={k: np.full(param.shape[1:], 0.25)},
         )
         client.apply_directive(directive)
-        assert np.allclose(client.model.scenario_shared()[k].data, 2.0)
+        assert np.allclose(param.data[0], 2.0)
+        assert np.allclose(param.data[1], 1.25)
 
     def test_zero_psi_zero_increment_is_identity(self):
         clients, _ = make_clients(s=2, n_experts=1, widths=(6,))
@@ -129,8 +144,8 @@ class TestPersonalizedApply:
         client.begin_round([k])
         directive = ServerDirective(
             round_index=2,
-            mean_increment={k.group(): np.zeros(start.shape)},
-            coordinated={k.group(): np.full(start.shape, 9.0)},
+            mean_increment={k: np.zeros(start.shape[1:])},
+            coordinated={k: np.full(start.shape[1:], 9.0)},
         )
         client.apply_directive(directive)  # psi defaults to 0
         assert np.array_equal(client.model.scenario_shared()[k].data, start)
@@ -140,9 +155,9 @@ class TestPersonalizedApply:
         client = clients[0]
         k = next(iter(client.model.scenario_shared()))
         start = client.model.scenario_shared()[k].data.copy()
-        zeros = np.zeros(start.shape)
-        directive = ServerDirective(round_index=2, mean_increment={k.group(): zeros}, coordinated={k.group(): zeros})
-        with pytest.raises(KeyError, match=f"round-start snapshot .*pool {re.escape(str(k.group()))}"):
+        zeros = np.zeros(start.shape[1:])
+        directive = ServerDirective(round_index=2, mean_increment={k: zeros}, coordinated={k: zeros})
+        with pytest.raises(KeyError, match=f"round-start snapshot .*{re.escape(k.label())}"):
             client.apply_directive(directive)  # no begin_round
         assert np.array_equal(client.model.scenario_shared()[k].data, start)
 
@@ -166,28 +181,42 @@ class TestPsiMetaUpdate:
         k = next(iter(client.model.scenario_shared()))
         directive = ServerDirective(
             round_index=2,
-            coordinated={k.group(): np.zeros(client.model.scenario_shared()[k].shape)},
+            coordinated={k: np.zeros(client.model.scenario_shared()[k].shape[1:])},
         )
         client.meta_update_psi(directive)
-        assert client.psi.for_key(k) == 0.0
+        assert np.array_equal(client.psi.for_key(k, 1), [0.0])
 
     def test_descending_direction_raises_psi(self):
         client = self.build_client()
         k = next(iter(client.model.scenario_shared()))
         grads = client._held_out_grads(
-            ServerDirective(round_index=2, coordinated={k.group(): np.zeros(client.model.scenario_shared()[k].shape)})
+            ServerDirective(round_index=2, coordinated={k: np.zeros(client.model.scenario_shared()[k].shape[1:])})
         )
-        directive = ServerDirective(round_index=2, coordinated={k.group(): -grads[k]})
+        directive = ServerDirective(round_index=2, coordinated={k: -grads[k][0]})
         client.meta_update_psi(directive)
-        assert client.psi.for_key(k) > 0.0
+        assert client.psi.for_key(k, 1)[0] > 0.0
+
+    def test_each_expert_row_steps_its_own_psi(self):
+        """A layer's rows step apart, each by its own directional derivative, bit for bit as a per-expert sum."""
+        clients, _ = make_clients(s=2, n_experts=3)
+        client = clients[0]
+        rng = np.random.default_rng(2)
+        u = {k: rng.normal(0, 0.1, p.shape[1:]) for k, p in client.model.scenario_shared().items()}
+        directive = ServerDirective(round_index=2, coordinated=u)
+        grads = client._held_out_grads(directive)
+        client.meta_update_psi(directive)
+        for k in u:
+            expected = [-client.psi.eta * float(np.sum(grads[k][e] * u[k])) for e in range(3)]
+            assert client.psi.for_key(k, 3).tolist() == expected
+            assert len(set(expected)) == 3
 
     def test_directional_derivative_matches_finite_difference(self):
         client = self.build_client()
         model = client.model
         k = next(iter(model.scenario_shared()))
         rng = np.random.default_rng(0)
-        u_star = rng.normal(0, 0.1, model.scenario_shared()[k].shape)
-        directive = ServerDirective(round_index=2, coordinated={k.group(): u_star})
+        u_star = rng.normal(0, 0.1, model.scenario_shared()[k].shape[1:])
+        directive = ServerDirective(round_index=2, coordinated={k: u_star})
         grads = client._held_out_grads(directive)
         analytic = float(np.sum(grads[k] * u_star))
 
@@ -211,7 +240,7 @@ class TestPsiMetaUpdate:
         client.local_phase(1, max_batches=2)
         bn = (model.bn_in.running_mean.copy(), model.bn_in.running_var.copy())
         rng_state = model.rng.bit_generator.state
-        u = {k.group(): np.full(p.shape, 0.1) for k, p in model.scenario_shared().items()}
+        u = {k: np.full(p.shape[1:], 0.1) for k, p in model.scenario_shared().items()}
         client.meta_update_psi(ServerDirective(round_index=2, coordinated=u))
         assert client.psi.values  # the step ran
         assert np.array_equal(model.bn_in.running_mean, bn[0])
@@ -223,17 +252,17 @@ class TestPsiMetaUpdate:
         client = self.build_client()
         client.psi.eta = 1e9
         k = next(iter(client.model.scenario_shared()))
-        u = np.full(client.model.scenario_shared()[k].shape, 1.0)
-        directive = ServerDirective(round_index=2, coordinated={k.group(): u})
+        u = np.full(client.model.scenario_shared()[k].shape[1:], 1.0)
+        directive = ServerDirective(round_index=2, coordinated={k: u})
         client.meta_update_psi(directive)
-        assert abs(client.psi.for_key(k)) == 2.0
+        assert abs(client.psi.for_key(k, 1)[0]) == 2.0
 
     def test_tower_tensors_of_a_task_share_one_step(self):
         """A task's tower tensors share one psi, stepped once by the sum of their directional derivatives."""
         client = self.build_client()
         towers = client.model.tower_shared()
         rng = np.random.default_rng(1)
-        u = {k.group(): rng.normal(0, 0.1, p.shape) for k, p in towers.items()}
+        u = {k: rng.normal(0, 0.1, p.shape[1:]) for k, p in towers.items()}
         directive = ServerDirective(round_index=2, coordinated=u)
         grads = client._held_out_grads(directive)
         client.meta_update_psi(directive)
@@ -241,8 +270,8 @@ class TestPsiMetaUpdate:
             task_keys = sorted(k for k in towers if k.index == task)
             dot = 0.0
             for k in task_keys:
-                dot += float(np.sum(grads[k] * u[k.group()]))
-            assert {client.psi.for_key(k) for k in task_keys} == {-client.psi.eta * dot}
+                dot += float(np.sum(grads[k] * u[k]))
+            assert {client.psi.for_key(k, 1)[0] for k in task_keys} == {-client.psi.eta * dot}
 
 
 class TestStrategies:
@@ -353,6 +382,12 @@ class TestStrategies:
         with pytest.raises(ValueError, match=f"client 1 .*{tower.label()}"):
             FederationServer(plan, c=config.c).aggregate(uploads, 1)
 
+    def test_non_finite_value_of_one_client_names_that_client(self):
+        uploads = same_uploads({key(): np.ones((2, 3))})
+        uploads[1][key()][1, 2] = np.nan  # client 0's upload stays finite
+        with pytest.raises(ValueError, match=f"client 1 uploaded a non-finite value for {re.escape(key().label())}"):
+            FederationServer(resolve_strategy("main")).aggregate(uploads, 1)
+
 
 class TestInputChecks:
     """aggregate is where client input enters the server: each bad upload is named before any is used."""
@@ -408,8 +443,8 @@ class TestRoundProtocol:
         for c in clients:
             assert len(c.refs) == len(c.model.expert_layers)
             for k, p in c.model.scenario_shared().items():
-                assert c.refs[k.layer] is directive.refs[k.group()]  # one pool mean, never copied per client
-                assert c.refs[k.layer].shape == p.shape
+                assert c.refs[k.layer] is directive.refs[k]  # one pool mean, never copied per client
+                assert c.refs[k.layer].shape == p.shape[1:]
 
     def test_plain_expert_refs_stack_the_per_key_means(self):
         clients, config = make_clients(s=2, n_experts=3)
@@ -418,42 +453,54 @@ class TestRoundProtocol:
         server = FederationServer(plan, c=config.c)
         for c in clients:
             c.begin_round(keys)
-        directive = server.aggregate({c.index: c.build_upload(keys) for c in clients}, 1)
+        uploads = {c.index: c.build_upload(keys) for c in clients}
+        directive = server.aggregate(uploads, 1)
         for c in clients:
             c.apply_directive(directive)
-        for li, layer in enumerate(clients[0].model.expert_layers):
-            assert clients[0].refs[li].shape == layer["w_s"].shape
-            for k in (k for k in clients[0].model.scenario_shared() if k.layer == li):
-                assert np.array_equal(clients[0].refs[li][k.index], directive.replace[k])
+        for k, w_s in clients[0].model.scenario_shared().items():
+            assert clients[0].refs[k.layer].shape == w_s.shape
+            assert np.array_equal(clients[0].refs[k.layer], directive.replace[k])
+            for e in range(3):
+                expected = np.mean(np.stack([uploads[j][k][e] for j in uploads]), axis=0)
+                assert np.array_equal(clients[0].refs[k.layer][e], expected)
 
     def test_expert_layer_pool_shares_aggregate(self):
         clients, config = make_clients(s=2, n_experts=3)
         plan = resolve_strategy("main")
         keys = upload_keys(plan, clients[0].model)
         server = FederationServer(plan, c=config.c)
+        for c in clients:
+            c.begin_round(keys)
         directive = server.aggregate({c.index: c.build_upload(keys) for c in clients}, 1)
-        layer0 = [k for k in clients[0].model.scenario_shared() if k.layer == 0]
-        values = [directive.replace[k] for k in layer0]
-        for v in values[1:]:
-            assert np.array_equal(values[0], v)
+        for c in clients:
+            c.apply_directive(directive)
+        for k in clients[0].model.scenario_shared():
+            assert directive.replace[k].shape == clients[0].model.scenario_shared()[k].shape[1:]
+            for c in clients:
+                for row in c.model.scenario_shared()[k].data:  # every expert of every client
+                    assert np.array_equal(row, directive.replace[k])
 
 
 class TestPrivacyAudit:
     @pytest.mark.parametrize("strategy", ["main", "a1", "a2", "a4", "fedavg"])
-    def test_server_sees_only_declared_keys(self, strategy, tmp_path):
+    def test_server_sees_only_declared_keys(self, strategy, tmp_path, monkeypatch):
         received: list[tuple[int, SharedKey, np.ndarray]] = []
+        aggregate = FederationServer.aggregate
 
-        def audit(client, k, tensor):
-            received.append((client, k, tensor))
+        def audit(server, uploads, round_index):
+            received.extend((client, k, tensor) for client, upload in uploads.items() for k, tensor in upload.items())
+            return aggregate(server, uploads, round_index)
+
+        monkeypatch.setattr(FederationServer, "aggregate", audit)
 
         config = ExperimentConfig(
             strategy=strategy, rounds=2, scenarios=2, tasks=2, experts=2, d_feat=4,
             expert_widths=(6, 3), tower_widths=(4,), samples_per_scenario=200,
             batch_size=32, seed=4, out_dir=str(tmp_path / strategy),
         )
-        artifacts = run_experiment(config, audit_hook=audit)
+        artifacts = run_experiment(config)
         assert artifacts.metrics_path.exists()
-        assert received, "audit hook never fired"
+        assert received, "the server never aggregated"
 
         reference = build_clients(config, shards(s=2, seed=4))[0].model
         declared = set(upload_keys(resolve_strategy(strategy), reference))
@@ -517,3 +564,44 @@ class TestProximalRule:
         w_s = clients[0].model.expert_layers[0]["w_s"]
         w_s.data += 0.1  # round 1 sets w_s to its reference; move it off
         assert self.penalty(clients[0]) == pytest.approx(clients[0].lam * 0.01 * w_s.size, rel=1e-9)
+
+
+class TestSnapshotLayout:
+    """A key is a pool: its server state is written once, and its normalized rows once per client."""
+
+    def test_round_two_holds_one_entry_per_key_and_role(self, tmp_path):
+        clients, config = make_clients(s=2, n_experts=3)
+        plan = resolve_strategy("main")
+        keys = upload_keys(plan, clients[0].model)
+        server = FederationServer(plan, c=config.c)
+        for r in (1, 2):
+            for c in clients:
+                c.begin_round(keys)
+                c.local_phase(r, max_batches=1)
+            directive = server.aggregate({c.index: c.build_upload(keys) for c in clients}, r)
+            for c in clients:
+                c.apply_directive(directive)
+        path = tmp_path / "round_2.bin"
+        write_snapshot(path, plan.name, 2, server.last_snapshot_entries)
+        strategy, round_index, entries = read_snapshot(path)
+        assert (strategy, round_index) == ("main", 2)
+
+        model = clients[0].model
+        layer_keys, tower_keys = list(model.scenario_shared()), list(model.tower_shared())
+        assert len(layer_keys) == len(model.expert_layers)
+        assert sorted(keys) == sorted(layer_keys + tower_keys)
+        for role in ("ref", "dmean", "ustar"):
+            labels = sorted(label.split("/", 1)[1] for label in entries if label.startswith(f"{role}/"))
+            assert labels == sorted(k.label() for k in keys)
+        assert not any(label.startswith("set/") for label in entries)
+        assert len(entries) == (3 + len(clients)) * len(keys)
+        for k in layer_keys:
+            assert k.label() == f"expert_scenario:-1:{k.layer}:w_s"
+            assert entries[f"ref/{k.label()}"].shape == model.scenario_shared()[k].shape[1:]
+            rows = server.prev_normalized[k]
+            for j, c in enumerate(clients):
+                norm = entries[f"norm/{k.label()}/c{c.index}"]
+                assert norm.shape == model.scenario_shared()[k].shape  # (N, d_in, d_out)
+                assert np.array_equal(norm, rows[3 * j : 3 * (j + 1)])
+        for k in tower_keys:
+            assert entries[f"norm/{k.label()}/c0"].shape == model.tower_shared()[k].shape  # (1, ...)
