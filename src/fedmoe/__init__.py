@@ -6,45 +6,4 @@ upload normalization, conflict-coordinated update composition, and
 personalized aggregation over the declared shared-parameter sets.
 """
 
-from .config import ConfigError, ExperimentConfig
-from .data import (
-    BatchConfig,
-    CsvSchema,
-    DataError,
-    RecordSet,
-    ScenarioShard,
-    SyntheticSpec,
-    batch_iter,
-    generate_synthetic,
-    load_csv,
-)
-from .harness import run_ablation_suite, run_experiment
-from .keys import SharedKey
-from .metrics import EvalReport, UndefinedAUCError, auc_bruteforce, auc_fast, evaluate_client
-from .model import ClientModel, ModelSpec
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BatchConfig",
-    "ClientModel",
-    "ConfigError",
-    "CsvSchema",
-    "DataError",
-    "EvalReport",
-    "ExperimentConfig",
-    "ModelSpec",
-    "RecordSet",
-    "ScenarioShard",
-    "SharedKey",
-    "SyntheticSpec",
-    "UndefinedAUCError",
-    "auc_bruteforce",
-    "auc_fast",
-    "batch_iter",
-    "evaluate_client",
-    "generate_synthetic",
-    "load_csv",
-    "run_ablation_suite",
-    "run_experiment",
-]

@@ -119,9 +119,8 @@ class ExperimentConfig:
             problems.append(f"model.tasks: must be >= 1, got {self.tasks}")
         if self.scenarios < 1:
             problems.append(f"model.scenarios: must be >= 1, got {self.scenarios}")
-        if self.strategy in STRATEGY_IDS and self.strategy != "local" and self.scenarios < 2:
-            if resolve_strategy(self.strategy).uses_server:
-                problems.append(f"model.scenarios: federated strategy {self.strategy!r} needs >= 2 clients")
+        if self.strategy in STRATEGY_IDS and self.scenarios < 2 and resolve_strategy(self.strategy).uses_server:
+            problems.append(f"model.scenarios: federated strategy {self.strategy!r} needs >= 2 clients")
         if self.d_feat < 1:
             problems.append(f"model.d_feat: must be >= 1, got {self.d_feat}")
         if self.d_emb < 1:
@@ -177,12 +176,12 @@ class ExperimentConfig:
 
     # -- derived views ----------------------------------------------------------
 
-    def model_spec(self, scenario: int, n_experts: int | None = None) -> ModelSpec:
+    def model_spec(self, scenario: int) -> ModelSpec:
         return ModelSpec(
             scenario=scenario,
             n_scenarios=self.scenarios,
             n_tasks=self.tasks,
-            n_experts=n_experts if n_experts is not None else self.experts,
+            n_experts=self.experts,
             d_feat=self.d_feat,
             expert_widths=tuple(self.expert_widths),
             tower_widths=tuple(self.tower_widths),
@@ -280,7 +279,9 @@ def _parse_value(raw: str, default, type_hint: str):
     if isinstance(default, tuple):
         if raw == "":
             return ()
-        parts = [p.strip() for p in raw.split(",") if p.strip() != ""]
+        parts = [p.strip() for p in raw.split(",")]
+        if "" in parts:
+            raise ValueError(f"empty element in list {raw!r}")
         if "int" in type_hint:
             return tuple(int(p) for p in parts)
         return tuple(parts)

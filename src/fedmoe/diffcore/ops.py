@@ -139,7 +139,8 @@ def bce(p: Tensor, y: np.ndarray) -> Tensor:
 
     ``y`` holds constant {0,1} labels, one task's (K,) or T tasks' (T, K);
     no gradient flows into it. ``p`` is read in y's shape. Each row's mean
-    is the 1-D mean of that row and the rows are added from row 0 on, so
+    is the 1-D mean of that row (a C-ordered row reduction) and ``cumsum``
+    adds the rows from row 0 on (``sum`` is pairwise from 8 rows), so
     value and gradient equal those of T one-task calls summed by ``add_n``
     bit for bit.
     """
@@ -152,17 +153,15 @@ def bce(p: Tensor, y: np.ndarray) -> Tensor:
     lo, hi = PROB_CLAMP, 1.0 - PROB_CLAMP
     pc = np.clip(rows, lo, hi)
     k = float(y.shape[-1])
-    terms = -y * np.log(pc) - (1.0 - y) * np.log(1.0 - pc)
-    loss = 0.0
-    for row in terms.reshape(-1, terms.shape[-1]):
-        loss += float(np.mean(row))
+    terms = np.ascontiguousarray(-y * np.log(pc) - (1.0 - y) * np.log(1.0 - pc))
+    loss = np.cumsum(terms.reshape(-1, terms.shape[-1]).mean(axis=1))[-1]
     inside = (rows > lo) & (rows < hi)  # clamp blocks gradient at the rails
 
     def backward(g):
         dp = (-(y / pc) + (1.0 - y) / (1.0 - pc)) * inside * (float(g) / k)
         return (dp.reshape(p.shape),)
 
-    return Tensor(np.float64(loss), (p,), backward)
+    return Tensor(loss, (p,), backward)
 
 
 def add_n(terms: Sequence[Tensor]) -> Tensor:
@@ -278,21 +277,17 @@ def mix_experts(gates: Tensor, experts: Tensor) -> Tensor:
     ``out[t] = sum_n gates[t, :, n] * experts[t, n]``.
 
     gates: the (T, K, N) simplex rows of every task; experts: the
-    (T, N, K, d) output of ``expert_layer``. Output (T, K, d). Each task
-    runs the same einsum as a mix of that task's slice alone, so values and
-    gradients equal the per-task ones bit for bit.
+    (T, N, K, d) output of ``expert_layer``. Output (T, K, d). One einsum
+    over t sums each task's products in the order a mix of that task's
+    slice alone does, so values and gradients equal the per-task ones bit
+    for bit.
     """
     if experts.ndim != 4 or gates.shape != (experts.shape[0], experts.shape[2], experts.shape[1]):
         raise ShapeMismatchError(f"gates {gates.shape} do not match experts {experts.shape}; expected (T,K,N) and (T,N,K,d)")
-    t, n, k, d = experts.shape
-    out = np.empty((t, k, d))
-    for i in range(t):
-        np.einsum("kn,nkd->kd", gates.data[i], experts.data[i], out=out[i])
+    out = np.einsum("tkn,tnkd->tkd", gates.data, experts.data)
 
     def backward(g):
-        dgates = np.empty_like(gates.data)
-        for i in range(t):
-            dgates[i] = np.einsum("kd,nkd->kn", g[i], experts.data[i])
+        dgates = np.einsum("tkd,tnkd->tkn", g, experts.data)
         return dgates, np.swapaxes(gates.data, 1, 2)[..., None] * g[:, None]
 
     return Tensor(out, (gates, experts), backward)

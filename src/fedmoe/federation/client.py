@@ -4,23 +4,26 @@
 train partition, one loss, backward and Adam step per batch.
 
 The client uploads value copies of the keyed tensors a strategy declares,
-never gradients or data. After the server round it either replaces a tensor
-(plain averages, first-round aggregates) or applies the personalized update
+never gradients or data. After the server round it sets each key's mean
+that comes without an increment (plain averages, first-round aggregates)
+and applies each coordinated key's increment pair as the personalized
+update
 
     value = round_start + mean_increment + psi[:, None, ...] * coordinated_update,
 
-with one increment and one update per coordinated key, each of one row's
-shape, and psi one scalar per row: an expert of a layer's scenario-weight
-stack, or the task of a tower tensor (every tensor of a task's tower shares
-it). Each psi is learned by a one-step directional meta-gradient on a
-reserved held-out batch: psi falls when the local loss rises along the
-coordinated direction, and is clamped to [-2, 2].
+with the increment and the update each of one row's shape, and psi one
+scalar per row: an expert of a layer's scenario-weight stack, or the task
+of a tower tensor (every tensor of a task's tower shares it). Each psi is
+learned by a one-step directional meta-gradient on a reserved held-out
+batch: psi falls when the local loss rises along the coordinated
+direction, and is clamped to [-2, 2].
 
 The proximal references are kept per round: ``apply_directive`` takes the
-server's reference per expert layer as is, one pool mean that every expert
-shares or a stack of per-expert means, and every training step of the next
-round reuses it. They are None, and training adds no proximal pull, until
-an aggregate carries scenario weights; under ``a4`` and ``local`` none does.
+server's mean of each expert layer's scenario weights as is, one pool mean
+that every expert shares or a stack of per-expert means, and every
+training step of the next round reuses it. They are None, and training
+adds no proximal pull, until an aggregate carries scenario weights; under
+``a4`` and ``local`` none does.
 """
 
 from __future__ import annotations
@@ -132,24 +135,25 @@ class ClientSim:
 
     def apply_directive(self, directive: ServerDirective) -> None:
         key_map = self.model.key_map()
-        for key, value in directive.replace.items():
-            key_map[key].data[...] = value
-        for key, mean_increment in directive.mean_increment.items():
+        for key, mean in directive.means.items():
+            if key not in directive.increments:
+                key_map[key].data[...] = mean
+        for key, (mean_increment, update) in directive.increments.items():
             if key not in self.round_start:
                 raise KeyError(f"no round-start snapshot for coordinated key {key.label()}")
             start = self.round_start[key]
             psi = self.psi.for_key(key, len(start)).reshape(-1, *[1] * (start.ndim - 1))
-            key_map[key].data[...] = start + mean_increment + psi * directive.coordinated[key]
-        layers = sorted(self.model.scenario_shared())
-        self.refs = [directive.refs[k] for k in layers] if layers[0] in directive.refs else None
+            key_map[key].data[...] = start + mean_increment + psi * update
+        layers = sorted(k for k in key_map if k.kind == "expert_scenario")
+        self.refs = [directive.means[k] for k in layers] if layers[0] in directive.means else None
 
     def meta_update_psi(self, directive: ServerDirective) -> None:
         """One directional meta-gradient step per psi slot, along its rows' coordinated updates."""
-        if not directive.coordinated:
+        if not directive.increments:
             return
         dots: dict[tuple, float] = {}
         for key, grad in sorted(self._held_out_grads(directive).items()):
-            rows = (grad * directive.coordinated[key]).reshape(len(grad), -1).sum(axis=1)
+            rows = (grad * directive.increments[key][1]).reshape(len(grad), -1).sum(axis=1)
             for slot, dot in zip(self.psi.slots(key, len(grad)), rows):
                 dots[slot] = dots.get(slot, 0.0) + float(dot)
         for slot, dot in dots.items():
@@ -169,7 +173,7 @@ class ClientSim:
             # Without dropout the directional derivative is noise-free.
             loss, _ = model.local_loss(x, y, refs=self.refs, lam=self.lam, use_dropout=False)
             loss.backward()
-            return {key: key_map[key].grad.copy() for key in directive.coordinated}
+            return {key: key_map[key].grad.copy() for key in directive.increments}
         finally:
             model.zero_grad()
             model.bn_in.running_mean[...] = saved_rm

@@ -1,15 +1,8 @@
 """Server-side round protocol and aggregation strategies.
 
-Strategy table (expert scenario-weight set / tower set):
-
-    main    coordinated / coordinated   the full pipeline
-    a1      plain       / plain         plain averaging of both sets
-    a2      plain       / coordinated   plain mean over ALL expert params
-    a3      coordinated / coordinated   identical configuration to main
-                                        (the ablation suite runs it once)
-    a4      none        / plain         experts untouched, no proximal pull
-    fedavg  plain       / plain         plain mean over every parameter
-    local   none        / none          no aggregation at all
+``STRATEGIES`` is the strategy table: per strategy, the mode of each key
+kind it shares. A kind a strategy leaves out is neither uploaded nor
+aggregated, so ``local``, which names none, runs no server at all.
 
 "coordinated" means, per key: stack the clients' (P, ...) uploads as
 (C, P, ...), normalize its C·P rows server-side as one batch around the
@@ -43,83 +36,73 @@ __all__ = [
     "upload_keys",
     "ServerDirective",
     "FederationServer",
+    "STRATEGIES",
     "STRATEGY_IDS",
 ]
 
-STRATEGY_IDS = ("main", "a1", "a2", "a3", "a4", "fedavg", "local")
-
 COORDINATED, PLAIN, NONE = "coordinated", "plain", "none"
+
+# main and a3 are one configuration; the ablation suite runs it once.
+STRATEGIES: dict[str, dict[str, str]] = {
+    "main": {"expert_scenario": COORDINATED, "tower": COORDINATED},
+    "a1": {"expert_scenario": PLAIN, "tower": PLAIN},
+    "a2": {"expert_scenario": PLAIN, "tower": COORDINATED, "expert_local": PLAIN},
+    "a3": {"expert_scenario": COORDINATED, "tower": COORDINATED},
+    "a4": {"tower": PLAIN},
+    "fedavg": {"expert_scenario": PLAIN, "tower": PLAIN, "expert_local": PLAIN, "local": PLAIN},
+    "local": {},
+}
+STRATEGY_IDS = tuple(STRATEGIES)
 
 
 @dataclass(frozen=True)
 class StrategyPlan:
+    """A strategy's (kind, mode) pairs, sorted, so that equal tables compare and hash equal."""
+
     name: str
-    expert_mode: str
-    tower_mode: str
-    widen_expert_local: bool = False
-    widen_all_local: bool = False
+    modes: tuple[tuple[str, str], ...]
+
+    def mode(self, kind: str) -> str:
+        return dict(self.modes).get(kind, NONE)
 
     @property
-    def coordinated_kinds(self) -> frozenset[str]:
-        """Key kinds sent through normalization and the coordination solve."""
-        modes = {"expert_scenario": self.expert_mode, "tower": self.tower_mode}
-        return frozenset(kind for kind, mode in modes.items() if mode == COORDINATED)
+    def expert_mode(self) -> str:
+        return self.mode("expert_scenario")
 
     @property
-    def uses_fedbn(self) -> bool:
-        return bool(self.coordinated_kinds)
+    def tower_mode(self) -> str:
+        return self.mode("tower")
 
     @property
     def uses_server(self) -> bool:
-        return not (self.expert_mode == NONE and self.tower_mode == NONE)
+        return any(mode != NONE for _, mode in self.modes)
 
 
 def resolve_strategy(name: str) -> StrategyPlan:
-    table = {
-        "main": StrategyPlan("main", COORDINATED, COORDINATED),
-        "a1": StrategyPlan("a1", PLAIN, PLAIN),
-        "a2": StrategyPlan("a2", PLAIN, COORDINATED, widen_expert_local=True),
-        "a3": StrategyPlan("a3", COORDINATED, COORDINATED),
-        "a4": StrategyPlan("a4", NONE, PLAIN),
-        "fedavg": StrategyPlan("fedavg", PLAIN, PLAIN, widen_expert_local=True, widen_all_local=True),
-        "local": StrategyPlan("local", NONE, NONE),
-    }
-    if name not in table:
+    if name not in STRATEGIES:
         raise ValueError(f"unknown strategy {name!r}; expected one of {STRATEGY_IDS}")
-    return table[name]
+    return StrategyPlan(name, tuple(sorted(STRATEGIES[name].items())))
 
 
 def upload_keys(plan: StrategyPlan, model) -> list[SharedKey]:
     """The declared upload set for a strategy, in canonical order."""
-    keys: list[SharedKey] = []
-    if plan.expert_mode != NONE:
-        keys.extend(model.scenario_shared())
-    if plan.tower_mode != NONE:
-        keys.extend(model.tower_shared())
-    if plan.widen_expert_local:
-        keys.extend(model.expert_local())
-    if plan.widen_all_local:
-        keys.extend(model.other_local())
-    return sorted(keys)
+    return sorted(k for k in model.key_map() if plan.mode(k.kind) != NONE)
 
 
 @dataclass
 class ServerDirective:
     """Broadcast payload: identical for every client; personalization is local.
 
-    Every dict is keyed by SharedKey. ``replace`` holds the values a client
-    sets: each plain key's mean, and each coordinated key's normalized mean
-    before it has history. From round 2 a coordinated key instead carries
-    its mean increment and coordinated update, each of one row's shape.
-    ``refs`` holds each key's aggregate: a plain key's mean, or a
-    coordinated key's normalized mean.
+    Both dicts are keyed by SharedKey. ``means`` holds every key's
+    aggregate: a plain key's mean, or a coordinated key's normalized mean.
+    From round 2 a coordinated key also has ``increments``: its mean
+    increment and coordinated update, each of one row's shape. A client
+    sets each mean that has no increment and applies each increment.
     """
 
     round_index: int
-    replace: dict[SharedKey, np.ndarray] = field(default_factory=dict)
-    mean_increment: dict[SharedKey, np.ndarray] = field(default_factory=dict)
-    coordinated: dict[SharedKey, np.ndarray] = field(default_factory=dict)
-    refs: dict[SharedKey, np.ndarray] = field(default_factory=dict)
+    means: dict[SharedKey, np.ndarray] = field(default_factory=dict)
+    increments: dict[SharedKey, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     fedbn_residual: float = 0.0
 
 
@@ -145,7 +128,7 @@ class FederationServer:
         clients = sorted(uploads)
         if not clients:
             raise ValueError("no uploads")
-        if self.plan.uses_fedbn and len(clients) < 2:
+        if any(mode == COORDINATED for _, mode in self.plan.modes) and len(clients) < 2:
             raise ValueError(f"strategy {self.plan.name!r} needs >= 2 clients (got {len(clients)})")
         first = uploads[clients[0]]
         key_set = sorted(first)
@@ -165,13 +148,12 @@ class FederationServer:
 
         directive = ServerDirective(round_index=round_index)
         normalized: dict[SharedKey, np.ndarray] = {}
-        coordinated_kinds = self.plan.coordinated_kinds
         for key in key_set:
             stack = np.stack([uploads[j][key] for j in clients])
-            if key.kind in coordinated_kinds:
+            if self.plan.mode(key.kind) == COORDINATED:
                 normalized[key] = self._coordinate(key, stack, clients, directive)
             else:
-                directive.replace[key] = directive.refs[key] = stack.mean(axis=0)
+                directive.means[key] = stack.mean(axis=0)
         self.prev_clients, self.prev_normalized = clients, normalized
         self.last_snapshot_entries = self._snapshot_entries(directive, clients, normalized)
         return directive
@@ -187,10 +169,8 @@ class FederationServer:
         normalized, beta = fedbn_normalize(stack.reshape(-1, *stack.shape[2:]), stack.mean(axis=1))
         wbar = normalized.mean(axis=0)
         directive.fedbn_residual = max(directive.fedbn_residual, float(np.abs(wbar - beta).max()))
-        directive.refs[key] = wbar
-
+        directive.means[key] = wbar
         if directive.round_index < 2 or not self.prev_normalized:  # no history: set, do not increment
-            directive.replace[key] = wbar
             return normalized
 
         if clients != self.prev_clients or key not in self.prev_normalized:
@@ -200,8 +180,7 @@ class FederationServer:
             )
         deltas = normalized - self.prev_normalized[key]
         mean_delta = deltas.mean(axis=0)
-        directive.mean_increment[key] = mean_delta
-        directive.coordinated[key] = solve_conflict_weights(deltas, mean_delta, self.c).u_star
+        directive.increments[key] = (mean_delta, solve_conflict_weights(deltas, mean_delta, self.c).u_star)
         return normalized
 
     # -- persistence --------------------------------------------------------------
@@ -210,15 +189,18 @@ class FederationServer:
     def _snapshot_entries(
         directive: ServerDirective, clients: list[int], normalized: dict[SharedKey, np.ndarray]
     ) -> dict[str, np.ndarray]:
-        """One entry per key and role; a coordinated key's normalized rows are split by client."""
+        """One entry per key and role; a coordinated key's normalized rows are split by client.
+
+        ``ref/`` holds every mean, ``set/`` each mean that has no increment,
+        and ``dmean/`` and ``ustar/`` each increment pair.
+        """
         entries: dict[str, np.ndarray] = {}
-        for role, arrays in (
-            ("set", directive.replace),
-            ("ref", directive.refs),
-            ("dmean", directive.mean_increment),
-            ("ustar", directive.coordinated),
-        ):
-            entries.update((f"{role}/{key.label()}", arr) for key, arr in arrays.items())
+        for key, mean in directive.means.items():
+            entries[f"ref/{key.label()}"] = mean
+            if key not in directive.increments:
+                entries[f"set/{key.label()}"] = mean
+        for key, (mean_increment, update) in directive.increments.items():
+            entries[f"dmean/{key.label()}"], entries[f"ustar/{key.label()}"] = mean_increment, update
         for key, rows in normalized.items():
             per_client = rows.reshape(len(clients), -1, *rows.shape[1:])
             entries.update((f"norm/{key.label()}/c{j}", arr) for j, arr in zip(clients, per_client))

@@ -17,7 +17,7 @@ barrier.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -74,12 +74,10 @@ def build_shards(config: ExperimentConfig) -> list[data_mod.ScenarioShard]:
     return shards
 
 
-def build_clients(
-    config: ExperimentConfig, shards: list[data_mod.ScenarioShard], n_experts: Optional[int] = None
-) -> list[ClientSim]:
+def build_clients(config: ExperimentConfig, shards: list[data_mod.ScenarioShard]) -> list[ClientSim]:
     clients = []
     for j in range(config.scenarios):
-        model = ClientModel(config.model_spec(j, n_experts=n_experts), init_seed=config.seed)
+        model = ClientModel(config.model_spec(j), init_seed=config.seed)
         clients.append(
             ClientSim(
                 model,
@@ -116,14 +114,17 @@ def run_experiment(
     out.mkdir(parents=True, exist_ok=True)
     echo_path = out / "config.echo"
     config.save(echo_path)
-    for stale in out.glob("snapshots/round_*.bin"):  # an earlier run's rounds; this run may stop sooner
+    snapshots = out / "snapshots"
+    for stale in snapshots.glob("round_*.bin"):  # an earlier run's rounds; this run may stop sooner
         stale.unlink()
+    if snapshots.is_dir() and not any(snapshots.iterdir()):  # a local run leaves no snapshots/
+        snapshots.rmdir()
 
     server: Optional[FederationServer] = None
     snapshot_dir: Optional[Path] = None
     if plan.uses_server:
         server = FederationServer(plan, c=config.c)
-        snapshot_dir = out / "snapshots"
+        snapshot_dir = snapshots
         snapshot_dir.mkdir(exist_ok=True)
 
     artifacts = RunArtifacts(
@@ -183,8 +184,8 @@ def run_ablation_suite(config: ExperimentConfig, out_dir: Optional[str | Path] =
     """Aggregation variants plus the expert-count sweep, on shared seeds and data.
 
     The table has one row per variant and one final-round AUC column per
-    (client, task) pair. Each distinct configuration (the strategy plan
-    without its name, plus the expert count) runs once; a label that repeats
+    (client, task) pair. Each distinct configuration (the strategy's
+    modes, plus the expert count) runs once; a label that repeats
     one, such as ``a3`` and ``expert_<experts>`` (both equal to ``main``),
     shares the first label's run, and ``ablation.log`` names that run.
     """
@@ -199,7 +200,7 @@ def run_ablation_suite(config: ExperimentConfig, out_dir: Optional[str | Path] =
     source: dict[str, str] = {}
     first_label: dict[tuple, str] = {}
     for label, strategy, experts in variants:
-        fingerprint = (replace(resolve_strategy(strategy), name=""), experts)
+        fingerprint = (resolve_strategy(strategy).modes, experts)
         if fingerprint in first_label:
             source[label] = first_label[fingerprint]
             runs[label] = runs[source[label]]

@@ -31,7 +31,8 @@ federated key to a Parameter whose value and grad are views of the buffer,
 so uploads and server updates read and write it in place: an expert
 layer's parts, the task embedding, the input batch norm and the gates are
 keyed as their whole stacked Parameters, and each tower tensor as its
-task's (1, ...) row.
+task's (1, ...) row. Each key's kind says which set it belongs to: the
+scenario weights, the towers, the other expert parts or the rest.
 
 The model holds no mode: ``forward`` takes ``train`` (batch statistics and
 dropout) and ``use_dropout`` as arguments, so evaluation and the held-out
@@ -251,26 +252,12 @@ class ClientModel:
         self.buffer.zero_grad()
 
     def key_map(self) -> dict[SharedKey, Parameter]:
-        """Total, disjoint keying of every trainable scalar (built once; do not mutate)."""
+        """Total, disjoint keying of every trainable scalar (built once; do not mutate).
+
+        A key's ``kind`` names the set it belongs to, the unit a strategy
+        shares or keeps local; callers filter this map by kind.
+        """
         return self._key_map
-
-    def _keys_of_kind(self, kind: str) -> dict[SharedKey, Parameter]:
-        return {key: p for key, p in self._key_map.items() if key.kind == kind}
-
-    def scenario_shared(self) -> dict[SharedKey, Parameter]:
-        """The scenario-weight set, the default unit of federated sharing."""
-        return self._keys_of_kind("expert_scenario")
-
-    def tower_shared(self) -> dict[SharedKey, Parameter]:
-        return self._keys_of_kind("tower")
-
-    def expert_local(self) -> dict[SharedKey, Parameter]:
-        """Expert parameters outside the scenario set (widened sharing variants)."""
-        return self._keys_of_kind("expert_local")
-
-    def other_local(self) -> dict[SharedKey, Parameter]:
-        """Everything else: embeddings, input BN, gates."""
-        return self._keys_of_kind("local")
 
     # -- forward and loss ----------------------------------------------------------
 

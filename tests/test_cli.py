@@ -136,6 +136,24 @@ def test_unreadable_csv_exits_2_naming_the_file(tmp_path, capsys, problem):
     assert f"cannot read CSV file {bad}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "section, name, raw",
+    [
+        ("model", "expert_widths", "32,,16"),
+        ("model", "expert_widths", "32,16,"),
+        ("data", "csv_paths", "a.csv,,b.csv"),
+        ("data", "feature_columns", "f0,f1,"),
+        ("data", "label_columns", ",click"),
+    ],
+)
+def test_list_value_with_an_empty_element_exits_2_naming_the_field(tmp_path, capsys, section, name, raw):
+    ini = tmp_path / "empty.ini"
+    ini.write_text(f"[{section}]\n{name} = {raw}\n\n[output]\nout_dir = {tmp_path / 'out'}\n")
+    assert main(["run", "--config", str(ini)]) == 2
+    assert f"{section}.{name}: empty element in list {raw!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_save_load_round_trip(tmp_path):
     config = ExperimentConfig(
         strategy="a2", rounds=7, local_epochs=2, seed=13, comm_per_batch=True,

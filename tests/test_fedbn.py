@@ -10,7 +10,7 @@ def plain_mean(uploads):
     """The server's plain-average path: one uncoordinated key, one upload per client."""
     key = SharedKey(kind="expert_scenario", index=-1, layer=0, part="w_s")
     server = FederationServer(resolve_strategy("a1"))
-    return server.aggregate({j: {key: u} for j, u in enumerate(uploads)}, 1).replace[key]
+    return server.aggregate({j: {key: u} for j, u in enumerate(uploads)}, 1).means[key]
 
 
 class TestNormalize:

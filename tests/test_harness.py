@@ -167,6 +167,15 @@ def test_rerun_removes_the_earlier_runs_snapshots(tmp_path, first, second, left)
     assert other.read_text() == "kept"  # only the snapshot pattern is removed
 
 
+def test_local_run_after_a_federated_one_leaves_no_snapshots_directory(tmp_path):
+    run_dir = tmp_path / "run"
+    harness.run_experiment(small_config(out_dir=str(run_dir), strategy="main"))
+    assert (run_dir / "snapshots" / "round_1.bin").exists()
+    artifacts = harness.run_experiment(small_config(out_dir=str(run_dir), strategy="local"))
+    assert artifacts.snapshot_dir is None
+    assert not (run_dir / "snapshots").exists()
+
+
 @pytest.mark.parametrize("problem", ["missing_csv", "single_class_test_partition"])
 def test_rerun_that_fails_on_its_data_leaves_the_earlier_run_intact(tmp_path, problem):
     run_dir = tmp_path / "run"

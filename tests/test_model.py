@@ -23,6 +23,11 @@ def make_model(**kwargs):
     return ClientModel(ModelSpec(**defaults), init_seed=21)
 
 
+def of_kind(model, kind):
+    """The model's keys of one kind, as its key map filters them."""
+    return {k: p for k, p in model.key_map().items() if k.kind == kind}
+
+
 def task_weight_only(model, layer):
     """The template's task weights alone: the product with unit local and scenario factors."""
     parts = model.expert_layers[layer]
@@ -275,7 +280,7 @@ class TestParameterPartition:
         keyed_whole = [p for k, p in key_map.items() if k.kind != "tower"]
         assert len(keyed_whole) == len(stacked) and all(any(p is q for q in stacked) for p in keyed_whole)
         assert all(k.index == -1 for k, p in key_map.items() if k.kind != "tower")
-        for k, p in model.tower_shared().items():
+        for k, p in of_kind(model, "tower").items():
             whole = model.tower_layers[k.layer][k.part]
             assert p.shape == (1, *whole.shape[1:])
             assert np.shares_memory(p.data, whole.data[k.index]) and np.shares_memory(p.grad, whole.grad[k.index])
@@ -317,13 +322,13 @@ class TestParameterPartition:
 
     def test_scenario_set_size(self):
         model = make_model(n_experts=3, expert_widths=(6, 3))
-        shapes = [p.shape for p in model.scenario_shared().values()]
+        shapes = [p.shape for p in of_kind(model, "expert_scenario").values()]
         assert shapes == [(3, 4, 6), (3, 6, 3)]  # one key per layer: its whole expert stack
 
     def test_tower_set_covers_all_tower_params(self):
         model = make_model(tower_widths=(4, 2))
         per_task = 3 * 2  # two hidden + output head, times (w, b)
-        assert len(model.tower_shared()) == per_task * 2
+        assert len(of_kind(model, "tower")) == per_task * 2
 
 
 class TestLocalLoss:
@@ -349,7 +354,7 @@ class TestLocalLoss:
 
     def test_scalar_reference_case(self):
         model = make_model(n_experts=1, d_feat=1, expert_widths=(1,), tower_widths=(2,), n_tasks=1)
-        (w_s,) = model.scenario_shared().values()
+        (w_s,) = of_kind(model, "expert_scenario").values()
         w_s.data[...] = 0.0
         refs = [np.full((1, 1, 1), 2.0)]
         rng = np.random.default_rng(9)
@@ -373,19 +378,19 @@ class TestLocalLoss:
     def test_regularizer_gradient_descends(self):
         model = make_model()
         rng = np.random.default_rng(11)
-        refs = {k: rng.normal(0, 1, p.shape) for k, p in model.scenario_shared().items()}
+        refs = {k: rng.normal(0, 1, p.shape) for k, p in of_kind(model, "expert_scenario").items()}
 
         def sq_total():
-            return sum(float(((p.data - refs[k]) ** 2).sum()) for k, p in model.scenario_shared().items())
+            return sum(float(((p.data - refs[k]) ** 2).sum()) for k, p in of_kind(model, "expert_scenario").items())
 
         from fedmoe.diffcore import add_n
         from reference_ops import sum_sq_diff
 
         before = sq_total()
         model.zero_grad()
-        reg = add_n([sum_sq_diff(p, refs[k]) for k, p in model.scenario_shared().items()])
+        reg = add_n([sum_sq_diff(p, refs[k]) for k, p in of_kind(model, "expert_scenario").items()])
         reg.backward()
-        for p in model.scenario_shared().values():
+        for p in of_kind(model, "expert_scenario").values():
             p.data -= 0.01 * p.grad
         assert sq_total() < before
 

@@ -8,15 +8,25 @@ from fedmoe.data import SyntheticSpec, generate_synthetic
 from fedmoe.diffcore import Tensor, bce
 from fedmoe.federation import server as server_mod
 from fedmoe.federation.client import ClientSim
-from fedmoe.federation.server import FederationServer, ServerDirective, resolve_strategy, upload_keys
+from fedmoe.federation.server import STRATEGIES, FederationServer, ServerDirective, resolve_strategy, upload_keys
 from fedmoe.federation.snapshot import read_snapshot, write_snapshot
 from fedmoe.harness import build_clients, run_experiment
-from fedmoe.keys import SharedKey
+from fedmoe.keys import KINDS, SharedKey
 from fedmoe.model import ClientModel, ModelSpec
 
 
 def key(kind="expert_scenario", index=-1, layer=0, part="w_s"):
     return SharedKey(kind=kind, index=index, layer=layer, part=part)
+
+
+def of_kind(model, kind):
+    """The model's keys of one kind, as its key map filters them."""
+    return {k: p for k, p in model.key_map().items() if k.kind == kind}
+
+
+def along(updates):
+    """Increment pairs with a zero mean increment: the psi step reads only each coordinated update."""
+    return {k: (np.zeros_like(u), u) for k, u in updates.items()}
 
 
 def shards(s=2, seed=0, n=300, d=4, t=2):
@@ -61,31 +71,32 @@ class TestComputeDeltas:
     def test_round_one_signals_skip(self):
         server = FederationServer(resolve_strategy("main"))
         directive = server.aggregate(same_uploads({key(): np.ones((1, 2))}), 1)
-        assert directive.mean_increment == {} and directive.coordinated == {}
-        assert np.array_equal(directive.replace[key()], np.ones(2))
+        assert directive.increments == {}
+        assert np.array_equal(directive.means[key()], np.ones(2))
 
     def test_identical_rounds_give_zero(self):
         server = FederationServer(resolve_strategy("main"))
         uploads = {0: {key(): np.ones((1, 3))}, 1: {key(): np.full((1, 3), 2.0)}}
         server.aggregate(uploads, 1)
         directive = server.aggregate(uploads, 2)
-        assert np.array_equal(directive.mean_increment[key()], np.zeros(3))
-        assert np.array_equal(directive.coordinated[key()], np.zeros(3))
-        assert key() not in directive.replace
+        mean_increment, update = directive.increments[key()]
+        assert np.array_equal(mean_increment, np.zeros(3))
+        assert np.array_equal(update, np.zeros(3))
+        assert f"set/{key().label()}" not in server.last_snapshot_entries
 
     def test_single_pair_delta(self, solve_rows):
         server = FederationServer(resolve_strategy("main"))
         server.aggregate(same_uploads({key(): np.array([[1.0]])}), 1)
         directive = server.aggregate(same_uploads({key(): np.array([[3.0]])}), 2)
-        assert directive.mean_increment[key()][0] == 2.0
+        assert directive.increments[key()][0][0] == 2.0
         assert solve_rows == [2]  # one row per client
 
     def test_group_mean_pools_expert_layer(self, solve_rows):
         server = FederationServer(resolve_strategy("main"))
         server.aggregate(same_uploads({key(): np.zeros((2, 2))}), 1)
         directive = server.aggregate(same_uploads({key(): np.array([[1.0, 1.0], [3.0, 3.0]])}), 2)
-        assert set(directive.mean_increment) == set(directive.coordinated) == {key()}
-        assert np.allclose(directive.mean_increment[key()], np.full(2, 2.0), atol=1e-12)
+        assert set(directive.increments) == {key()}
+        assert np.allclose(directive.increments[key()][0], np.full(2, 2.0), atol=1e-12)
         assert solve_rows == [4]  # one solve over both clients' rows of both experts
 
     def test_directive_holds_one_entry_per_pool(self):
@@ -98,10 +109,10 @@ class TestComputeDeltas:
         directive = server.aggregate(uploads, 2)
         model = clients[0].model
         assert sum(k.kind == "expert_scenario" for k in keys) == len(model.expert_layers)
-        assert set(directive.mean_increment) == set(directive.coordinated) == set(directive.refs) == set(keys)
-        assert directive.replace == {}
+        assert set(directive.increments) == set(directive.means) == set(keys)
         for k in keys:  # one row's shape
-            assert directive.mean_increment[k].shape == directive.coordinated[k].shape == model.key_map()[k].shape[1:]
+            mean_increment, update = directive.increments[k]
+            assert mean_increment.shape == update.shape == directive.means[k].shape == model.key_map()[k].shape[1:]
 
     def test_missing_history_is_an_error(self):
         server = FederationServer(resolve_strategy("main"))
@@ -121,16 +132,15 @@ class TestPersonalizedApply:
         """Each expert row of a layer moves by its own psi along the one coordinated update."""
         clients, _ = make_clients(s=2, n_experts=2, widths=(6,))
         client = clients[0]
-        k = next(iter(client.model.scenario_shared()))
-        param = client.model.scenario_shared()[k]
+        k = next(iter(of_kind(client.model, "expert_scenario")))
+        param = of_kind(client.model, "expert_scenario")[k]
         param.data[...] = 1.0
         client.begin_round([k])
         for slot, psi in zip(client.psi.slots(k, 2), (2.0, -1.0)):
             client.psi.values[slot] = psi
         directive = ServerDirective(
             round_index=2,
-            mean_increment={k: np.full(param.shape[1:], 0.5)},
-            coordinated={k: np.full(param.shape[1:], 0.25)},
+            increments={k: (np.full(param.shape[1:], 0.5), np.full(param.shape[1:], 0.25))},
         )
         client.apply_directive(directive)
         assert np.allclose(param.data[0], 2.0)
@@ -139,36 +149,35 @@ class TestPersonalizedApply:
     def test_zero_psi_zero_increment_is_identity(self):
         clients, _ = make_clients(s=2, n_experts=1, widths=(6,))
         client = clients[0]
-        k = next(iter(client.model.scenario_shared()))
-        start = client.model.scenario_shared()[k].data.copy()
+        k = next(iter(of_kind(client.model, "expert_scenario")))
+        start = of_kind(client.model, "expert_scenario")[k].data.copy()
         client.begin_round([k])
         directive = ServerDirective(
             round_index=2,
-            mean_increment={k: np.zeros(start.shape[1:])},
-            coordinated={k: np.full(start.shape[1:], 9.0)},
+            increments={k: (np.zeros(start.shape[1:]), np.full(start.shape[1:], 9.0))},
         )
         client.apply_directive(directive)  # psi defaults to 0
-        assert np.array_equal(client.model.scenario_shared()[k].data, start)
+        assert np.array_equal(of_kind(client.model, "expert_scenario")[k].data, start)
 
     def test_increment_without_round_start_names_the_pool(self):
         clients, _ = make_clients(s=2, n_experts=1, widths=(6,))
         client = clients[0]
-        k = next(iter(client.model.scenario_shared()))
-        start = client.model.scenario_shared()[k].data.copy()
+        k = next(iter(of_kind(client.model, "expert_scenario")))
+        start = of_kind(client.model, "expert_scenario")[k].data.copy()
         zeros = np.zeros(start.shape[1:])
-        directive = ServerDirective(round_index=2, mean_increment={k: zeros}, coordinated={k: zeros})
+        directive = ServerDirective(round_index=2, increments={k: (zeros, zeros)})
         with pytest.raises(KeyError, match=f"round-start snapshot .*{re.escape(k.label())}"):
             client.apply_directive(directive)  # no begin_round
-        assert np.array_equal(client.model.scenario_shared()[k].data, start)
+        assert np.array_equal(of_kind(client.model, "expert_scenario")[k].data, start)
 
     def test_replace_path(self):
-        clients, _ = make_clients(s=2)
+        clients, _ = make_clients(s=2, widths=(6,))  # one layer: its mean is the whole scenario-weight set
         client = clients[0]
-        k = next(iter(client.model.scenario_shared()))
-        value = np.full(client.model.scenario_shared()[k].shape, 7.0)
+        k = next(iter(of_kind(client.model, "expert_scenario")))
+        value = np.full(of_kind(client.model, "expert_scenario")[k].shape, 7.0)
         client.begin_round([k])
-        client.apply_directive(ServerDirective(round_index=1, replace={k: value}))
-        assert np.array_equal(client.model.scenario_shared()[k].data, value)
+        client.apply_directive(ServerDirective(round_index=1, means={k: value}))
+        assert np.array_equal(of_kind(client.model, "expert_scenario")[k].data, value)
 
 
 class TestPsiMetaUpdate:
@@ -178,21 +187,21 @@ class TestPsiMetaUpdate:
 
     def test_zero_update_leaves_psi(self):
         client = self.build_client()
-        k = next(iter(client.model.scenario_shared()))
+        k = next(iter(of_kind(client.model, "expert_scenario")))
         directive = ServerDirective(
             round_index=2,
-            coordinated={k: np.zeros(client.model.scenario_shared()[k].shape[1:])},
+            increments=along({k: np.zeros(of_kind(client.model, "expert_scenario")[k].shape[1:])}),
         )
         client.meta_update_psi(directive)
         assert np.array_equal(client.psi.for_key(k, 1), [0.0])
 
     def test_descending_direction_raises_psi(self):
         client = self.build_client()
-        k = next(iter(client.model.scenario_shared()))
+        k = next(iter(of_kind(client.model, "expert_scenario")))
         grads = client._held_out_grads(
-            ServerDirective(round_index=2, coordinated={k: np.zeros(client.model.scenario_shared()[k].shape[1:])})
+            ServerDirective(round_index=2, increments=along({k: np.zeros(of_kind(client.model, "expert_scenario")[k].shape[1:])}))
         )
-        directive = ServerDirective(round_index=2, coordinated={k: -grads[k][0]})
+        directive = ServerDirective(round_index=2, increments=along({k: -grads[k][0]}))
         client.meta_update_psi(directive)
         assert client.psi.for_key(k, 1)[0] > 0.0
 
@@ -201,8 +210,8 @@ class TestPsiMetaUpdate:
         clients, _ = make_clients(s=2, n_experts=3)
         client = clients[0]
         rng = np.random.default_rng(2)
-        u = {k: rng.normal(0, 0.1, p.shape[1:]) for k, p in client.model.scenario_shared().items()}
-        directive = ServerDirective(round_index=2, coordinated=u)
+        u = {k: rng.normal(0, 0.1, p.shape[1:]) for k, p in of_kind(client.model, "expert_scenario").items()}
+        directive = ServerDirective(round_index=2, increments=along(u))
         grads = client._held_out_grads(directive)
         client.meta_update_psi(directive)
         for k in u:
@@ -213,15 +222,15 @@ class TestPsiMetaUpdate:
     def test_directional_derivative_matches_finite_difference(self):
         client = self.build_client()
         model = client.model
-        k = next(iter(model.scenario_shared()))
+        k = next(iter(of_kind(model, "expert_scenario")))
         rng = np.random.default_rng(0)
-        u_star = rng.normal(0, 0.1, model.scenario_shared()[k].shape[1:])
-        directive = ServerDirective(round_index=2, coordinated={k: u_star})
+        u_star = rng.normal(0, 0.1, of_kind(model, "expert_scenario")[k].shape[1:])
+        directive = ServerDirective(round_index=2, increments=along({k: u_star}))
         grads = client._held_out_grads(directive)
         analytic = float(np.sum(grads[k] * u_star))
 
         x, y = client.held_out
-        param = model.scenario_shared()[k]
+        param = of_kind(model, "expert_scenario")[k]
         eps = 1e-6
 
         def loss_at(offset):
@@ -240,8 +249,8 @@ class TestPsiMetaUpdate:
         client.local_phase(1, max_batches=2)
         bn = (model.bn_in.running_mean.copy(), model.bn_in.running_var.copy())
         rng_state = model.rng.bit_generator.state
-        u = {k: np.full(p.shape[1:], 0.1) for k, p in model.scenario_shared().items()}
-        client.meta_update_psi(ServerDirective(round_index=2, coordinated=u))
+        u = {k: np.full(p.shape[1:], 0.1) for k, p in of_kind(model, "expert_scenario").items()}
+        client.meta_update_psi(ServerDirective(round_index=2, increments=along(u)))
         assert client.psi.values  # the step ran
         assert np.array_equal(model.bn_in.running_mean, bn[0])
         assert np.array_equal(model.bn_in.running_var, bn[1])
@@ -251,19 +260,19 @@ class TestPsiMetaUpdate:
     def test_psi_clamped(self):
         client = self.build_client()
         client.psi.eta = 1e9
-        k = next(iter(client.model.scenario_shared()))
-        u = np.full(client.model.scenario_shared()[k].shape[1:], 1.0)
-        directive = ServerDirective(round_index=2, coordinated={k: u})
+        k = next(iter(of_kind(client.model, "expert_scenario")))
+        u = np.full(of_kind(client.model, "expert_scenario")[k].shape[1:], 1.0)
+        directive = ServerDirective(round_index=2, increments=along({k: u}))
         client.meta_update_psi(directive)
         assert abs(client.psi.for_key(k, 1)[0]) == 2.0
 
     def test_tower_tensors_of_a_task_share_one_step(self):
         """A task's tower tensors share one psi, stepped once by the sum of their directional derivatives."""
         client = self.build_client()
-        towers = client.model.tower_shared()
+        towers = of_kind(client.model, "tower")
         rng = np.random.default_rng(1)
         u = {k: rng.normal(0, 0.1, p.shape[1:]) for k, p in towers.items()}
-        directive = ServerDirective(round_index=2, coordinated=u)
+        directive = ServerDirective(round_index=2, increments=along(u))
         grads = client._held_out_grads(directive)
         client.meta_update_psi(directive)
         for task in range(client.model.spec.n_tasks):
@@ -279,6 +288,7 @@ class TestStrategies:
         a3 = resolve_strategy("a3")
         main = resolve_strategy("main")
         assert (a3.expert_mode, a3.tower_mode) == (main.expert_mode, main.tower_mode)
+        assert a3.modes == main.modes and hash(a3.modes) == hash(main.modes)
 
     @pytest.mark.parametrize(
         "strategy, kinds",
@@ -287,8 +297,30 @@ class TestStrategies:
     )
     def test_coordinated_kinds_follow_the_strategy_table(self, strategy, kinds):
         plan = resolve_strategy(strategy)
-        assert plan.coordinated_kinds == kinds
-        assert plan.uses_fedbn == bool(kinds)
+        assert {kind for kind in KINDS if plan.mode(kind) == "coordinated"} == kinds
+        assert any(mode == "coordinated" for _, mode in plan.modes) == bool(kinds)
+
+    @pytest.mark.parametrize("strategy", list(STRATEGIES))
+    def test_each_strategy_uploads_exactly_the_kinds_its_table_entry_names(self, strategy):
+        table = STRATEGIES[strategy]
+        assert set(table) <= set(KINDS) and set(table.values()) <= {"coordinated", "plain"}
+        clients, config = make_clients(s=2)
+        model = clients[0].model
+        plan = resolve_strategy(strategy)
+        keys = upload_keys(plan, model)
+        assert set(keys) == {k for k in model.key_map() if k.kind in table}
+        assert {plan.mode(kind) for kind in KINDS if kind not in table} <= {"none"}
+        assert plan.uses_server == bool(table)
+        one_client = {0: clients[0].build_upload(keys)}
+        if not plan.uses_server:
+            with pytest.raises(RuntimeError, match="no aggregation"):
+                FederationServer(plan, c=config.c).aggregate(one_client, 1)
+        elif "coordinated" in table.values():
+            with pytest.raises(ValueError, match="2 clients"):
+                FederationServer(plan, c=config.c).aggregate(one_client, 1)
+        else:  # a plain mean of one client is that client's upload
+            directive = FederationServer(plan, c=config.c).aggregate(one_client, 1)
+            assert all(np.array_equal(directive.means[k], one_client[0][k]) for k in keys)
 
     def test_upload_key_sets(self):
         clients, _ = make_clients(s=2)
@@ -300,10 +332,10 @@ class TestStrategies:
         fedavg_keys = set(upload_keys(resolve_strategy("fedavg"), model))
         local_keys = set(upload_keys(resolve_strategy("local"), model))
 
-        scenario = set(model.scenario_shared())
-        tower = set(model.tower_shared())
-        expert_local = set(model.expert_local())
-        other = set(model.other_local())
+        scenario = set(of_kind(model, "expert_scenario"))
+        tower = set(of_kind(model, "tower"))
+        expert_local = set(of_kind(model, "expert_local"))
+        other = set(of_kind(model, "local"))
 
         assert main_keys == scenario | tower
         assert a1_keys == main_keys
@@ -320,7 +352,7 @@ class TestStrategies:
         keys = upload_keys(plan, clients[0].model)
         server = FederationServer(plan, c=config.c)
         expert_before = [
-            {k: p.data.copy() for k, p in c.model.scenario_shared().items()} for c in clients
+            {k: p.data.copy() for k, p in of_kind(c.model, "expert_scenario").items()} for c in clients
         ]
         tower_uploads = {c.index: c.build_upload(keys) for c in clients}
         for c in clients:
@@ -328,12 +360,12 @@ class TestStrategies:
         directive = server.aggregate(tower_uploads, 1)
         for c in clients:
             c.apply_directive(directive)
-        for k in clients[0].model.tower_shared():
+        for k in of_kind(clients[0].model, "tower"):
             expected = np.mean(np.stack([tower_uploads[c.index][k] for c in clients]), axis=0)
             for c in clients:
-                assert np.allclose(c.model.tower_shared()[k].data, expected)
+                assert np.allclose(of_kind(c.model, "tower")[k].data, expected)
         for c, before in zip(clients, expert_before):
-            for k, p in c.model.scenario_shared().items():
+            for k, p in of_kind(c.model, "expert_scenario").items():
                 assert np.array_equal(p.data, before[k])
 
     def test_round_one_towers_replaced_not_incremented(self):
@@ -343,25 +375,25 @@ class TestStrategies:
         server = FederationServer(plan, c=config.c)
         uploads = {c.index: c.build_upload(keys) for c in clients}
         directive = server.aggregate(uploads, 1)
-        assert directive.mean_increment == {}
-        assert set(directive.replace) == set(keys)
+        assert directive.increments == {}
+        assert set(directive.means) == set(keys)
 
     def test_identical_tower_uploads_fixed_point(self):
         clients, config = make_clients(s=2)
         source = clients[0].model
         for c in clients[1:]:
-            for k, p in c.model.tower_shared().items():
-                p.data[...] = source.tower_shared()[k].data
+            for k, p in of_kind(c.model, "tower").items():
+                p.data[...] = of_kind(source, "tower")[k].data
         plan = resolve_strategy("a4")
         keys = upload_keys(plan, clients[0].model)
         server = FederationServer(plan, c=config.c)
-        before = {k: p.data.copy() for k, p in source.tower_shared().items()}
+        before = {k: p.data.copy() for k, p in of_kind(source, "tower").items()}
         for c in clients:
             c.begin_round(keys)
         directive = server.aggregate({c.index: c.build_upload(keys) for c in clients}, 1)
         for c in clients:
             c.apply_directive(directive)
-        for k, p in source.tower_shared().items():
+        for k, p in of_kind(source, "tower").items():
             assert np.allclose(p.data, before[k], atol=1e-12)
 
     def test_single_client_rejected(self):
@@ -442,8 +474,8 @@ class TestRoundProtocol:
             c.apply_directive(directive)
         for c in clients:
             assert len(c.refs) == len(c.model.expert_layers)
-            for k, p in c.model.scenario_shared().items():
-                assert c.refs[k.layer] is directive.refs[k]  # one pool mean, never copied per client
+            for k, p in of_kind(c.model, "expert_scenario").items():
+                assert c.refs[k.layer] is directive.means[k]  # one pool mean, never copied per client
                 assert c.refs[k.layer].shape == p.shape[1:]
 
     def test_plain_expert_refs_stack_the_per_key_means(self):
@@ -457,9 +489,9 @@ class TestRoundProtocol:
         directive = server.aggregate(uploads, 1)
         for c in clients:
             c.apply_directive(directive)
-        for k, w_s in clients[0].model.scenario_shared().items():
+        for k, w_s in of_kind(clients[0].model, "expert_scenario").items():
             assert clients[0].refs[k.layer].shape == w_s.shape
-            assert np.array_equal(clients[0].refs[k.layer], directive.replace[k])
+            assert np.array_equal(clients[0].refs[k.layer], directive.means[k])
             for e in range(3):
                 expected = np.mean(np.stack([uploads[j][k][e] for j in uploads]), axis=0)
                 assert np.array_equal(clients[0].refs[k.layer][e], expected)
@@ -474,11 +506,11 @@ class TestRoundProtocol:
         directive = server.aggregate({c.index: c.build_upload(keys) for c in clients}, 1)
         for c in clients:
             c.apply_directive(directive)
-        for k in clients[0].model.scenario_shared():
-            assert directive.replace[k].shape == clients[0].model.scenario_shared()[k].shape[1:]
+        for k in of_kind(clients[0].model, "expert_scenario"):
+            assert directive.means[k].shape == of_kind(clients[0].model, "expert_scenario")[k].shape[1:]
             for c in clients:
-                for row in c.model.scenario_shared()[k].data:  # every expert of every client
-                    assert np.array_equal(row, directive.replace[k])
+                for row in of_kind(c.model, "expert_scenario")[k].data:  # every expert of every client
+                    assert np.array_equal(row, directive.means[k])
 
 
 class TestPrivacyAudit:
@@ -587,7 +619,7 @@ class TestSnapshotLayout:
         assert (strategy, round_index) == ("main", 2)
 
         model = clients[0].model
-        layer_keys, tower_keys = list(model.scenario_shared()), list(model.tower_shared())
+        layer_keys, tower_keys = list(of_kind(model, "expert_scenario")), list(of_kind(model, "tower"))
         assert len(layer_keys) == len(model.expert_layers)
         assert sorted(keys) == sorted(layer_keys + tower_keys)
         for role in ("ref", "dmean", "ustar"):
@@ -597,11 +629,11 @@ class TestSnapshotLayout:
         assert len(entries) == (3 + len(clients)) * len(keys)
         for k in layer_keys:
             assert k.label() == f"expert_scenario:-1:{k.layer}:w_s"
-            assert entries[f"ref/{k.label()}"].shape == model.scenario_shared()[k].shape[1:]
+            assert entries[f"ref/{k.label()}"].shape == of_kind(model, "expert_scenario")[k].shape[1:]
             rows = server.prev_normalized[k]
             for j, c in enumerate(clients):
                 norm = entries[f"norm/{k.label()}/c{c.index}"]
-                assert norm.shape == model.scenario_shared()[k].shape  # (N, d_in, d_out)
+                assert norm.shape == of_kind(model, "expert_scenario")[k].shape  # (N, d_in, d_out)
                 assert np.array_equal(norm, rows[3 * j : 3 * (j + 1)])
         for k in tower_keys:
-            assert entries[f"norm/{k.label()}/c0"].shape == model.tower_shared()[k].shape  # (1, ...)
+            assert entries[f"norm/{k.label()}/c0"].shape == of_kind(model, "tower")[k].shape  # (1, ...)
