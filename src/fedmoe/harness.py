@@ -28,7 +28,7 @@ from .config import ConfigError, ExperimentConfig
 from .federation.client import ClientSim
 from .federation.server import FederationServer, resolve_strategy, upload_keys
 from .federation.snapshot import write_snapshot
-from .model import ClientModel
+from .model import ClientModel, initial_buffers
 
 __all__ = ["RunArtifacts", "AblationArtifacts", "build_shards", "build_clients", "run_experiment", "run_ablation_suite"]
 
@@ -75,9 +75,10 @@ def build_shards(config: ExperimentConfig) -> list[data_mod.ScenarioShard]:
 
 
 def build_clients(config: ExperimentConfig, shards: list[data_mod.ScenarioShard]) -> list[ClientSim]:
+    buffers = initial_buffers(config.model_spec(0), config.seed, range(config.scenarios))
     clients = []
     for j in range(config.scenarios):
-        model = ClientModel(config.model_spec(j), init_seed=config.seed)
+        model = ClientModel(config.model_spec(j), init_seed=config.seed, buffer=buffers[j])
         clients.append(
             ClientSim(
                 model,

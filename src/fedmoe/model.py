@@ -24,15 +24,16 @@ affine, sigmoid and reshape give one (T, K) probability tensor, which
 one ``bce`` node scores against all tasks' labels.
 A train-mode forward draws its dropout masks as ``_dropout_keeps`` says.
 ``_shapes`` is the one table of every part's name and shape in buffer
-order. The model allocates its ParameterBuffer from it first, and each
-stacked Parameter is that buffer's view, filled in place in the rng's draw
-order, so no parameter exists outside the buffer. ``key_map()`` maps each
-federated key to a Parameter whose value and grad are views of the buffer,
-so uploads and server updates read and write it in place: an expert
-layer's parts, the task embedding, the input batch norm and the gates are
-keyed as their whole stacked Parameters, and each tower tensor as its
-task's (1, ...) row. Each key's kind says which set it belongs to: the
-scenario weights, the towers, the other expert parts or the rest.
+order. ``initial_buffers`` allocates a ParameterBuffer from it and fills
+each stacked Parameter, a view of that buffer, in place in the rng's draw
+order; a model takes over one such buffer, so no parameter exists
+outside it. ``key_map()`` maps each federated key to a Parameter whose
+value and grad are views of the buffer, so uploads and server updates
+read and write it in place: an expert layer's parts, the task embedding,
+the input batch norm and the gates are keyed as their whole stacked
+Parameters, and each tower tensor as its task's (1, ...) row. Each key's
+kind says which set it belongs to: the scenario weights, the towers, the
+other expert parts or the rest.
 
 The model holds no mode: ``forward`` takes ``train`` (batch statistics and
 dropout) and ``use_dropout`` as arguments, so evaluation and the held-out
@@ -42,13 +43,16 @@ form the client keeps them in for a whole round.
 
 The scenario weight is initialized once from a scenario template applied to
 the client's scenario embedding and is afterwards trained directly; the
-additive server update needs it to be a concrete leaf tensor. Initialization
-uses one shared seed so every client starts from the same blueprint except
-for the scenario-dependent weights.
+additive server update needs it to be a concrete leaf tensor. Every client
+starts from one blueprint, drawn from the shared seed, except for the
+scenario-dependent weights, and a run draws that blueprint once:
+``initial_buffers`` returns a copy per scenario with its own scenario
+weights, and ``build_clients`` asks it once for every scenario.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -73,7 +77,7 @@ from .diffcore import (
 )
 from .keys import SharedKey
 
-__all__ = ["ModelSpec", "ClientModel", "EXPERT_PARTS", "TEMPLATE_PARTS"]
+__all__ = ["ModelSpec", "ClientModel", "initial_buffers", "EXPERT_PARTS", "TEMPLATE_PARTS"]
 
 
 @dataclass(frozen=True)
@@ -156,72 +160,96 @@ def _carve(block: np.ndarray, k: int, widths: Sequence[int]) -> list[np.ndarray]
     return views
 
 
+def _expert_layers(spec: ModelSpec, params: dict[str, Parameter]) -> list[dict[str, Parameter]]:
+    return [{part: params[f"experts.l{li}.{part}"] for part in EXPERT_PARTS} for li in range(len(spec.expert_widths))]
+
+
+def _tower_layers(spec: ModelSpec, params: dict[str, Parameter]) -> list[dict[str, Parameter]]:
+    return [{"w": params[f"towers.l{li}.w"], "b": params[f"towers.l{li}.b"]} for li in range(len(spec.tower_widths) + 1)]
+
+
+def _init_expert_layers(spec: ModelSpec, layers: list[dict[str, Parameter]], rng: np.random.Generator) -> None:
+    """Fill every expert layer but ``w_s``, drawing expert by expert, layer by layer."""
+    e = spec.d_emb
+    for layer in layers:
+        layer["bias"].data[...] = 0.0
+        layer["tmpl.b1"].data[...] = 0.0
+        layer["tmpl.b2"].data[...] = 1.0
+    for k in range(spec.n_experts):
+        for layer in layers:
+            d_in, d_out = layer["w_loc"].shape[1:]
+            layer["w_loc"].data[k] = _he_init(rng, d_in, d_out)
+            layer["tmpl.w1"].data[k] = _he_init(rng, e, e)
+            layer["tmpl.w2"].data[k] = _template_w2_init(rng, e, d_in * d_out)
+
+
+def _init_tower_layers(spec: ModelSpec, layers: list[dict[str, Parameter]], rng: np.random.Generator) -> None:
+    """Fill the tower layers, the sigmoid head last, drawing task by task."""
+    for layer in layers:
+        layer["b"].data[...] = 0.0
+    for t in range(spec.n_tasks):
+        for layer in layers:
+            init = _head_init if layer is layers[-1] else _he_init
+            layer["w"].data[t] = init(rng, *layer["w"].shape[1:])
+
+
+def initial_buffers(spec: ModelSpec, init_seed: int, scenarios: Sequence[int]) -> list[ParameterBuffer]:
+    """Each listed scenario's initial parameter buffer, in order.
+
+    Fills one ParameterBuffer in the rng's draw order and copies it, so
+    every scenario gets the same blueprint; ``spec.scenario`` is ignored.
+    Only the scenario weights differ: the scenario templates, drawn last,
+    map each scenario's embedding row to its ``w_s``. The templates and
+    embeddings are dropped on return.
+    """
+    if not scenarios or not all(0 <= s < spec.n_scenarios for s in scenarios):
+        raise ValueError(f"scenarios {list(scenarios)} empty or out of range for {spec.n_scenarios}")
+    rng = np.random.default_rng([init_seed, 0xD0DE])
+    shapes = _shapes(spec)
+    buffer = ParameterBuffer(shapes)
+    params = buffer.params
+    params["emb.task"].data[...] = rng.normal(0.0, 1.0, size=params["emb.task"].shape)
+    emb_scenario = rng.normal(0.0, 1.0, size=(spec.n_scenarios, spec.d_emb))
+    params["bn_in.gamma"].data[...] = 1.0
+    params["bn_in.beta"].data[...] = 0.0
+    _init_expert_layers(spec, _expert_layers(spec, params), rng)
+    # one draw fills the tasks' gates in turn
+    params["gates.w"].data[...] = rng.normal(0.0, 0.1, size=params["gates.w"].shape)
+    params["gates.b"].data[...] = 0.0
+    _init_tower_layers(spec, _tower_layers(spec, params), rng)
+
+    # The scenario templates' biases are zero (hidden) and one (output), as
+    # in the task templates. Each scenario's row goes through them on its
+    # own, as a (1, e) product, so its w_s does not depend on the others.
+    buffers = [buffer, *(ParameterBuffer(shapes, buffer.values.copy()) for _ in scenarios[1:])]
+    e = spec.d_emb
+    for k in range(spec.n_experts):
+        for li in range(len(spec.expert_widths)):
+            name = f"experts.l{li}.w_s"
+            w1 = _he_init(rng, e, e)
+            w2 = _template_w2_init(rng, e, math.prod(shapes[name][1:]))
+            for scenario_buffer, s in zip(buffers, scenarios):
+                w_s = scenario_buffer.params[name].data[k]
+                w_s[...] = (np.maximum(emb_scenario[s : s + 1] @ w1, 0.0) @ w2 + 1.0).reshape(w_s.shape)
+    return buffers
+
+
 class ClientModel:
-    def __init__(self, spec: ModelSpec, init_seed: int):
+    def __init__(self, spec: ModelSpec, init_seed: int, buffer: Optional[ParameterBuffer] = None):
+        """``buffer`` is this scenario's entry of ``initial_buffers(spec, init_seed, ...)``,
+        which the model takes over; None builds it."""
         self.spec = spec
-        rng = np.random.default_rng([init_seed, 0xD0DE])
-        self.buffer = ParameterBuffer(_shapes(spec))
-        params = self.buffer.params
-
+        if buffer is None:
+            (buffer,) = initial_buffers(spec, init_seed, [spec.scenario])
+        self.buffer = buffer
+        params = buffer.params
         self.emb_task = params["emb.task"]
-        self.emb_task.data[...] = rng.normal(0.0, 1.0, size=self.emb_task.shape)
-        # Scenario embeddings seed the scenario weights and are frozen afterwards.
-        self.emb_scenario = rng.normal(0.0, 1.0, size=(spec.n_scenarios, spec.d_emb))
-
         self.bn_in = BNState.build(params["bn_in.gamma"], params["bn_in.beta"])
-        self.expert_layers = [
-            {part: params[f"experts.l{li}.{part}"] for part in EXPERT_PARTS} for li in range(len(spec.expert_widths))
-        ]
-        self._init_expert_layers(rng)
-
+        self.expert_layers = _expert_layers(spec, params)
         self.gate = {"w": params["gates.w"], "b": params["gates.b"]}
-        # one draw fills the tasks' gates in turn
-        self.gate["w"].data[...] = rng.normal(0.0, 0.1, size=self.gate["w"].shape)
-        self.gate["b"].data[...] = 0.0
-        self.tower_layers = [
-            {"w": params[f"towers.l{li}.w"], "b": params[f"towers.l{li}.b"]} for li in range(len(spec.tower_widths) + 1)
-        ]
-        self._init_tower_layers(rng)
-
-        self._materialize_scenario_weights(rng)
+        self.tower_layers = _tower_layers(spec, params)
         self.rng = np.random.default_rng([init_seed, 0xD60, spec.scenario])
         self._key_map = self._build_key_map()
-
-    def _init_expert_layers(self, rng: np.random.Generator) -> None:
-        """Fill every expert layer but ``w_s``, drawing expert by expert, layer by layer."""
-        e = self.spec.d_emb
-        for layer in self.expert_layers:
-            layer["bias"].data[...] = 0.0
-            layer["tmpl.b1"].data[...] = 0.0
-            layer["tmpl.b2"].data[...] = 1.0
-        for k in range(self.spec.n_experts):
-            for layer in self.expert_layers:
-                d_in, d_out = layer["w_loc"].shape[1:]
-                layer["w_loc"].data[k] = _he_init(rng, d_in, d_out)
-                layer["tmpl.w1"].data[k] = _he_init(rng, e, e)
-                layer["tmpl.w2"].data[k] = _template_w2_init(rng, e, d_in * d_out)
-
-    def _init_tower_layers(self, rng: np.random.Generator) -> None:
-        """Fill the tower layers, the sigmoid head last, drawing task by task."""
-        for layer in self.tower_layers:
-            layer["b"].data[...] = 0.0
-        for t in range(self.spec.n_tasks):
-            for layer in self.tower_layers:
-                init = _head_init if layer is self.tower_layers[-1] else _he_init
-                layer["w"].data[t] = init(rng, *layer["w"].shape[1:])
-
-    def _materialize_scenario_weights(self, rng: np.random.Generator) -> None:
-        # The scenario templates consume identical rng draws on every client,
-        # so clients differ only through their scenario embedding row. Their
-        # biases are zero (hidden) and one (output), as in the task templates.
-        row = self.emb_scenario[self.spec.scenario : self.spec.scenario + 1]
-        e = self.spec.d_emb
-        for k in range(self.spec.n_experts):
-            for layer in self.expert_layers:
-                w_s = layer["w_s"].data[k]
-                w1 = _he_init(rng, e, e)
-                w2 = _template_w2_init(rng, e, w_s.size)
-                w_s[...] = (np.maximum(row @ w1, 0.0) @ w2 + 1.0).reshape(w_s.shape)
 
     def _build_key_map(self) -> dict[SharedKey, Parameter]:
         """Scenario weights, tower tensors, other expert parts, then the rest."""

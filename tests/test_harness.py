@@ -4,10 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fedmoe
 from fedmoe import harness
+from fedmoe import model as model_mod
 from fedmoe.config import ExperimentConfig
 from fedmoe.data import DataError
 from fedmoe.federation import client as client_mod
@@ -251,3 +253,49 @@ def test_failed_run_leaves_the_rows_of_finished_rounds(tmp_path, monkeypatch):
     lines = (tmp_path / "run" / "metrics.csv").read_text().splitlines()
     assert lines[0] == "round,client,task,auc,bce"
     assert [line.split(",", 1)[0] for line in lines[1:]] == ["1"] * (config.scenarios * config.tasks)
+
+
+@pytest.mark.parametrize("experts", [1, 3])
+def test_built_clients_equal_independently_built_models(experts):
+    config = small_config(scenarios=3, experts=experts)
+    clients = harness.build_clients(config, harness.build_shards(config))
+    for j, client in enumerate(clients):
+        built, alone = client.model, ClientModel(config.model_spec(j), init_seed=config.seed)
+        assert built.buffer.values.tobytes() == alone.buffer.values.tobytes()
+        assert built.buffer.grads.tobytes() == alone.buffer.grads.tobytes() == bytes(8 * alone.buffer.size)
+        for stat in ("running_mean", "running_var"):
+            assert getattr(built.bn_in, stat).tobytes() == getattr(alone.bn_in, stat).tobytes()
+        for got, want in zip(built._dropout_keeps(8, 0.2), alone._dropout_keeps(8, 0.2)):
+            assert [m.tobytes() for m in got] == [m.tobytes() for m in want]
+
+
+def test_built_clients_share_no_arrays():
+    config = small_config(scenarios=3)
+    clients = harness.build_clients(config, harness.build_shards(config))
+    before = [(c.model.buffer.values.copy(), c.model.bn_in.running_mean.copy()) for c in clients]
+    first = clients[0]
+    x, y = first.shard.train.features[:16], first.shard.train.labels[:16]
+    loss, _ = first.model.local_loss(x, y)
+    loss.backward()
+    first.optimizer.step()
+    assert not np.array_equal(first.model.buffer.values, before[0][0])
+    for client, (values, running_mean) in zip(clients[1:], before[1:]):
+        assert np.array_equal(client.model.buffer.values, values)
+        assert np.array_equal(client.model.bn_in.running_mean, running_mean)
+        assert not client.model.buffer.grads.any()
+
+
+@pytest.mark.parametrize("scenarios", [2, 3, 5])
+def test_build_clients_draws_the_scenario_templates_once(monkeypatch, scenarios):
+    calls = []
+    template_w2_init = model_mod._template_w2_init
+
+    def counting(rng, d_emb, out_len):
+        calls.append(out_len)
+        return template_w2_init(rng, d_emb, out_len)
+
+    monkeypatch.setattr(model_mod, "_template_w2_init", counting)
+    config = small_config(scenarios=scenarios, experts=3)
+    harness.build_clients(config, harness.build_shards(config))
+    # one task template and one scenario template per (expert, layer)
+    assert len(calls) == 2 * config.experts * len(config.expert_widths)

@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+from fedmoe import model as model_mod
 from fedmoe.config import ExperimentConfig
 from fedmoe.data import DataError, RecordSet, ScenarioShard, SyntheticSpec, generate_synthetic
 from fedmoe.diffcore import Adam, Tensor, affine, batchnorm, bce, no_grad, relu, reshape, sigmoid, softmax, task_weights
@@ -471,14 +472,13 @@ class TestInitialization:
         """The stacked gates and towers hold the draws of the per-task ones:
         every task's gate in turn, then each task's tower layers, head last."""
         states = []
-        init_expert_layers = ClientModel._init_expert_layers
+        init_expert_layers = model_mod._init_expert_layers
 
-        def capture(model, rng):
-            layers = init_expert_layers(model, rng)
+        def capture(spec, layers, rng):
+            init_expert_layers(spec, layers, rng)
             states.append(copy.deepcopy(rng))  # the gates draw next
-            return layers
 
-        monkeypatch.setattr(ClientModel, "_init_expert_layers", capture)
+        monkeypatch.setattr(model_mod, "_init_expert_layers", capture)
         model = make_model(n_tasks=3, tower_widths=(4, 2))
         (rng,) = states
         for t in range(3):
@@ -489,6 +489,12 @@ class TestInitialization:
                 std = 1.0 / np.sqrt(dims[li]) if li == 2 else np.sqrt(2.0 / dims[li])
                 assert layer["w"].data[t].tobytes() == rng.normal(0.0, std, dims[li : li + 2]).tobytes()
         assert not any(layer["b"].data.any() for layer in (model.gate, *model.tower_layers))
+
+    def test_no_scenarios_or_out_of_range_rejected(self):
+        spec = ModelSpec(scenario=0, n_scenarios=3, n_tasks=2, n_experts=2, d_feat=4)
+        for scenarios in ([], [3], [0, -1]):
+            with pytest.raises(ValueError, match="empty or out of range"):
+                model_mod.initial_buffers(spec, 9, scenarios)
 
     def test_scenario_weights_differ_across_experts(self):
         model = make_model(n_experts=2, expert_widths=(6,))
