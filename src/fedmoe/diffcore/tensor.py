@@ -179,25 +179,19 @@ class ParameterBuffer:
     ``shapes`` maps each parameter's name to its shape, in buffer order.
     ``params`` holds one Parameter per name whose ``data`` and ``grad`` are
     views of its slice of ``values`` and ``grads``, so whole-set updates (the
-    optimizer step, zeroing grads) act on two flat arrays. Grads start at
-    zero. Values are the given flat float64 array, adopted without a copy,
-    or else start uninitialized for the owner to fill in place. Either way
-    they are updated in place from then on, since assigning a new array to
+    optimizer step, zeroing grads) act on two flat arrays. Values start
+    uninitialized and grads at zero: the owner fills every value in place,
+    and updates them in place from then on, since assigning a new array to
     ``.data`` would detach it.
     """
 
     __slots__ = ("params", "values", "grads")
 
-    def __init__(self, shapes: Mapping[str, Sequence[int]], values: Optional[np.ndarray] = None):
+    def __init__(self, shapes: Mapping[str, Sequence[int]]):
         sizes = [math.prod(shape) for shape in shapes.values()]
-        total = sum(sizes)
-        if values is None:
-            values = np.empty(total)
-        elif values.shape != (total,) or values.dtype != np.float64 or not values.flags.c_contiguous:
-            raise ShapeMismatchError(f"values must be a contiguous float64 ({total},) array")
-        self.values = values
+        self.values = np.empty(sum(sizes))
         # Zeroed lazily by the allocator, so pages are first touched by a backward pass.
-        self.grads = np.zeros(total)
+        self.grads = np.zeros(sum(sizes))
         self.params: dict[str, Parameter] = {}
         offset = 0
         for (name, shape), size in zip(shapes.items(), sizes):

@@ -221,7 +221,9 @@ def initial_buffers(spec: ModelSpec, init_seed: int, scenarios: Sequence[int]) -
     # The scenario templates' biases are zero (hidden) and one (output), as
     # in the task templates. Each scenario's row goes through them on its
     # own, as a (1, e) product, so its w_s does not depend on the others.
-    buffers = [buffer, *(ParameterBuffer(shapes, buffer.values.copy()) for _ in scenarios[1:])]
+    buffers = [buffer, *(ParameterBuffer(shapes) for _ in scenarios[1:])]
+    for copy in buffers[1:]:
+        copy.values[...] = buffer.values
     e = spec.d_emb
     for k in range(spec.n_experts):
         for li in range(len(spec.expert_widths)):

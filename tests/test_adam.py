@@ -87,15 +87,3 @@ class TestAdam:
         buffer.zero_grad()
         assert not b.grad.any()
         assert Adam(buffer).buffer is buffer
-
-    def test_given_values_are_adopted_without_a_copy(self):
-        values = np.arange(4.0)
-        buffer = ParameterBuffer({"a": (2,), "b": (2,)}, values)
-        assert buffer.values is values
-        buffer.params["b"].data[...] = 7.0
-        assert values.tolist() == [0.0, 1.0, 7.0, 7.0]
-
-    @pytest.mark.parametrize("values", [np.zeros(3), np.zeros(4, dtype=np.float32), np.zeros(8)[::2]])
-    def test_values_of_the_wrong_length_type_or_layout_rejected(self, values):
-        with pytest.raises(ValueError, match="contiguous float64"):
-            ParameterBuffer({"a": (2,), "b": (2,)}, values)
