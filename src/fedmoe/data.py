@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "DataError",
-    "BatchConfig",
     "CsvSchema",
     "RecordSet",
     "ScenarioShard",
@@ -229,25 +228,17 @@ def write_csv(path: str, records: RecordSet, schema: CsvSchema) -> None:
             writer.writerow([*(repr(float(v)) for v in x), *(str(int(v)) for v in y)])
 
 
-@dataclass(frozen=True)
-class BatchConfig:
-    batch_size: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.batch_size < 2:
-            raise DataError(f"batch size must be >= 2, got {self.batch_size}")
-
-
-def batch_iter(records: RecordSet, cfg: BatchConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def batch_iter(records: RecordSet, batch_size: int, seed: int = 0) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield shuffled (features, labels) batches; a trailing batch smaller than 2 is dropped."""
+    if batch_size < 2:
+        raise DataError(f"batch size must be >= 2, got {batch_size}")
     n = len(records)
     if n == 0:
         raise DataError("cannot batch an empty record set")
     order = np.arange(n)
-    np.random.default_rng([cfg.seed, 0xBA7C]).shuffle(order)
-    for start in range(0, n, cfg.batch_size):
-        idx = order[start : start + cfg.batch_size]
+    np.random.default_rng([seed, 0xBA7C]).shuffle(order)
+    for start in range(0, n, batch_size):
+        idx = order[start : start + batch_size]
         if idx.size < 2:
             break
         yield records.features[idx], records.labels[idx]

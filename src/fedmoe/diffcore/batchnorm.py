@@ -8,7 +8,7 @@ and variance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,29 +16,24 @@ from .tensor import Parameter, ShapeMismatchError, Tensor
 
 __all__ = ["BNState", "batchnorm"]
 
+EPS = 1e-5  # added to the variance before its square root
+MOMENTUM = 0.1  # weight of a batch's statistics in the running ones
+
 
 @dataclass
 class BNState:
     gamma: Parameter
     beta: Parameter
-    eps: float
     running_mean: np.ndarray
     running_var: np.ndarray
-    momentum: float
-
-    def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError(f"BN eps must be positive, got {self.eps}")
-        if not 0.0 < self.momentum < 1.0:
-            raise ValueError(f"BN momentum must be in (0, 1), got {self.momentum}")
 
     @classmethod
-    def build(cls, gamma: Parameter, beta: Parameter, eps: float = 1e-5, momentum: float = 0.1) -> "BNState":
+    def build(cls, gamma: Parameter, beta: Parameter) -> "BNState":
         """The state of a fresh layer over ``gamma``'s features; sets gamma to 1 and beta to 0 in place."""
         gamma.data[...] = 1.0
         beta.data[...] = 0.0
         d = gamma.shape[0]
-        return cls(gamma, beta, eps, running_mean=np.zeros(d), running_var=np.ones(d), momentum=momentum)
+        return cls(gamma, beta, running_mean=np.zeros(d), running_var=np.ones(d))
 
 
 def batchnorm(x: Tensor, state: BNState, train: bool) -> Tensor:
@@ -53,14 +48,14 @@ def batchnorm(x: Tensor, state: BNState, train: bool) -> Tensor:
             raise ValueError(f"train-mode batchnorm needs K >= 2 samples, got {k}")
         mu = x.data.mean(axis=0)
         var = x.data.var(axis=0)  # biased: divide by K
-        inv = 1.0 / np.sqrt(var + state.eps)
+        inv = 1.0 / np.sqrt(var + EPS)
         xhat = (x.data - mu) * inv
         out = gamma.data * xhat + beta.data
 
-        state.running_mean *= 1.0 - state.momentum
-        state.running_mean += state.momentum * mu
-        state.running_var *= 1.0 - state.momentum
-        state.running_var += state.momentum * var
+        state.running_mean *= 1.0 - MOMENTUM
+        state.running_mean += MOMENTUM * mu
+        state.running_var *= 1.0 - MOMENTUM
+        state.running_var += MOMENTUM * var
 
         def backward(g):
             dgamma = (g * xhat).sum(axis=0)
@@ -71,7 +66,7 @@ def batchnorm(x: Tensor, state: BNState, train: bool) -> Tensor:
 
         return Tensor(out, (x, gamma, beta), backward)
 
-    inv = 1.0 / np.sqrt(state.running_var + state.eps)
+    inv = 1.0 / np.sqrt(state.running_var + EPS)
     xhat = (x.data - state.running_mean) * inv
     out = gamma.data * xhat + beta.data
 

@@ -52,6 +52,10 @@ def _affine_grads(x: np.ndarray, w: np.ndarray, g: np.ndarray) -> tuple[np.ndarr
     """(dx, dw, db per map) of ``matmul(x, w) + b``, w stacked over its leading axes.
 
     A shared x (fewer axes than w) gets one gradient, summed map by map in C order.
+    One matmul over all maps and an axis-0 sum give the same bytes, but the
+    (maps, K, d_in) stack of products raises a default train pass's peak by
+    0.22 MiB, and on ``sync_per_batch`` every one-batch phase then returns its
+    heap to the kernel and faults it back in (several times the page faults).
     """
     dw = np.matmul(np.swapaxes(x, -1, -2), g)
     if x.ndim < w.ndim:
@@ -254,8 +258,8 @@ def hidden_layer(x: Tensor, w: Tensor, b: Tensor, rate: float, keep: Optional[np
     to b's shape. ``keep`` is None (plain ReLU) or a bool mask of the
     output's shape. Each path's product is the same 2-D gemm that ``affine``
     runs, so every value equals that of the per-path composition of affine,
-    ReLU and dropout bit for bit. Only a shared x's gradient is summed in
-    another order, path by path (``_affine_grads``).
+    ReLU and dropout bit for bit. A shared x's gradient adds the paths'
+    products one by one, in C order (``_affine_grads``).
     """
     if w.ndim not in (3, 4) or b.shape != (w.shape[-3], w.shape[-1]):
         raise ShapeMismatchError(f"hidden_layer expects w (T,[N,]d_in,d_out) and b (T or N, d_out); got {w.shape}, {b.shape}")
@@ -300,11 +304,11 @@ def block_sum_sq_diff(params: Sequence[Tensor], refs: Sequence[np.ndarray], lam:
     reference: any array that broadcasts to ``params[j]``'s shape, such as
     one reference per block stacked the same way, or one block-shaped
     reference that every block shares. Every stack holds the same N. Each
-    block's ``np.sum(d * d)`` of its difference d is added to one running
-    float for k = 0..N-1 and, within each k, for j in order: the float that
-    summing the unstacked blocks' squared distances one by one, in that
-    order, produces. That total is multiplied by ``lam`` last, and the
-    gradient is ``2 * lam * d``.
+    block's ``np.sum(d * d)`` of its difference d goes into an (N, J) table,
+    and ``cumsum`` adds its entries in C order, k = 0..N-1 and within each k
+    j in order: the float that a running sum of the unstacked blocks'
+    squared distances, in that order, produces. That total is multiplied by
+    ``lam`` last, and the gradient is ``2 * lam * d``.
     """
     if len(params) != len(refs):
         raise ShapeMismatchError(f"{len(params)} stacked tensors but {len(refs)} references")
@@ -316,11 +320,8 @@ def block_sum_sq_diff(params: Sequence[Tensor], refs: Sequence[np.ndarray], lam:
             raise ShapeMismatchError(f"block_sum_sq_diff reference {ref.shape} does not broadcast to {p.shape}")
         diffs.append(p.data - ref)
     # Each block's sum is one row of a 2-D sum, the same float as its own np.sum.
-    sums = [(d * d).reshape(len(d), -1).sum(axis=1).tolist() for d in diffs]
-    total = 0.0
-    for blocks in zip(*sums, strict=True):
-        for block in blocks:
-            total += block
+    row_sums = [(d * d).reshape(len(d), -1).sum(axis=1) for d in diffs]
+    total = float(np.cumsum(np.stack(row_sums, axis=1))[-1])
 
     def backward(g):
         return tuple(2.0 * (float(g) * lam) * d for d in diffs)

@@ -115,8 +115,8 @@ class ClientSim:
         loss_sum = 0.0
         n_samples = 0
         for epoch in range(epochs):
-            cfg = data_mod.BatchConfig(batch_size=self.batch_size, seed=_mix(self.seed, self.index, round_index, epoch))
-            for n_batches, (bx, by) in enumerate(data_mod.batch_iter(self.shard.train, cfg), start=1):
+            seed = _mix(self.seed, self.index, round_index, epoch)
+            for n_batches, (bx, by) in enumerate(data_mod.batch_iter(self.shard.train, self.batch_size, seed), start=1):
                 loss, _ = self.model.local_loss(bx, by, refs=self.refs, lam=self.lam)
                 loss.require_finite("training loss")
                 loss.backward()

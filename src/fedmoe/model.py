@@ -301,22 +301,18 @@ class ClientModel:
         """The bool keep masks of one train forward on K rows.
 
         Returns each expert layer's (T, N, K, d) masks and each tower hidden
-        layer's (T, K, d) masks, views into one bool block each. Uniforms
-        are drawn task by task: one block per expert (that expert's layer
-        masks), then the task's tower row. That is the order in which the
-        per-path forward consumed them, so the rng stream is that of a
-        single draw for the whole forward. Each block is turned into masks
-        (``draw >= rate``) at once, so a forward holds one block of uniforms
-        at a time, and the tape keeps bool masks, not float ones.
+        layer's (T, K, d) masks, views into one bool array. One call draws
+        the whole forward's uniforms as (T, N*K*sum(expert_widths) +
+        K*sum(tower_widths)): task t's row holds one block per expert (that
+        expert's layer masks), then the task's tower masks, the order in
+        which the per-path forward consumed them. ``draw >= rate`` turns the
+        row into masks, so the tape keeps bool masks, not float ones.
         """
         spec = self.spec
-        keeps = np.empty((spec.n_tasks, spec.n_experts, k * sum(spec.expert_widths)), dtype=bool)
-        tower_keeps = np.empty((spec.n_tasks, k * sum(spec.tower_widths)), dtype=bool)
-        for i in range(spec.n_tasks):
-            for j in range(spec.n_experts):
-                np.greater_equal(self.rng.random(keeps.shape[2]), rate, out=keeps[i, j])
-            np.greater_equal(self.rng.random(tower_keeps.shape[1]), rate, out=tower_keeps[i])
-        return _carve(keeps, k, spec.expert_widths), _carve(tower_keeps, k, spec.tower_widths)
+        expert_len = spec.n_experts * k * sum(spec.expert_widths)
+        keeps = self.rng.random((spec.n_tasks, expert_len + k * sum(spec.tower_widths))) >= rate
+        experts = keeps[:, :expert_len].reshape(spec.n_tasks, spec.n_experts, -1)
+        return _carve(experts, k, spec.expert_widths), _carve(keeps[:, expert_len:], k, spec.tower_widths)
 
     def forward(self, x: np.ndarray, train: bool = True, use_dropout: bool = True) -> Tensor:
         """The (T, K) probabilities of every task for a feature batch (K, d_feat).

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from fedmoe.diffcore import BNState, Parameter, Tensor, batchnorm, bce, grad_check, sigmoid, affine, relu
+from fedmoe.diffcore.batchnorm import EPS
 
 
-def make_state(d=1, eps=1e-5):
-    return BNState.build(Parameter(np.empty(d), "bn.gamma"), Parameter(np.empty(d), "bn.beta"), eps=eps)
+def make_state(d=1):
+    return BNState.build(Parameter(np.empty(d), "bn.gamma"), Parameter(np.empty(d), "bn.beta"))
 
 
 class TestForward:
@@ -37,7 +38,7 @@ class TestForward:
         state.running_mean[...] = 10.0
         state.running_var[...] = 4.0
         out = batchnorm(Tensor([[12.0]]), state, train=False)
-        assert out.data[0, 0] == pytest.approx(2.0 / np.sqrt(4.0 + state.eps))
+        assert out.data[0, 0] == pytest.approx(2.0 / np.sqrt(4.0 + EPS))
 
     def test_running_stats_updated_in_train_only(self):
         state = make_state()

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from fedmoe.data import (
-    BatchConfig,
     CsvSchema,
     DataError,
     RecordSet,
@@ -128,21 +127,21 @@ class TestBatchIter:
         return RecordSet(np.arange(n, dtype=float).reshape(n, 1), np.zeros((n, 1)))
 
     def test_final_short_batch_kept_when_two(self):
-        sizes = [x.shape[0] for x, _ in batch_iter(self.records(10), BatchConfig(4))]
+        sizes = [x.shape[0] for x, _ in batch_iter(self.records(10), 4)]
         assert sizes == [4, 4, 2]
 
     def test_final_singleton_dropped(self):
-        sizes = [x.shape[0] for x, _ in batch_iter(self.records(9), BatchConfig(4))]
+        sizes = [x.shape[0] for x, _ in batch_iter(self.records(9), 4)]
         assert sizes == [4, 4]
 
     def test_shuffle_deterministic_under_seed(self):
         def order(seed):
-            return np.vstack([x for x, _ in batch_iter(self.records(10), BatchConfig(5, seed=seed))])
+            return np.vstack([x for x, _ in batch_iter(self.records(10), 5, seed=seed)])
 
         assert np.array_equal(order(3), order(3))
         assert not np.array_equal(order(3), order(4))
         assert np.array_equal(np.sort(order(3).ravel()), np.arange(10.0))  # a permutation of the records
 
     def test_batch_size_floor(self):
-        with pytest.raises(DataError):
-            BatchConfig(1)
+        with pytest.raises(DataError, match="batch size"):
+            next(batch_iter(self.records(10), 1))

@@ -363,6 +363,42 @@ class TestStackedAffine:
             affine(x, select(w, 0), select(b, 0))  # a stacked input needs stacked maps
 
 
+class TestSharedInputGradient:
+    """A shared (K, d_in) input's gradient is the running sum
+    ``dx += g[i] @ w[i].T`` over the maps i in C order, byte for byte."""
+
+    K, D_IN, D_OUT = 64, 9, 7
+
+    @staticmethod
+    def running_sum(x, w, g):
+        dx = np.zeros(x.shape)
+        for i in np.ndindex(w.shape[:-2]):
+            dx += g[i] @ w[i].T
+        return dx
+
+    @pytest.mark.parametrize(
+        "op, lead",
+        [("affine", (3,)), ("hidden_layer", (3,)), ("hidden_layer", (2, 4)), ("hidden_layer", (2, 6))],
+        ids=["gates", "tower_maps", "task_expert", "six_experts"],
+    )
+    def test_equals_the_running_sum(self, op, lead):
+        rng = np.random.default_rng(33)
+        x = Parameter(rng.normal(0, 1, (self.K, self.D_IN)), "x")
+        w = Parameter(rng.normal(0, 1, (*lead, self.D_IN, self.D_OUT)), "w")
+        b = Parameter(rng.normal(0, 1, (lead[-1], self.D_OUT)), "b")
+        rate = 0.3
+        if op == "affine":
+            out = affine(x, w, b)
+        else:
+            out = hidden_layer(x, w, b, rate, rng.random((*lead, self.K, self.D_OUT)) >= rate)
+        g = rng.normal(0, 1, out.shape)
+        dx, _, _ = out._backward(g)
+        if op == "hidden_layer":  # the gradient reaching the affine: kept, active entries, scaled
+            g = g * (out.data > 0.0)
+            g *= 1.0 / (1.0 - rate)
+        assert dx.tobytes() == self.running_sum(x.data, w.data, g).tobytes()
+
+
 class TestComposedGradients:
     def test_expert_layer_composition(self):
         model = small_model()

@@ -158,6 +158,31 @@ class TestClientForward:
             assert preds.data[t].tobytes() == expected.tobytes()
         assert rng.bit_generator.state == model.rng.bit_generator.state
 
+    @pytest.mark.parametrize(
+        "expert_widths, tower_widths", [((5,), (4, 2)), ((6, 5, 3), (4,)), ((6, 3), ())], ids=["one_layer", "three_layers", "no_tower"]
+    )
+    def test_dropout_keeps_match_one_draw_per_path(self, expert_widths, tower_widths):
+        """The masks equal a reference that draws, for each task, one block
+        per expert (its layers' masks in turn), then the task's tower block."""
+        model = make_model(n_experts=3, expert_widths=expert_widths, tower_widths=tower_widths, dropout=0.3)
+        k = 7
+        rng = copy.deepcopy(model.rng)
+        expert_keeps, tower_keeps = model._dropout_keeps(k, 0.3)
+        assert (len(expert_keeps), len(tower_keeps)) == (len(expert_widths), len(tower_widths))
+
+        def blocks(widths):
+            draw = rng.random(k * sum(widths)) >= 0.3
+            bounds = np.cumsum([0, *(k * d for d in widths)])
+            return [draw[a:b].reshape(k, d) for a, b, d in zip(bounds[:-1], bounds[1:], widths)]
+
+        for t in range(2):
+            for n in range(3):
+                for keep, want in zip(expert_keeps, blocks(expert_widths), strict=True):
+                    assert keep[t, n].tobytes() == want.tobytes()
+            for keep, want in zip(tower_keeps, blocks(tower_widths), strict=True):
+                assert keep[t].tobytes() == want.tobytes()
+        assert rng.bit_generator.state == model.rng.bit_generator.state
+
     def test_cloned_experts_ignore_gate_weights(self):
         model = make_model(n_experts=3)
         for parts in model.expert_layers:

@@ -320,6 +320,21 @@ class TestBlockSumSqDiff:
         with pytest.raises(ShapeMismatchError, match="does not broadcast"):
             block_sum_sq_diff([p], [np.zeros(shape)])
 
+    def test_total_is_the_running_float_over_blocks_then_stacks(self):
+        """The value equals a Python float that adds each block's own
+        ``np.sum(d * d)`` for k = 0..N-1 and, within each k, j in order."""
+        rng = np.random.default_rng(24)  # a draw on which stack-by-stack, reversed and pairwise sums all differ
+        scales = 10.0 ** rng.uniform(-1, 1, (6, 3))
+        data = [rng.normal(0, 1, (6, 4, 5)) * scales[:, j, None, None] for j in range(3)]
+        refs = [rng.normal(0, 1e-3, (6, 4, 5)), rng.normal(0, 1, (4, 5)), np.zeros((4, 5))]
+        out = block_sum_sq_diff([Parameter(d, f"w{j}") for j, d in enumerate(data)], refs, lam=0.3)
+        total = 0.0
+        for k in range(6):
+            for d, ref in zip(data, refs):
+                diff = d[k] - (ref[k] if ref.ndim == 3 else ref)
+                total += float(np.sum(diff * diff))
+        assert out.data.tobytes() == np.float64(total * 0.3).tobytes()
+
     def test_stacks_of_different_lengths_are_rejected(self):
         params = [Parameter(np.zeros((4, 3)), "a"), Parameter(np.zeros((3, 3)), "b")]
         with pytest.raises(ValueError):
