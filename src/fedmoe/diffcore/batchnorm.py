@@ -1,9 +1,10 @@
 """Batch normalization over 2-D activations with the exact train-mode gradient.
 
 Train mode normalizes with the biased batch variance (divide by K) and
-updates running statistics in place; eval mode normalizes with the stored
-running statistics. The backward pass differentiates through the batch mean
-and variance.
+updates running statistics in place; its backward pass differentiates
+through the batch mean and variance. Eval mode normalizes with the stored
+running statistics and only scores: its output is a constant, with no
+parents and no backward.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ class BNState:
 
     @classmethod
     def build(cls, gamma: Parameter, beta: Parameter) -> "BNState":
-        """The state of a fresh layer over ``gamma``'s features; sets gamma to 1 and beta to 0 in place."""
-        gamma.data[...] = 1.0
-        beta.data[...] = 0.0
+        """The state of a fresh layer over ``gamma``'s features: zero running means, unit running variances.
+
+        ``gamma`` and ``beta`` are kept as given; the caller initializes them.
+        """
         d = gamma.shape[0]
         return cls(gamma, beta, running_mean=np.zeros(d), running_var=np.ones(d))
 
@@ -68,9 +70,4 @@ def batchnorm(x: Tensor, state: BNState, train: bool) -> Tensor:
 
     inv = 1.0 / np.sqrt(state.running_var + EPS)
     xhat = (x.data - state.running_mean) * inv
-    out = gamma.data * xhat + beta.data
-
-    def backward_eval(g):
-        return g * (gamma.data * inv), (g * xhat).sum(axis=0), g.sum(axis=0)
-
-    return Tensor(out, (x, gamma, beta), backward_eval)
+    return Tensor(gamma.data * xhat + beta.data)

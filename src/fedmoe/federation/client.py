@@ -12,10 +12,12 @@ update
     value = round_start + mean_increment + psi[:, None, ...] * coordinated_update,
 
 with the increment and the update each of one row's shape, and psi one
-scalar per row: an expert of a layer's scenario-weight stack, or the task
-of a tower tensor (every tensor of a task's tower shares it). Each psi is
-learned by a one-step directional meta-gradient on a reserved held-out
-batch: psi falls when the local loss rises along the coordinated
+scalar per row. ``ClientSim.psi`` keeps one array per psi pool: an expert
+layer's scenario weights are the pool ``(kind, layer)`` with one entry per
+expert, and a task's tower is the pool ``("tower", task)`` with one entry
+that every tensor of the tower shares. A pool with no array yet reads 0.
+Each pool is learned by a one-step directional meta-gradient on a reserved
+held-out batch: psi falls when the local loss rises along the coordinated
 direction, and is clamped to [-2, 2].
 
 The proximal references are kept per round: ``apply_directive`` takes the
@@ -28,7 +30,6 @@ adds no proximal pull, until an aggregate carries scenario weights; under
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,31 +41,16 @@ from ..model import ClientModel
 from ..keys import SharedKey
 from .server import ServerDirective
 
-__all__ = ["PersonalizationState", "ClientSim"]
+__all__ = ["ClientSim"]
 
 PSI_CLAMP = 2.0
 
 
-@dataclass
-class PersonalizationState:
-    """Mixing scalars per slot, zero-initialized, clamped to [-2, 2]."""
-
-    eta: float = 0.01
-    values: dict[tuple, float] = field(default_factory=dict)
-
-    @staticmethod
-    def slots(key: SharedKey, rows: int) -> list[tuple]:
-        """The slot of each of a coordinated key's rows: a layer stack's (expert, layer), a tower tensor's task."""
-        if key.kind == "tower":
-            return [(key.kind, key.index)]
-        return [(key.kind, k, key.layer) for k in range(rows)]
-
-    def for_key(self, key: SharedKey, rows: int) -> np.ndarray:
-        return np.array([self.values.get(slot, 0.0) for slot in self.slots(key, rows)])
-
-    def nudge(self, slot: tuple, directional: float) -> None:
-        value = self.values.get(slot, 0.0) - self.eta * directional
-        self.values[slot] = float(np.clip(value, -PSI_CLAMP, PSI_CLAMP))
+def _psi_pool(key: SharedKey) -> tuple:
+    """The psi pool a coordinated key steps: a layer stack's (kind, layer), a tower tensor's ("tower", task)."""
+    if key.kind == "tower":
+        return (key.kind, key.index)
+    return (key.kind, key.layer)
 
 
 class ClientSim:
@@ -89,7 +75,8 @@ class ClientSim:
         self.seed = int(seed)
         self.optimizer = Adam(model.buffer, lr=lr)
         self.refs: Optional[list[np.ndarray]] = None  # per expert layer, shared with the directive
-        self.psi = PersonalizationState(eta=eta_psi)
+        self.eta_psi = float(eta_psi)
+        self.psi: dict[tuple, np.ndarray] = {}  # per pool, one entry per row
         self.round_start: dict[SharedKey, np.ndarray] = {}
         if len(shard.train) < 2:
             raise data_mod.DataError("train partition too small for a batch")
@@ -142,25 +129,21 @@ class ClientSim:
             if key not in self.round_start:
                 raise KeyError(f"no round-start snapshot for coordinated key {key.label()}")
             start = self.round_start[key]
-            psi = self.psi.for_key(key, len(start)).reshape(-1, *[1] * (start.ndim - 1))
+            psi = np.reshape(self.psi.get(_psi_pool(key), 0.0), (-1, *[1] * (start.ndim - 1)))
             key_map[key].data[...] = start + mean_increment + psi * update
         layers = sorted(k for k in key_map if k.kind == "expert_scenario")
         self.refs = [directive.means[k] for k in layers] if layers[0] in directive.means else None
 
     def meta_update_psi(self, directive: ServerDirective) -> None:
-        """One directional meta-gradient step per psi slot, along its rows' coordinated updates."""
+        """One directional meta-gradient step on each psi pool, along its rows' coordinated updates.
+
+        One held-out forward and backward gives every coordinated key's
+        gradient. Each key adds its per-row sums of grad * update into its
+        pool's array, in sorted key order; each pool then steps
+        ``psi - eta_psi * dot``, clamped to [-2, 2].
+        """
         if not directive.increments:
             return
-        dots: dict[tuple, float] = {}
-        for key, grad in sorted(self._held_out_grads(directive).items()):
-            rows = (grad * directive.increments[key][1]).reshape(len(grad), -1).sum(axis=1)
-            for slot, dot in zip(self.psi.slots(key, len(grad)), rows):
-                dots[slot] = dots.get(slot, 0.0) + float(dot)
-        for slot, dot in dots.items():
-            self.psi.nudge(slot, dot)
-
-    def _held_out_grads(self, directive: ServerDirective) -> dict[SharedKey, np.ndarray]:
-        """Held-out loss gradients of every coordinated key."""
         model = self.model
         key_map = model.key_map()
         x, y = self.held_out
@@ -173,11 +156,18 @@ class ClientSim:
             # Without dropout the directional derivative is noise-free.
             loss, _ = model.local_loss(x, y, refs=self.refs, lam=self.lam, use_dropout=False)
             loss.backward()
-            return {key: key_map[key].grad.copy() for key in directive.increments}
+            dots: dict[tuple, np.ndarray] = {}
+            for key in sorted(directive.increments):
+                grad = key_map[key].grad
+                rows = (grad * directive.increments[key][1]).reshape(len(grad), -1).sum(axis=1)
+                pool = _psi_pool(key)
+                dots[pool] = dots.get(pool, 0.0) + rows
         finally:
             model.zero_grad()
             model.bn_in.running_mean[...] = saved_rm
             model.bn_in.running_var[...] = saved_rv
+        for pool, dot in dots.items():
+            self.psi[pool] = np.clip(self.psi.get(pool, 0.0) - self.eta_psi * dot, -PSI_CLAMP, PSI_CLAMP)
 
     def evaluate(self, round_index: int) -> EvalReport:
         return evaluate_client(self.model, self.shard.test, round_index=round_index)

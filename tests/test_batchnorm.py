@@ -6,7 +6,7 @@ from fedmoe.diffcore.batchnorm import EPS
 
 
 def make_state(d=1):
-    return BNState.build(Parameter(np.empty(d), "bn.gamma"), Parameter(np.empty(d), "bn.beta"))
+    return BNState.build(Parameter(np.ones(d), "bn.gamma"), Parameter(np.zeros(d), "bn.beta"))
 
 
 class TestForward:
@@ -39,6 +39,13 @@ class TestForward:
         state.running_var[...] = 4.0
         out = batchnorm(Tensor([[12.0]]), state, train=False)
         assert out.data[0, 0] == pytest.approx(2.0 / np.sqrt(4.0 + EPS))
+
+    def test_eval_output_is_a_constant(self):
+        """Eval mode only scores: its output has no parents and no backward, even with gradients enabled."""
+        state = make_state(d=2)
+        x = Parameter(np.ones((3, 2)), "x")
+        out = batchnorm(x, state, train=False)
+        assert out._parents == () and out._backward is None
 
     def test_running_stats_updated_in_train_only(self):
         state = make_state()

@@ -139,7 +139,7 @@ class TestPrimitiveGradients:
     def test_batchnorm_train_chain(self):
         rng = np.random.default_rng(6)
         x = rng.normal(1, 2, (8, 3))
-        state = BNState.build(Parameter(np.empty(3), "bn.gamma"), Parameter(np.empty(3), "bn.beta"))
+        state = BNState.build(Parameter(np.ones(3), "bn.gamma"), Parameter(np.zeros(3), "bn.beta"))
         w = Parameter(rng.normal(0, 1, (3, 1)), "w")
         y = (rng.random(8) < 0.5).astype(float)
 

@@ -29,6 +29,38 @@ def along(updates):
     return {k: (np.zeros_like(u), u) for k, u in updates.items()}
 
 
+def held_out_grads(client):
+    """Every key's gradient of the held-out loss, from the dropout-free forward and backward the psi step runs.
+
+    Leaves the model's grads zero and its batch-norm running statistics as it found them.
+    """
+    model = client.model
+    x, y = client.held_out
+    saved_rm = model.bn_in.running_mean.copy()
+    saved_rv = model.bn_in.running_var.copy()
+    model.zero_grad()
+    loss, _ = model.local_loss(x, y, refs=client.refs, lam=client.lam, use_dropout=False)
+    loss.backward()
+    grads = {k: p.grad.copy() for k, p in model.key_map().items()}
+    model.zero_grad()
+    model.bn_in.running_mean[...] = saved_rm
+    model.bn_in.running_var[...] = saved_rv
+    return grads
+
+
+def replay_psi_step(values, eta, grads, updates):
+    """The per-slot scalar psi rule: each (kind, expert, layer) or (kind, task) slot a Python float, stepped one by one."""
+    dots = {}
+    for k in sorted(updates):
+        grad = grads[k]
+        rows = (grad * updates[k]).reshape(len(grad), -1).sum(axis=1)
+        slots = [(k.kind, k.index)] if k.kind == "tower" else [(k.kind, e, k.layer) for e in range(len(grad))]
+        for slot, dot in zip(slots, rows):
+            dots[slot] = dots.get(slot, 0.0) + float(dot)
+    for slot, dot in dots.items():
+        values[slot] = float(np.clip(values.get(slot, 0.0) - eta * dot, -2.0, 2.0))
+
+
 def shards(s=2, seed=0, n=300, d=4, t=2):
     return generate_synthetic(SyntheticSpec(n_scenarios=s, n_tasks=t, d_feat=d, samples_per_scenario=n, seed=seed))
 
@@ -136,8 +168,7 @@ class TestPersonalizedApply:
         param = of_kind(client.model, "expert_scenario")[k]
         param.data[...] = 1.0
         client.begin_round([k])
-        for slot, psi in zip(client.psi.slots(k, 2), (2.0, -1.0)):
-            client.psi.values[slot] = psi
+        client.psi[(k.kind, k.layer)] = np.array([2.0, -1.0])
         directive = ServerDirective(
             round_index=2,
             increments={k: (np.full(param.shape[1:], 0.5), np.full(param.shape[1:], 0.25))},
@@ -193,17 +224,15 @@ class TestPsiMetaUpdate:
             increments=along({k: np.zeros(of_kind(client.model, "expert_scenario")[k].shape[1:])}),
         )
         client.meta_update_psi(directive)
-        assert np.array_equal(client.psi.for_key(k, 1), [0.0])
+        assert np.array_equal(client.psi[(k.kind, k.layer)], [0.0])
 
     def test_descending_direction_raises_psi(self):
         client = self.build_client()
         k = next(iter(of_kind(client.model, "expert_scenario")))
-        grads = client._held_out_grads(
-            ServerDirective(round_index=2, increments=along({k: np.zeros(of_kind(client.model, "expert_scenario")[k].shape[1:])}))
-        )
+        grads = held_out_grads(client)
         directive = ServerDirective(round_index=2, increments=along({k: -grads[k][0]}))
         client.meta_update_psi(directive)
-        assert client.psi.for_key(k, 1)[0] > 0.0
+        assert client.psi[(k.kind, k.layer)][0] > 0.0
 
     def test_each_expert_row_steps_its_own_psi(self):
         """A layer's rows step apart, each by its own directional derivative, bit for bit as a per-expert sum."""
@@ -212,11 +241,11 @@ class TestPsiMetaUpdate:
         rng = np.random.default_rng(2)
         u = {k: rng.normal(0, 0.1, p.shape[1:]) for k, p in of_kind(client.model, "expert_scenario").items()}
         directive = ServerDirective(round_index=2, increments=along(u))
-        grads = client._held_out_grads(directive)
+        grads = held_out_grads(client)
         client.meta_update_psi(directive)
         for k in u:
-            expected = [-client.psi.eta * float(np.sum(grads[k][e] * u[k])) for e in range(3)]
-            assert client.psi.for_key(k, 3).tolist() == expected
+            expected = [-client.eta_psi * float(np.sum(grads[k][e] * u[k])) for e in range(3)]
+            assert client.psi[(k.kind, k.layer)].tolist() == expected
             assert len(set(expected)) == 3
 
     def test_directional_derivative_matches_finite_difference(self):
@@ -225,8 +254,7 @@ class TestPsiMetaUpdate:
         k = next(iter(of_kind(model, "expert_scenario")))
         rng = np.random.default_rng(0)
         u_star = rng.normal(0, 0.1, of_kind(model, "expert_scenario")[k].shape[1:])
-        directive = ServerDirective(round_index=2, increments=along({k: u_star}))
-        grads = client._held_out_grads(directive)
+        grads = held_out_grads(client)
         analytic = float(np.sum(grads[k] * u_star))
 
         x, y = client.held_out
@@ -251,7 +279,7 @@ class TestPsiMetaUpdate:
         rng_state = model.rng.bit_generator.state
         u = {k: np.full(p.shape[1:], 0.1) for k, p in of_kind(model, "expert_scenario").items()}
         client.meta_update_psi(ServerDirective(round_index=2, increments=along(u)))
-        assert client.psi.values  # the step ran
+        assert client.psi  # the step ran
         assert np.array_equal(model.bn_in.running_mean, bn[0])
         assert np.array_equal(model.bn_in.running_var, bn[1])
         assert model.rng.bit_generator.state == rng_state
@@ -259,12 +287,12 @@ class TestPsiMetaUpdate:
 
     def test_psi_clamped(self):
         client = self.build_client()
-        client.psi.eta = 1e9
+        client.eta_psi = 1e9
         k = next(iter(of_kind(client.model, "expert_scenario")))
         u = np.full(of_kind(client.model, "expert_scenario")[k].shape[1:], 1.0)
         directive = ServerDirective(round_index=2, increments=along({k: u}))
         client.meta_update_psi(directive)
-        assert abs(client.psi.for_key(k, 1)[0]) == 2.0
+        assert abs(client.psi[(k.kind, k.layer)][0]) == 2.0
 
     def test_tower_tensors_of_a_task_share_one_step(self):
         """A task's tower tensors share one psi, stepped once by the sum of their directional derivatives."""
@@ -273,14 +301,39 @@ class TestPsiMetaUpdate:
         rng = np.random.default_rng(1)
         u = {k: rng.normal(0, 0.1, p.shape[1:]) for k, p in towers.items()}
         directive = ServerDirective(round_index=2, increments=along(u))
-        grads = client._held_out_grads(directive)
+        grads = held_out_grads(client)
         client.meta_update_psi(directive)
         for task in range(client.model.spec.n_tasks):
             task_keys = sorted(k for k in towers if k.index == task)
             dot = 0.0
             for k in task_keys:
                 dot += float(np.sum(grads[k] * u[k]))
-            assert {client.psi.for_key(k, 1)[0] for k in task_keys} == {-client.psi.eta * dot}
+            assert client.psi[("tower", task)].tolist() == [-client.eta_psi * dot]
+
+    def test_pool_arrays_equal_the_per_slot_scalar_rule(self):
+        """Two psi steps of a 3-expert, 2-layer, 2-task client give, byte for byte, the floats of stepping each slot alone."""
+        clients, _ = make_clients(s=2, n_experts=3, widths=(6, 3))
+        client = clients[0]
+        client.eta_psi = 30.0  # large enough that some slots reach the clamp, not so large that all do
+        model = client.model
+        coordinated = {k: p for k, p in model.key_map().items() if k.kind in ("expert_scenario", "tower")}
+        assert len(model.expert_layers) == 2 and model.spec.n_tasks == 2
+        rng = np.random.default_rng(4)
+        values = {}
+        for step in range(2):
+            u = {k: rng.normal(0, 0.1, p.shape[1:]) for k, p in coordinated.items()}
+            replay_psi_step(values, client.eta_psi, held_out_grads(client), u)
+            client.meta_update_psi(ServerDirective(round_index=2 + step, increments=along(u)))
+            client.local_phase(2 + step, max_batches=1)
+        expected = {}
+        for slot, value in sorted(values.items()):
+            pool = slot if slot[0] == "tower" else (slot[0], slot[2])
+            expected.setdefault(pool, []).append(value)
+        assert set(client.psi) == set(expected)
+        for pool, row in expected.items():
+            assert client.psi[pool].tobytes() == np.array(row).tobytes(), pool
+        magnitudes = np.abs(np.concatenate(list(client.psi.values())))
+        assert (magnitudes == 2.0).any() and (magnitudes < 2.0).any()
 
 
 class TestStrategies:
