@@ -25,6 +25,7 @@ or phi is zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +40,10 @@ NORM_FLOOR = 1e-12
 def project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto {w : w >= 0, sum w = 1} (sort-based)."""
     v = np.asarray(v, dtype=np.float64)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
+    u = v.copy()
+    u.sort()
+    u = u[::-1]
+    css = u.cumsum() - 1.0
     ind = np.arange(1, v.size + 1)
     cond = u - css / ind > 0
     rho = int(np.nonzero(cond)[0][-1])
@@ -57,7 +60,7 @@ class CoordinationResult:
 
 
 def objective(weights: np.ndarray, deltas: np.ndarray, mean_delta: np.ndarray, c: float) -> float:
-    """F(w) for a stacked (M, L) delta matrix."""
+    """F(w) for a stacked (M, L) delta matrix; the reference for the solver's own evaluation."""
     u_w = deltas.T @ weights
     phi = (c * c) * float(mean_delta @ mean_delta)
     return float(u_w @ mean_delta + np.sqrt(phi) * np.linalg.norm(u_w))
@@ -92,12 +95,14 @@ def solve_conflict_weights(deltas: np.ndarray, mean_delta: np.ndarray, c: float)
     scale = float(np.abs(b).max()) + sqrt_phi * max_norm  # sets the tolerance and the first step
     tol = GAP_TOL * scale
 
-    def value(x: np.ndarray) -> float:
-        return objective(x, d, mean_delta, c)
-
-    def grad(x: np.ndarray) -> np.ndarray:
+    def value(x: np.ndarray) -> tuple[float, tuple[np.ndarray, float]]:
+        """F(x), and U_x = D^T x with its norm, from which grad F(x) follows."""
         u = d.T @ x
-        norm = float(np.linalg.norm(u))
+        norm = math.sqrt(float(u @ u))
+        return float(u @ mean_delta + sqrt_phi * norm), (u, norm)
+
+    def grad(at: tuple[np.ndarray, float]) -> np.ndarray:
+        u, norm = at
         if norm <= NORM_FLOOR:
             return b  # drop the norm term's gradient at the kink
         return b + (sqrt_phi / norm) * (d @ u)
@@ -106,30 +111,32 @@ def solve_conflict_weights(deltas: np.ndarray, mean_delta: np.ndarray, c: float)
         # Backtrack until F lies under the quadratic model around y.
         while True:
             x = project_simplex(y - g_y / lip)
-            f_x = value(x)
+            f_x, at_x = value(x)
             s = x - y
             if f_x <= f_y + float(g_y @ s) + 0.5 * lip * float(s @ s):
-                return x, f_x, lip
+                return x, f_x, at_x, lip
             lip *= 2.0
 
-    f, g = value(w), grad(w)
+    f, at = value(w)
+    g = grad(at)
     y, f_y, g_y = w, f, g
     t = 1.0
     lip = scale
     iterations = 0
     while iterations < MAX_ITERS and float(g @ w - g.min()) > tol:
         iterations += 1
-        x, f_x, lip = step(y, f_y, g_y, max(0.5 * lip, tol))  # try a longer step first
+        x, f_x, at_x, lip = step(y, f_y, g_y, max(0.5 * lip, tol))  # try a longer step first
         if f_x > f:  # the momentum overshot: restart from the last iterate
             t = 1.0
-            x, f_x, lip = step(w, f, g, lip)
+            x, f_x, at_x, lip = step(w, f, g, lip)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         y = x + ((t - 1.0) / t_next) * (x - w)
-        w, f, g, t = x, f_x, grad(x), t_next
-        f_y, g_y = value(y), grad(y)
+        w, f, at, t = x, f_x, at_x, t_next
+        g = grad(at)
+        f_y, at_y = value(y)
+        g_y = grad(at_y)
 
-    u_w = d.T @ w
-    u_w_norm = float(np.linalg.norm(u_w))
+    u_w, u_w_norm = at
     if u_w_norm < NORM_FLOOR or phi == 0.0:
         u_star = mean_delta.copy()
     else:
