@@ -12,9 +12,9 @@ update
     value = round_start + mean_increment + psi[:, None, ...] * coordinated_update,
 
 with the increment and the update each of one row's shape, and psi one
-scalar per row. ``ClientSim.psi`` keeps one array per psi pool: an expert
-layer's scenario weights are the pool ``(kind, layer)`` with one entry per
-expert, and a task's tower is the pool ``("tower", task)`` with one entry
+scalar per row. ``ClientSim.psi`` keeps one array per ``SharedKey.pool``,
+the unit the server coordinates as one update: an expert layer's scenario
+weights, with one entry per expert, or a task's whole tower, with one entry
 that every tensor of the tower shares. A pool with no array yet reads 0.
 Each pool is learned by a one-step directional meta-gradient on a reserved
 held-out batch: psi falls when the local loss rises along the coordinated
@@ -44,13 +44,6 @@ from .server import ServerDirective
 __all__ = ["ClientSim"]
 
 PSI_CLAMP = 2.0
-
-
-def _psi_pool(key: SharedKey) -> tuple:
-    """The psi pool a coordinated key steps: a layer stack's (kind, layer), a tower tensor's ("tower", task)."""
-    if key.kind == "tower":
-        return (key.kind, key.index)
-    return (key.kind, key.layer)
 
 
 class ClientSim:
@@ -129,7 +122,7 @@ class ClientSim:
             if key not in self.round_start:
                 raise KeyError(f"no round-start snapshot for coordinated key {key.label()}")
             start = self.round_start[key]
-            psi = np.reshape(self.psi.get(_psi_pool(key), 0.0), (-1, *[1] * (start.ndim - 1)))
+            psi = np.reshape(self.psi.get(key.pool, 0.0), (-1, *[1] * (start.ndim - 1)))
             key_map[key].data[...] = start + mean_increment + psi * update
         layers = sorted(k for k in key_map if k.kind == "expert_scenario")
         self.refs = [directive.means[k] for k in layers] if layers[0] in directive.means else None
@@ -160,8 +153,7 @@ class ClientSim:
             for key in sorted(directive.increments):
                 grad = key_map[key].grad
                 rows = (grad * directive.increments[key][1]).reshape(len(grad), -1).sum(axis=1)
-                pool = _psi_pool(key)
-                dots[pool] = dots.get(pool, 0.0) + rows
+                dots[key.pool] = dots.get(key.pool, 0.0) + rows
         finally:
             model.zero_grad()
             model.bn_in.running_mean[...] = saved_rm

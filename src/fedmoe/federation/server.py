@@ -6,12 +6,14 @@ aggregated, so ``local``, which names none, runs no server at all.
 
 "coordinated" means, per key: stack the clients' (P, ...) uploads as
 (C, P, ...), normalize its C·P rows server-side as one batch around the
-clients' averaged own-upload means, average them, difference them against
-the key's previous-round rows, solve the simplex weighting over the rows,
-and ship one mean increment plus one coordinated update, for personalized
-application on each client. A key is a coordination pool: an expert
-layer's scenario weights (P = N experts) or one task's tower tensor
-(P = 1). "plain" is the per-key mean over clients. The server sees nothing
+clients' averaged own-upload means, average them and difference them
+against the key's previous-round rows. Then, per ``SharedKey.pool``: set
+the pool's keys' (C·P, -1) increments side by side in sorted key order,
+solve one simplex weighting over the C·P rows, and ship each key its slice
+of the one mean increment and the one coordinated update, for personalized
+application on each client. A pool is an expert layer's scenario weights
+(one key, P = N experts) or one task's whole tower (one key per tensor,
+P = 1). "plain" is the per-key mean over clients. The server sees nothing
 but keyed tensors, and ``aggregate`` checks each client's key set, shapes
 and finiteness before it uses any of them.
 
@@ -95,8 +97,9 @@ class ServerDirective:
 
     Both dicts are keyed by SharedKey. ``means`` holds every key's
     aggregate: a plain key's mean, or a coordinated key's normalized mean.
-    From round 2 a coordinated key also has ``increments``: its mean
-    increment and coordinated update, each of one row's shape. A client
+    From round 2 a coordinated key also has ``increments``: its slices of
+    its pool's mean increment and coordinated update, each of one row's
+    shape. A client
     sets each mean that has no increment and applies each increment.
     """
 
@@ -151,17 +154,22 @@ class FederationServer:
         for key in key_set:
             stack = np.stack([uploads[j][key] for j in clients])
             if self.plan.mode(key.kind) == COORDINATED:
-                normalized[key] = self._coordinate(key, stack, clients, directive)
+                normalized[key] = self._normalize(key, stack, directive)
             else:
                 directive.means[key] = stack.mean(axis=0)
+        if round_index >= 2 and self.prev_normalized:  # else no history: set, do not increment
+            pools: dict[tuple, list[SharedKey]] = {}
+            for key in normalized:
+                pools.setdefault(key.pool, []).append(key)
+            for keys in pools.values():
+                self._coordinate(keys, normalized, clients, directive)
         self.prev_clients, self.prev_normalized = clients, normalized
         self.last_snapshot_entries = self._snapshot_entries(directive, clients, normalized)
         return directive
 
-    def _coordinate(
-        self, key: SharedKey, stack: np.ndarray, clients: list[int], directive: ServerDirective
-    ) -> np.ndarray:
-        """Normalize one key's (C, P, ...) uploads as C·P rows; set their mean, or coordinate their increments."""
+    @staticmethod
+    def _normalize(key: SharedKey, stack: np.ndarray, directive: ServerDirective) -> np.ndarray:
+        """Normalize one key's (C, P, ...) uploads as C·P rows and set their mean."""
         # The shift comes from the clients' own uploads: one beta per client,
         # the mean of its P rows, so the averaged beta recovers the plain
         # pooled mean and the batch normalization only reshapes the spread
@@ -170,18 +178,30 @@ class FederationServer:
         wbar = normalized.mean(axis=0)
         directive.fedbn_residual = max(directive.fedbn_residual, float(np.abs(wbar - beta).max()))
         directive.means[key] = wbar
-        if directive.round_index < 2 or not self.prev_normalized:  # no history: set, do not increment
-            return normalized
-
-        if clients != self.prev_clients or key not in self.prev_normalized:
-            raise ValueError(
-                f"coordinated key {key.label()} has no round {directive.round_index - 1} rows for clients "
-                f"{clients}: the clients or the key set changed"
-            )
-        deltas = normalized - self.prev_normalized[key]
-        mean_delta = deltas.mean(axis=0)
-        directive.increments[key] = (mean_delta, solve_conflict_weights(deltas, mean_delta, self.c).u_star)
         return normalized
+
+    def _coordinate(
+        self, keys: list[SharedKey], normalized: dict[SharedKey, np.ndarray], clients: list[int],
+        directive: ServerDirective,
+    ) -> None:
+        """Solve one pool's increments as one: its keys' (C·P, -1) deltas side by side, in sorted key order.
+
+        Each key gets its slice of the pool's mean increment and coordinated
+        update, in one row's shape.
+        """
+        for key in keys:
+            if clients != self.prev_clients or key not in self.prev_normalized:
+                raise ValueError(
+                    f"coordinated key {key.label()} has no round {directive.round_index - 1} rows for clients "
+                    f"{clients}: the clients or the key set changed"
+                )
+        deltas = [normalized[key] - self.prev_normalized[key] for key in keys]
+        stacked = np.concatenate([delta.reshape(len(delta), -1) for delta in deltas], axis=1)
+        mean_delta = stacked.mean(axis=0)
+        u_star = solve_conflict_weights(stacked, mean_delta, self.c).u_star
+        ends = np.cumsum([delta[0].size for delta in deltas])[:-1]
+        for key, delta, mean_increment, update in zip(keys, deltas, np.split(mean_delta, ends), np.split(u_star, ends)):
+            directive.increments[key] = (mean_increment.reshape(delta.shape[1:]), update.reshape(delta.shape[1:]))
 
     # -- persistence --------------------------------------------------------------
 

@@ -35,11 +35,11 @@ def small_config(**overrides) -> ExperimentConfig:
 # deliberate re-baseline replaces them and says why in CHANGES.md.
 PINNED_SHA256 = {
     "main": {
-        "metrics.csv": "601fcc8def69bd3686ea3b0d1f01ebb450444f55690a18c0110ca40d733bfe07",
+        "metrics.csv": "2a6e0c3ef8fcc9290c0e4a8fc90c190e352909085609daedfbc620ef5c8b1618",
         "convergence.csv": "4bf5c6ff311dec354d3c5210b65084ccc2f9c5f116056cdd2ccdd06a016b9308",
         "snapshots/round_1.bin": "55cb0d63eea5c3f6d7a806a1a228cee3814a7fdd66701932a08512d33b192f20",
-        "snapshots/round_2.bin": "15de1ce9b70f7b6f2aab8db43dfeedd03d6eefcddd20ec2c289be3f13b0a85d5",
-        "snapshots/round_3.bin": "d85dd985d3b7dab2ccef1d2f6007c6ebdd4aba2173447b4ec5e2792f1f14eef1",
+        "snapshots/round_2.bin": "eefccc5763515c798d9f4bd08d7953c356a32b035e74843b1ce3e3071deb7e75",
+        "snapshots/round_3.bin": "f403c8bf1bc86c3922d220e4cc2ee2440c379af4a7ab999fca24b446c09b13fb",
     },
     "a1": {
         "metrics.csv": "099efd7bc10d3478333f35ee2d998c0b564946b9aebec96f20ff350e91cfdc70",
@@ -49,11 +49,11 @@ PINNED_SHA256 = {
         "snapshots/round_3.bin": "7167694564aeb9784d5dba16eb5a513430bec0dd76610934a67cf725dfaeca0f",
     },
     "a2": {
-        "metrics.csv": "da1c35bec3b2f71816af35fb8f8fd292a852f2aee1031ea1f22900076728d6ce",
+        "metrics.csv": "d241f0e57f8c93fb03a3c906edf31b1639c991be06476225171f1586a82bdfe4",
         "convergence.csv": "2d391974d6db14403d7ae62850a9f4cc5e8d1ccde28586a7812fea125329f163",
         "snapshots/round_1.bin": "de8aba8a03e7455851d3513bce675c331f7a1e84e92d6a83f193cc8725ac1082",
-        "snapshots/round_2.bin": "5e784e7b5df2778f81d8c88f81eeeeff9a1f82ff7c679a8f6071491be57f0600",
-        "snapshots/round_3.bin": "8e545a40d8764dba9b2d4059dbac8226f9007959a9c7d6a0505e0feded0fcae1",
+        "snapshots/round_2.bin": "e5237ba7894712f34504e968d960fb38959176fcf1e8464420e9be38d13cb359",
+        "snapshots/round_3.bin": "e216871adf524b5be1ac9ea18ef06a96c8de2bf94d9d071588d041dfdd7ab5aa",
     },
     "a4": {
         "metrics.csv": "d6c12d60c9c8f4447700e23d4e0fbac5dd8ed9f76eed6d363d11c48cc6c3a538",
@@ -74,18 +74,18 @@ PINNED_SHA256 = {
         "convergence.csv": "df11b04c3b543d1e597d30738fad89ad2f188133567ede12533dffb04ccb1c85",
     },
     "main_three_tasks_no_tower": {
-        "metrics.csv": "939dd75da3b4da9e28a69c12fe819744cc10b8471780318374aab29300a9ddfc",
+        "metrics.csv": "a0c85936a8e94df2401cbf95cfef99e5da5180d21938b4e2584a552f84d69243",
         "convergence.csv": "75f4183e270d5acb8ef0b0fe3b5bf7785c7f796b3d1680fa0fed11ad63dbc1e3",
         "snapshots/round_1.bin": "74f90c149b5e628066274b7092971081bb3b7f79ed2647dc7ac4be09da50f5b8",
-        "snapshots/round_2.bin": "07ce7862bf4f9670a2ea873c36e5bdba5fdcdae5e9c780dfabfb90de12bdde4e",
-        "snapshots/round_3.bin": "43c423b805be82ed77783f349866a2fe8291c77ed85b137ee5ecb9e41cd11d40",
+        "snapshots/round_2.bin": "a937f897cb4b4a85fb302a3bae3f01cef1cc55e143a0a20697b3c535f650cd55",
+        "snapshots/round_3.bin": "ab86daaeb9da40580cbbfb1fc5bb683ed8ba5898dd5d40727c6c53d8cb3b3f5a",
     },
     "main_three_clients_three_experts": {
-        "metrics.csv": "9f0093b9ac473bfd49b602da18d0bf3176f2332b2142fad4360c64ed0667409b",
+        "metrics.csv": "81be7b6908dba3702de089c23ddbeb314cf3859ec019c78efb473d073783753a",
         "convergence.csv": "4357c2bfb92f16adf4171d3d565620d08300b5fdfb9b9cd4e1f8a7defd888f90",
         "snapshots/round_1.bin": "c0b2c7aaac1695d8055951e229d8a7389086938e948984a1ca63f27e71873c0b",
-        "snapshots/round_2.bin": "77242032ac207bdb56fc679d1115ebb63e58a2852efe88632a0f2afc851f385b",
-        "snapshots/round_3.bin": "39ac3a94f46f0fd179c35280aea01448977e5717a326da5e01e7e45a31665f0c",
+        "snapshots/round_2.bin": "4b39e47d530ce6ef65d070716be554e22073dcc256dd367846e7db7d6d9754c2",
+        "snapshots/round_3.bin": "45bb366d137d49791f4451f6f1db044acdf4f2166dbcf53defa6ceca03a8312e",
     },
 }
 # The cases that are not a strategy on small_config: the smallest model, a

@@ -8,6 +8,7 @@ from fedmoe.data import SyntheticSpec, generate_synthetic
 from fedmoe.diffcore import Tensor, bce
 from fedmoe.federation import server as server_mod
 from fedmoe.federation.client import ClientSim
+from fedmoe.federation.coordination import solve_conflict_weights
 from fedmoe.federation.server import STRATEGIES, FederationServer, ServerDirective, resolve_strategy, upload_keys
 from fedmoe.federation.snapshot import read_snapshot, write_snapshot
 from fedmoe.harness import build_clients, run_experiment
@@ -96,8 +97,8 @@ def solve_rows(monkeypatch):
 class TestComputeDeltas:
     """Round-over-round increments, as FederationServer.aggregate takes them per key.
 
-    A coordinated upload's leading axis is its rows; the increments and
-    the update have one row's shape.
+    A coordinated upload's leading axis is its rows; each key's increments
+    and update have one row's shape.
     """
 
     def test_round_one_signals_skip(self):
@@ -157,6 +158,105 @@ class TestComputeDeltas:
         server.aggregate(same_uploads({key(layer=0): np.zeros((1, 2))}), 1)
         with pytest.raises(ValueError, match=f"{re.escape(key(layer=1).label())} has no round 1 rows.*changed"):
             server.aggregate(same_uploads({key(layer=1): np.zeros((1, 2))}), 2)
+
+
+def two_rounds(n_experts=2):
+    """A main server's round-2 directive for two clients that train one batch a round, and each round's normalized rows."""
+    clients, config = make_clients(s=2, n_experts=n_experts)
+    plan = resolve_strategy("main")
+    keys = upload_keys(plan, clients[0].model)
+    server = FederationServer(plan, c=config.c)
+    normalized = []
+    for r in (1, 2):
+        for c in clients:
+            c.begin_round(keys)
+            c.local_phase(r, max_batches=1)
+        directive = server.aggregate({c.index: c.build_upload(keys) for c in clients}, r)
+        normalized.append(server.prev_normalized)
+        for c in clients:
+            c.apply_directive(directive)
+    return directive, normalized, config
+
+
+def pool_deltas(normalized, keys):
+    """The pool's (rows, -1) increments side by side, in the given key order."""
+    return np.concatenate([(normalized[1][k] - normalized[0][k]).reshape(len(normalized[1][k]), -1) for k in keys], axis=1)
+
+
+class TestPoolCoordination:
+    """One solve per SharedKey.pool: an expert layer's scenario weights, or a task's whole tower."""
+
+    @pytest.mark.parametrize(
+        "k, pool",
+        [
+            (SharedKey("expert_scenario", -1, 0, "w_s"), ("expert_scenario", 0)),
+            (SharedKey("expert_scenario", -1, 2, "w_s"), ("expert_scenario", 2)),
+            (SharedKey("tower", 0, 0, "w"), ("tower", 0)),
+            (SharedKey("tower", 0, 1, "b"), ("tower", 0)),
+            (SharedKey("tower", 1, 0, "w"), ("tower", 1)),
+        ],
+    )
+    def test_pool_table(self, k, pool):
+        assert k.pool == pool
+
+    def test_coordinated_keys_form_one_pool_per_expert_layer_and_task(self):
+        clients, _ = make_clients(s=2)
+        model = clients[0].model
+        keys = upload_keys(resolve_strategy("main"), model)
+        expected = {("expert_scenario", li) for li in range(len(model.expert_layers))}
+        expected |= {("tower", t) for t in range(model.spec.n_tasks)}
+        assert {k.pool for k in keys} == expected
+
+    def test_each_round_solves_one_pool_per_expert_layer_and_task(self, tmp_path, solve_rows):
+        config = ExperimentConfig(
+            strategy="main", rounds=3, scenarios=2, tasks=2, experts=2, d_feat=4,
+            expert_widths=(6, 3), tower_widths=(4,), samples_per_scenario=200,
+            batch_size=32, seed=3, out_dir=str(tmp_path / "run"),
+        )
+        run_experiment(config)
+        rows = [config.scenarios * config.experts] * len(config.expert_widths) + [config.scenarios] * config.tasks
+        assert solve_rows == rows * (config.rounds - 1)  # none in round 1
+
+    def test_tower_pool_slices_are_one_solve_over_the_concatenated_deltas(self):
+        directive, normalized, config = two_rounds()
+        for task in range(2):
+            keys = sorted(k for k in normalized[1] if k.pool == ("tower", task))
+            assert len(keys) == 4  # w and b of the hidden layer and of the head
+            deltas = pool_deltas(normalized, keys)
+            expected = solve_conflict_weights(deltas, deltas.mean(axis=0), config.c)
+            mean_increment = np.concatenate([directive.increments[k][0].ravel() for k in keys])
+            update = np.concatenate([directive.increments[k][1].ravel() for k in keys])
+            assert np.array_equal(mean_increment, deltas.mean(axis=0))
+            assert np.array_equal(update, expected.u_star)
+
+    def test_expert_pool_is_its_one_key_solved_alone(self):
+        """A one-key pool gives, bit for bit, the solve over that key's own (C·N, d_in, d_out) deltas."""
+        directive, normalized, config = two_rounds(n_experts=3)
+        layers = [k for k in normalized[1] if k.kind == "expert_scenario"]
+        assert len(layers) == 2
+        for k in layers:
+            deltas = normalized[1][k] - normalized[0][k]
+            assert len(deltas) == 2 * 3
+            mean_delta = deltas.mean(axis=0)
+            mean_increment, update = directive.increments[k]
+            assert np.array_equal(mean_increment, mean_delta)
+            assert np.array_equal(update, solve_conflict_weights(deltas, mean_delta, config.c).u_star)
+
+    def test_update_sits_on_the_ball_of_the_whole_pool_not_of_each_tensor(self):
+        directive, normalized, config = two_rounds()
+        for task in range(2):
+            keys = sorted(k for k in normalized[1] if k.pool == ("tower", task))
+            mean_increment = np.concatenate([directive.increments[k][0].ravel() for k in keys])
+            update = np.concatenate([directive.increments[k][1].ravel() for k in keys])
+            assert np.linalg.norm(update - mean_increment) == pytest.approx(
+                config.c * np.linalg.norm(mean_increment), rel=1e-9
+            )
+            per_tensor = [
+                np.linalg.norm(directive.increments[k][1] - directive.increments[k][0])
+                / np.linalg.norm(directive.increments[k][0])
+                for k in keys
+            ]
+            assert max(abs(ratio - config.c) for ratio in per_tensor) > 1e-3
 
 
 class TestPersonalizedApply:
@@ -652,7 +752,7 @@ class TestProximalRule:
 
 
 class TestSnapshotLayout:
-    """A key is a pool: its server state is written once, and its normalized rows once per client."""
+    """A key's server state is written once, and its normalized rows once per client, whatever its pool."""
 
     def test_round_two_holds_one_entry_per_key_and_role(self, tmp_path):
         clients, config = make_clients(s=2, n_experts=3)
