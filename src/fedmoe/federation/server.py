@@ -99,8 +99,8 @@ class ServerDirective:
     aggregate: a plain key's mean, or a coordinated key's normalized mean.
     From round 2 a coordinated key also has ``increments``: its slices of
     its pool's mean increment and coordinated update, each of one row's
-    shape. A client
-    sets each mean that has no increment and applies each increment.
+    shape. A client sets each mean that has no increment and applies each
+    increment.
     """
 
     round_index: int

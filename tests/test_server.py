@@ -178,9 +178,9 @@ def two_rounds(n_experts=2):
     return directive, normalized, config
 
 
-def pool_deltas(normalized, keys):
-    """The pool's (rows, -1) increments side by side, in the given key order."""
-    return np.concatenate([(normalized[1][k] - normalized[0][k]).reshape(len(normalized[1][k]), -1) for k in keys], axis=1)
+def pool_increments(directive, keys):
+    """A pool's mean increment and coordinated update: its keys' slices end to end, in the given key order."""
+    return tuple(np.concatenate([directive.increments[k][i].ravel() for k in keys]) for i in (0, 1))
 
 
 class TestPoolCoordination:
@@ -222,10 +222,9 @@ class TestPoolCoordination:
         for task in range(2):
             keys = sorted(k for k in normalized[1] if k.pool == ("tower", task))
             assert len(keys) == 4  # w and b of the hidden layer and of the head
-            deltas = pool_deltas(normalized, keys)
+            deltas = np.concatenate([(normalized[1][k] - normalized[0][k]).reshape(2, -1) for k in keys], axis=1)
             expected = solve_conflict_weights(deltas, deltas.mean(axis=0), config.c)
-            mean_increment = np.concatenate([directive.increments[k][0].ravel() for k in keys])
-            update = np.concatenate([directive.increments[k][1].ravel() for k in keys])
+            mean_increment, update = pool_increments(directive, keys)
             assert np.array_equal(mean_increment, deltas.mean(axis=0))
             assert np.array_equal(update, expected.u_star)
 
@@ -246,8 +245,7 @@ class TestPoolCoordination:
         directive, normalized, config = two_rounds()
         for task in range(2):
             keys = sorted(k for k in normalized[1] if k.pool == ("tower", task))
-            mean_increment = np.concatenate([directive.increments[k][0].ravel() for k in keys])
-            update = np.concatenate([directive.increments[k][1].ravel() for k in keys])
+            mean_increment, update = pool_increments(directive, keys)
             assert np.linalg.norm(update - mean_increment) == pytest.approx(
                 config.c * np.linalg.norm(mean_increment), rel=1e-9
             )
