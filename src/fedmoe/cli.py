@@ -132,16 +132,15 @@ def _check_gradients() -> str:
     mlp_err = grad_check(mlp, [w, b, w2, b2], rng=np.random.default_rng(0))
 
     # The whole client graph: input batch norm, task weights, the fused expert
-    # layers, gates, expert mixing, towers and the proximal pull.
+    # layers, gates, expert mixing and towers.
     spec = ModelSpec(scenario=0, n_scenarios=2, n_tasks=2, n_experts=2, d_feat=4,
                      expert_widths=(5, 3), tower_widths=(4,), d_emb=6)
     model = ClientModel(spec, init_seed=3)
     bx = rng.normal(0, 1, (6, 4))
     by = (rng.random((6, 2)) < 0.5).astype(float)
-    refs = [rng.normal(0, 1, layer["w_s"].shape) for layer in model.expert_layers]
 
     def client_loss():
-        return model.local_loss(bx, by, refs=refs, lam=0.5, use_dropout=False)[0]
+        return model.local_loss(bx, by, use_dropout=False)[0]
 
     model_err = grad_check(client_loss, model.parameters(), max_coords_per_param=3, rng=np.random.default_rng(1))
     detail = f"max relative error {mlp_err:.2e} (MLP), {model_err:.2e} (client model)"

@@ -50,7 +50,7 @@ _SECTIONS = {
         "scenarios", "tasks", "experts", "d_feat",
         "expert_widths", "tower_widths", "d_emb", "dropout",
     ),
-    "optim": ("learning_rate", "batch_size", "lambda_reg", "c", "eta_psi"),
+    "optim": ("learning_rate", "batch_size", "c", "eta_psi"),
     "data": (
         "source", "samples_per_scenario", "rho", "coef_scale", "temperature",
         "task_mix_alpha", "csv_paths", "feature_columns", "label_columns",
@@ -79,7 +79,6 @@ class ExperimentConfig:
     # optim
     learning_rate: float = 1e-3
     batch_size: int = 256
-    lambda_reg: float = 0.5
     c: float = 0.4
     eta_psi: float = 0.01
     # data
@@ -135,8 +134,6 @@ class ExperimentConfig:
             problems.append(f"optim.learning_rate: must be >= 0, got {self.learning_rate}")
         if self.batch_size < 2:
             problems.append(f"optim.batch_size: must be >= 2, got {self.batch_size}")
-        if self.lambda_reg < 0:
-            problems.append(f"optim.lambda_reg: must be >= 0, got {self.lambda_reg}")
         if not 0.0 <= self.c < 1.0:
             problems.append(f"optim.c: must be in [0, 1), got {self.c}")
         if self.eta_psi < 0:

@@ -3,10 +3,8 @@
 from .batchnorm import BNState, batchnorm
 from .gradcheck import grad_check
 from .ops import (
-    add_n,
     affine,
     bce,
-    block_sum_sq_diff,
     hidden_layer,
     mix_experts,
     relu,
@@ -35,12 +33,10 @@ __all__ = [
     "ParameterBuffer",
     "ShapeMismatchError",
     "Tensor",
-    "add_n",
     "affine",
     "as_f64",
     "batchnorm",
     "bce",
-    "block_sum_sq_diff",
     "grad_check",
     "hidden_layer",
     "is_grad_enabled",

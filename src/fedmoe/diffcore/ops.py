@@ -8,7 +8,7 @@ by closures are freshly allocated arrays.
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -20,12 +20,10 @@ __all__ = [
     "sigmoid",
     "softmax",
     "bce",
-    "add_n",
     "reshape",
     "task_weights",
     "hidden_layer",
     "mix_experts",
-    "block_sum_sq_diff",
 ]
 
 PROB_CLAMP = 1e-7
@@ -145,7 +143,7 @@ def bce(p: Tensor, y: np.ndarray) -> Tensor:
     no gradient flows into it. ``p`` is read in y's shape. Each row's mean
     is the 1-D mean of that row (a C-ordered row reduction) and ``cumsum``
     adds the rows from row 0 on (``sum`` is pairwise from 8 rows), so
-    value and gradient equal those of T one-task calls summed by ``add_n``
+    value and gradient equal those of T one-task calls summed in task order,
     bit for bit.
     """
     y = np.asarray(y, dtype=np.float64)
@@ -166,23 +164,6 @@ def bce(p: Tensor, y: np.ndarray) -> Tensor:
         return (dp.reshape(p.shape),)
 
     return Tensor(loss, (p,), backward)
-
-
-def add_n(terms: Sequence[Tensor]) -> Tensor:
-    """Sum of same-shape tensors (used to combine scalar loss terms)."""
-    if not terms:
-        raise ValueError("add_n needs at least one term")
-    shape = terms[0].shape
-    if any(t.shape != shape for t in terms):
-        raise ShapeMismatchError("add_n requires equal shapes")
-    out = terms[0].data.copy()
-    for t in terms[1:]:
-        out += t.data
-
-    def backward(g):
-        return tuple(g.copy() for _ in terms)
-
-    return Tensor(out, tuple(terms), backward)
 
 
 def reshape(x: Tensor, shape: tuple) -> Tensor:
@@ -296,34 +277,3 @@ def mix_experts(gates: Tensor, experts: Tensor) -> Tensor:
 
     return Tensor(out, (gates, experts), backward)
 
-
-def block_sum_sq_diff(params: Sequence[Tensor], refs: Sequence[np.ndarray], lam: float = 1.0) -> Tensor:
-    """``lam`` times the squared L2 distance of stacked blocks to constant references, in one node.
-
-    ``params[j]`` stacks N blocks along axis 0 and ``refs[j]`` is its
-    reference: any array that broadcasts to ``params[j]``'s shape, such as
-    one reference per block stacked the same way, or one block-shaped
-    reference that every block shares. Every stack holds the same N. Each
-    block's ``np.sum(d * d)`` of its difference d goes into an (N, J) table,
-    and ``cumsum`` adds its entries in C order, k = 0..N-1 and within each k
-    j in order: the float that a running sum of the unstacked blocks'
-    squared distances, in that order, produces. That total is multiplied by
-    ``lam`` last, and the gradient is ``2 * lam * d``.
-    """
-    if len(params) != len(refs):
-        raise ShapeMismatchError(f"{len(params)} stacked tensors but {len(refs)} references")
-    lam = float(lam)
-    diffs = []
-    for p, ref in zip(params, refs):
-        ref = np.asarray(ref, dtype=np.float64)
-        if ref.ndim > p.ndim or any(r not in (1, n) for r, n in zip(ref.shape[::-1], p.shape[::-1])):
-            raise ShapeMismatchError(f"block_sum_sq_diff reference {ref.shape} does not broadcast to {p.shape}")
-        diffs.append(p.data - ref)
-    # Each block's sum is one row of a 2-D sum, the same float as its own np.sum.
-    row_sums = [(d * d).reshape(len(d), -1).sum(axis=1) for d in diffs]
-    total = float(np.cumsum(np.stack(row_sums, axis=1))[-1])
-
-    def backward(g):
-        return tuple(2.0 * (float(g) * lam) * d for d in diffs)
-
-    return Tensor(np.float64(total * lam), tuple(params), backward)

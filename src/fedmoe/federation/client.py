@@ -19,13 +19,6 @@ that every tensor of the tower shares. A pool with no array yet reads 0.
 Each pool is learned by a one-step directional meta-gradient on a reserved
 held-out batch: psi falls when the local loss rises along the coordinated
 direction, and is clamped to [-2, 2].
-
-The proximal references are kept per round: ``apply_directive`` takes the
-server's mean of each expert layer's scenario weights as is, one pool mean
-that every expert shares or a stack of per-expert means, and every
-training step of the next round reuses it. They are None, and training
-adds no proximal pull, until an aggregate carries scenario weights; under
-``a4`` and ``local`` none does.
 """
 
 from __future__ import annotations
@@ -54,7 +47,6 @@ class ClientSim:
         model: ClientModel,
         shard: data_mod.ScenarioShard,
         lr: float = 1e-3,
-        lam: float = 0.5,
         eta_psi: float = 0.01,
         batch_size: int = 256,
         seed: int = 0,
@@ -63,11 +55,9 @@ class ClientSim:
             raise ValueError("shard and model scenario indices differ")
         self.model = model
         self.shard = shard
-        self.lam = float(lam)
         self.batch_size = int(batch_size)
         self.seed = int(seed)
         self.optimizer = Adam(model.buffer, lr=lr)
-        self.refs: Optional[list[np.ndarray]] = None  # per expert layer, shared with the directive
         self.eta_psi = float(eta_psi)
         self.psi: dict[tuple, np.ndarray] = {}  # per pool, one entry per row
         self.round_start: dict[SharedKey, np.ndarray] = {}
@@ -97,7 +87,7 @@ class ClientSim:
         for epoch in range(epochs):
             seed = _mix(self.seed, self.index, round_index, epoch)
             for n_batches, (bx, by) in enumerate(data_mod.batch_iter(self.shard.train, self.batch_size, seed), start=1):
-                loss, _ = self.model.local_loss(bx, by, refs=self.refs, lam=self.lam)
+                loss, _ = self.model.local_loss(bx, by)
                 loss.require_finite("training loss")
                 loss.backward()
                 self.optimizer.step()
@@ -124,8 +114,6 @@ class ClientSim:
             start = self.round_start[key]
             psi = np.reshape(self.psi.get(key.pool, 0.0), (-1, *[1] * (start.ndim - 1)))
             key_map[key].data[...] = start + mean_increment + psi * update
-        layers = sorted(k for k in key_map if k.kind == "expert_scenario")
-        self.refs = [directive.means[k] for k in layers] if layers[0] in directive.means else None
 
     def meta_update_psi(self, directive: ServerDirective) -> None:
         """One directional meta-gradient step on each psi pool, along its rows' coordinated updates.
@@ -147,7 +135,7 @@ class ClientSim:
         model.zero_grad()
         try:
             # Without dropout the directional derivative is noise-free.
-            loss, _ = model.local_loss(x, y, refs=self.refs, lam=self.lam, use_dropout=False)
+            loss, _ = model.local_loss(x, y, use_dropout=False)
             loss.backward()
             dots: dict[tuple, np.ndarray] = {}
             for key in sorted(directive.increments):

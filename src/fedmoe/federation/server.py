@@ -16,10 +16,6 @@ application on each client. A pool is an expert layer's scenario weights
 P = 1). "plain" is the per-key mean over clients. The server sees nothing
 but keyed tensors, and ``aggregate`` checks each client's key set, shapes
 and finiteness before it uses any of them.
-
-The aggregated scenario weights are also each client's proximal references
-for the next round. A strategy that does not aggregate them (``a4``,
-``local``) sends none, and its clients train with no proximal pull.
 """
 
 from __future__ import annotations

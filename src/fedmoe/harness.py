@@ -84,7 +84,6 @@ def build_clients(config: ExperimentConfig, shards: list[data_mod.ScenarioShard]
                 model,
                 shards[j],
                 lr=config.learning_rate,
-                lam=config.lambda_reg,
                 eta_psi=config.eta_psi,
                 batch_size=config.batch_size,
                 seed=config.seed,

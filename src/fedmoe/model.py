@@ -37,9 +37,7 @@ other expert parts or the rest.
 
 The model holds no mode: ``forward`` takes ``train`` (batch statistics and
 dropout) and ``use_dropout`` as arguments, so evaluation and the held-out
-psi pass never switch a flag they must restore. ``local_loss`` takes the
-proximal references as one (N, d_in, d_out) stack per expert layer, the
-form the client keeps them in for a whole round.
+psi pass never switch a flag they must restore.
 
 The scenario weight is initialized once from a scenario template applied to
 the client's scenario embedding and is afterwards trained directly; the
@@ -63,11 +61,9 @@ from .diffcore import (
     Parameter,
     ParameterBuffer,
     Tensor,
-    add_n,
     affine,
     batchnorm,
     bce,
-    block_sum_sq_diff,
     hidden_layer,
     mix_experts,
     reshape,
@@ -339,29 +335,10 @@ class ClientModel:
             h = hidden_layer(h, layer["w"], layer["b"], rate, keep)
         return reshape(sigmoid(affine(h, head["w"], head["b"])), (self.spec.n_tasks, x.shape[0]))
 
-    def local_loss(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        refs: Optional[Sequence[np.ndarray]] = None,
-        lam: float = 0.5,
-        use_dropout: bool = True,
-    ) -> tuple[Tensor, Tensor]:
-        """Train-mode multi-task BCE plus the proximal pull of the scenario
-        weights toward the latest aggregates; also the (T, K) probabilities.
-
-        ``refs[l]`` is expert layer l's ``w_s`` reference: an (N, d_in, d_out)
-        stack, or one (d_in, d_out) array every expert shares. No reference
-        means no pull, as in FedProx: None (before the first aggregate, and
-        always under strategies that never aggregate the scenario weights)
-        adds no penalty.
-        """
+    def local_loss(self, x: np.ndarray, y: np.ndarray, use_dropout: bool = True) -> tuple[Tensor, Tensor]:
+        """Train-mode multi-task BCE and the (T, K) probabilities."""
         y = np.asarray(y, dtype=np.float64)
         if y.ndim != 2 or y.shape[1] != self.spec.n_tasks:
             raise ValueError(f"expected labels (K, {self.spec.n_tasks}), got {y.shape}")
         probs = self.forward(x, use_dropout=use_dropout)
-        loss = bce(probs, y.T)
-        if refs is not None and lam > 0.0:
-            w_s = [layer["w_s"] for layer in self.expert_layers]
-            loss = add_n([loss, block_sum_sq_diff(w_s, refs, lam)])
-        return loss, probs
+        return bce(probs, y.T), probs

@@ -8,13 +8,30 @@ activation, so comparing the two checks the bool-mask arithmetic.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from fedmoe.diffcore import ShapeMismatchError, Tensor
 
-__all__ = ["elementwise_mul", "mix_task", "relu_dropout", "scale", "select", "sum_sq_diff"]
+__all__ = ["add_n", "elementwise_mul", "mix_task", "relu_dropout", "scale", "select", "sum_sq_diff"]
+
+
+def add_n(terms: Sequence[Tensor]) -> Tensor:
+    """Sum of same-shape tensors (used to combine scalar loss terms)."""
+    if not terms:
+        raise ValueError("add_n needs at least one term")
+    shape = terms[0].shape
+    if any(t.shape != shape for t in terms):
+        raise ShapeMismatchError("add_n requires equal shapes")
+    out = terms[0].data.copy()
+    for t in terms[1:]:
+        out += t.data
+
+    def backward(g):
+        return tuple(g.copy() for _ in terms)
+
+    return Tensor(out, tuple(terms), backward)
 
 
 def elementwise_mul(a: Tensor, b: Tensor, c: Optional[Tensor] = None) -> Tensor:

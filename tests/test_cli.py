@@ -25,6 +25,16 @@ def test_run_with_invalid_config_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_removed_lambda_reg_key_exits_2_before_any_set_up(tmp_path, capsys):
+    """lambda_reg is no option: an INI that sets it is refused by name before any set-up."""
+    ini = tmp_path / "old.ini"
+    settings = "[experiment]\nrounds = 1\n\n[data]\nsamples_per_scenario = 200\n\n[optim]\nlambda_reg = 0.5\n"
+    ini.write_text(settings + "\n[output]\nout_dir = " + str(tmp_path / "out") + "\n")
+    assert main(["run", "--config", str(ini)]) == 2
+    assert "unknown key optim.lambda_reg" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -158,7 +168,7 @@ def test_config_save_load_round_trip(tmp_path):
     config = ExperimentConfig(
         strategy="a2", rounds=7, local_epochs=2, seed=13, comm_per_batch=True,
         scenarios=4, tasks=3, experts=5, d_feat=9, expert_widths=(12, 6, 3), tower_widths=(),
-        d_emb=7, dropout=0.125, learning_rate=3e-4, batch_size=64, lambda_reg=0.1, c=0.3,
+        d_emb=7, dropout=0.125, learning_rate=3e-4, batch_size=64, c=0.3,
         eta_psi=0.05, source="csv", csv_paths=("a.csv", "b.csv", "c.csv", "d.csv"),
         feature_columns=("f0", "f1"), label_columns=("click", "buy", "share"),
         samples_per_scenario=123, rho=0.25, coef_scale=2.0, temperature=0.7,

@@ -6,12 +6,10 @@ import pytest
 from fedmoe.diffcore import (
     Parameter,
     Tensor,
-    add_n,
     affine,
     batchnorm,
     bce,
     BNState,
-    block_sum_sq_diff,
     grad_check,
     hidden_layer,
     mix_experts,
@@ -22,7 +20,7 @@ from fedmoe.diffcore import (
     task_weights,
 )
 from fedmoe.model import ClientModel, ModelSpec
-from reference_ops import elementwise_mul, mix_task, relu_dropout, scale, select, sum_sq_diff
+from reference_ops import add_n, elementwise_mul, mix_task, relu_dropout, scale, select, sum_sq_diff
 
 TOL = 1e-4
 
@@ -109,32 +107,6 @@ class TestPrimitiveGradients:
             ])
 
         assert grad_check(f, [table, block], rng=np.random.default_rng(5)) < TOL
-
-    def test_block_sum_sq_diff(self):
-        rng = np.random.default_rng(12)
-        small = [Parameter(rng.normal(0, 1, (3, 2, 4)), "a"), Parameter(rng.normal(0, 1, (3, 5)), "b")]
-        per_block = [np.stack([rng.normal(0, 1, p.shape[1:]) for _ in range(3)]) for p in small]
-        cases = [(small, per_block)]
-        # The default expert stacks, with one reference every block shares (a
-        # coordinated pool's). Blocks this long are summed pairwise, so a wrong
-        # block sum shows in the total on most draws, not on all: take several.
-        for _ in range(4):
-            default = [Parameter(rng.normal(0, 1, (4, 16, 32)), "w0"), Parameter(rng.normal(0, 1, (4, 32, 16)), "w1")]
-            cases.append((default, [rng.normal(0, 1, p.shape[1:]) for p in default]))
-        for stacks, refs in cases:
-
-            def f():
-                return block_sum_sq_diff(stacks, refs)
-
-            assert grad_check(f, stacks, rng=np.random.default_rng(13)) < TOL
-            # same float as adding the unstacked blocks' sum_sq_diff block by block, k-major
-            n = len(stacks[0].data)
-            blocks = [
-                sum_sq_diff(Tensor(p.data[k]), np.broadcast_to(refs[j], p.shape)[k])
-                for k in range(n)
-                for j, p in enumerate(stacks)
-            ]
-            assert f().item() == add_n(blocks).item()
 
     def test_batchnorm_train_chain(self):
         rng = np.random.default_rng(6)
@@ -419,10 +391,9 @@ class TestComposedGradients:
         rng = np.random.default_rng(10)
         x = rng.normal(0, 1, (6, 4))
         y = (rng.random((6, 2)) < 0.5).astype(float)
-        refs = [rng.normal(0, 1, layer["w_s"].shape) for layer in model.expert_layers]
 
         def f():
-            loss, _ = model.local_loss(x, y, refs=refs, lam=0.5)
+            loss, _ = model.local_loss(x, y)
             return loss
 
         params = model.parameters()

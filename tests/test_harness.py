@@ -35,25 +35,25 @@ def small_config(**overrides) -> ExperimentConfig:
 # deliberate re-baseline replaces them and says why in CHANGES.md.
 PINNED_SHA256 = {
     "main": {
-        "metrics.csv": "2a6e0c3ef8fcc9290c0e4a8fc90c190e352909085609daedfbc620ef5c8b1618",
-        "convergence.csv": "4bf5c6ff311dec354d3c5210b65084ccc2f9c5f116056cdd2ccdd06a016b9308",
+        "metrics.csv": "dea119d82057d18a604fa060f643e305a88dcaf281024f4b40e74181a9f55b82",
+        "convergence.csv": "e5836b2d1927f91151b9684f0d9c9ffa9a0123ee075db64259d465326399f34e",
         "snapshots/round_1.bin": "55cb0d63eea5c3f6d7a806a1a228cee3814a7fdd66701932a08512d33b192f20",
-        "snapshots/round_2.bin": "eefccc5763515c798d9f4bd08d7953c356a32b035e74843b1ce3e3071deb7e75",
-        "snapshots/round_3.bin": "f403c8bf1bc86c3922d220e4cc2ee2440c379af4a7ab999fca24b446c09b13fb",
+        "snapshots/round_2.bin": "23716bf862e0fc9f5f9d8ed2073686ddadcb217b9d895c2839363328f2d23ac9",
+        "snapshots/round_3.bin": "5abb0608afeb76cfc503446ebf1e1ce5cca6e92b584f1e8e31f3ec90ad286423",
     },
     "a1": {
-        "metrics.csv": "099efd7bc10d3478333f35ee2d998c0b564946b9aebec96f20ff350e91cfdc70",
-        "convergence.csv": "ca264edc73d4de796a5dd6f8f5ad3de9891d96632d253ede166fa456d0dada7b",
+        "metrics.csv": "eea64587a964ae15850744e9816e92c520633fc1314f08addbd3a2b8cef79808",
+        "convergence.csv": "309a5d81082ff093ca98734e510031c2493b2f322ad33f0919e19f6abfebee5f",
         "snapshots/round_1.bin": "f42f909381c3ed6d35c8703b0b5e43c6d5f4f822a09794d5297f9ce05339285d",
-        "snapshots/round_2.bin": "f7e2d77671c54edb9149a8e5723aa61fb3fbe479a189893bf802ea67b568ac4e",
-        "snapshots/round_3.bin": "7167694564aeb9784d5dba16eb5a513430bec0dd76610934a67cf725dfaeca0f",
+        "snapshots/round_2.bin": "a6791983ff457fe7223ef3081d1e0da46ccc5b586955646b795b0cf72f61440b",
+        "snapshots/round_3.bin": "1d171d714ce8b693505981256f6d52e697899eb29c3440b0bcb04015a0b3d357",
     },
     "a2": {
-        "metrics.csv": "d241f0e57f8c93fb03a3c906edf31b1639c991be06476225171f1586a82bdfe4",
-        "convergence.csv": "2d391974d6db14403d7ae62850a9f4cc5e8d1ccde28586a7812fea125329f163",
+        "metrics.csv": "d7465a56b1fdb17f7d13f7a023e666be50df45bbc93b6edcbbc959eff342a6d6",
+        "convergence.csv": "1e715ab4e7bd7465b6d2e900e46eced183db3b019fba735b7b13920da97556a6",
         "snapshots/round_1.bin": "de8aba8a03e7455851d3513bce675c331f7a1e84e92d6a83f193cc8725ac1082",
-        "snapshots/round_2.bin": "e5237ba7894712f34504e968d960fb38959176fcf1e8464420e9be38d13cb359",
-        "snapshots/round_3.bin": "e216871adf524b5be1ac9ea18ef06a96c8de2bf94d9d071588d041dfdd7ab5aa",
+        "snapshots/round_2.bin": "57ecfbca9e472c253310fb160a59659531e6d808963a68e81be86049bf352ca4",
+        "snapshots/round_3.bin": "3db9fc7b4d66f45aaab8581a52da01f5356876832a4511133dbfe10df6c10055",
     },
     "a4": {
         "metrics.csv": "d6c12d60c9c8f4447700e23d4e0fbac5dd8ed9f76eed6d363d11c48cc6c3a538",
@@ -63,29 +63,29 @@ PINNED_SHA256 = {
         "snapshots/round_3.bin": "b10dc942acc804b376b9b2cd62cb0856aa410292a6ef8703eda901d8cecab25d",
     },
     "fedavg": {
-        "metrics.csv": "ecea4cacd5bdaaade60b479341cede3d48bc34b987c59c1f0c3403d67af02be3",
-        "convergence.csv": "0c3cecb8fc4fce5806d4ba4394bd449f5351b39fd0d7df00272589e723e96950",
+        "metrics.csv": "bf2d2bcd1170eaa7f5503fa00898a7af03227d6116d38b2d586f2e2fd6ded73e",
+        "convergence.csv": "d4fb549d1548b8c1405ccc785f7cf1db174585bb932f9e6c1b0c0b8d5b19b57f",
         "snapshots/round_1.bin": "8ba9c4864f520df7545d7b2ef881113db5e72719898648cfc91d8fc069d3d0e9",
-        "snapshots/round_2.bin": "3845486e546cde329ab592ca312e325a64cbb9cb35ddf0d75e48ad2b1beabc78",
-        "snapshots/round_3.bin": "25fdad8fcc8b1c0e3e1b6963dceec9061f8c62a68d5fe58a70c98edb22fe1739",
+        "snapshots/round_2.bin": "57cb285beb6b6cde9efe03406338c552b38e75f7608119e1eaf0080e864100a8",
+        "snapshots/round_3.bin": "5432f8f4e7b0496e59eda99e51322fc629270a85f722c595277d63aff52fe8cf",
     },
     "local_one_task_one_expert": {
         "metrics.csv": "bd6237893185784fa03d98bd23465a22cd87f741112b07c5e6d1457efd13c72f",
         "convergence.csv": "df11b04c3b543d1e597d30738fad89ad2f188133567ede12533dffb04ccb1c85",
     },
     "main_three_tasks_no_tower": {
-        "metrics.csv": "a0c85936a8e94df2401cbf95cfef99e5da5180d21938b4e2584a552f84d69243",
-        "convergence.csv": "75f4183e270d5acb8ef0b0fe3b5bf7785c7f796b3d1680fa0fed11ad63dbc1e3",
+        "metrics.csv": "1af23f65f4fb6522b1f4fd4847b6787892f917d1b5d9c7dbdca8e063ac10b57f",
+        "convergence.csv": "1f59b76c0abd10d1e292b8ca60fd871e638e5f07f5981eb24fe92d03eb41f9cf",
         "snapshots/round_1.bin": "74f90c149b5e628066274b7092971081bb3b7f79ed2647dc7ac4be09da50f5b8",
-        "snapshots/round_2.bin": "a937f897cb4b4a85fb302a3bae3f01cef1cc55e143a0a20697b3c535f650cd55",
-        "snapshots/round_3.bin": "ab86daaeb9da40580cbbfb1fc5bb683ed8ba5898dd5d40727c6c53d8cb3b3f5a",
+        "snapshots/round_2.bin": "abf7a7402ac3ba39dac4a276b1e4814d19d84e4ed718e0e39262cc19b1788ab1",
+        "snapshots/round_3.bin": "84eb01804945a6a2bfdba8634173193dcf8c6c92bbde40a90b266b03384ffb30",
     },
     "main_three_clients_three_experts": {
-        "metrics.csv": "81be7b6908dba3702de089c23ddbeb314cf3859ec019c78efb473d073783753a",
-        "convergence.csv": "4357c2bfb92f16adf4171d3d565620d08300b5fdfb9b9cd4e1f8a7defd888f90",
+        "metrics.csv": "bdcf79fd640558064654edc07093260be7989ae352df5e6fc9857d82ca36cfa5",
+        "convergence.csv": "aa3ea69496ac401b3bea363df92c5641ed22aaad55d15ebdcb5a8b901d399e14",
         "snapshots/round_1.bin": "c0b2c7aaac1695d8055951e229d8a7389086938e948984a1ca63f27e71873c0b",
-        "snapshots/round_2.bin": "4b39e47d530ce6ef65d070716be554e22073dcc256dd367846e7db7d6d9754c2",
-        "snapshots/round_3.bin": "45bb366d137d49791f4451f6f1db044acdf4f2166dbcf53defa6ceca03a8312e",
+        "snapshots/round_2.bin": "d31fb565c829747f25c15ddd395aeb71a8395fd95e853dcd170289c69c4c95f6",
+        "snapshots/round_3.bin": "11b0047393a9175c742e16f889313d8562a6efc0a76dad932ab85f67abf56987",
     },
 }
 # The cases that are not a strategy on small_config: the smallest model, a

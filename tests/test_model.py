@@ -231,16 +231,15 @@ def tape_nodes(root):
 
 class TestTapeMemory:
     def default_step(self):
-        """One default-config train step on a 256-row batch, proximal references set."""
+        """One default-config train step on a 256-row batch."""
         cfg = ExperimentConfig()
         model = ClientModel(cfg.model_spec(0), init_seed=1)
         rng = np.random.default_rng(0)
         x = rng.normal(0, 1, (cfg.batch_size, cfg.d_feat))
         y = (rng.random((cfg.batch_size, cfg.tasks)) < 0.5).astype(float)
-        refs = [layer["w_s"].data.copy() for layer in model.expert_layers]
 
         def step():
-            loss, _ = model.local_loss(x, y, refs=refs, lam=cfg.lambda_reg)
+            loss, _ = model.local_loss(x, y)
             loss.backward()
             return loss
 
@@ -256,16 +255,15 @@ class TestTapeMemory:
         assert {id(p) for p in model.parameters()} <= {id(leaf) for leaf in leaves}
         assert all(p.grad.any() for p in model.parameters())
 
-    def test_default_train_step_runs_16_ops(self):
+    def test_default_train_step_runs_14_ops(self):
         """One node per op for all tasks: batch norm, per expert layer a
         task_weights and a hidden_layer node, the gates' affine and softmax,
         the mix, a hidden_layer node per hidden tower layer, the head's
-        affine, sigmoid and reshape, one BCE over every task, and the loss
-        sum with the proximal term (block_sum_sq_diff, add_n)."""
+        affine, sigmoid and reshape, and one BCE over every task."""
         model, step = self.default_step()
         nodes = tape_nodes(step())
         ops = [node for node in nodes if node._backward is not None]
-        assert len(ops) == 1 + 2 * 2 + 2 + 1 + 2 + 3 + 1 + 2 == 16
+        assert len(ops) == 1 + 2 * 2 + 2 + 1 + 2 + 3 + 1 == 14
         assert len(nodes) - len(ops) == len(model.parameters()) + 1 == 26  # leaves: parameters and the batch
 
     def test_default_train_pass_peaks_under_three_mb(self):
@@ -358,67 +356,15 @@ class TestParameterPartition:
 
 
 class TestLocalLoss:
-    def test_lambda_zero_is_pure_bce(self):
+    def test_loss_is_pure_bce(self):
         model = make_model()
         rng = np.random.default_rng(7)
         x = rng.normal(0, 1, (8, 4))
         y = (rng.random((8, 2)) < 0.5).astype(float)
-        loss, probs = model.local_loss(x, y, lam=0.0)
+        loss, probs = model.local_loss(x, y)
         assert probs.shape == (2, 8)
         per_task = [bce(Tensor(probs.data[t]), y[:, t]).item() for t in range(2)]
         assert loss.item() == pytest.approx(sum(per_task), rel=1e-12)
-
-    def test_matching_refs_zero_regularizer(self):
-        model = make_model()
-        rng = np.random.default_rng(8)
-        x = rng.normal(0, 1, (8, 4))
-        y = (rng.random((8, 2)) < 0.5).astype(float)
-        refs = [layer["w_s"].data.copy() for layer in model.expert_layers]
-        with_reg, _ = model.local_loss(x, y, refs=refs, lam=0.5)
-        without, _ = model.local_loss(x, y, lam=0.0)
-        assert with_reg.item() == pytest.approx(without.item(), rel=1e-12)
-
-    def test_scalar_reference_case(self):
-        model = make_model(n_experts=1, d_feat=1, expert_widths=(1,), tower_widths=(2,), n_tasks=1)
-        (w_s,) = of_kind(model, "expert_scenario").values()
-        w_s.data[...] = 0.0
-        refs = [np.full((1, 1, 1), 2.0)]
-        rng = np.random.default_rng(9)
-        x = rng.normal(0, 1, (6, 1))
-        y = (rng.random((6, 1)) < 0.5).astype(float)
-        base, _ = model.local_loss(x, y, lam=0.0)
-        reg, _ = model.local_loss(x, y, refs=refs, lam=0.5)
-        assert reg.item() - base.item() == pytest.approx(2.0, abs=1e-12)
-
-    def test_regularizer_zero_iff_equal(self):
-        model = make_model()
-        refs = [layer["w_s"].data.copy() for layer in model.expert_layers]
-        refs[0][0] += 1e-3
-        rng = np.random.default_rng(10)
-        x = rng.normal(0, 1, (6, 4))
-        y = (rng.random((6, 2)) < 0.5).astype(float)
-        base, _ = model.local_loss(x, y, lam=0.0)
-        reg, _ = model.local_loss(x, y, refs=refs, lam=0.5)
-        assert reg.item() > base.item()
-
-    def test_regularizer_gradient_descends(self):
-        model = make_model()
-        rng = np.random.default_rng(11)
-        refs = {k: rng.normal(0, 1, p.shape) for k, p in of_kind(model, "expert_scenario").items()}
-
-        def sq_total():
-            return sum(float(((p.data - refs[k]) ** 2).sum()) for k, p in of_kind(model, "expert_scenario").items())
-
-        from fedmoe.diffcore import add_n
-        from reference_ops import sum_sq_diff
-
-        before = sq_total()
-        model.zero_grad()
-        reg = add_n([sum_sq_diff(p, refs[k]) for k, p in of_kind(model, "expert_scenario").items()])
-        reg.backward()
-        for p in of_kind(model, "expert_scenario").values():
-            p.data -= 0.01 * p.grad
-        assert sq_total() < before
 
 
 class TestTrainEpoch:
@@ -429,8 +375,8 @@ class TestTrainEpoch:
             SyntheticSpec(n_scenarios=2, n_tasks=2, d_feat=4, samples_per_scenario=300, seed=seed)
         )[0]
 
-    def client(self, model=None, seed=12, lr=1e-3, lam=0.5):
-        return ClientSim(model or make_model(), self.shard(seed), lr=lr, lam=lam, batch_size=32, seed=seed)
+    def client(self, model=None, seed=12, lr=1e-3):
+        return ClientSim(model or make_model(), self.shard(seed), lr=lr, batch_size=32, seed=seed)
 
     def test_loss_decreases_majority_of_seeds(self):
         wins = 0
@@ -440,7 +386,7 @@ class TestTrainEpoch:
                           d_feat=4, expert_widths=(6, 3), tower_widths=(4,), dropout=0.0),
                 init_seed=seed,
             )
-            client = self.client(model, seed=seed, lam=0.0)
+            client = self.client(model, seed=seed)
             first = client.local_phase(1)
             for r in range(2, 5):
                 last = client.local_phase(r)

@@ -37,7 +37,6 @@ configs = st.builds(
     dropout=st.sampled_from([0.0, 0.2]),
     # the partition of 20-80 samples keeps 14-56 rows for training
     batch_size=st.integers(2, 64),
-    lambda_reg=st.sampled_from([0.0, 0.5]),
     c=st.sampled_from([0.0, 0.4]),
     eta_psi=st.sampled_from([0.0, 0.01]),
     samples_per_scenario=st.integers(20, 80),

@@ -5,7 +5,7 @@ import pytest
 
 from fedmoe.config import ExperimentConfig
 from fedmoe.data import SyntheticSpec, generate_synthetic
-from fedmoe.diffcore import Tensor, bce
+from fedmoe.diffcore import bce, no_grad
 from fedmoe.federation import server as server_mod
 from fedmoe.federation.client import ClientSim
 from fedmoe.federation.coordination import solve_conflict_weights
@@ -30,6 +30,18 @@ def along(updates):
     return {k: (np.zeros_like(u), u) for k, u in updates.items()}
 
 
+def tape_ops(root):
+    """The op nodes of the tape that ends at ``root``; leaves have no backward."""
+    ops, stack, seen = 0, [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            ops += node._backward is not None
+            stack.extend(node._parents)
+    return ops
+
+
 def held_out_grads(client):
     """Every key's gradient of the held-out loss, from the dropout-free forward and backward the psi step runs.
 
@@ -40,7 +52,7 @@ def held_out_grads(client):
     saved_rm = model.bn_in.running_mean.copy()
     saved_rv = model.bn_in.running_var.copy()
     model.zero_grad()
-    loss, _ = model.local_loss(x, y, refs=client.refs, lam=client.lam, use_dropout=False)
+    loss, _ = model.local_loss(x, y, use_dropout=False)
     loss.backward()
     grads = {k: p.grad.copy() for k, p in model.key_map().items()}
     model.zero_grad()
@@ -66,11 +78,11 @@ def shards(s=2, seed=0, n=300, d=4, t=2):
     return generate_synthetic(SyntheticSpec(n_scenarios=s, n_tasks=t, d_feat=d, samples_per_scenario=n, seed=seed))
 
 
-def make_clients(s=2, n_experts=2, seed=0, lam=0.5, dropout=0.0, widths=(6, 3)):
+def make_clients(s=2, n_experts=2, seed=0, dropout=0.0, widths=(6, 3)):
     config = ExperimentConfig(
         scenarios=s, tasks=2, experts=n_experts, d_feat=4, expert_widths=widths,
         tower_widths=(4,), dropout=dropout, samples_per_scenario=300,
-        batch_size=32, lambda_reg=lam, seed=seed,
+        batch_size=32, seed=seed,
     )
     return build_clients(config, shards(s=s, seed=seed)), config
 
@@ -361,7 +373,7 @@ class TestPsiMetaUpdate:
 
         def loss_at(offset):
             param.data += offset * u_star
-            value, _ = model.local_loss(x, y, refs=client.refs, lam=client.lam, use_dropout=False)
+            value, _ = model.local_loss(x, y, use_dropout=False)
             param.data -= offset * u_star
             return value.item()
 
@@ -613,23 +625,7 @@ class TestRoundProtocol:
         assert len(lines) == 1 + 5 * 2 * 2
         assert len(artifacts.convergence_path.read_text().strip().splitlines()) == 1 + 5 * 2
 
-    def test_refs_reach_clients_after_round(self, tmp_path):
-        clients, config = make_clients(s=2)
-        plan = resolve_strategy("main")
-        keys = upload_keys(plan, clients[0].model)
-        server = FederationServer(plan, c=config.c)
-        for c in clients:
-            c.begin_round(keys)
-        directive = server.aggregate({c.index: c.build_upload(keys) for c in clients}, 1)
-        for c in clients:
-            c.apply_directive(directive)
-        for c in clients:
-            assert len(c.refs) == len(c.model.expert_layers)
-            for k, p in of_kind(c.model, "expert_scenario").items():
-                assert c.refs[k.layer] is directive.means[k]  # one pool mean, never copied per client
-                assert c.refs[k.layer].shape == p.shape[1:]
-
-    def test_plain_expert_refs_stack_the_per_key_means(self):
+    def test_plain_expert_means_are_applied_per_expert(self):
         clients, config = make_clients(s=2, n_experts=3)
         plan = resolve_strategy("a1")
         keys = upload_keys(plan, clients[0].model)
@@ -640,12 +636,12 @@ class TestRoundProtocol:
         directive = server.aggregate(uploads, 1)
         for c in clients:
             c.apply_directive(directive)
-        for k, w_s in of_kind(clients[0].model, "expert_scenario").items():
-            assert clients[0].refs[k.layer].shape == w_s.shape
-            assert np.array_equal(clients[0].refs[k.layer], directive.means[k])
-            for e in range(3):
-                expected = np.mean(np.stack([uploads[j][k][e] for j in uploads]), axis=0)
-                assert np.array_equal(clients[0].refs[k.layer][e], expected)
+        for c in clients:
+            for k, w_s in of_kind(c.model, "expert_scenario").items():
+                assert np.array_equal(w_s.data, directive.means[k])
+                for e in range(3):
+                    expected = np.mean(np.stack([uploads[j][k][e] for j in uploads]), axis=0)
+                    assert np.array_equal(w_s.data[e], expected)
 
     def test_expert_layer_pool_shares_aggregate(self):
         clients, config = make_clients(s=2, n_experts=3)
@@ -711,42 +707,45 @@ class TestPrivacyAudit:
             assert not np.shares_memory(tensor, key_map[k].data)
 
 
-class TestProximalRule:
-    """No reference means no pull: the penalty exists only after scenario weights were aggregated."""
+class TestTrainingLoss:
+    """Training steps and the held-out psi pass minimize the multi-task BCE alone, before and after an aggregate."""
 
-    def aggregate_once(self, clients, strategy):
-        plan = resolve_strategy(strategy)
-        keys = upload_keys(plan, clients[0].model)
-        server = FederationServer(plan)
-        for c in clients:
-            c.begin_round(keys)
-        directive = server.aggregate({c.index: c.build_upload(keys) for c in clients}, 1)
-        for c in clients:
-            c.apply_directive(directive)
+    @pytest.fixture
+    def calls(self, tmp_path, monkeypatch):
+        """Per local_loss call of a two-round default-model main run: the aggregates
+        before it, its tape's op count, its loss bytes and the bytes of bce(probs, y.T)."""
+        records, aggregated = [], []
+        local_loss, aggregate = ClientModel.local_loss, FederationServer.aggregate
 
-    def penalty(self, client):
-        x, y = client.held_out
-        loss, probs = client.model.local_loss(x, y, refs=client.refs, lam=client.lam, use_dropout=False)
-        per_task = [bce(Tensor(probs.data[t]), y[:, t]).item() for t in range(probs.shape[0])]
-        return loss.item() - sum(per_task)
+        def loss_spy(model, x, y, *args, **kwargs):
+            loss, probs = local_loss(model, x, y, *args, **kwargs)
+            with no_grad():
+                reference = bce(probs, np.asarray(y, dtype=np.float64).T)
+            records.append((len(aggregated), tape_ops(loss), loss.data.tobytes(), reference.data.tobytes()))
+            return loss, probs
 
-    def test_main_client_before_round_one_has_no_pull(self):
-        clients, _ = make_clients()
-        assert clients[0].refs is None
-        assert self.penalty(clients[0]) == pytest.approx(0.0, abs=1e-12)
+        def aggregate_spy(server, uploads, round_index):
+            aggregated.append(round_index)
+            return aggregate(server, uploads, round_index)
 
-    def test_a4_client_has_no_pull_after_aggregating(self):
-        clients, _ = make_clients()
-        self.aggregate_once(clients, "a4")
-        assert clients[0].refs is None
-        assert self.penalty(clients[0]) == pytest.approx(0.0, abs=1e-12)
+        monkeypatch.setattr(ClientModel, "local_loss", loss_spy)
+        monkeypatch.setattr(FederationServer, "aggregate", aggregate_spy)
+        run_experiment(ExperimentConfig(
+            strategy="main", rounds=2, samples_per_scenario=300, batch_size=64, out_dir=str(tmp_path / "run"),
+        ))
+        return records
 
-    def test_main_aggregate_adds_the_pull(self):
-        clients, _ = make_clients()
-        self.aggregate_once(clients, "main")
-        w_s = clients[0].model.expert_layers[0]["w_s"]
-        w_s.data += 0.1  # round 1 sets w_s to its reference; move it off
-        assert self.penalty(clients[0]) == pytest.approx(clients[0].lam * 0.01 * w_s.size, rel=1e-9)
+    def test_a_step_after_an_aggregate_records_the_round_one_tape(self, calls):
+        """Round 1's steps, round 2's steps and round 2's psi passes each run the
+        default model's 14 ops (see TestTapeMemory), nothing added once
+        scenario weights were aggregated."""
+        ops = {}
+        for after, n_ops, _, _ in calls:
+            ops.setdefault(after, set()).add(n_ops)
+        assert ops == {0: {14}, 1: {14}, 2: {14}}
+
+    def test_loss_bytes_are_the_bce_of_the_probabilities(self, calls):
+        assert all(loss == reference for _, _, loss, reference in calls)
 
 
 class TestSnapshotLayout:

@@ -14,17 +14,15 @@ from fedmoe.diffcore import (
     Parameter,
     ShapeMismatchError,
     Tensor,
-    add_n,
     affine,
     bce,
-    block_sum_sq_diff,
     hidden_layer,
     no_grad,
     relu,
     sigmoid,
     softmax,
 )
-from reference_ops import elementwise_mul, select, sum_sq_diff
+from reference_ops import add_n, elementwise_mul, select, sum_sq_diff
 
 
 class TestAffine:
@@ -297,48 +295,6 @@ class TestBce:
     def test_stacked_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             bce(Tensor(np.full((2, 3), 0.5)), np.ones((2, 4)))
-
-
-class TestBlockSumSqDiff:
-    def test_shared_reference_equals_the_stacked_one_bitwise(self):
-        """A (d_in, d_out) reference broadcast over N blocks gives the value
-        and gradient of the same reference stacked N times, byte for byte."""
-        rng = np.random.default_rng(21)
-        data = [rng.normal(0, 1, (4, 3, 5)), rng.normal(0, 1, (4, 5, 2))]
-        shared = [rng.normal(0, 1, d.shape[1:]) for d in data]
-        outputs = []
-        for refs in (shared, [np.stack([r] * 4) for r in shared]):
-            params = [Parameter(d.copy(), f"w{i}") for i, d in enumerate(data)]
-            out = block_sum_sq_diff(params, refs, lam=0.5)
-            out.backward()
-            outputs.append([out.data.tobytes(), *(p.grad.tobytes() for p in params)])
-        assert outputs[0] == outputs[1]
-
-    @pytest.mark.parametrize("shape", [(3, 2), (2, 3, 5), (5, 4, 3, 5)], ids=["inner", "blocks", "extra_axis"])
-    def test_reference_that_does_not_broadcast_is_rejected(self, shape):
-        p = Parameter(np.zeros((4, 3, 5)), "w")
-        with pytest.raises(ShapeMismatchError, match="does not broadcast"):
-            block_sum_sq_diff([p], [np.zeros(shape)])
-
-    def test_total_is_the_running_float_over_blocks_then_stacks(self):
-        """The value equals a Python float that adds each block's own
-        ``np.sum(d * d)`` for k = 0..N-1 and, within each k, j in order."""
-        rng = np.random.default_rng(24)  # a draw on which stack-by-stack, reversed and pairwise sums all differ
-        scales = 10.0 ** rng.uniform(-1, 1, (6, 3))
-        data = [rng.normal(0, 1, (6, 4, 5)) * scales[:, j, None, None] for j in range(3)]
-        refs = [rng.normal(0, 1e-3, (6, 4, 5)), rng.normal(0, 1, (4, 5)), np.zeros((4, 5))]
-        out = block_sum_sq_diff([Parameter(d, f"w{j}") for j, d in enumerate(data)], refs, lam=0.3)
-        total = 0.0
-        for k in range(6):
-            for d, ref in zip(data, refs):
-                diff = d[k] - (ref[k] if ref.ndim == 3 else ref)
-                total += float(np.sum(diff * diff))
-        assert out.data.tobytes() == np.float64(total * 0.3).tobytes()
-
-    def test_stacks_of_different_lengths_are_rejected(self):
-        params = [Parameter(np.zeros((4, 3)), "a"), Parameter(np.zeros((3, 3)), "b")]
-        with pytest.raises(ValueError):
-            block_sum_sq_diff(params, [np.zeros(3), np.zeros(3)])
 
 
 class TestEngine:
