@@ -11,6 +11,8 @@ from fedmoe.config import ExperimentConfig
 from fedmoe.data import DataError, RecordSet, ScenarioShard, SyntheticSpec, generate_synthetic
 from fedmoe.diffcore import Adam, Tensor, affine, batchnorm, bce, no_grad, relu, reshape, sigmoid, softmax, task_weights
 from fedmoe.federation.client import ClientSim
+from fedmoe.federation.server import FederationServer
+from fedmoe.harness import run_experiment
 from fedmoe.model import EXPERT_PARTS, TEMPLATE_PARTS, ClientModel, ModelSpec
 from reference_ops import mix_task, select
 
@@ -280,6 +282,48 @@ class TestTapeMemory:
         finally:
             tracemalloc.stop()
         assert peak - start <= 3.0 * 2**20
+
+
+class TestTrainingLoss:
+    """Training steps and the held-out psi pass minimize the multi-task BCE alone, before and after an aggregate."""
+
+    @pytest.fixture
+    def calls(self, tmp_path, monkeypatch):
+        """Per local_loss call of a two-round default-model main run: the aggregates
+        before it, its tape's op count, its loss bytes and the bytes of bce(probs, y.T)."""
+        records, aggregated = [], []
+        local_loss, aggregate = ClientModel.local_loss, FederationServer.aggregate
+
+        def loss_spy(model, x, y, *args, **kwargs):
+            loss, probs = local_loss(model, x, y, *args, **kwargs)
+            with no_grad():
+                reference = bce(probs, np.asarray(y, dtype=np.float64).T)
+            n_ops = sum(node._backward is not None for node in tape_nodes(loss))
+            records.append((len(aggregated), n_ops, loss.data.tobytes(), reference.data.tobytes()))
+            return loss, probs
+
+        def aggregate_spy(server, uploads, round_index):
+            aggregated.append(round_index)
+            return aggregate(server, uploads, round_index)
+
+        monkeypatch.setattr(ClientModel, "local_loss", loss_spy)
+        monkeypatch.setattr(FederationServer, "aggregate", aggregate_spy)
+        run_experiment(ExperimentConfig(
+            strategy="main", rounds=2, samples_per_scenario=300, batch_size=64, out_dir=str(tmp_path / "run"),
+        ))
+        return records
+
+    def test_a_step_after_an_aggregate_records_the_round_one_tape(self, calls):
+        """Round 1's steps, round 2's steps and round 2's psi passes each run the
+        default model's 14 ops (see TestTapeMemory), nothing added once
+        scenario weights were aggregated."""
+        ops = {}
+        for after, n_ops, _, _ in calls:
+            ops.setdefault(after, set()).add(n_ops)
+        assert ops == {0: {14}, 1: {14}, 2: {14}}
+
+    def test_loss_bytes_are_the_bce_of_the_probabilities(self, calls):
+        assert all(loss == reference for _, _, loss, reference in calls)
 
 
 class TestParameterPartition:

@@ -5,7 +5,6 @@ import pytest
 
 from fedmoe.config import ExperimentConfig
 from fedmoe.data import SyntheticSpec, generate_synthetic
-from fedmoe.diffcore import bce, no_grad
 from fedmoe.federation import server as server_mod
 from fedmoe.federation.client import ClientSim
 from fedmoe.federation.coordination import solve_conflict_weights
@@ -28,18 +27,6 @@ def of_kind(model, kind):
 def along(updates):
     """Increment pairs with a zero mean increment: the psi step reads only each coordinated update."""
     return {k: (np.zeros_like(u), u) for k, u in updates.items()}
-
-
-def tape_ops(root):
-    """The op nodes of the tape that ends at ``root``; leaves have no backward."""
-    ops, stack, seen = 0, [root], set()
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            ops += node._backward is not None
-            stack.extend(node._parents)
-    return ops
 
 
 def held_out_grads(client):
@@ -705,47 +692,6 @@ class TestPrivacyAudit:
         key_map = client.model.key_map()
         for k, tensor in upload.items():
             assert not np.shares_memory(tensor, key_map[k].data)
-
-
-class TestTrainingLoss:
-    """Training steps and the held-out psi pass minimize the multi-task BCE alone, before and after an aggregate."""
-
-    @pytest.fixture
-    def calls(self, tmp_path, monkeypatch):
-        """Per local_loss call of a two-round default-model main run: the aggregates
-        before it, its tape's op count, its loss bytes and the bytes of bce(probs, y.T)."""
-        records, aggregated = [], []
-        local_loss, aggregate = ClientModel.local_loss, FederationServer.aggregate
-
-        def loss_spy(model, x, y, *args, **kwargs):
-            loss, probs = local_loss(model, x, y, *args, **kwargs)
-            with no_grad():
-                reference = bce(probs, np.asarray(y, dtype=np.float64).T)
-            records.append((len(aggregated), tape_ops(loss), loss.data.tobytes(), reference.data.tobytes()))
-            return loss, probs
-
-        def aggregate_spy(server, uploads, round_index):
-            aggregated.append(round_index)
-            return aggregate(server, uploads, round_index)
-
-        monkeypatch.setattr(ClientModel, "local_loss", loss_spy)
-        monkeypatch.setattr(FederationServer, "aggregate", aggregate_spy)
-        run_experiment(ExperimentConfig(
-            strategy="main", rounds=2, samples_per_scenario=300, batch_size=64, out_dir=str(tmp_path / "run"),
-        ))
-        return records
-
-    def test_a_step_after_an_aggregate_records_the_round_one_tape(self, calls):
-        """Round 1's steps, round 2's steps and round 2's psi passes each run the
-        default model's 14 ops (see TestTapeMemory), nothing added once
-        scenario weights were aggregated."""
-        ops = {}
-        for after, n_ops, _, _ in calls:
-            ops.setdefault(after, set()).add(n_ops)
-        assert ops == {0: {14}, 1: {14}, 2: {14}}
-
-    def test_loss_bytes_are_the_bce_of_the_probabilities(self, calls):
-        assert all(loss == reference for _, _, loss, reference in calls)
 
 
 class TestSnapshotLayout:
