@@ -1,3 +1,4 @@
+import configparser
 import math
 from dataclasses import fields
 
@@ -25,12 +26,13 @@ def test_run_with_invalid_config_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_removed_lambda_reg_key_exits_2_before_any_set_up(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["run", "ablate"])
+def test_removed_lambda_reg_key_exits_2_before_any_set_up(command, tmp_path, capsys):
     """lambda_reg is no option: an INI that sets it is refused by name before any set-up."""
     ini = tmp_path / "old.ini"
     settings = "[experiment]\nrounds = 1\n\n[data]\nsamples_per_scenario = 200\n\n[optim]\nlambda_reg = 0.5\n"
     ini.write_text(settings + "\n[output]\nout_dir = " + str(tmp_path / "out") + "\n")
-    assert main(["run", "--config", str(ini)]) == 2
+    assert main([command, "--config", str(ini)]) == 2
     assert "unknown key optim.lambda_reg" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
@@ -162,6 +164,15 @@ def test_list_value_with_an_empty_element_exits_2_naming_the_field(tmp_path, cap
     assert main(["run", "--config", str(ini)]) == 2
     assert f"{section}.{name}: empty element in list {raw!r}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_ini_keys_are_the_config_fields_each_in_one_section():
+    """Every field is written, and so can be read back, under exactly one section; no other key is."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(ExperimentConfig().to_ini())
+    keys = [name for section in parser.sections() for name in parser[section]]
+    assert sorted(keys) == sorted(f.name for f in fields(ExperimentConfig))
+    assert "lambda_reg" not in keys
 
 
 def test_config_save_load_round_trip(tmp_path):

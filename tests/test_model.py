@@ -11,7 +11,7 @@ from fedmoe.config import ExperimentConfig
 from fedmoe.data import DataError, RecordSet, ScenarioShard, SyntheticSpec, generate_synthetic
 from fedmoe.diffcore import Adam, Tensor, affine, batchnorm, bce, no_grad, relu, reshape, sigmoid, softmax, task_weights
 from fedmoe.federation.client import ClientSim
-from fedmoe.federation.server import FederationServer
+from fedmoe.federation.server import COORDINATED, STRATEGY_IDS, FederationServer, resolve_strategy
 from fedmoe.harness import run_experiment
 from fedmoe.model import EXPERT_PARTS, TEMPLATE_PARTS, ClientModel, ModelSpec
 from reference_ops import mix_task, select
@@ -285,11 +285,16 @@ class TestTapeMemory:
 
 
 class TestTrainingLoss:
-    """Training steps and the held-out psi pass minimize the multi-task BCE alone, before and after an aggregate."""
+    """Training steps and the held-out psi pass minimize the multi-task BCE alone,
+    before and after an aggregate, under every strategy."""
+
+    @pytest.fixture(params=STRATEGY_IDS)
+    def strategy(self, request):
+        return request.param
 
     @pytest.fixture
-    def calls(self, tmp_path, monkeypatch):
-        """Per local_loss call of a two-round default-model main run: the aggregates
+    def calls(self, strategy, tmp_path, monkeypatch):
+        """Per local_loss call of a two-round default-model run: the aggregates
         before it, its tape's op count, its loss bytes and the bytes of bce(probs, y.T)."""
         records, aggregated = [], []
         local_loss, aggregate = ClientModel.local_loss, FederationServer.aggregate
@@ -309,20 +314,25 @@ class TestTrainingLoss:
         monkeypatch.setattr(ClientModel, "local_loss", loss_spy)
         monkeypatch.setattr(FederationServer, "aggregate", aggregate_spy)
         run_experiment(ExperimentConfig(
-            strategy="main", rounds=2, samples_per_scenario=300, batch_size=64, out_dir=str(tmp_path / "run"),
+            strategy=strategy, rounds=2, samples_per_scenario=300, batch_size=64, out_dir=str(tmp_path / "run"),
         ))
         return records
 
-    def test_a_step_after_an_aggregate_records_the_round_one_tape(self, calls):
-        """Round 1's steps, round 2's steps and round 2's psi passes each run the
-        default model's 14 ops (see TestTapeMemory), nothing added once
-        scenario weights were aggregated."""
+    def test_a_step_after_an_aggregate_records_the_round_one_tape(self, strategy, calls):
+        """Round 1's steps, round 2's steps and, where a key is coordinated,
+        round 2's psi passes each run the default model's 14 ops (see
+        TestTapeMemory), nothing added once scenario weights were aggregated.
+        local runs no server, so all its steps come before any aggregate."""
         ops = {}
         for after, n_ops, _, _ in calls:
             ops.setdefault(after, set()).add(n_ops)
-        assert ops == {0: {14}, 1: {14}, 2: {14}}
+        plan = resolve_strategy(strategy)
+        coordinated = COORDINATED in dict(plan.modes).values()
+        assert sorted(ops) == ([0, 1, 2] if coordinated else [0, 1] if plan.uses_server else [0])
+        assert all(n_ops == {14} for n_ops in ops.values())
 
     def test_loss_bytes_are_the_bce_of_the_probabilities(self, calls):
+        assert calls
         assert all(loss == reference for _, _, loss, reference in calls)
 
 
@@ -400,14 +410,24 @@ class TestParameterPartition:
 
 
 class TestLocalLoss:
-    def test_loss_is_pure_bce(self):
-        model = make_model()
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            {},
+            dict(n_tasks=1, n_experts=1, d_feat=1, expert_widths=(1,), tower_widths=(2,)),
+            dict(n_tasks=3, tower_widths=()),
+        ],
+        ids=["default", "one_task_one_expert", "three_tasks_no_tower"],
+    )
+    def test_loss_is_pure_bce(self, shape):
+        model = make_model(**shape)
+        n_tasks, d_feat = model.spec.n_tasks, model.spec.d_feat
         rng = np.random.default_rng(7)
-        x = rng.normal(0, 1, (8, 4))
-        y = (rng.random((8, 2)) < 0.5).astype(float)
+        x = rng.normal(0, 1, (8, d_feat))
+        y = (rng.random((8, n_tasks)) < 0.5).astype(float)
         loss, probs = model.local_loss(x, y)
-        assert probs.shape == (2, 8)
-        per_task = [bce(Tensor(probs.data[t]), y[:, t]).item() for t in range(2)]
+        assert probs.shape == (n_tasks, 8)
+        per_task = [bce(Tensor(probs.data[t]), y[:, t]).item() for t in range(n_tasks)]
         assert loss.item() == pytest.approx(sum(per_task), rel=1e-12)
 
 
