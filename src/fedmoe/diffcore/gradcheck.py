@@ -26,7 +26,8 @@ def grad_check(
     """Return the worst relative error between analytic and numeric gradients.
 
     ``f`` rebuilds the scalar-valued graph from the current parameter data on
-    every call.
+    every call. Each coordinate is perturbed in place, so a Parameter may be
+    any view, strided or not, of the array the graph reads.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
 
@@ -38,22 +39,22 @@ def grad_check(
 
     worst = 0.0
     for p, a in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        aflat = a.reshape(-1)
-        n = flat.size
+        n = p.data.size
         if n <= max_coords_per_param:
             coords = np.arange(n)
         else:
             coords = rng.choice(n, size=max_coords_per_param, replace=False)
         for i in coords:
-            orig = flat[i]
-            flat[i] = orig + step
+            # An index, not a reshape: reshaping a strided view copies it.
+            at = np.unravel_index(i, p.shape)
+            orig = p.data[at]
+            p.data[at] = orig + step
             f_plus = f().item()
-            flat[i] = orig - step
+            p.data[at] = orig - step
             f_minus = f().item()
-            flat[i] = orig
+            p.data[at] = orig
             numeric = (f_plus - f_minus) / (2.0 * step)
-            err = abs(aflat[i] - numeric) / max(1.0, abs(numeric))
+            err = abs(a[at] - numeric) / max(1.0, abs(numeric))
             if err > worst:
                 worst = err
     return worst

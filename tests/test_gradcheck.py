@@ -371,6 +371,25 @@ class TestSharedInputGradient:
         assert dx.tobytes() == self.running_sum(x.data, w.data, g).tobytes()
 
 
+class TestGradCheck:
+    def test_perturbs_a_strided_view_in_place(self):
+        """A (T, d_in, d_out) weight and a (T, d_out) bias cut from the rows of
+        one (T, d_in*d_out + d_out) block, as the model lays out its towers:
+        the weight is a strided view, which reshape(-1) would copy."""
+        rng = np.random.default_rng(32)
+        block, grads = rng.normal(0, 1, (2, 15)), np.zeros((2, 15))
+        w = Parameter(block[:, :12].reshape(2, 4, 3), "w", grad=grads[:, :12].reshape(2, 4, 3))
+        b = Parameter(block[:, 12:], "b", grad=grads[:, 12:])
+        assert not w.data.flags.c_contiguous and np.shares_memory(w.data, block)
+        x = rng.normal(0, 1, (2, 5, 4))
+        target = rng.normal(0, 1, (2, 5, 3))
+
+        def f():
+            return sum_sq_diff(relu(affine(Tensor(x), w, b)), target)
+
+        assert grad_check(f, [w, b], rng=np.random.default_rng(33)) < TOL
+
+
 class TestComposedGradients:
     def test_expert_layer_composition(self):
         model = small_model()
