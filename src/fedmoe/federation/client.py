@@ -12,12 +12,11 @@ update
     value = round_start + mean_increment + psi[:, None, ...] * coordinated_update,
 
 with the increment and the update each of one row's shape, and psi one
-scalar per row. ``ClientSim.psi`` keeps one array per ``SharedKey.pool``,
-the unit the server coordinates as one update: an expert layer's scenario
-weights, with one entry per expert, or a task's whole tower, with one entry
-that every tensor of the tower shares. A pool with no array yet reads 0.
-Each pool is learned by a one-step directional meta-gradient on a reserved
-held-out batch: psi falls when the local loss rises along the coordinated
+scalar per row. ``ClientSim.psi`` keeps one array per coordinated key: an
+expert layer's scenario weights, with one entry per expert, or a task's
+whole tower, with one entry. A key with no array yet reads 0. Each array
+is learned by a one-step directional meta-gradient on a reserved held-out
+batch: psi falls when the local loss rises along the coordinated
 direction, and is clamped to [-2, 2].
 """
 
@@ -59,7 +58,7 @@ class ClientSim:
         self.seed = int(seed)
         self.optimizer = Adam(model.buffer, lr=lr)
         self.eta_psi = float(eta_psi)
-        self.psi: dict[tuple, np.ndarray] = {}  # per pool, one entry per row
+        self.psi: dict[SharedKey, np.ndarray] = {}  # per coordinated key, one entry per row
         self.round_start: dict[SharedKey, np.ndarray] = {}
         if len(shard.train) < 2:
             raise data_mod.DataError("train partition too small for a batch")
@@ -112,16 +111,15 @@ class ClientSim:
             if key not in self.round_start:
                 raise KeyError(f"no round-start snapshot for coordinated key {key.label()}")
             start = self.round_start[key]
-            psi = np.reshape(self.psi.get(key.pool, 0.0), (-1, *[1] * (start.ndim - 1)))
+            psi = np.reshape(self.psi.get(key, 0.0), (-1, *[1] * (start.ndim - 1)))
             key_map[key].data[...] = start + mean_increment + psi * update
 
     def meta_update_psi(self, directive: ServerDirective) -> None:
-        """One directional meta-gradient step on each psi pool, along its rows' coordinated updates.
+        """One directional meta-gradient step on each key's psi, along its coordinated update.
 
         One held-out forward and backward gives every coordinated key's
-        gradient. Each key adds its per-row sums of grad * update into its
-        pool's array, in sorted key order; each pool then steps
-        ``psi - eta_psi * dot``, clamped to [-2, 2].
+        gradient; each key's psi steps ``psi - eta_psi * dot`` by its
+        per-row sums of grad * update, clamped to [-2, 2].
         """
         if not directive.increments:
             return
@@ -137,17 +135,16 @@ class ClientSim:
             # Without dropout the directional derivative is noise-free.
             loss, _ = model.local_loss(x, y, use_dropout=False)
             loss.backward()
-            dots: dict[tuple, np.ndarray] = {}
-            for key in sorted(directive.increments):
+            dots = {}
+            for key, (_, update) in directive.increments.items():
                 grad = key_map[key].grad
-                rows = (grad * directive.increments[key][1]).reshape(len(grad), -1).sum(axis=1)
-                dots[key.pool] = dots.get(key.pool, 0.0) + rows
+                dots[key] = (grad * update).reshape(len(grad), -1).sum(axis=1)
         finally:
             model.zero_grad()
             model.bn_in.running_mean[...] = saved_rm
             model.bn_in.running_var[...] = saved_rv
-        for pool, dot in dots.items():
-            self.psi[pool] = np.clip(self.psi.get(pool, 0.0) - self.eta_psi * dot, -PSI_CLAMP, PSI_CLAMP)
+        for key, dot in dots.items():
+            self.psi[key] = np.clip(self.psi.get(key, 0.0) - self.eta_psi * dot, -PSI_CLAMP, PSI_CLAMP)
 
     def evaluate(self, round_index: int) -> EvalReport:
         return evaluate_client(self.model, self.shard.test, round_index=round_index)

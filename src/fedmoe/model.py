@@ -11,9 +11,12 @@ Layout. Every part is stored stacked, one Parameter per part. Expert
 layer l stacks over the N experts: ``w_loc`` and ``w_s`` (N, d_in, d_out),
 ``bias`` (N, d_out), and the template's ``tmpl.w1`` (N, e, e), ``tmpl.b1``
 (N, e), ``tmpl.w2`` (N, e, d_in*d_out) and ``tmpl.b2`` (N, d_in*d_out).
-The gates and tower layers (sigmoid head last) stack over the T tasks:
-``gates.w`` (T, d_feat, N), ``gates.b`` (T, N), ``towers.l{l}.w``
-(T, d_in, d_out) and ``towers.l{l}.b`` (T, d_out). So each layer is one
+The gates stack over the T tasks: ``gates.w`` (T, d_feat, N) and
+``gates.b`` (T, N). The towers are one (T, P) block, ``towers``, laid out
+by task: task t's row holds its layers' ``w`` then ``b``, the sigmoid head
+last. The forward reads each tower layer as ``towers.l{l}.w``
+(T, d_in, d_out) and ``towers.l{l}.b`` (T, d_out), strided views of that
+block that ``parameters()`` lists in its place. So each layer is one
 node for all paths: per expert layer one ``task_weights`` node builds the
 T x N effective weights and one ``hidden_layer`` node runs every (task,
 expert) path through affine, ReLU and dropout, as (T, N, K, d_out); one
@@ -31,9 +34,9 @@ outside it. ``key_map()`` maps each federated key to a Parameter whose
 value and grad are views of the buffer, so uploads and server updates
 read and write it in place: an expert layer's parts, the task embedding,
 the input batch norm and the gates are keyed as their whole stacked
-Parameters, and each tower tensor as its task's (1, ...) row. Each key's
-kind says which set it belongs to: the scenario weights, the towers, the
-other expert parts or the rest.
+Parameters, and each task's tower as its (1, P) row of the block. Each
+key's kind says which set it belongs to: the scenario weights, the towers,
+the other expert parts or the rest.
 
 The model holds no mode: ``forward`` takes ``train`` (batch statistics and
 dropout) and ``use_dropout`` as arguments, so evaluation and the held-out
@@ -136,15 +139,14 @@ def _shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
         }
         shapes.update((f"experts.l{li}.{part}", parts[part]) for part in EXPERT_PARTS)
     shapes["gates.w"], shapes["gates.b"] = (t, spec.d_feat, n), (t, n)
-    dims = [spec.expert_widths[-1], *spec.tower_widths, 1]
-    for li, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
-        shapes[f"towers.l{li}.w"], shapes[f"towers.l{li}.b"] = (t, d_in, d_out), (t, d_out)
+    shapes["towers"] = (t, sum(d_in * d_out + d_out for d_in, d_out in _tower_dims(spec)))
     return shapes
 
 
-def _slice_view(stacked: Parameter, t: int, name: str) -> Parameter:
-    """Task t's (1, ...) row of a stacked tower parameter; value and grad are views."""
-    return Parameter(stacked.data[t : t + 1], name, grad=stacked.grad[t : t + 1])
+def _tower_dims(spec: ModelSpec) -> list[tuple[int, int]]:
+    """Each tower layer's (d_in, d_out), the sigmoid head last."""
+    dims = [spec.expert_widths[-1], *spec.tower_widths, 1]
+    return list(zip(dims[:-1], dims[1:]))
 
 
 def _carve(block: np.ndarray, k: int, widths: Sequence[int]) -> list[np.ndarray]:
@@ -161,7 +163,17 @@ def _expert_layers(spec: ModelSpec, params: dict[str, Parameter]) -> list[dict[s
 
 
 def _tower_layers(spec: ModelSpec, params: dict[str, Parameter]) -> list[dict[str, Parameter]]:
-    return [{"w": params[f"towers.l{li}.w"], "b": params[f"towers.l{li}.b"]} for li in range(len(spec.tower_widths) + 1)]
+    """Each layer's ``w`` (T, d_in, d_out) and ``b`` (T, d_out), strided views of the ``towers`` rows."""
+    block, layers, start = params["towers"], [], 0
+    for li, (d_in, d_out) in enumerate(_tower_dims(spec)):
+        layer = {}
+        for part, shape in (("w", (d_in, d_out)), ("b", (d_out,))):
+            end = start + math.prod(shape)
+            value, grad = (a[:, start:end].reshape(-1, *shape) for a in (block.data, block.grad))
+            layer[part] = Parameter(value, f"towers.l{li}.{part}", grad=grad)
+            start = end
+        layers.append(layer)
+    return layers
 
 
 def _init_expert_layers(spec: ModelSpec, layers: list[dict[str, Parameter]], rng: np.random.Generator) -> None:
@@ -246,19 +258,21 @@ class ClientModel:
         self.expert_layers = _expert_layers(spec, params)
         self.gate = {"w": params["gates.w"], "b": params["gates.b"]}
         self.tower_layers = _tower_layers(spec, params)
+        # The forward's leaves: the tower parts stand in for the block they carve.
+        self._parameters = [p for name, p in params.items() if name != "towers"]
+        self._parameters += [p for layer in self.tower_layers for p in layer.values()]
         self.rng = np.random.default_rng([init_seed, 0xD60, spec.scenario])
         self._key_map = self._build_key_map()
 
     def _build_key_map(self) -> dict[SharedKey, Parameter]:
-        """Scenario weights, tower tensors, other expert parts, then the rest."""
+        """Scenario weights, task towers, other expert parts, then the rest."""
         out: dict[SharedKey, Parameter] = {}
         for li, layer in enumerate(self.expert_layers):
             out[SharedKey(kind="expert_scenario", index=-1, layer=li, part="w_s")] = layer["w_s"]
+        towers = self.buffer.params["towers"]
         for t in range(self.spec.n_tasks):
-            for li, layer in enumerate(self.tower_layers):
-                for part, p in layer.items():
-                    key = SharedKey(kind="tower", index=t, layer=li, part=part)
-                    out[key] = _slice_view(p, t, f"tower{t}.l{li}.{part}")
+            row = Parameter(towers.data[t : t + 1], f"tower{t}", grad=towers.grad[t : t + 1])
+            out[SharedKey(kind="tower", index=t, layer=-1, part="all")] = row
         for li, layer in enumerate(self.expert_layers):
             for part in EXPERT_PARTS:
                 if part != "w_s":
@@ -272,7 +286,8 @@ class ClientModel:
     # -- parameter access ----------------------------------------------------------
 
     def parameters(self) -> list[Parameter]:
-        return list(self.buffer.params.values())
+        """Every leaf of the forward, in buffer order; together they cover the buffer."""
+        return list(self._parameters)
 
     def zero_grad(self) -> None:
         self.buffer.zero_grad()

@@ -13,6 +13,7 @@ from fedmoe.diffcore import Adam, Tensor, affine, batchnorm, bce, no_grad, relu,
 from fedmoe.federation.client import ClientSim
 from fedmoe.federation.server import COORDINATED, STRATEGY_IDS, FederationServer, resolve_strategy
 from fedmoe.harness import run_experiment
+from fedmoe.keys import SharedKey
 from fedmoe.model import EXPERT_PARTS, TEMPLATE_PARTS, ClientModel, ModelSpec
 from reference_ops import mix_task, select
 
@@ -348,7 +349,7 @@ class TestParameterPartition:
         model.buffer.values[...] = saved
         kinds = {k.kind for k in key_map}
         assert kinds == {"expert_scenario", "tower", "expert_local", "local"}
-        assert len(key_map) == 2 * len(EXPERT_PARTS) + 2 * 2 * 2 + 5
+        assert len(key_map) == 2 * len(EXPERT_PARTS) + model.spec.n_tasks + 5
 
     def test_layer_keys_are_the_stacked_parameters_and_tower_keys_task_rows(self):
         model = make_model()
@@ -358,10 +359,28 @@ class TestParameterPartition:
         keyed_whole = [p for k, p in key_map.items() if k.kind != "tower"]
         assert len(keyed_whole) == len(stacked) and all(any(p is q for q in stacked) for p in keyed_whole)
         assert all(k.index == -1 for k, p in key_map.items() if k.kind != "tower")
-        for k, p in of_kind(model, "tower").items():
-            whole = model.tower_layers[k.layer][k.part]
-            assert p.shape == (1, *whole.shape[1:])
-            assert np.shares_memory(p.data, whole.data[k.index]) and np.shares_memory(p.grad, whole.grad[k.index])
+        towers = model.buffer.params["towers"]
+        rows = of_kind(model, "tower")
+        assert list(rows) == [SharedKey("tower", t, -1, "all") for t in range(model.spec.n_tasks)]
+        for k, p in rows.items():
+            assert p.shape == (1, towers.shape[1])
+            assert np.shares_memory(p.data, towers.data[k.index]) and np.shares_memory(p.grad, towers.grad[k.index])
+
+    @pytest.mark.parametrize("tower_widths", [(4,), (4, 2), ()], ids=["one_hidden", "two_hidden", "head_only"])
+    def test_tower_key_is_its_task_row_of_the_towers_block(self, tower_widths):
+        """A task's upload is its layers' (w, b), head last, concatenated; the
+        parts the forward reads are strided views of the same rows."""
+        model = make_model(n_tasks=3, tower_widths=tower_widths)
+        towers = model.buffer.params["towers"]
+        upload = {k: p.data.copy() for k, p in of_kind(model, "tower").items()}
+        for k, row in upload.items():
+            parts = [layer[part].data[k.index].reshape(-1) for layer in model.tower_layers for part in ("w", "b")]
+            assert row.tobytes() == np.concatenate(parts).tobytes() == towers.data[k.index].tobytes()
+        for layer in model.tower_layers:
+            for part in ("w", "b"):
+                assert np.shares_memory(layer[part].data, towers.data)
+                assert np.shares_memory(layer[part].grad, towers.grad)
+        assert model.tower_layers[-1]["w"].shape == (3, (*model.spec.expert_widths, *tower_widths)[-1], 1)
 
     def test_parameters_and_keys_are_views_of_the_buffers(self):
         model = make_model()
@@ -405,8 +424,11 @@ class TestParameterPartition:
 
     def test_tower_set_covers_all_tower_params(self):
         model = make_model(tower_widths=(4, 2))
-        per_task = 3 * 2  # two hidden + output head, times (w, b)
-        assert len(of_kind(model, "tower")) == per_task * 2
+        rows = of_kind(model, "tower")
+        assert len(rows) == model.spec.n_tasks  # one key per task: its whole tower
+        per_task = (3 * 4 + 4) + (4 * 2 + 2) + (2 * 1 + 1)  # two hidden layers and the head, w and b
+        assert all(p.shape == (1, per_task) for p in rows.values())
+        assert sum(p.size for layer in model.tower_layers for p in layer.values()) == per_task * len(rows)
 
 
 class TestLocalLoss:

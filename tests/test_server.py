@@ -6,13 +6,11 @@ import pytest
 from fedmoe.config import ExperimentConfig
 from fedmoe.data import SyntheticSpec, generate_synthetic
 from fedmoe.federation import server as server_mod
-from fedmoe.federation.client import ClientSim
 from fedmoe.federation.coordination import solve_conflict_weights
 from fedmoe.federation.server import STRATEGIES, FederationServer, ServerDirective, resolve_strategy, upload_keys
 from fedmoe.federation.snapshot import read_snapshot, write_snapshot
 from fedmoe.harness import build_clients, run_experiment
 from fedmoe.keys import KINDS, SharedKey
-from fedmoe.model import ClientModel, ModelSpec
 
 
 def key(kind="expert_scenario", index=-1, layer=0, part="w_s"):
@@ -49,16 +47,11 @@ def held_out_grads(client):
 
 
 def replay_psi_step(values, eta, grads, updates):
-    """The per-slot scalar psi rule: each (kind, expert, layer) or (kind, task) slot a Python float, stepped one by one."""
-    dots = {}
-    for k in sorted(updates):
-        grad = grads[k]
-        rows = (grad * updates[k]).reshape(len(grad), -1).sum(axis=1)
-        slots = [(k.kind, k.index)] if k.kind == "tower" else [(k.kind, e, k.layer) for e in range(len(grad))]
-        for slot, dot in zip(slots, rows):
-            dots[slot] = dots.get(slot, 0.0) + float(dot)
-    for slot, dot in dots.items():
-        values[slot] = float(np.clip(values.get(slot, 0.0) - eta * dot, -2.0, 2.0))
+    """The per-slot scalar psi rule: each (key, row) slot a Python float, stepped one by one."""
+    for k, update in updates.items():
+        for row, grad in enumerate(grads[k]):
+            dot = float(np.sum(grad * update))
+            values[k, row] = float(np.clip(values.get((k, row), 0.0) - eta * dot, -2.0, 2.0))
 
 
 def shards(s=2, seed=0, n=300, d=4, t=2):
@@ -177,34 +170,22 @@ def two_rounds(n_experts=2):
     return directive, normalized, config
 
 
-def pool_increments(directive, keys):
-    """A pool's mean increment and coordinated update: its keys' slices end to end, in the given key order."""
-    return tuple(np.concatenate([directive.increments[k][i].ravel() for k in keys]) for i in (0, 1))
+def tower_tensor_sizes(config):
+    """The sizes of one task's tower tensors in its row: each layer's w then b, the head last."""
+    dims = [config.expert_widths[-1], *config.tower_widths, 1]
+    return [size for d_in, d_out in zip(dims[:-1], dims[1:]) for size in (d_in * d_out, d_out)]
 
 
 class TestPoolCoordination:
-    """One solve per SharedKey.pool: an expert layer's scenario weights, or a task's whole tower."""
+    """One solve per coordinated key: an expert layer's scenario weights, or a task's whole tower."""
 
-    @pytest.mark.parametrize(
-        "k, pool",
-        [
-            (SharedKey("expert_scenario", -1, 0, "w_s"), ("expert_scenario", 0)),
-            (SharedKey("expert_scenario", -1, 2, "w_s"), ("expert_scenario", 2)),
-            (SharedKey("tower", 0, 0, "w"), ("tower", 0)),
-            (SharedKey("tower", 0, 1, "b"), ("tower", 0)),
-            (SharedKey("tower", 1, 0, "w"), ("tower", 1)),
-        ],
-    )
-    def test_pool_table(self, k, pool):
-        assert k.pool == pool
-
-    def test_coordinated_keys_form_one_pool_per_expert_layer_and_task(self):
+    def test_coordinated_keys_are_one_per_expert_layer_and_task(self):
         clients, _ = make_clients(s=2)
         model = clients[0].model
         keys = upload_keys(resolve_strategy("main"), model)
-        expected = {("expert_scenario", li) for li in range(len(model.expert_layers))}
-        expected |= {("tower", t) for t in range(model.spec.n_tasks)}
-        assert {k.pool for k in keys} == expected
+        expected = [SharedKey("expert_scenario", -1, li, "w_s") for li in range(len(model.expert_layers))]
+        expected += [SharedKey("tower", t, -1, "all") for t in range(model.spec.n_tasks)]
+        assert keys == sorted(expected)
 
     def test_each_round_solves_one_pool_per_expert_layer_and_task(self, tmp_path, solve_rows):
         config = ExperimentConfig(
@@ -216,43 +197,33 @@ class TestPoolCoordination:
         rows = [config.scenarios * config.experts] * len(config.expert_widths) + [config.scenarios] * config.tasks
         assert solve_rows == rows * (config.rounds - 1)  # none in round 1
 
-    def test_tower_pool_slices_are_one_solve_over_the_concatenated_deltas(self):
-        directive, normalized, config = two_rounds()
-        for task in range(2):
-            keys = sorted(k for k in normalized[1] if k.pool == ("tower", task))
-            assert len(keys) == 4  # w and b of the hidden layer and of the head
-            deltas = np.concatenate([(normalized[1][k] - normalized[0][k]).reshape(2, -1) for k in keys], axis=1)
-            expected = solve_conflict_weights(deltas, deltas.mean(axis=0), config.c)
-            mean_increment, update = pool_increments(directive, keys)
-            assert np.array_equal(mean_increment, deltas.mean(axis=0))
-            assert np.array_equal(update, expected.u_star)
-
-    def test_expert_pool_is_its_one_key_solved_alone(self):
-        """A one-key pool gives, bit for bit, the solve over that key's own (C·N, d_in, d_out) deltas."""
+    def test_each_key_is_one_solve_over_its_own_deltas(self):
+        """Bit for bit, the solve over the key's (C·P, -1) deltas: C·3 expert rows of a layer, or C task rows of a tower."""
         directive, normalized, config = two_rounds(n_experts=3)
-        layers = [k for k in normalized[1] if k.kind == "expert_scenario"]
-        assert len(layers) == 2
-        for k in layers:
-            deltas = normalized[1][k] - normalized[0][k]
-            assert len(deltas) == 2 * 3
+        assert sorted((k.kind, len(rows)) for k, rows in normalized[1].items()) == [
+            ("expert_scenario", 2 * 3), ("expert_scenario", 2 * 3), ("tower", 2), ("tower", 2)
+        ]
+        for k, rows in normalized[1].items():
+            deltas = (rows - normalized[0][k]).reshape(len(rows), -1)
             mean_delta = deltas.mean(axis=0)
             mean_increment, update = directive.increments[k]
-            assert np.array_equal(mean_increment, mean_delta)
-            assert np.array_equal(update, solve_conflict_weights(deltas, mean_delta, config.c).u_star)
+            assert mean_increment.shape == update.shape == rows.shape[1:]
+            assert np.array_equal(mean_increment.ravel(), mean_delta)
+            assert np.array_equal(update.ravel(), solve_conflict_weights(deltas, mean_delta, config.c).u_star)
 
-    def test_update_sits_on_the_ball_of_the_whole_pool_not_of_each_tensor(self):
+    def test_update_sits_on_the_ball_of_the_whole_tower_not_of_each_tensor(self):
         directive, normalized, config = two_rounds()
+        ends = np.cumsum(tower_tensor_sizes(config))[:-1]
         for task in range(2):
-            keys = sorted(k for k in normalized[1] if k.pool == ("tower", task))
-            mean_increment, update = pool_increments(directive, keys)
+            mean_increment, update = directive.increments[SharedKey("tower", task, -1, "all")]
             assert np.linalg.norm(update - mean_increment) == pytest.approx(
                 config.c * np.linalg.norm(mean_increment), rel=1e-9
             )
             per_tensor = [
-                np.linalg.norm(directive.increments[k][1] - directive.increments[k][0])
-                / np.linalg.norm(directive.increments[k][0])
-                for k in keys
+                np.linalg.norm(u - m) / np.linalg.norm(m)
+                for m, u in zip(np.split(mean_increment, ends), np.split(update, ends))
             ]
+            assert len(per_tensor) == 4  # w and b of the hidden layer and of the head
             assert max(abs(ratio - config.c) for ratio in per_tensor) > 1e-3
 
 
@@ -265,7 +236,7 @@ class TestPersonalizedApply:
         param = of_kind(client.model, "expert_scenario")[k]
         param.data[...] = 1.0
         client.begin_round([k])
-        client.psi[(k.kind, k.layer)] = np.array([2.0, -1.0])
+        client.psi[k] = np.array([2.0, -1.0])
         directive = ServerDirective(
             round_index=2,
             increments={k: (np.full(param.shape[1:], 0.5), np.full(param.shape[1:], 0.25))},
@@ -321,7 +292,7 @@ class TestPsiMetaUpdate:
             increments=along({k: np.zeros(of_kind(client.model, "expert_scenario")[k].shape[1:])}),
         )
         client.meta_update_psi(directive)
-        assert np.array_equal(client.psi[(k.kind, k.layer)], [0.0])
+        assert np.array_equal(client.psi[k], [0.0])
 
     def test_descending_direction_raises_psi(self):
         client = self.build_client()
@@ -329,7 +300,7 @@ class TestPsiMetaUpdate:
         grads = held_out_grads(client)
         directive = ServerDirective(round_index=2, increments=along({k: -grads[k][0]}))
         client.meta_update_psi(directive)
-        assert client.psi[(k.kind, k.layer)][0] > 0.0
+        assert client.psi[k][0] > 0.0
 
     def test_each_expert_row_steps_its_own_psi(self):
         """A layer's rows step apart, each by its own directional derivative, bit for bit as a per-expert sum."""
@@ -342,7 +313,7 @@ class TestPsiMetaUpdate:
         client.meta_update_psi(directive)
         for k in u:
             expected = [-client.eta_psi * float(np.sum(grads[k][e] * u[k])) for e in range(3)]
-            assert client.psi[(k.kind, k.layer)].tolist() == expected
+            assert client.psi[k].tolist() == expected
             assert len(set(expected)) == 3
 
     def test_directional_derivative_matches_finite_difference(self):
@@ -389,10 +360,10 @@ class TestPsiMetaUpdate:
         u = np.full(of_kind(client.model, "expert_scenario")[k].shape[1:], 1.0)
         directive = ServerDirective(round_index=2, increments=along({k: u}))
         client.meta_update_psi(directive)
-        assert abs(client.psi[(k.kind, k.layer)][0]) == 2.0
+        assert abs(client.psi[k][0]) == 2.0
 
-    def test_tower_tensors_of_a_task_share_one_step(self):
-        """A task's tower tensors share one psi, stepped once by the sum of their directional derivatives."""
+    def test_a_task_tower_steps_one_psi_over_its_whole_row(self):
+        """A task's tower is one key: one psi, stepped by the directional derivative over every tower tensor."""
         client = self.build_client()
         towers = of_kind(client.model, "tower")
         rng = np.random.default_rng(1)
@@ -400,14 +371,12 @@ class TestPsiMetaUpdate:
         directive = ServerDirective(round_index=2, increments=along(u))
         grads = held_out_grads(client)
         client.meta_update_psi(directive)
-        for task in range(client.model.spec.n_tasks):
-            task_keys = sorted(k for k in towers if k.index == task)
-            dot = 0.0
-            for k in task_keys:
-                dot += float(np.sum(grads[k] * u[k]))
-            assert client.psi[("tower", task)].tolist() == [-client.eta_psi * dot]
+        assert sorted(client.psi) == sorted(towers) == [SharedKey("tower", t, -1, "all") for t in range(2)]
+        for k in towers:
+            assert u[k].shape == (towers[k].size,)
+            assert client.psi[k].tolist() == [-client.eta_psi * float(np.sum(grads[k] * u[k]))]
 
-    def test_pool_arrays_equal_the_per_slot_scalar_rule(self):
+    def test_psi_arrays_equal_the_per_slot_scalar_rule(self):
         """Two psi steps of a 3-expert, 2-layer, 2-task client give, byte for byte, the floats of stepping each slot alone."""
         clients, _ = make_clients(s=2, n_experts=3, widths=(6, 3))
         client = clients[0]
@@ -422,13 +391,10 @@ class TestPsiMetaUpdate:
             replay_psi_step(values, client.eta_psi, held_out_grads(client), u)
             client.meta_update_psi(ServerDirective(round_index=2 + step, increments=along(u)))
             client.local_phase(2 + step, max_batches=1)
-        expected = {}
-        for slot, value in sorted(values.items()):
-            pool = slot if slot[0] == "tower" else (slot[0], slot[2])
-            expected.setdefault(pool, []).append(value)
-        assert set(client.psi) == set(expected)
-        for pool, row in expected.items():
-            assert client.psi[pool].tobytes() == np.array(row).tobytes(), pool
+        assert set(client.psi) == set(coordinated)
+        for k, p in coordinated.items():
+            expected = [values[k, row] for row in range(len(p.data))]
+            assert client.psi[k].tobytes() == np.array(expected).tobytes(), k
         magnitudes = np.abs(np.concatenate(list(client.psi.values())))
         assert (magnitudes == 2.0).any() and (magnitudes < 2.0).any()
 
@@ -695,7 +661,7 @@ class TestPrivacyAudit:
 
 
 class TestSnapshotLayout:
-    """A key's server state is written once, and its normalized rows once per client, whatever its pool."""
+    """A key's server state is written once, and its normalized rows once per client, whatever its row count."""
 
     def test_round_two_holds_one_entry_per_key_and_role(self, tmp_path):
         clients, config = make_clients(s=2, n_experts=3)
