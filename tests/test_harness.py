@@ -37,37 +37,37 @@ PINNED_SHA256 = {
     "main": {
         "metrics.csv": "dea119d82057d18a604fa060f643e305a88dcaf281024f4b40e74181a9f55b82",
         "convergence.csv": "e5836b2d1927f91151b9684f0d9c9ffa9a0123ee075db64259d465326399f34e",
-        "snapshots/round_1.bin": "55cb0d63eea5c3f6d7a806a1a228cee3814a7fdd66701932a08512d33b192f20",
-        "snapshots/round_2.bin": "23716bf862e0fc9f5f9d8ed2073686ddadcb217b9d895c2839363328f2d23ac9",
-        "snapshots/round_3.bin": "5abb0608afeb76cfc503446ebf1e1ce5cca6e92b584f1e8e31f3ec90ad286423",
+        "snapshots/round_1.bin": "273d995382c6b13812cfef77380353ce8138c868c17790e489c55ab7183db550",
+        "snapshots/round_2.bin": "bbc4db0a60271b4f65e71c4782e0ce70578144ad7f8859c9af867c6a21d3e805",
+        "snapshots/round_3.bin": "7e18926848da12f56b3ecc1391950d15d81ffc7d9f032efb8d9e6dc43420d312",
     },
     "a1": {
         "metrics.csv": "eea64587a964ae15850744e9816e92c520633fc1314f08addbd3a2b8cef79808",
         "convergence.csv": "309a5d81082ff093ca98734e510031c2493b2f322ad33f0919e19f6abfebee5f",
-        "snapshots/round_1.bin": "f42f909381c3ed6d35c8703b0b5e43c6d5f4f822a09794d5297f9ce05339285d",
-        "snapshots/round_2.bin": "a6791983ff457fe7223ef3081d1e0da46ccc5b586955646b795b0cf72f61440b",
-        "snapshots/round_3.bin": "1d171d714ce8b693505981256f6d52e697899eb29c3440b0bcb04015a0b3d357",
+        "snapshots/round_1.bin": "c39d3db58403b0a49a5eb447c3cb119cc1338c8e1b486d9a2a9c640f1ca19f21",
+        "snapshots/round_2.bin": "3306d7fb7e2c574c913ba918efb058620e3608505a3c5bc75af536c9a7d21863",
+        "snapshots/round_3.bin": "8f31a1db28c0ea13b9fe6616504cc1be238f4c9edbe98c43d95cb573743b38e3",
     },
     "a2": {
         "metrics.csv": "d7465a56b1fdb17f7d13f7a023e666be50df45bbc93b6edcbbc959eff342a6d6",
         "convergence.csv": "1e715ab4e7bd7465b6d2e900e46eced183db3b019fba735b7b13920da97556a6",
-        "snapshots/round_1.bin": "de8aba8a03e7455851d3513bce675c331f7a1e84e92d6a83f193cc8725ac1082",
-        "snapshots/round_2.bin": "57ecfbca9e472c253310fb160a59659531e6d808963a68e81be86049bf352ca4",
-        "snapshots/round_3.bin": "3db9fc7b4d66f45aaab8581a52da01f5356876832a4511133dbfe10df6c10055",
+        "snapshots/round_1.bin": "3a151f247e7b6198fd2135b02ce8ac8cde0873dd6230b5dd9b2e69a3d53f5cca",
+        "snapshots/round_2.bin": "37a6268a1e25246d06af06e6f02831c91e4e8a5bfa53ea4508fd3d645f9a29a0",
+        "snapshots/round_3.bin": "37c137be5707ca50d552635d585d30132ce44307bb1981dd549a347a6d8523fa",
     },
     "a4": {
         "metrics.csv": "d6c12d60c9c8f4447700e23d4e0fbac5dd8ed9f76eed6d363d11c48cc6c3a538",
         "convergence.csv": "f8aa0c29109fa8dd21c821f4b4a3c1cd34e2bc5a5f308a0f9dd8760a8de9e91b",
-        "snapshots/round_1.bin": "c3fd2873b94160b7ab160de38c2f5998a176f2d89f200c2a681c3dee9a9d677f",
-        "snapshots/round_2.bin": "7d4fd10879b916b2787739cb362edd97d768b5f20c9fad5328e5015830f82054",
-        "snapshots/round_3.bin": "b10dc942acc804b376b9b2cd62cb0856aa410292a6ef8703eda901d8cecab25d",
+        "snapshots/round_1.bin": "4ca025fdcc23cea3cf048f26ad6291bed51a607dfae34b0f33692a71943bc18c",
+        "snapshots/round_2.bin": "a9e018a00ce5714fcb1f88c64ce90447cc40a3d5d2b5b00c6faafa562de130fb",
+        "snapshots/round_3.bin": "b6ffab1cdfc407e74df8d9b76158ee6eb0d37995ab4b1b6621401fade190e753",
     },
     "fedavg": {
         "metrics.csv": "bf2d2bcd1170eaa7f5503fa00898a7af03227d6116d38b2d586f2e2fd6ded73e",
         "convergence.csv": "d4fb549d1548b8c1405ccc785f7cf1db174585bb932f9e6c1b0c0b8d5b19b57f",
-        "snapshots/round_1.bin": "8ba9c4864f520df7545d7b2ef881113db5e72719898648cfc91d8fc069d3d0e9",
-        "snapshots/round_2.bin": "57cb285beb6b6cde9efe03406338c552b38e75f7608119e1eaf0080e864100a8",
-        "snapshots/round_3.bin": "5432f8f4e7b0496e59eda99e51322fc629270a85f722c595277d63aff52fe8cf",
+        "snapshots/round_1.bin": "ce6a39d6ba59fbdbb3cf481b5e2945083ae68996afed474bf734071d83751e06",
+        "snapshots/round_2.bin": "1ab4f1e25d08d5fdd6b439a766b9110a2194dbe0d40fe53d2f848e1e59d24c47",
+        "snapshots/round_3.bin": "658b7bab96e495be8da8e2b694852e355fd38b3610c7bbaf126c12219b5d3206",
     },
     "local_one_task_one_expert": {
         "metrics.csv": "bd6237893185784fa03d98bd23465a22cd87f741112b07c5e6d1457efd13c72f",
@@ -76,16 +76,16 @@ PINNED_SHA256 = {
     "main_three_tasks_no_tower": {
         "metrics.csv": "1af23f65f4fb6522b1f4fd4847b6787892f917d1b5d9c7dbdca8e063ac10b57f",
         "convergence.csv": "1f59b76c0abd10d1e292b8ca60fd871e638e5f07f5981eb24fe92d03eb41f9cf",
-        "snapshots/round_1.bin": "74f90c149b5e628066274b7092971081bb3b7f79ed2647dc7ac4be09da50f5b8",
-        "snapshots/round_2.bin": "abf7a7402ac3ba39dac4a276b1e4814d19d84e4ed718e0e39262cc19b1788ab1",
-        "snapshots/round_3.bin": "84eb01804945a6a2bfdba8634173193dcf8c6c92bbde40a90b266b03384ffb30",
+        "snapshots/round_1.bin": "ecbd5294c50ae7d2a9cc1673992c96875b114673c8e84982466f95f8da3bb770",
+        "snapshots/round_2.bin": "02609d3c0a8d04850cabc72dcb2528f9742b1b6861a92385a6fe526e6343a070",
+        "snapshots/round_3.bin": "bd159e9cf52b2bf68c328de68e1b69567ed18156c4237dca4f55c3e3d3e79b29",
     },
     "main_three_clients_three_experts": {
         "metrics.csv": "bdcf79fd640558064654edc07093260be7989ae352df5e6fc9857d82ca36cfa5",
         "convergence.csv": "aa3ea69496ac401b3bea363df92c5641ed22aaad55d15ebdcb5a8b901d399e14",
-        "snapshots/round_1.bin": "c0b2c7aaac1695d8055951e229d8a7389086938e948984a1ca63f27e71873c0b",
-        "snapshots/round_2.bin": "d31fb565c829747f25c15ddd395aeb71a8395fd95e853dcd170289c69c4c95f6",
-        "snapshots/round_3.bin": "11b0047393a9175c742e16f889313d8562a6efc0a76dad932ab85f67abf56987",
+        "snapshots/round_1.bin": "3aaeac241290501cdc859759e8d1b5ec8612cb6ab9d595d7008fd85ad3703257",
+        "snapshots/round_2.bin": "6afb9032de42569130189c01441c91896d5993f1b16a2b1404ee6de369da625a",
+        "snapshots/round_3.bin": "307fd0bba571f236efad7c34aec6520798905ef0352a693b6bda68fc1735aaf1",
     },
 }
 # The cases that are not a strategy on small_config: the smallest model, a
