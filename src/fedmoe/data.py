@@ -12,7 +12,7 @@ import csv
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 

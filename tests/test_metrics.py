@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedmoe import metrics
-from fedmoe.data import RecordSet, SyntheticSpec, generate_synthetic
+from fedmoe.data import SyntheticSpec, generate_synthetic
 from fedmoe.metrics import UndefinedAUCError, auc_bruteforce, auc_fast, evaluate_client
 from fedmoe.model import ClientModel, ModelSpec
 
