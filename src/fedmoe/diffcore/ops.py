@@ -262,7 +262,7 @@ def mix_experts(gates: Tensor, experts: Tensor) -> Tensor:
     ``out[t] = sum_n gates[t, :, n] * experts[t, n]``.
 
     gates: the (T, K, N) simplex rows of every task; experts: the
-    (T, N, K, d) output of ``expert_layer``. Output (T, K, d). One einsum
+    (T, N, K, d) output of ``hidden_layer``. Output (T, K, d). One einsum
     over t sums each task's products in the order a mix of that task's
     slice alone does, so values and gradients equal the per-task ones bit
     for bit.
