@@ -1,10 +1,11 @@
 """Batch normalization over 2-D activations with the exact train-mode gradient.
 
-Train mode normalizes with the biased batch variance (divide by K) and
-updates running statistics in place; its backward pass differentiates
-through the batch mean and variance. Eval mode normalizes with the stored
-running statistics and only scores: its output is a constant, with no
-parents and no backward.
+Train mode normalizes with the biased batch variance (divide by K); its
+backward pass differentiates through the batch mean and variance. Eval mode
+normalizes with the stored running statistics and only scores: its output
+is a constant, with no parents and no backward. ``batchnorm`` writes
+nothing in either mode. The running statistics change only through
+``BNState.track``, which the training loop calls once per training batch.
 """
 
 from __future__ import annotations
@@ -37,6 +38,13 @@ class BNState:
         d = gamma.shape[0]
         return cls(gamma, beta, running_mean=np.zeros(d), running_var=np.ones(d))
 
+    def track(self, x: np.ndarray) -> None:
+        """Fold one training batch's (K, d) feature means and biased variances into the running statistics."""
+        self.running_mean *= 1.0 - MOMENTUM
+        self.running_mean += MOMENTUM * x.mean(axis=0)
+        self.running_var *= 1.0 - MOMENTUM
+        self.running_var += MOMENTUM * x.var(axis=0)
+
 
 def batchnorm(x: Tensor, state: BNState, train: bool) -> Tensor:
     """Normalize each feature column; affine-restore with learnable gamma/beta."""
@@ -53,11 +61,6 @@ def batchnorm(x: Tensor, state: BNState, train: bool) -> Tensor:
         inv = 1.0 / np.sqrt(var + EPS)
         xhat = (x.data - mu) * inv
         out = gamma.data * xhat + beta.data
-
-        state.running_mean *= 1.0 - MOMENTUM
-        state.running_mean += MOMENTUM * mu
-        state.running_var *= 1.0 - MOMENTUM
-        state.running_var += MOMENTUM * var
 
         def backward(g):
             dgamma = (g * xhat).sum(axis=0)

@@ -1,7 +1,9 @@
 """Client-side round protocol: local training, uploads, personalized apply.
 
 ``local_phase`` is the client's one training loop: shuffled epochs over the
-train partition, one loss, backward and Adam step per batch.
+train partition, one loss, backward and Adam step per batch. It is also the
+one writer of the input batch norm's running statistics, which it folds in
+once per training batch: the model's forward writes no state of its own.
 
 The client uploads value copies of the keyed tensors a strategy declares,
 never gradients or data. After the server round it sets each key's mean
@@ -87,6 +89,7 @@ class ClientSim:
             seed = _mix(self.seed, self.index, round_index, epoch)
             for n_batches, (bx, by) in enumerate(data_mod.batch_iter(self.shard.train, self.batch_size, seed), start=1):
                 loss, _ = self.model.local_loss(bx, by)
+                self.model.bn_in.track(bx)
                 loss.require_finite("training loss")
                 loss.backward()
                 self.optimizer.step()
@@ -117,34 +120,25 @@ class ClientSim:
     def meta_update_psi(self, directive: ServerDirective) -> None:
         """One directional meta-gradient step on each key's psi, along its coordinated update.
 
-        One held-out forward and backward gives every coordinated key's
-        gradient; each key's psi steps ``psi - eta_psi * dot`` by its
-        per-row sums of grad * update, clamped to [-2, 2].
+        One dropout-free held-out forward and backward gives every
+        coordinated key's gradient; each key's psi steps
+        ``psi - eta_psi * dot`` by its per-row sums of grad * update,
+        clamped to [-2, 2]. The forward writes no model state, so the pass
+        leaves the model as it found it once the grads are zeroed again.
         """
         if not directive.increments:
             return
-        model = self.model
-        key_map = model.key_map()
+        key_map = self.model.key_map()
         x, y = self.held_out
-        # Train-mode batch norm updates the running statistics; this pass
-        # must leave them as training left them.
-        saved_rm = model.bn_in.running_mean.copy()
-        saved_rv = model.bn_in.running_var.copy()
-        model.zero_grad()
-        try:
-            # Without dropout the directional derivative is noise-free.
-            loss, _ = model.local_loss(x, y, use_dropout=False)
-            loss.backward()
-            dots = {}
-            for key, (_, update) in directive.increments.items():
-                grad = key_map[key].grad
-                dots[key] = (grad * update).reshape(len(grad), -1).sum(axis=1)
-        finally:
-            model.zero_grad()
-            model.bn_in.running_mean[...] = saved_rm
-            model.bn_in.running_var[...] = saved_rv
-        for key, dot in dots.items():
+        self.model.zero_grad()
+        # Without dropout the directional derivative is noise-free.
+        loss, _ = self.model.local_loss(x, y, use_dropout=False)
+        loss.backward()
+        for key, (_, update) in directive.increments.items():
+            grad = key_map[key].grad
+            dot = (grad * update).reshape(len(grad), -1).sum(axis=1)
             self.psi[key] = np.clip(self.psi.get(key, 0.0) - self.eta_psi * dot, -PSI_CLAMP, PSI_CLAMP)
+        self.model.zero_grad()
 
     def evaluate(self, round_index: int) -> EvalReport:
         return evaluate_client(self.model, self.shard.test, round_index=round_index)

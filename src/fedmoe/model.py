@@ -40,7 +40,11 @@ the other expert parts or the rest.
 
 The model holds no mode: ``forward`` takes ``train`` (batch statistics and
 dropout) and ``use_dropout`` as arguments, so evaluation and the held-out
-psi pass never switch a flag they must restore.
+psi pass never switch a flag they must restore. Nor does the forward write
+the input batch norm's running statistics; the training loop folds each
+training batch into them with ``BNState.track``. So a forward is a pure
+function of the parameters and the batch, and one with dropout moves
+nothing but the position of the model's rng.
 
 The scenario weight is initialized once from a scenario template applied to
 the client's scenario embedding and is afterwards trained directly; the
@@ -328,9 +332,9 @@ class ClientModel:
     def forward(self, x: np.ndarray, train: bool = True, use_dropout: bool = True) -> Tensor:
         """The (T, K) probabilities of every task for a feature batch (K, d_feat).
 
-        ``train`` selects batch statistics for the input batch norm (and
-        updates its running statistics) over the running ones, and enables
-        dropout; ``use_dropout=False`` turns dropout off in train mode too.
+        ``train`` selects batch statistics for the input batch norm over
+        the running ones, and enables dropout; ``use_dropout=False`` turns
+        dropout off in train mode too. No mode writes the running statistics.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.spec.d_feat:

@@ -1,15 +1,18 @@
 import copy
 import gc
+import itertools
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
+from fedmoe import data as data_mod
 from fedmoe import model as model_mod
 from fedmoe.config import ExperimentConfig
 from fedmoe.data import DataError, RecordSet, ScenarioShard, SyntheticSpec, generate_synthetic
 from fedmoe.diffcore import Adam, Tensor, affine, batchnorm, bce, no_grad, relu, reshape, sigmoid, softmax, task_weights
+from fedmoe.federation import client as client_mod
 from fedmoe.federation.client import ClientSim
 from fedmoe.federation.server import COORDINATED, STRATEGY_IDS, FederationServer, resolve_strategy
 from fedmoe.harness import run_experiment
@@ -114,7 +117,7 @@ class TestClientForward:
         x = np.random.default_rng(2).normal(0, 1, (6, 4))
         preds = model.forward(x)
         # recompute the same pipeline piecewise; train-mode BN output is a pure
-        # function of the batch, so state updates do not disturb equality
+        # function of the batch
         xhat = batchnorm(Tensor(x), model.bn_in, train=True)
         h = expert_path(model, xhat, task=0, expert=0)
         expected = tower_path(model, h, task=0)
@@ -452,6 +455,20 @@ class TestLocalLoss:
         per_task = [bce(Tensor(probs.data[t]), y[:, t]).item() for t in range(n_tasks)]
         assert loss.item() == pytest.approx(sum(per_task), rel=1e-12)
 
+    @pytest.mark.parametrize("use_dropout", [True, False], ids=["dropout", "no_dropout"])
+    def test_train_loss_leaves_the_running_statistics(self, use_dropout):
+        """A train-mode forward reads batch statistics and writes none: only the training loop tracks them."""
+        model = make_model(dropout=0.2)
+        model.bn_in.running_mean[...] = np.linspace(-1.0, 1.0, 4)
+        model.bn_in.running_var[...] = np.linspace(0.5, 2.0, 4)
+        before = (model.bn_in.running_mean.tobytes(), model.bn_in.running_var.tobytes())
+        rng = np.random.default_rng(8)
+        x = rng.normal(3.0, 2.0, (8, 4))
+        y = (rng.random((8, 2)) < 0.5).astype(float)
+        loss, _ = model.local_loss(x, y, use_dropout=use_dropout)
+        loss.backward()
+        assert (model.bn_in.running_mean.tobytes(), model.bn_in.running_var.tobytes()) == before
+
 
 class TestTrainEpoch:
     """Local training, as ClientSim.local_phase runs it."""
@@ -500,6 +517,24 @@ class TestTrainEpoch:
         per_epoch = -(-n // client.batch_size)
         client.local_phase(1, epochs=epochs, max_batches=max_batches)
         assert client.optimizer.step_count == epochs * min(per_epoch, max_batches or per_epoch)
+
+    def test_running_statistics_are_the_average_of_the_training_batches(self):
+        """``local_phase`` folds every batch it trains on, and no other, into the input batch norm's
+        running statistics: an exponential moving average replayed from ``batch_iter``'s batches."""
+        client = self.client(make_model(dropout=0.2))
+        epochs, max_batches = 2, 3
+        client.local_phase(4, epochs=epochs, max_batches=max_batches)
+        mean, var = np.zeros(4), np.ones(4)
+        for epoch in range(epochs):
+            seed = client_mod._mix(client.seed, client.index, 4, epoch)
+            batches = data_mod.batch_iter(client.shard.train, client.batch_size, seed)
+            for bx, _ in itertools.islice(batches, max_batches):
+                mean *= 0.9
+                mean += 0.1 * bx.mean(axis=0)
+                var *= 0.9
+                var += 0.1 * bx.var(axis=0)
+        assert client.model.bn_in.running_mean.tobytes() == mean.tobytes()
+        assert client.model.bn_in.running_var.tobytes() == var.tobytes()
 
     def test_single_record_train_partition_rejected(self):
         shard = self.shard()

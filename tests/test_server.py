@@ -30,19 +30,15 @@ def along(updates):
 def held_out_grads(client):
     """Every key's gradient of the held-out loss, from the dropout-free forward and backward the psi step runs.
 
-    Leaves the model's grads zero and its batch-norm running statistics as it found them.
+    Leaves the model's grads zero.
     """
     model = client.model
     x, y = client.held_out
-    saved_rm = model.bn_in.running_mean.copy()
-    saved_rv = model.bn_in.running_var.copy()
     model.zero_grad()
     loss, _ = model.local_loss(x, y, use_dropout=False)
     loss.backward()
     grads = {k: p.grad.copy() for k, p in model.key_map().items()}
     model.zero_grad()
-    model.bn_in.running_mean[...] = saved_rm
-    model.bn_in.running_var[...] = saved_rv
     return grads
 
 
