@@ -140,8 +140,8 @@ class ClientSim:
             self.psi[key] = np.clip(self.psi.get(key, 0.0) - self.eta_psi * dot, -PSI_CLAMP, PSI_CLAMP)
         self.model.zero_grad()
 
-    def evaluate(self, round_index: int) -> EvalReport:
-        return evaluate_client(self.model, self.shard.test, round_index=round_index)
+    def evaluate(self) -> EvalReport:
+        return evaluate_client(self.model, self.shard.test)
 
 
 def _mix(*parts: int) -> int:

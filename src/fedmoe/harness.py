@@ -162,7 +162,7 @@ def run_experiment(
                 write_snapshot(snapshot_dir / f"round_{r}.bin", plan.name, r, server.last_snapshot_entries)
 
             for client in clients:
-                report = client.evaluate(r)
+                report = client.evaluate()
                 for i in range(config.tasks):
                     metrics.writerow(_format_row((r, client.index, i, report.auc[i], report.bce[i])))
                     artifacts.test_auc[(r, client.index, i)] = report.auc[i]

@@ -15,8 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import RecordSet
-from .diffcore import no_grad
-from .diffcore.ops import PROB_CLAMP
+from .diffcore import Tensor, bce, no_grad
 
 __all__ = [
     "UndefinedAUCError",
@@ -24,7 +23,6 @@ __all__ = [
     "auc_bruteforce",
     "auc_fast",
     "evaluate_client",
-    "mean_bce",
 ]
 
 # Rows per evaluation forward. Scores do not depend on it; it bounds the
@@ -74,24 +72,19 @@ def auc_fast(scores: Sequence[float], labels: Sequence[float]) -> float:
     return int(below + below_or_tied) / (2 * pos.size * neg.size)
 
 
-def mean_bce(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Mean binary cross-entropy with the same clamping as the training loss."""
-    p = np.clip(np.asarray(scores, dtype=np.float64), PROB_CLAMP, 1.0 - PROB_CLAMP)
-    y = np.asarray(labels, dtype=np.float64)
-    return float(np.mean(-y * np.log(p) - (1.0 - y) * np.log(1.0 - p)))
-
-
 @dataclass(frozen=True)
 class EvalReport:
-    round_index: int
-    client: int
     auc: tuple[float, ...]  # per task
     bce: tuple[float, ...]  # per task
     n_samples: int
 
 
-def evaluate_client(model, records: RecordSet, round_index: int = 0) -> EvalReport:
-    """Score a test partition in eval mode; pure (no parameter or BN mutation)."""
+def evaluate_client(model, records: RecordSet) -> EvalReport:
+    """Score a test partition in eval mode; pure (no parameter or BN mutation).
+
+    A task's BCE is the training loss's ``bce`` of its score column, so
+    evaluation clamps the probabilities as training does.
+    """
     n = len(records)
     scores = np.empty((n, model.spec.n_tasks))
     with no_grad():
@@ -99,5 +92,5 @@ def evaluate_client(model, records: RecordSet, round_index: int = 0) -> EvalRepo
             x = records.features[start : start + EVAL_CHUNK]
             scores[start : start + x.shape[0]] = model.forward(x, train=False).data.T
     aucs = tuple(auc_fast(scores[:, i], records.labels[:, i]) for i in range(model.spec.n_tasks))
-    bces = tuple(mean_bce(scores[:, i], records.labels[:, i]) for i in range(model.spec.n_tasks))
-    return EvalReport(round_index=round_index, client=model.spec.scenario, auc=aucs, bce=bces, n_samples=n)
+    bces = tuple(bce(Tensor(scores[:, i]), records.labels[:, i]).item() for i in range(model.spec.n_tasks))
+    return EvalReport(auc=aucs, bce=bces, n_samples=n)

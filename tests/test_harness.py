@@ -240,14 +240,16 @@ def test_single_class_test_partition_fails_before_training(tmp_path, monkeypatch
 
 def test_failed_run_leaves_the_rows_of_finished_rounds(tmp_path, monkeypatch):
     evaluate_client = client_mod.evaluate_client
+    config = small_config(out_dir=str(tmp_path / "run"))
+    calls = []
 
-    def fail_in_round_two(model, records, round_index=0, **kwargs):
-        if round_index == 2:
+    def fail_in_round_two(model, records):
+        calls.append(model.spec.scenario)
+        if len(calls) == config.scenarios + 1:  # round 2's first client
             raise RuntimeError("evaluation failed")
-        return evaluate_client(model, records, round_index=round_index, **kwargs)
+        return evaluate_client(model, records)
 
     monkeypatch.setattr(client_mod, "evaluate_client", fail_in_round_two)
-    config = small_config(out_dir=str(tmp_path / "run"))
     with pytest.raises(RuntimeError, match="evaluation failed"):
         harness.run_experiment(config)
     lines = (tmp_path / "run" / "metrics.csv").read_text().splitlines()
