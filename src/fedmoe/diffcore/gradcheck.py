@@ -15,13 +15,14 @@ from .tensor import Parameter, Tensor
 
 __all__ = ["grad_check"]
 
+STEP = 1e-5  # the central-difference step
+
 
 def grad_check(
     f: Callable[[], Tensor],
     params: Sequence[Parameter],
     rng: Optional[np.random.Generator] = None,
     max_coords_per_param: int = 8,
-    step: float = 1e-5,
 ) -> float:
     """Return the worst relative error between analytic and numeric gradients.
 
@@ -48,12 +49,12 @@ def grad_check(
             # An index, not a reshape: reshaping a strided view copies it.
             at = np.unravel_index(i, p.shape)
             orig = p.data[at]
-            p.data[at] = orig + step
+            p.data[at] = orig + STEP
             f_plus = f().item()
-            p.data[at] = orig - step
+            p.data[at] = orig - STEP
             f_minus = f().item()
             p.data[at] = orig
-            numeric = (f_plus - f_minus) / (2.0 * step)
+            numeric = (f_plus - f_minus) / (2.0 * STEP)
             err = abs(a[at] - numeric) / max(1.0, abs(numeric))
             if err > worst:
                 worst = err

@@ -14,12 +14,10 @@ import numpy as np
 
 __all__ = ["fedbn_normalize"]
 
-DEFAULT_EPS = 1e-5
+EPS = 1e-5  # added to the pooled variance before its square root
 
 
-def fedbn_normalize(
-    uploads: np.ndarray, client_betas: np.ndarray, eps: float = DEFAULT_EPS
-) -> tuple[np.ndarray, np.ndarray]:
+def fedbn_normalize(uploads: np.ndarray, client_betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Normalize an (M, ...) stack of uploads; returns the normalized stack and the averaged beta.
 
     ``client_betas`` stacks one beta per client on axis 0, each of an
@@ -28,12 +26,10 @@ def fedbn_normalize(
     """
     if uploads.shape[0] < 2:
         raise ValueError(f"server batch normalization needs >= 2 uploads, got {uploads.shape[0]}")
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
 
     centered = uploads - uploads.mean(axis=0)
     centered -= centered.mean(axis=0)  # second pass: exact zero-sum deviations
     var = np.mean(centered * centered, axis=0)
     beta = client_betas.mean(axis=0)
-    normalized = (1.0 / np.sqrt(var + eps)) * centered + beta
+    normalized = (1.0 / np.sqrt(var + EPS)) * centered + beta
     return normalized, beta

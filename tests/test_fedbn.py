@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fedmoe.federation.fedbn import DEFAULT_EPS, fedbn_normalize
+from fedmoe.federation import fedbn as fedbn_mod
+from fedmoe.federation.fedbn import EPS, fedbn_normalize
 from fedmoe.federation.server import FederationServer, resolve_strategy
 from fedmoe.keys import SharedKey
 
@@ -27,7 +28,7 @@ class TestNormalize:
         normalized, beta = fedbn_normalize(uploads, np.zeros((2, 1)))
         assert np.allclose(normalized[0], [-1.0], atol=1e-4)
         assert np.allclose(normalized[1], [1.0], atol=1e-4)
-        assert normalized[1, 0] == pytest.approx(1.0 / np.sqrt(1.0 + DEFAULT_EPS))  # pooled variance 1
+        assert normalized[1, 0] == pytest.approx(1.0 / np.sqrt(1.0 + EPS))  # pooled variance 1
         assert np.array_equal(beta, [0.0])
 
     def test_collapse_identity_random(self):
@@ -41,20 +42,18 @@ class TestNormalize:
             normalized, beta = fedbn_normalize(uploads, betas)
             assert np.abs(normalized.mean(axis=0) - beta).max() < 1e-9
 
-    def test_collapse_identity_survives_tiny_eps(self):
+    def test_collapse_identity_survives_tiny_eps(self, monkeypatch):
+        """The constant epsilon is not what keeps the identity: it holds with 1e-30 in its place."""
+        monkeypatch.setattr(fedbn_mod, "EPS", 1e-30)
         rng = np.random.default_rng(1)
         uploads = np.full((3, 4, 4), 0.1)  # zero spread
         betas = rng.normal(0, 1, (3, 4, 4))
-        normalized, beta = fedbn_normalize(uploads, betas, eps=1e-30)
+        normalized, beta = fedbn_normalize(uploads, betas)
         assert np.abs(normalized.mean(axis=0) - beta).max() < 1e-9
 
     def test_requires_two_uploads(self):
         with pytest.raises(ValueError, match=">= 2 uploads"):
             fedbn_normalize(np.ones((1, 2)), np.zeros((1, 2)))
-
-    def test_eps_must_be_positive(self):
-        with pytest.raises(ValueError, match="eps"):
-            fedbn_normalize(np.ones((2, 2)), np.zeros((2, 2)), eps=0.0)
 
 
 class TestAverage:
