@@ -168,6 +168,20 @@ class ExperimentConfig:
                 problems.append(
                     f"data.label_columns: need one per task ({self.tasks}), got {len(self.label_columns)}"
                 )
+        # A value that the config file cannot hold, such as a path with a
+        # comma or edge spaces, would make config.echo read back as another run.
+        types = {f.name: str(f.type) for f in fields(self)}
+        for section, names in _SECTIONS.items():
+            for name in names:
+                value = getattr(self, name)
+                if isinstance(value, (str, tuple)):
+                    text = _format_value(value)
+                    try:
+                        back = _parse_value(text, value, types[name])
+                    except ValueError:
+                        back = None
+                    if back != value:
+                        problems.append(f"{section}.{name}: {value!r} does not read back from its INI text {text!r}")
         if problems:
             raise ConfigError(problems)
 
@@ -212,16 +226,7 @@ class ExperimentConfig:
         for section, names in _SECTIONS.items():
             parser[section] = {}
             for name in names:
-                value = getattr(self, name)
-                if isinstance(value, tuple):
-                    text = ",".join(str(v) for v in value)
-                elif isinstance(value, bool):
-                    text = "true" if value else "false"
-                elif isinstance(value, float):
-                    text = repr(value)
-                else:
-                    text = str(value)
-                parser[section][name] = text
+                parser[section][name] = _format_value(getattr(self, name))
         buf = io.StringIO()
         parser.write(buf)
         return buf.getvalue()
@@ -258,6 +263,17 @@ class ExperimentConfig:
         if problems:
             raise ConfigError(problems)
         return cls(**values)
+
+
+def _format_value(value) -> str:
+    """A field's text in the INI file: lists comma-joined, booleans lower-case, floats by repr."""
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
 
 
 def _parse_value(raw: str, default, type_hint: str):

@@ -188,3 +188,36 @@ def test_config_save_load_round_trip(tmp_path):
     path = tmp_path / "config.ini"
     config.save(path)
     assert ExperimentConfig.from_ini(path) == config
+
+
+@pytest.mark.parametrize(
+    "section, name, value",
+    [
+        ("data", "csv_paths", ("a,1.csv", "b.csv")),
+        ("data", "csv_paths", ("", "b.csv")),
+        ("data", "label_columns", (" click", "buy")),
+        ("output", "out_dir", " runs/x "),
+    ],
+    ids=["comma_in_an_element", "empty_element", "edge_space_in_an_element", "edge_spaces"],
+)
+def test_value_that_does_not_read_back_is_rejected_by_name(tmp_path, section, name, value):
+    """A config that validates writes a config.echo that reads back as the same config."""
+    good = ExperimentConfig(
+        scenarios=2, source="csv", csv_paths=("a.csv", "b.csv"),
+        feature_columns=tuple(f"f{i}" for i in range(16)), label_columns=("click", "buy"),
+    )
+    good.validate()
+    bad = good.with_overrides(**{name: value})
+    bad.save(tmp_path / "config.echo")
+    try:
+        echoed = ExperimentConfig.from_ini(tmp_path / "config.echo")
+    except ConfigError:
+        echoed = None
+    assert echoed != bad
+    with pytest.raises(ConfigError) as info:
+        bad.validate()
+    assert info.value.problems == [f"{section}.{name}: {value!r} does not read back from its INI text {_text(value)!r}"]
+
+
+def _text(value) -> str:
+    return ",".join(value) if isinstance(value, tuple) else value
