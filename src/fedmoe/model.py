@@ -25,7 +25,9 @@ stacked ``affine`` and ``softmax`` give every task's gate rows; one
 layer is one ``hidden_layer`` node over (T, K, d_in); and the head's
 affine, sigmoid and reshape give one (T, K) probability tensor, which
 one ``bce`` node scores against all tasks' labels.
-A train-mode forward draws its dropout masks as ``_dropout_keeps`` says.
+A train-mode forward draws each hidden layer's dropout mask in one call,
+of that layer's output shape, in the order the layers run
+(``_dropout_keeps``).
 ``_shapes`` is the one table of every part's name and shape in buffer
 order. ``initial_buffers`` allocates a ParameterBuffer from it and fills
 each stacked Parameter, a view of that buffer, in place in the rng's draw
@@ -151,15 +153,6 @@ def _tower_dims(spec: ModelSpec) -> list[tuple[int, int]]:
     """Each tower layer's (d_in, d_out), the sigmoid head last."""
     dims = [spec.expert_widths[-1], *spec.tower_widths, 1]
     return list(zip(dims[:-1], dims[1:]))
-
-
-def _carve(block: np.ndarray, k: int, widths: Sequence[int]) -> list[np.ndarray]:
-    """Consecutive (..., K, d) views of the last axis of ``block``, one per width d."""
-    views, start = [], 0
-    for d in widths:
-        views.append(block[..., start : start + k * d].reshape(*block.shape[:-1], k, d))
-        start += k * d
-    return views
 
 
 def _expert_layers(spec: ModelSpec, params: dict[str, Parameter]) -> list[dict[str, Parameter]]:
@@ -313,21 +306,15 @@ class ClientModel:
         return task_weights(self.emb_task, *template, parts["w_loc"], parts["w_s"])
 
     def _dropout_keeps(self, k: int, rate: float) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """The bool keep masks of one train forward on K rows.
+        """The bool keep masks of one train forward on K rows, one draw per layer.
 
-        Returns each expert layer's (T, N, K, d) masks and each tower hidden
-        layer's (T, K, d) masks, views into one bool array. One call draws
-        the whole forward's uniforms as (T, N*K*sum(expert_widths) +
-        K*sum(tower_widths)): task t's row holds one block per expert (that
-        expert's layer masks), then the task's tower masks, the order in
-        which the per-path forward consumed them. ``draw >= rate`` turns the
-        row into masks, so the tape keeps bool masks, not float ones.
+        Draws each expert layer's (T, N, K, d) masks, then each tower hidden
+        layer's (T, K, d) masks, in the order the forward uses them.
+        ``draw >= rate`` keeps bool masks on the tape, not float ones.
         """
-        spec = self.spec
-        expert_len = spec.n_experts * k * sum(spec.expert_widths)
-        keeps = self.rng.random((spec.n_tasks, expert_len + k * sum(spec.tower_widths))) >= rate
-        experts = keeps[:, :expert_len].reshape(spec.n_tasks, spec.n_experts, -1)
-        return _carve(experts, k, spec.expert_widths), _carve(keeps[:, expert_len:], k, spec.tower_widths)
+        t, n = self.spec.n_tasks, self.spec.n_experts
+        experts = [self.rng.random((t, n, k, d)) >= rate for d in self.spec.expert_widths]
+        return experts, [self.rng.random((t, k, d)) >= rate for d in self.spec.tower_widths]
 
     def forward(self, x: np.ndarray, train: bool = True, use_dropout: bool = True) -> Tensor:
         """The (T, K) probabilities of every task for a feature batch (K, d_feat).

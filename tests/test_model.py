@@ -1,6 +1,7 @@
 import copy
 import gc
 import itertools
+import math
 import tracemalloc
 import weakref
 
@@ -134,16 +135,17 @@ class TestClientForward:
             mixed = mix_task(gate_probs(model, xhat, t), Tensor(np.stack(paths)))
             assert preds.data[t].tobytes() == tower_path(model, mixed, t).data.tobytes()
 
-    def test_dropout_forward_matches_a_reference_drawing_path_by_path(self):
-        """The per-path forward drew each mask in turn: for each task, each
-        expert's layers, then the task's tower layers."""
+    def test_dropout_forward_matches_a_reference_drawing_layer_by_layer(self):
+        """A reference draws each expert layer's (T, N, K, d) uniforms, then each
+        tower hidden layer's (T, K, d), and runs every path on its slice of them."""
         model = make_model(n_experts=3, expert_widths=(6, 5, 3), tower_widths=(4, 2), dropout=0.3)
         x = np.random.default_rng(14).normal(0, 1, (7, 4))
         rng = copy.deepcopy(model.rng)
         preds = model.forward(x)
+        expert_keeps = [(rng.random((2, 3, 7, d)) >= 0.3) / (1.0 - 0.3) for d in (6, 5, 3)]
+        tower_keeps = [(rng.random((2, 7, d)) >= 0.3) / (1.0 - 0.3) for d in (4, 2)]
 
-        def drop(h, w, b):
-            keep = (rng.random((h.shape[0], w.shape[1])) >= 0.3) / (1.0 - 0.3)
+        def drop(h, w, b, keep):
             return np.maximum(h @ w + b, 0.0) * keep
 
         with no_grad():
@@ -154,12 +156,12 @@ class TestClientForward:
             paths = []
             for k in range(3):
                 h = xhat
-                for w, parts in zip(weights, model.expert_layers):
-                    h = drop(h, w[t, k], parts["bias"].data[k])
+                for w, parts, keep in zip(weights, model.expert_layers, expert_keeps):
+                    h = drop(h, w[t, k], parts["bias"].data[k], keep[t, k])
                 paths.append(h)
             h = mix_task(gate_probs(model, Tensor(xhat), t), Tensor(np.stack(paths))).data
-            for layer in hidden:
-                h = drop(h, layer["w"].data[t], layer["b"].data[t])
+            for layer, keep in zip(hidden, tower_keeps):
+                h = drop(h, layer["w"].data[t], layer["b"].data[t], keep[t])
             expected = sigmoid(affine(Tensor(h), select(head["w"], t), select(head["b"], t))).data.reshape(-1)
             assert preds.data[t].tobytes() == expected.tobytes()
         assert rng.bit_generator.state == model.rng.bit_generator.state
@@ -167,26 +169,21 @@ class TestClientForward:
     @pytest.mark.parametrize(
         "expert_widths, tower_widths", [((5,), (4, 2)), ((6, 5, 3), (4,)), ((6, 3), ())], ids=["one_layer", "three_layers", "no_tower"]
     )
-    def test_dropout_keeps_match_one_draw_per_path(self, expert_widths, tower_widths):
-        """The masks equal a reference that draws, for each task, one block
-        per expert (its layers' masks in turn), then the task's tower block."""
+    def test_dropout_keeps_match_one_draw_per_layer(self, expert_widths, tower_widths):
+        """Each expert layer's (T, N, K, d) masks, then each tower hidden layer's
+        (T, K, d), are consecutive stretches of the model's uniform stream."""
         model = make_model(n_experts=3, expert_widths=expert_widths, tower_widths=tower_widths, dropout=0.3)
         k = 7
         rng = copy.deepcopy(model.rng)
         expert_keeps, tower_keeps = model._dropout_keeps(k, 0.3)
-        assert (len(expert_keeps), len(tower_keeps)) == (len(expert_widths), len(tower_widths))
-
-        def blocks(widths):
-            draw = rng.random(k * sum(widths)) >= 0.3
-            bounds = np.cumsum([0, *(k * d for d in widths)])
-            return [draw[a:b].reshape(k, d) for a, b, d in zip(bounds[:-1], bounds[1:], widths)]
-
-        for t in range(2):
-            for n in range(3):
-                for keep, want in zip(expert_keeps, blocks(expert_widths), strict=True):
-                    assert keep[t, n].tobytes() == want.tobytes()
-            for keep, want in zip(tower_keeps, blocks(tower_widths), strict=True):
-                assert keep[t].tobytes() == want.tobytes()
+        shapes = [(2, 3, k, d) for d in expert_widths] + [(2, k, d) for d in tower_widths]
+        stream = rng.random(sum(math.prod(shape) for shape in shapes)) >= 0.3
+        start = 0
+        for keep, shape in zip([*expert_keeps, *tower_keeps], shapes, strict=True):
+            end = start + math.prod(shape)
+            assert keep.dtype == bool and keep.shape == shape
+            assert keep.tobytes() == stream[start:end].reshape(shape).tobytes()
+            start = end
         assert rng.bit_generator.state == model.rng.bit_generator.state
 
     def test_cloned_experts_ignore_gate_weights(self):
