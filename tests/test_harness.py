@@ -35,57 +35,57 @@ def small_config(**overrides) -> ExperimentConfig:
 # deliberate re-baseline replaces them and says why in CHANGES.md.
 PINNED_SHA256 = {
     "main": {
-        "metrics.csv": "dea119d82057d18a604fa060f643e305a88dcaf281024f4b40e74181a9f55b82",
-        "convergence.csv": "e5836b2d1927f91151b9684f0d9c9ffa9a0123ee075db64259d465326399f34e",
-        "snapshots/round_1.bin": "273d995382c6b13812cfef77380353ce8138c868c17790e489c55ab7183db550",
-        "snapshots/round_2.bin": "bbc4db0a60271b4f65e71c4782e0ce70578144ad7f8859c9af867c6a21d3e805",
-        "snapshots/round_3.bin": "7e18926848da12f56b3ecc1391950d15d81ffc7d9f032efb8d9e6dc43420d312",
+        "metrics.csv": "e4013b984c2a7f9e0e29041553b389274b2f101e3b5b526c49024b2b0d73513a",
+        "convergence.csv": "011b5a4645c362d789f1ef3cb1fdb2c48c13e52839aff67c8981304a9fbdae57",
+        "snapshots/round_1.bin": "01ffec1c4b8629026f6532ce685c22fd2934ed3256a121117b0eb8ee2607b378",
+        "snapshots/round_2.bin": "92fcc950d6995bdaa4ec7fa38d276d4efc4fe3522ac069474f2a7825fc7cee7c",
+        "snapshots/round_3.bin": "376b0ba83421a0aa015401dd22f14e5752394ec6931520b7b7e6c9d8036a3cde",
     },
     "a1": {
-        "metrics.csv": "eea64587a964ae15850744e9816e92c520633fc1314f08addbd3a2b8cef79808",
-        "convergence.csv": "309a5d81082ff093ca98734e510031c2493b2f322ad33f0919e19f6abfebee5f",
-        "snapshots/round_1.bin": "c39d3db58403b0a49a5eb447c3cb119cc1338c8e1b486d9a2a9c640f1ca19f21",
-        "snapshots/round_2.bin": "3306d7fb7e2c574c913ba918efb058620e3608505a3c5bc75af536c9a7d21863",
-        "snapshots/round_3.bin": "8f31a1db28c0ea13b9fe6616504cc1be238f4c9edbe98c43d95cb573743b38e3",
+        "metrics.csv": "4b08948e81ab6c83e75f3cfb88ae57871d398e4bed615ebf91e6ff86fae8f204",
+        "convergence.csv": "17e0b721ec578459874ec4cd9351234634d761127d024a53c090381ab62d9e7c",
+        "snapshots/round_1.bin": "0ebded00be24575a37fbc761961b480d679e0a2521d0bc2581890cd689f5ed3c",
+        "snapshots/round_2.bin": "8e5475d240d0fc0f6d01b31e9ccb0ef251c27d7e4047c1d9d47dc15f582c6601",
+        "snapshots/round_3.bin": "0a8086aec515212960dc262b135121d3522ee88db1c4ca2a6fb7967a5da4c118",
     },
     "a2": {
-        "metrics.csv": "d7465a56b1fdb17f7d13f7a023e666be50df45bbc93b6edcbbc959eff342a6d6",
-        "convergence.csv": "1e715ab4e7bd7465b6d2e900e46eced183db3b019fba735b7b13920da97556a6",
-        "snapshots/round_1.bin": "3a151f247e7b6198fd2135b02ce8ac8cde0873dd6230b5dd9b2e69a3d53f5cca",
-        "snapshots/round_2.bin": "37a6268a1e25246d06af06e6f02831c91e4e8a5bfa53ea4508fd3d645f9a29a0",
-        "snapshots/round_3.bin": "37c137be5707ca50d552635d585d30132ce44307bb1981dd549a347a6d8523fa",
+        "metrics.csv": "bd78d2fa24c208e8af7964867c9e9b3ca983a2e41ccc6c2b9834949527e6dd12",
+        "convergence.csv": "cac94c4e15e8a2aa4c22cc15ff8dce2584429f2639f7b2c2b49ef7e5bb267415",
+        "snapshots/round_1.bin": "3e501d96bb87109d59be0459ad56355ffc88b9bb2259cf3f6886e1ff8ace0073",
+        "snapshots/round_2.bin": "8e6de4c9fecb037208c11a536b1683ec40c465327b60981ae46c080f08b7c6cb",
+        "snapshots/round_3.bin": "d26c780dc48b8494863f7a4756806c3bbc687d83be95a74825b2545f8361d35a",
     },
     "a4": {
-        "metrics.csv": "d6c12d60c9c8f4447700e23d4e0fbac5dd8ed9f76eed6d363d11c48cc6c3a538",
-        "convergence.csv": "f8aa0c29109fa8dd21c821f4b4a3c1cd34e2bc5a5f308a0f9dd8760a8de9e91b",
-        "snapshots/round_1.bin": "4ca025fdcc23cea3cf048f26ad6291bed51a607dfae34b0f33692a71943bc18c",
-        "snapshots/round_2.bin": "a9e018a00ce5714fcb1f88c64ce90447cc40a3d5d2b5b00c6faafa562de130fb",
-        "snapshots/round_3.bin": "b6ffab1cdfc407e74df8d9b76158ee6eb0d37995ab4b1b6621401fade190e753",
+        "metrics.csv": "0eadfae9d2f8a6d377db314101694806a1c4dec2151e9caf8ff4af02ef742c8f",
+        "convergence.csv": "95b6ceededf84ff0d7e43e30c46197009202249d99025ccabe91826f49936590",
+        "snapshots/round_1.bin": "7176b28a95309dd8c5904b83cdb81d95a6e9c45c611429534bf66fe5baeb2491",
+        "snapshots/round_2.bin": "852b12aef11a8537cc7a2020e034ebf79da8a49d9e59ad4fc7f970bdd91a51e6",
+        "snapshots/round_3.bin": "005a33d62e5e048838c4a34cce3ec8cf19a62c4d9fdcb0dbd22ed6400353c016",
     },
     "fedavg": {
-        "metrics.csv": "bf2d2bcd1170eaa7f5503fa00898a7af03227d6116d38b2d586f2e2fd6ded73e",
-        "convergence.csv": "d4fb549d1548b8c1405ccc785f7cf1db174585bb932f9e6c1b0c0b8d5b19b57f",
-        "snapshots/round_1.bin": "ce6a39d6ba59fbdbb3cf481b5e2945083ae68996afed474bf734071d83751e06",
-        "snapshots/round_2.bin": "1ab4f1e25d08d5fdd6b439a766b9110a2194dbe0d40fe53d2f848e1e59d24c47",
-        "snapshots/round_3.bin": "658b7bab96e495be8da8e2b694852e355fd38b3610c7bbaf126c12219b5d3206",
+        "metrics.csv": "584fba92bb50a09f6f01b7c4b3c3ad31db494fc921f291f7e4fe4f9ab9ebce26",
+        "convergence.csv": "c9078cfcb32010e8d167e628fee6aa5ac4141f772a1d766f2580a805418323e3",
+        "snapshots/round_1.bin": "b2e0108520d59500f268a19626a2b9031eaa23d71ef54ef78c182b596d2787ba",
+        "snapshots/round_2.bin": "377880066c556af597ab03a01d411201df734dbf70e4a819f4d1c2ded83dcd29",
+        "snapshots/round_3.bin": "7ce7ccdac2ef98ddab907a50dbd257410769f10248cca44b25ead8d14a706194",
     },
     "local_one_task_one_expert": {
         "metrics.csv": "bd6237893185784fa03d98bd23465a22cd87f741112b07c5e6d1457efd13c72f",
         "convergence.csv": "df11b04c3b543d1e597d30738fad89ad2f188133567ede12533dffb04ccb1c85",
     },
     "main_three_tasks_no_tower": {
-        "metrics.csv": "1af23f65f4fb6522b1f4fd4847b6787892f917d1b5d9c7dbdca8e063ac10b57f",
-        "convergence.csv": "1f59b76c0abd10d1e292b8ca60fd871e638e5f07f5981eb24fe92d03eb41f9cf",
-        "snapshots/round_1.bin": "ecbd5294c50ae7d2a9cc1673992c96875b114673c8e84982466f95f8da3bb770",
-        "snapshots/round_2.bin": "02609d3c0a8d04850cabc72dcb2528f9742b1b6861a92385a6fe526e6343a070",
-        "snapshots/round_3.bin": "bd159e9cf52b2bf68c328de68e1b69567ed18156c4237dca4f55c3e3d3e79b29",
+        "metrics.csv": "f8b0de1940831888f26c58ee1b12f3644af3862a3d5e78e61add75fe82311300",
+        "convergence.csv": "22697d7e1d2c88c2d5ceabb650bc57060a7e136b7f80ca0827aeb9ac754757b8",
+        "snapshots/round_1.bin": "9b4165a484397735f0e7b0844d03b7ff10863e89863ed151365845715a077adc",
+        "snapshots/round_2.bin": "474812e858b746e0653e6b0c679eca65664e72f6f02cbb1a5de4217529725c5e",
+        "snapshots/round_3.bin": "202c2e15217a2a0ca41c087c30895a64f813cd72853ad0bbf4628552d9883283",
     },
     "main_three_clients_three_experts": {
-        "metrics.csv": "bdcf79fd640558064654edc07093260be7989ae352df5e6fc9857d82ca36cfa5",
-        "convergence.csv": "aa3ea69496ac401b3bea363df92c5641ed22aaad55d15ebdcb5a8b901d399e14",
-        "snapshots/round_1.bin": "3aaeac241290501cdc859759e8d1b5ec8612cb6ab9d595d7008fd85ad3703257",
-        "snapshots/round_2.bin": "6afb9032de42569130189c01441c91896d5993f1b16a2b1404ee6de369da625a",
-        "snapshots/round_3.bin": "307fd0bba571f236efad7c34aec6520798905ef0352a693b6bda68fc1735aaf1",
+        "metrics.csv": "8c11e436daec429bc2b93311caa204f955145f89e297d350b3652a008a5c6641",
+        "convergence.csv": "e5e4c5e929fdc39565610545d655eb7b079efae80bce6bd8ecd828657b61d0b7",
+        "snapshots/round_1.bin": "03ed26131353c9017e2953d26f7452dbf6631628db8ba0a7cc34bd5a15bd2a46",
+        "snapshots/round_2.bin": "26e124059054ce599712a5925eae39215ccea654763c9ac19bd7cec1b63f113d",
+        "snapshots/round_3.bin": "ba12c3c16571156ae1cf9d903abe72805a502b4eaed8d4664fa3421759bd3f4c",
     },
 }
 # The cases that are not a strategy on small_config: the smallest model, a
