@@ -216,8 +216,5 @@ def test_value_that_does_not_read_back_is_rejected_by_name(tmp_path, section, na
     assert echoed != bad
     with pytest.raises(ConfigError) as info:
         bad.validate()
-    assert info.value.problems == [f"{section}.{name}: {value!r} does not read back from its INI text {_text(value)!r}"]
-
-
-def _text(value) -> str:
-    return ",".join(value) if isinstance(value, tuple) else value
+    (problem,) = info.value.problems
+    assert problem.startswith(f"{section}.{name}: {value!r} does not read back")
