@@ -44,9 +44,9 @@ The model holds no mode: ``forward`` takes ``train`` (batch statistics and
 dropout) and ``use_dropout`` as arguments, so evaluation and the held-out
 psi pass never switch a flag they must restore. Nor does the forward write
 the input batch norm's running statistics; the training loop folds each
-training batch into them with ``BNState.track``. So a forward is a pure
-function of the parameters and the batch, and one with dropout moves
-nothing but the position of the model's rng.
+training batch into them with ``BNState.track``. So a forward without
+dropout is a pure function of the parameters and the batch, and one with
+dropout writes nothing but the position of the model's rng.
 
 The scenario weight is initialized once from a scenario template applied to
 the client's scenario embedding and is afterwards trained directly; the
