@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .data import CsvSchema, SyntheticSpec, mixing_matrix
+from .data import CsvSchema, SyntheticSpec
 from .federation.server import STRATEGY_IDS, resolve_strategy
 from .model import ModelSpec
 
@@ -52,7 +52,7 @@ _SECTIONS = {
     ),
     "optim": ("learning_rate", "batch_size", "c", "eta_psi"),
     "data": (
-        "source", "samples_per_scenario", "rho", "coef_scale", "temperature",
+        "source", "samples_per_scenario", "rho", "temperature",
         "task_mix_alpha", "csv_paths", "feature_columns", "label_columns",
     ),
     "output": ("out_dir",),
@@ -85,7 +85,6 @@ class ExperimentConfig:
     source: str = "synthetic"
     samples_per_scenario: int = 20000
     rho: float = 0.5
-    coef_scale: float = 1.0
     temperature: float = 1.0
     task_mix_alpha: float = 0.3
     csv_paths: tuple[str, ...] = ()
@@ -147,8 +146,6 @@ class ExperimentConfig:
                 )
             if self.rho < 0:
                 problems.append(f"data.rho: must be >= 0, got {self.rho}")
-            if self.coef_scale < 0:
-                problems.append(f"data.coef_scale: must be >= 0, got {self.coef_scale}")
             if self.temperature <= 0:
                 problems.append(f"data.temperature: must be > 0, got {self.temperature}")
             if not 0.0 <= self.task_mix_alpha <= 1.0:
@@ -206,9 +203,8 @@ class ExperimentConfig:
             n_tasks=self.tasks,
             d_feat=self.d_feat,
             samples_per_scenario=self.samples_per_scenario,
-            coef_scale=self.coef_scale,
             rho=self.rho,
-            mix=mixing_matrix(self.tasks, self.task_mix_alpha),
+            task_mix_alpha=self.task_mix_alpha,
             temperature=self.temperature,
             seed=self.seed,
         )

@@ -1,9 +1,11 @@
 """Synthetic multi-scenario multi-task data, CSV ingestion, and batching.
 
-The synthetic generator draws per-task global coefficient vectors, perturbs
+The synthetic generator draws standard-normal per-task coefficient vectors,
+couples them across tasks by ``mixing_matrix(T, task_mix_alpha)``, perturbs
 them per scenario (perturbation scale rho controls heterogeneity), samples
 standard-normal features, and labels each task by a Bernoulli draw on the
-temperature-scaled logistic score. Splits are a fixed 70/15/15.
+logistic score divided by the temperature. The temperature alone sets the
+logit scale. Splits are a fixed 70/15/15.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import csv
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -24,7 +26,6 @@ __all__ = [
     "SyntheticSpec",
     "SyntheticTruth",
     "batch_iter",
-    "generate_synthetic",
     "load_csv",
     "mixing_matrix",
     "synthesize",
@@ -84,13 +85,19 @@ class ScenarioShard:
 
 @dataclass(frozen=True)
 class SyntheticSpec:
+    """The generator's settings, one per effect; a plain value that compares and hashes.
+
+    ``task_mix_alpha`` defaults to 0 (independent tasks) here, while
+    ``ExperimentConfig`` defaults it to 0.3. ``temperature`` alone scales
+    the logits: both coefficient draws are standard normal.
+    """
+
     n_scenarios: int
     n_tasks: int
     d_feat: int
     samples_per_scenario: int
-    coef_scale: float = 1.0
     rho: float = 0.5
-    mix: Optional[np.ndarray] = None  # (T, T) task mixing; identity when None
+    task_mix_alpha: float = 0.0
     temperature: float = 1.0
     seed: int = 0
 
@@ -99,12 +106,10 @@ class SyntheticSpec:
             raise DataError("all synthetic counts must be positive")
         if self.rho < 0:
             raise DataError("rho must be >= 0")
-        if self.coef_scale < 0:
-            raise DataError("coef_scale must be >= 0")
+        if not 0.0 <= self.task_mix_alpha <= 1.0:
+            raise DataError(f"task_mix_alpha must be in [0, 1], got {self.task_mix_alpha}")
         if self.temperature <= 0:
             raise DataError("temperature must be > 0")
-        if self.mix is not None and self.mix.shape != (self.n_tasks, self.n_tasks):
-            raise DataError(f"mix must be ({self.n_tasks}, {self.n_tasks})")
 
 
 @dataclass(frozen=True)
@@ -139,14 +144,13 @@ def _split(features: np.ndarray, labels: np.ndarray, scenario: int) -> ScenarioS
 def synthesize(spec: SyntheticSpec) -> tuple[list[ScenarioShard], SyntheticTruth]:
     """Generate shards plus the coefficient ground truth."""
     rng = np.random.default_rng([spec.seed, 0x5EED])
-    mix = spec.mix if spec.mix is not None else np.eye(spec.n_tasks)
-    base = rng.normal(0.0, spec.coef_scale, size=(spec.n_tasks, spec.d_feat))
-    theta_global = mix @ base
+    base = rng.normal(0.0, 1.0, size=(spec.n_tasks, spec.d_feat))
+    theta_global = mixing_matrix(spec.n_tasks, spec.task_mix_alpha) @ base
 
     shards = []
     theta_all = np.empty((spec.n_scenarios, spec.n_tasks, spec.d_feat))
     for j in range(spec.n_scenarios):
-        perturbation = rng.normal(0.0, spec.coef_scale, size=(spec.n_tasks, spec.d_feat))
+        perturbation = rng.normal(0.0, 1.0, size=(spec.n_tasks, spec.d_feat))
         theta_j = theta_global + spec.rho * perturbation
         theta_all[j] = theta_j
         x = rng.standard_normal((spec.samples_per_scenario, spec.d_feat))
@@ -156,10 +160,6 @@ def synthesize(spec: SyntheticSpec) -> tuple[list[ScenarioShard], SyntheticTruth
         labels = (rng.random(probs.shape) < probs).astype(np.float64)
         shards.append(_split(x, labels, j))
     return shards, SyntheticTruth(theta_global=theta_global, theta_scenario=theta_all)
-
-
-def generate_synthetic(spec: SyntheticSpec) -> list[ScenarioShard]:
-    return synthesize(spec)[0]
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,7 @@ class RunArtifacts:
 def build_shards(config: ExperimentConfig) -> list[data_mod.ScenarioShard]:
     """Each scenario's partitions; DataError if a test partition cannot be scored."""
     if config.source == "synthetic":
-        shards = data_mod.generate_synthetic(config.synthetic_spec())
+        shards = data_mod.synthesize(config.synthetic_spec())[0]
     else:
         schema = config.csv_schema()
         shards = [data_mod.load_csv(path, schema, scenario=j) for j, path in enumerate(config.csv_paths)]

@@ -1,12 +1,15 @@
 import configparser
 import math
+import textwrap
 from dataclasses import fields
 
 import pytest
 
+from fedmoe import config as config_module
 from fedmoe import harness
 from fedmoe.cli import main
 from fedmoe.config import ConfigError, ExperimentConfig
+from fedmoe.federation.server import resolve_strategy
 
 FLOAT_FIELDS = [f.name for f in fields(ExperimentConfig) if isinstance(f.default, float)]
 
@@ -26,14 +29,19 @@ def test_run_with_invalid_config_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key", ["optim.lambda_reg", "data.coef_scale"])
 @pytest.mark.parametrize("command", ["run", "ablate"])
-def test_removed_lambda_reg_key_exits_2_before_any_set_up(command, tmp_path, capsys):
-    """lambda_reg is no option: an INI that sets it is refused by name before any set-up."""
+def test_removed_key_exits_2_before_any_set_up(command, key, tmp_path, capsys):
+    """A removed option is no key: an INI that sets it is refused by name before any set-up."""
+    section, name = key.split(".")
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_dict({"experiment": {"rounds": "1"}, "data": {"samples_per_scenario": "200"}})
+    parser.read_dict({section: {name: "0.5"}, "output": {"out_dir": str(tmp_path / "out")}})
     ini = tmp_path / "old.ini"
-    settings = "[experiment]\nrounds = 1\n\n[data]\nsamples_per_scenario = 200\n\n[optim]\nlambda_reg = 0.5\n"
-    ini.write_text(settings + "\n[output]\nout_dir = " + str(tmp_path / "out") + "\n")
+    with open(ini, "w", encoding="utf-8") as fh:
+        parser.write(fh)
     assert main([command, "--config", str(ini)]) == 2
-    assert "unknown key optim.lambda_reg" in capsys.readouterr().err
+    assert f"unknown key {key}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -122,11 +130,11 @@ def test_csv_feature_width_must_match_d_feat(tmp_path, capsys):
     assert not (out / "config.echo").exists()
 
 
-def test_negative_coef_scale_exits_2_naming_the_field(tmp_path, capsys):
+def test_negative_rho_exits_2_naming_the_field(tmp_path, capsys):
     ini = tmp_path / "negative.ini"
-    ExperimentConfig(coef_scale=-1.0, out_dir=str(tmp_path / "out")).save(ini)
+    ExperimentConfig(rho=-1.0, out_dir=str(tmp_path / "out")).save(ini)
     assert main(["run", "--config", str(ini)]) == 2
-    assert "data.coef_scale: must be >= 0, got -1.0" in capsys.readouterr().err
+    assert "data.rho: must be >= 0, got -1.0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -175,6 +183,34 @@ def test_ini_keys_are_the_config_fields_each_in_one_section():
     assert "lambda_reg" not in keys
 
 
+def test_module_docstring_example_loads_and_validates(tmp_path):
+    """The documented INI format stays in step with the keys."""
+    doc = config_module.__doc__
+    example = doc[doc.index("Example:") + len("Example:") : doc.index("Validation")]
+    path = tmp_path / "example.ini"
+    path.write_text(textwrap.dedent(example), encoding="utf-8")
+    config = ExperimentConfig.from_ini(path)
+    config.validate()
+    assert (config.strategy, config.rounds, config.expert_widths) == ("main", 10, (32, 16))
+
+
+@pytest.mark.parametrize(
+    "view",
+    [
+        lambda config: config.model_spec(0),
+        lambda config: config.synthetic_spec(),
+        lambda config: config.with_overrides(
+            source="csv", feature_columns=("f0", "f1"), label_columns=("click", "buy")
+        ).csv_schema(),
+        lambda config: resolve_strategy(config.strategy),
+    ],
+    ids=["model_spec", "synthetic_spec", "csv_schema", "resolve_strategy"],
+)
+def test_derived_views_compare_and_hash_as_values(view):
+    a, b = view(ExperimentConfig()), view(ExperimentConfig())
+    assert a == b and hash(a) == hash(b)
+
+
 def test_config_save_load_round_trip(tmp_path):
     config = ExperimentConfig(
         strategy="a2", rounds=7, local_epochs=2, seed=13, comm_per_batch=True,
@@ -182,7 +218,7 @@ def test_config_save_load_round_trip(tmp_path):
         d_emb=7, dropout=0.125, learning_rate=3e-4, batch_size=64, c=0.3,
         eta_psi=0.05, source="csv", csv_paths=("a.csv", "b.csv", "c.csv", "d.csv"),
         feature_columns=("f0", "f1"), label_columns=("click", "buy", "share"),
-        samples_per_scenario=123, rho=0.25, coef_scale=2.0, temperature=0.7,
+        samples_per_scenario=123, rho=0.25, temperature=0.7,
         task_mix_alpha=0.9, out_dir=str(tmp_path / "out"),
     )
     path = tmp_path / "config.ini"

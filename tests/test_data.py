@@ -7,7 +7,6 @@ from fedmoe.data import (
     RecordSet,
     SyntheticSpec,
     batch_iter,
-    generate_synthetic,
     load_csv,
     mixing_matrix,
     synthesize,
@@ -35,16 +34,16 @@ class TestSynthetic:
         assert auc_fast(scores, shard.test.labels[:, 0]) >= 0.95
 
     def test_same_seed_byte_identical(self):
-        a = generate_synthetic(spec())
-        b = generate_synthetic(spec())
+        a = synthesize(spec())[0]
+        b = synthesize(spec())[0]
         for sa, sb in zip(a, b):
             assert sa.checksum() == sb.checksum()
 
     def test_different_seed_differs(self):
-        assert generate_synthetic(spec())[0].checksum() != generate_synthetic(spec(seed=6))[0].checksum()
+        assert synthesize(spec())[0][0].checksum() != synthesize(spec(seed=6))[0][0].checksum()
 
     def test_split_sizes_and_disjoint_union(self):
-        shard = generate_synthetic(spec(samples_per_scenario=100))[0]
+        shard = synthesize(spec(samples_per_scenario=100))[0][0]
         assert len(shard.train) == 70
         assert len(shard.val) == 15
         assert len(shard.test) == 15
@@ -53,7 +52,7 @@ class TestSynthetic:
         assert len(np.unique(stacked, axis=0)) == 100  # continuous features: all rows distinct
 
     def test_label_means_not_degenerate(self):
-        for shard in generate_synthetic(spec(samples_per_scenario=2000)):
+        for shard in synthesize(spec(samples_per_scenario=2000))[0]:
             means = shard.train.labels.mean(axis=0)
             assert (means > 0.05).all() and (means < 0.95).all()
 
@@ -63,9 +62,14 @@ class TestSynthetic:
         with pytest.raises(DataError):
             mixing_matrix(2, 1.5)
 
-    def test_negative_coef_scale_rejected(self):
-        with pytest.raises(DataError, match="coef_scale"):
-            spec(coef_scale=-1.0)
+    def test_negative_rho_rejected(self):
+        with pytest.raises(DataError, match="rho"):
+            spec(rho=-0.1)
+
+    @pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan")])
+    def test_task_mix_alpha_out_of_range_rejected(self, alpha):
+        with pytest.raises(DataError, match="task_mix_alpha"):
+            spec(task_mix_alpha=alpha)
 
 
 class TestCsv:

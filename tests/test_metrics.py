@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedmoe import metrics
-from fedmoe.data import SyntheticSpec, generate_synthetic
+from fedmoe.data import SyntheticSpec, synthesize
 from fedmoe.metrics import UndefinedAUCError, auc_bruteforce, auc_fast, evaluate_client
 from fedmoe.model import ClientModel, ModelSpec
 
@@ -78,18 +78,18 @@ class TestEvaluateClient:
         spec = ModelSpec(scenario=0, n_scenarios=2, n_tasks=2, n_experts=2,
                          d_feat=6, expert_widths=(8,), tower_widths=(4,), dropout=0.2)
         model = ClientModel(spec, init_seed=3)
-        shard = generate_synthetic(
+        shard = synthesize(
             SyntheticSpec(n_scenarios=2, n_tasks=2, d_feat=6, samples_per_scenario=700, seed=8)
-        )[0]
+        )[0][0]
         return model, shard
 
     def test_untrained_model_near_chance_on_big_sample(self):
         spec = ModelSpec(scenario=0, n_scenarios=2, n_tasks=2, n_experts=2,
                          d_feat=6, expert_widths=(8,), tower_widths=(4,))
         model = ClientModel(spec, init_seed=3)
-        shard = generate_synthetic(
+        shard = synthesize(
             SyntheticSpec(n_scenarios=2, n_tasks=2, d_feat=6, samples_per_scenario=67000, seed=8)
-        )[0]
+        )[0][0]
         report = evaluate_client(model, shard.test)
         for auc in report.auc:
             assert 0.45 <= auc <= 0.55
@@ -115,9 +115,9 @@ class TestEvaluateClient:
 
     def test_report_does_not_depend_on_the_chunk(self, monkeypatch):
         model, _ = self.build()
-        test = generate_synthetic(
+        test = synthesize(
             SyntheticSpec(n_scenarios=2, n_tasks=2, d_feat=6, samples_per_scenario=15000, seed=8)
-        )[0].test
+        )[0][0].test
         assert len(test) > 2 * metrics.EVAL_CHUNK  # several chunks, the last one partial
         chunked = evaluate_client(model, test)
         monkeypatch.setattr(metrics, "EVAL_CHUNK", len(test))

@@ -11,7 +11,7 @@ import pytest
 from fedmoe import data as data_mod
 from fedmoe import model as model_mod
 from fedmoe.config import ExperimentConfig
-from fedmoe.data import DataError, RecordSet, ScenarioShard, SyntheticSpec, generate_synthetic
+from fedmoe.data import DataError, RecordSet, ScenarioShard, SyntheticSpec, synthesize
 from fedmoe.diffcore import Adam, Tensor, affine, batchnorm, bce, no_grad, relu, reshape, sigmoid, softmax, task_weights
 from fedmoe.federation import client as client_mod
 from fedmoe.federation.client import ClientSim
@@ -471,9 +471,9 @@ class TestTrainEpoch:
     """Local training, as ClientSim.local_phase runs it."""
 
     def shard(self, seed=12):
-        return generate_synthetic(
+        return synthesize(
             SyntheticSpec(n_scenarios=2, n_tasks=2, d_feat=4, samples_per_scenario=300, seed=seed)
-        )[0]
+        )[0][0]
 
     def client(self, model=None, seed=12, lr=1e-3):
         return ClientSim(model or make_model(), self.shard(seed), lr=lr, batch_size=32, seed=seed)

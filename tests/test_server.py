@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedmoe.config import ExperimentConfig
-from fedmoe.data import SyntheticSpec, generate_synthetic
+from fedmoe.data import SyntheticSpec, synthesize
 from fedmoe.federation import server as server_mod
 from fedmoe.federation.coordination import solve_conflict_weights
 from fedmoe.federation.server import STRATEGIES, FederationServer, ServerDirective, resolve_strategy, upload_keys
@@ -51,7 +51,7 @@ def replay_psi_step(values, eta, grads, updates):
 
 
 def shards(s=2, seed=0, n=300, d=4, t=2):
-    return generate_synthetic(SyntheticSpec(n_scenarios=s, n_tasks=t, d_feat=d, samples_per_scenario=n, seed=seed))
+    return synthesize(SyntheticSpec(n_scenarios=s, n_tasks=t, d_feat=d, samples_per_scenario=n, seed=seed))[0]
 
 
 def make_clients(s=2, n_experts=2, seed=0, dropout=0.0, widths=(6, 3)):
