@@ -44,17 +44,11 @@ class RunArtifacts:
     config_echo_path: Path
     snapshot_dir: Optional[Path]
     shard_checksum: str
-    test_auc: dict[tuple[int, int, int], float] = field(default_factory=dict)  # (round, client, task)
+    final_auc: dict[tuple[int, int], float] = field(default_factory=dict)  # (client, task), last round
     fedbn_residual_max: float = 0.0
 
     def final_mean_auc(self) -> float:
-        last = max(r for r, _, _ in self.test_auc)
-        values = [v for (r, _, _), v in self.test_auc.items() if r == last]
-        return float(np.mean(values))
-
-    def final_auc_by_client_task(self) -> dict[tuple[int, int], float]:
-        last = max(r for r, _, _ in self.test_auc)
-        return {(j, i): v for (r, j, i), v in self.test_auc.items() if r == last}
+        return float(np.mean(list(self.final_auc.values())))
 
 
 def build_shards(config: ExperimentConfig) -> list[data_mod.ScenarioShard]:
@@ -165,7 +159,7 @@ def run_experiment(
                 report = client.evaluate()
                 for i in range(config.tasks):
                     metrics.writerow(_format_row((r, client.index, i, report.auc[i], report.bce[i])))
-                    artifacts.test_auc[(r, client.index, i)] = report.auc[i]
+                    artifacts.final_auc[(client.index, i)] = report.auc[i]
             convergence_fh.flush()
             metrics_fh.flush()
     return artifacts
@@ -215,12 +209,7 @@ def run_ablation_suite(config: ExperimentConfig, out_dir: Optional[str | Path] =
     for j in range(config.scenarios):
         for i in range(config.tasks):
             header.append(f"client{j}_task{i}_auc")
-    rows = []
-    for label, art in runs.items():
-        by_ct = art.final_auc_by_client_task()
-        rows.append(
-            (label, *(by_ct[(j, i)] for j in range(config.scenarios) for i in range(config.tasks)))
-        )
+    rows = [(label, *art.final_auc.values()) for label, art in runs.items()]
     _write_csv(table_path, tuple(header), rows)
 
     log_path = out / "ablation.log"

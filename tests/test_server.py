@@ -569,9 +569,11 @@ class TestRoundProtocol:
             batch_size=32, seed=3, out_dir=str(tmp_path / "run"),
         )
         artifacts = run_experiment(config)
-        assert len(artifacts.test_auc) == 5 * 2 * 2
         lines = artifacts.metrics_path.read_text().strip().splitlines()
         assert len(lines) == 1 + 5 * 2 * 2
+        assert len(artifacts.final_auc) == 2 * 2
+        last_round = [line.split(",") for line in lines[-2 * 2 :]]
+        assert artifacts.final_auc == {(int(j), int(i)): float(auc) for _, j, i, auc, _ in last_round}
         assert len(artifacts.convergence_path.read_text().strip().splitlines()) == 1 + 5 * 2
 
     def test_plain_expert_means_are_applied_per_expert(self):
