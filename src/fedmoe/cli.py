@@ -115,7 +115,7 @@ def _check_coordination() -> str:
 
 def _check_gradients() -> str:
     from .diffcore import Parameter, Tensor, affine, bce, grad_check, relu, sigmoid
-    from .model import ClientModel, ModelSpec
+    from .model import ClientModel, ModelSpec, initial_buffers
 
     rng = np.random.default_rng(3)
     x = Tensor(rng.normal(0, 1, (6, 4)))
@@ -132,10 +132,11 @@ def _check_gradients() -> str:
     mlp_err = grad_check(mlp, [w, b, w2, b2], rng=np.random.default_rng(0))
 
     # The whole client graph: input batch norm, task weights, the fused expert
-    # layers, gates, expert mixing and towers.
+    # layers, gates, expert mixing and towers, in float64 as central
+    # differences need.
     spec = ModelSpec(scenario=0, n_scenarios=2, n_tasks=2, n_experts=2, d_feat=4,
                      expert_widths=(5, 3), tower_widths=(4,), d_emb=6)
-    model = ClientModel(spec, init_seed=3)
+    model = ClientModel(spec, 3, initial_buffers(spec, 3, [0], np.float64)[0])
     bx = rng.normal(0, 1, (6, 4))
     by = (rng.random((6, 2)) < 0.5).astype(float)
 

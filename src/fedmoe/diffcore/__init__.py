@@ -20,7 +20,6 @@ from .tensor import (
     ParameterBuffer,
     ShapeMismatchError,
     Tensor,
-    as_f64,
     is_grad_enabled,
     no_grad,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "ShapeMismatchError",
     "Tensor",
     "affine",
-    "as_f64",
     "batchnorm",
     "bce",
     "grad_check",

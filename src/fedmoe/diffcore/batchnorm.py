@@ -34,9 +34,9 @@ class BNState:
         """The state of a fresh layer over ``gamma``'s features: zero running means, unit running variances.
 
         ``gamma`` and ``beta`` are kept as given; the caller initializes them.
+        The running statistics take ``gamma``'s dtype.
         """
-        d = gamma.shape[0]
-        return cls(gamma, beta, running_mean=np.zeros(d), running_var=np.ones(d))
+        return cls(gamma, beta, running_mean=np.zeros_like(gamma.data), running_var=np.ones_like(gamma.data))
 
     def track(self, x: np.ndarray) -> None:
         """Fold one training batch's (K, d) feature means and biased variances into the running statistics."""

@@ -57,7 +57,7 @@ def _affine_grads(x: np.ndarray, w: np.ndarray, g: np.ndarray) -> tuple[np.ndarr
     """
     dw = np.matmul(np.swapaxes(x, -1, -2), g)
     if x.ndim < w.ndim:
-        dx = np.zeros(x.shape)
+        dx = np.zeros(x.shape, g.dtype)
         for index in np.ndindex(w.shape[:-2]):
             dx += g[index] @ w[index].T
     else:
@@ -139,14 +139,14 @@ def bce(p: Tensor, y: np.ndarray) -> Tensor:
     """Binary cross-entropy, probabilities clamped to [1e-7, 1-1e-7]: the
     batch mean of one task, or the sum of the batch means of T tasks.
 
-    ``y`` holds constant {0,1} labels, one task's (K,) or T tasks' (T, K);
-    no gradient flows into it. ``p`` is read in y's shape. Each row's mean
+    ``y`` holds constant {0,1} labels, one task's (K,) or T tasks' (T, K),
+    read in p's dtype; no gradient flows into it. ``p`` is read in y's shape. Each row's mean
     is the 1-D mean of that row (a C-ordered row reduction) and ``cumsum``
     adds the rows from row 0 on (``sum`` is pairwise from 8 rows), so
     value and gradient equal those of T one-task calls summed in task order,
     bit for bit.
     """
-    y = np.asarray(y, dtype=np.float64)
+    y = np.asarray(y, dtype=p.data.dtype)
     if y.ndim not in (1, 2) or p.size != y.size:
         raise ShapeMismatchError(f"bce shapes disagree: {p.shape} vs {y.shape}")
     if not np.all((y == 0.0) | (y == 1.0)):

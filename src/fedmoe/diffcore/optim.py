@@ -20,7 +20,8 @@ EPS = 1e-8
 class Adam:
     """Standard Adam: m/v moment tracking, bias-corrected step, grads untouched.
 
-    Steps every parameter of one ParameterBuffer. The update runs over the
+    Steps every parameter of one ParameterBuffer; the moments and the
+    scratch arrays take the buffer's dtype. The update runs over the
     flat value and grad arrays with in-place ufuncs, in the same per-element
     order of operations as the textbook per-parameter update, so it is
     bit-identical to it.
@@ -33,15 +34,15 @@ class Adam:
         self.buffer = buffer
         self.lr = float(lr)
         self.step_count = 0
-        self._m = np.zeros(buffer.size)
-        self._v = np.zeros(buffer.size)
+        self._m = np.zeros(buffer.size, buffer.values.dtype)
+        self._v = np.zeros(buffer.size, buffer.values.dtype)
 
     def step(self) -> None:
         self.step_count += 1
         bc1 = 1.0 - BETA1 ** self.step_count
         bc2 = 1.0 - BETA2 ** self.step_count
         values, grads = self.buffer.values, self.buffer.grads
-        scratch = np.empty((2, min(CHUNK, values.size)))
+        scratch = np.empty((2, min(CHUNK, values.size)), values.dtype)
         for lo in range(0, values.size, CHUNK):
             hi = min(lo + CHUNK, values.size)
             g, m, v = grads[lo:hi], self._m[lo:hi], self._v[lo:hi]

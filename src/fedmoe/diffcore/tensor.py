@@ -1,4 +1,4 @@
-"""Reverse-mode autodiff on float64 numpy arrays.
+"""Reverse-mode autodiff on float32 or float64 numpy arrays.
 
 Every differentiable op returns a Tensor that remembers its parent tensors
 and a closure mapping the output gradient to parent gradients. backward()
@@ -7,7 +7,9 @@ Only leaves keep their gradients: an op's output drops its ``.grad`` as soon
 as its closure has consumed it, so a backward pass holds the gradients of
 the nodes it has not reached yet, not of the whole tape. Leaves are
 Parameters and constant inputs, the tensors without a closure. There is no
-implicit broadcasting; each op validates the shapes it accepts.
+implicit broadcasting; each op validates the shapes it accepts. Each op
+computes in its inputs' dtype, so a graph over float32 parameters and
+inputs is float32 throughout, gradients included.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ __all__ = [
     "GraphError",
     "no_grad",
     "is_grad_enabled",
-    "as_f64",
 ]
 
 
@@ -39,6 +40,7 @@ class GraphError(RuntimeError):
 
 
 _GRAD_ENABLED = [True]
+_FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 def is_grad_enabled() -> bool:
@@ -56,12 +58,11 @@ def no_grad():
         _GRAD_ENABLED[0] = prev
 
 
-def as_f64(data) -> np.ndarray:
-    return np.asarray(data, dtype=np.float64)
-
-
 class Tensor:
-    """Node in the computation graph; holds a float64 array and its gradient.
+    """Node in the computation graph; holds a float32 or float64 array and its gradient.
+
+    A float32 or float64 array is kept as it is; any other data is cast to
+    float64.
 
     ``_backward`` takes the gradient flowing into this node and returns one
     gradient array (or None) per parent, in parent order. Arrays returned by
@@ -77,7 +78,8 @@ class Tensor:
         parents: Sequence["Tensor"] = (),
         backward: Optional[Callable[[np.ndarray], tuple]] = None,
     ):
-        self.data = as_f64(data)
+        data = np.asarray(data)
+        self.data = data if data.dtype in _FLOATS else data.astype(np.float64)
         self.grad: Optional[np.ndarray] = None
         if backward is not None and is_grad_enabled():
             self._parents = tuple(parents)
@@ -174,7 +176,7 @@ class Parameter(Tensor):
 
 
 class ParameterBuffer:
-    """One contiguous float64 value array and a twin grad array behind named Parameters.
+    """One contiguous value array and a twin grad array, of one dtype, behind named Parameters.
 
     ``shapes`` maps each parameter's name to its shape, in buffer order.
     ``params`` holds one Parameter per name whose ``data`` and ``grad`` are
@@ -182,16 +184,17 @@ class ParameterBuffer:
     optimizer step, zeroing grads) act on two flat arrays. Values start
     uninitialized and grads at zero: the owner fills every value in place,
     and updates them in place from then on, since assigning a new array to
-    ``.data`` would detach it.
+    ``.data`` would detach it. ``dtype`` is the dtype of both arrays, and so
+    of everything a forward over these parameters computes.
     """
 
     __slots__ = ("params", "values", "grads")
 
-    def __init__(self, shapes: Mapping[str, Sequence[int]]):
+    def __init__(self, shapes: Mapping[str, Sequence[int]], dtype=np.float64):
         sizes = [math.prod(shape) for shape in shapes.values()]
-        self.values = np.empty(sum(sizes))
+        self.values = np.empty(sum(sizes), dtype)
         # Zeroed lazily by the allocator, so pages are first touched by a backward pass.
-        self.grads = np.zeros(sum(sizes))
+        self.grads = np.zeros(sum(sizes), dtype)
         self.params: dict[str, Parameter] = {}
         offset = 0
         for (name, shape), size in zip(shapes.items(), sizes):

@@ -6,15 +6,17 @@ one writer of the input batch norm's running statistics, which it folds in
 once per training batch: the model's forward writes no state of its own.
 
 The client uploads value copies of the keyed tensors a strategy declares,
-never gradients or data. After the server round it sets each key's mean
-that comes without an increment (plain averages, first-round aggregates)
-and applies each coordinated key's increment pair as the personalized
-update
+never gradients or data, in its buffer's dtype: float32 as
+``build_clients`` builds it. After the server round it sets each key's
+mean that comes without an increment (plain averages, first-round
+aggregates) and applies each coordinated key's increment pair as the
+personalized update
 
     value = round_start + mean_increment + psi[:, None, ...] * coordinated_update,
 
 with the increment and the update each of one row's shape, and psi one
-scalar per row. ``ClientSim.psi`` keeps one array per coordinated key: an
+scalar per row. The server's float64 values are combined in float64 and
+rounded once into the buffer. ``ClientSim.psi`` keeps one array per coordinated key: an
 expert layer's scenario weights, with one entry per expert, or a task's
 whole tower, with one entry. A key with no array yet reads 0. Each array
 is learned by a one-step directional meta-gradient on a reserved held-out

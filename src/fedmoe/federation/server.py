@@ -13,7 +13,10 @@ coordinated update, for personalized application on each client. A
 coordinated key is an expert layer's scenario weights (P = N experts) or
 one task's whole tower (P = 1). "plain" is the per-key mean over clients.
 The server sees nothing but keyed tensors, and ``aggregate`` checks each
-client's key set, shapes and finiteness before it uses any of them.
+client's key set, shapes and finiteness before it uses any of them. It
+stacks every key's uploads as float64, whatever dtype the clients train
+in, so the normalization, the solve, the directive and the snapshot are
+float64.
 """
 
 from __future__ import annotations
@@ -145,7 +148,7 @@ class FederationServer:
         directive = ServerDirective(round_index=round_index)
         normalized: dict[SharedKey, np.ndarray] = {}
         for key in key_set:
-            stack = np.stack([uploads[j][key] for j in clients])
+            stack = np.stack([uploads[j][key] for j in clients], dtype=np.float64)
             if self.plan.mode(key.kind) == COORDINATED:
                 normalized[key] = self._normalize(key, stack, directive)
             else:

@@ -32,7 +32,10 @@ of that layer's output shape, in the order the layers run
 order. ``initial_buffers`` allocates a ParameterBuffer from it and fills
 each stacked Parameter, a view of that buffer, in place in the rng's draw
 order; a model takes over one such buffer, so no parameter exists
-outside it. ``key_map()`` maps each federated key to a Parameter whose
+outside it. The buffer's dtype is the model's: float32 by default, which
+is how clients train, or float64, which the gradient checks use.
+``forward`` and ``local_loss`` cast features and labels to it, so every
+activation, gradient and Adam moment has it too. ``key_map()`` maps each federated key to a Parameter whose
 value and grad are views of the buffer, so uploads and server updates
 read and write it in place: an expert layer's parts, the task embedding,
 the input batch norm and the gates are keyed as their whole stacked
@@ -198,11 +201,14 @@ def _init_tower_layers(spec: ModelSpec, layers: list[dict[str, Parameter]], rng:
             layer["w"].data[t] = init(rng, *layer["w"].shape[1:])
 
 
-def initial_buffers(spec: ModelSpec, init_seed: int, scenarios: Sequence[int]) -> list[ParameterBuffer]:
-    """Each listed scenario's initial parameter buffer, in order.
+def initial_buffers(
+    spec: ModelSpec, init_seed: int, scenarios: Sequence[int], dtype=np.float32
+) -> list[ParameterBuffer]:
+    """Each listed scenario's initial parameter buffer of ``dtype``, in order.
 
     Fills one ParameterBuffer in the rng's draw order and copies it, so
     every scenario gets the same blueprint; ``spec.scenario`` is ignored.
+    The draws are float64, rounded once into the buffer.
     Only the scenario weights differ: the scenario templates, drawn last,
     map each scenario's embedding row to its ``w_s``. The templates and
     embeddings are dropped on return.
@@ -211,7 +217,7 @@ def initial_buffers(spec: ModelSpec, init_seed: int, scenarios: Sequence[int]) -
         raise ValueError(f"scenarios {list(scenarios)} empty or out of range for {spec.n_scenarios}")
     rng = np.random.default_rng([init_seed, 0xD0DE])
     shapes = _shapes(spec)
-    buffer = ParameterBuffer(shapes)
+    buffer = ParameterBuffer(shapes, dtype)
     params = buffer.params
     params["emb.task"].data[...] = rng.normal(0.0, 1.0, size=params["emb.task"].shape)
     emb_scenario = rng.normal(0.0, 1.0, size=(spec.n_scenarios, spec.d_emb))
@@ -226,7 +232,7 @@ def initial_buffers(spec: ModelSpec, init_seed: int, scenarios: Sequence[int]) -
     # The scenario templates' biases are zero (hidden) and one (output), as
     # in the task templates. Each scenario's row goes through them on its
     # own, as a (1, e) product, so its w_s does not depend on the others.
-    buffers = [buffer, *(ParameterBuffer(shapes) for _ in scenarios[1:])]
+    buffers = [buffer, *(ParameterBuffer(shapes, dtype) for _ in scenarios[1:])]
     for copy in buffers[1:]:
         copy.values[...] = buffer.values
     e = spec.d_emb
@@ -323,7 +329,7 @@ class ClientModel:
         the running ones, and enables dropout; ``use_dropout=False`` turns
         dropout off in train mode too. No mode writes the running statistics.
         """
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=self.buffer.values.dtype)
         if x.ndim != 2 or x.shape[1] != self.spec.d_feat:
             raise ValueError(f"expected features (K, {self.spec.d_feat}), got {x.shape}")
         xhat = batchnorm(Tensor(x), self.bn_in, train=train)
@@ -343,7 +349,7 @@ class ClientModel:
 
     def local_loss(self, x: np.ndarray, y: np.ndarray, use_dropout: bool = True) -> tuple[Tensor, Tensor]:
         """Train-mode multi-task BCE and the (T, K) probabilities."""
-        y = np.asarray(y, dtype=np.float64)
+        y = np.asarray(y, dtype=self.buffer.values.dtype)
         if y.ndim != 2 or y.shape[1] != self.spec.n_tasks:
             raise ValueError(f"expected labels (K, {self.spec.n_tasks}), got {y.shape}")
         probs = self.forward(x, use_dropout=use_dropout)

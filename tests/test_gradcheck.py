@@ -19,7 +19,7 @@ from fedmoe.diffcore import (
     softmax,
     task_weights,
 )
-from fedmoe.model import ClientModel, ModelSpec
+from fedmoe.model import ClientModel, ModelSpec, initial_buffers
 from reference_ops import add_n, elementwise_mul, mix_task, relu_dropout, scale, select, sum_sq_diff
 
 TOL = 1e-4
@@ -30,7 +30,7 @@ def small_model(dropout=0.0, n_experts=2, seed=11):
         scenario=0, n_scenarios=2, n_tasks=2, n_experts=n_experts,
         d_feat=4, expert_widths=(5, 3), tower_widths=(4,), d_emb=6, dropout=dropout,
     )
-    return ClientModel(spec, init_seed=seed)
+    return ClientModel(spec, seed, initial_buffers(spec, seed, [0], np.float64)[0])
 
 
 class TestPrimitiveGradients:

@@ -264,7 +264,7 @@ def test_built_clients_equal_independently_built_models(experts):
     for j, client in enumerate(clients):
         built, alone = client.model, ClientModel(config.model_spec(j), init_seed=config.seed)
         assert built.buffer.values.tobytes() == alone.buffer.values.tobytes()
-        assert built.buffer.grads.tobytes() == alone.buffer.grads.tobytes() == bytes(8 * alone.buffer.size)
+        assert built.buffer.grads.tobytes() == alone.buffer.grads.tobytes() == bytes(alone.buffer.grads.nbytes)
         for stat in ("running_mean", "running_var"):
             assert getattr(built.bn_in, stat).tobytes() == getattr(alone.bn_in, stat).tobytes()
         for got, want in zip(built._dropout_keeps(8, 0.2), alone._dropout_keeps(8, 0.2)):

@@ -18,7 +18,7 @@ from fedmoe.federation.client import ClientSim
 from fedmoe.federation.server import COORDINATED, STRATEGY_IDS, FederationServer, resolve_strategy
 from fedmoe.harness import run_experiment
 from fedmoe.keys import SharedKey
-from fedmoe.model import EXPERT_PARTS, TEMPLATE_PARTS, ClientModel, ModelSpec
+from fedmoe.model import EXPERT_PARTS, TEMPLATE_PARTS, ClientModel, ModelSpec, initial_buffers
 from reference_ops import mix_task, select
 
 
@@ -28,7 +28,8 @@ def make_model(**kwargs):
         d_feat=4, expert_widths=(6, 3), tower_widths=(4,), d_emb=5, dropout=0.0,
     )
     defaults.update(kwargs)
-    return ClientModel(ModelSpec(**defaults), init_seed=21)
+    spec = ModelSpec(**defaults)
+    return ClientModel(spec, 21, initial_buffers(spec, 21, [spec.scenario], np.float64)[0])
 
 
 def of_kind(model, kind):
@@ -283,6 +284,41 @@ class TestTapeMemory:
         finally:
             tracemalloc.stop()
         assert peak - start <= 3.0 * 2**20
+
+    def test_default_train_step_stays_float32(self):
+        """A default-built model trains in float32 throughout: every tape
+        node's value, every gradient a backward closure returns, the input
+        batch norm's running statistics and Adam's moments. An upcast
+        anywhere keeps every value test green and costs only time."""
+        model, _ = self.default_step()
+        assert model.spec.dropout > 0.0
+        rng = np.random.default_rng(0)
+        x = rng.normal(0, 1, (256, model.spec.d_feat))
+        y = (rng.random((256, model.spec.n_tasks)) < 0.5).astype(float)
+        loss, _ = model.local_loss(x, y)
+        nodes, returned = tape_nodes(loss), []
+
+        def recording(backward):
+            def wrapped(g):
+                grads = backward(g)
+                returned.extend(grad for grad in grads if grad is not None)
+                return grads
+
+            return wrapped
+
+        for node in nodes:
+            if node._backward is not None:
+                node._backward = recording(node._backward)
+        loss.backward()
+        float32 = np.dtype(np.float32)
+        assert {node.data.dtype for node in nodes} == {float32}
+        assert len(returned) >= len(model.parameters())
+        assert {grad.dtype for grad in returned} == {float32}
+        model.bn_in.track(x)
+        assert model.bn_in.running_mean.dtype == model.bn_in.running_var.dtype == float32
+        optimizer = Adam(model.buffer)
+        optimizer.step()
+        assert optimizer._m.dtype == optimizer._v.dtype == model.buffer.values.dtype == float32
 
 
 class TestTrainingLoss:

@@ -7,10 +7,12 @@ from fedmoe.config import ExperimentConfig
 from fedmoe.data import SyntheticSpec, synthesize
 from fedmoe.federation import server as server_mod
 from fedmoe.federation.coordination import solve_conflict_weights
+from fedmoe.federation.client import ClientSim
 from fedmoe.federation.server import STRATEGIES, FederationServer, ServerDirective, resolve_strategy, upload_keys
 from fedmoe.federation.snapshot import read_snapshot, write_snapshot
 from fedmoe.harness import build_clients, run_experiment
 from fedmoe.keys import KINDS, SharedKey
+from fedmoe.model import ClientModel, initial_buffers
 
 
 def key(kind="expert_scenario", index=-1, layer=0, part="w_s"):
@@ -277,8 +279,11 @@ class TestPersonalizedApply:
 
 class TestPsiMetaUpdate:
     def build_client(self):
-        clients, _ = make_clients(s=2, n_experts=1, widths=(6,))
-        return clients[0]
+        """Client 0 of ``make_clients(s=2, n_experts=1, widths=(6,))`` in float64, for the finite differences."""
+        clients, config = make_clients(s=2, n_experts=1, widths=(6,))
+        spec = config.model_spec(0)
+        model = ClientModel(spec, config.seed, initial_buffers(spec, config.seed, [0], np.float64)[0])
+        return ClientSim(model, clients[0].shard, eta_psi=config.eta_psi, batch_size=config.batch_size, seed=config.seed)
 
     def test_zero_update_leaves_psi(self):
         client = self.build_client()
@@ -589,10 +594,12 @@ class TestRoundProtocol:
             c.apply_directive(directive)
         for c in clients:
             for k, w_s in of_kind(c.model, "expert_scenario").items():
-                assert np.array_equal(w_s.data, directive.means[k])
+                # The server's float64 mean, rounded once into the float32 buffer.
+                assert directive.means[k].dtype == np.float64
+                assert np.array_equal(w_s.data, directive.means[k].astype(np.float32))
                 for e in range(3):
-                    expected = np.mean(np.stack([uploads[j][k][e] for j in uploads]), axis=0)
-                    assert np.array_equal(w_s.data[e], expected)
+                    expected = np.mean([uploads[j][k][e] for j in uploads], axis=0, dtype=np.float64)
+                    assert np.array_equal(w_s.data[e], expected.astype(np.float32))
 
     def test_expert_layer_pool_shares_aggregate(self):
         clients, config = make_clients(s=2, n_experts=3)
@@ -608,7 +615,39 @@ class TestRoundProtocol:
             assert directive.means[k].shape == of_kind(clients[0].model, "expert_scenario")[k].shape[1:]
             for c in clients:
                 for row in of_kind(c.model, "expert_scenario")[k].data:  # every expert of every client
-                    assert np.array_equal(row, directive.means[k])
+                    assert np.array_equal(row, directive.means[k].astype(np.float32))
+
+    @pytest.mark.parametrize("strategy", ["main", "a2", "fedavg"])
+    def test_server_aggregates_float32_uploads_as_their_float64_casts(self, strategy):
+        """Clients upload float32; the server stacks them as float64, so its
+        directive and snapshot equal those of the uploads cast to float64,
+        bit for bit, and the FedBN residual stays at float64 rounding."""
+        clients, config = make_clients(s=3, n_experts=2)
+        plan = resolve_strategy(strategy)
+        keys = upload_keys(plan, clients[0].model)
+        server, server64 = FederationServer(plan, c=config.c), FederationServer(plan, c=config.c)
+        for round_index in (1, 2):
+            for c in clients:
+                c.begin_round(keys)
+                c.local_phase(round_index, max_batches=1)
+            uploads = {c.index: c.build_upload(keys) for c in clients}
+            assert {arr.dtype for upload in uploads.values() for arr in upload.values()} == {np.dtype(np.float32)}
+            directive = server.aggregate(uploads, round_index)
+            cast = {j: {k: arr.astype(np.float64) for k, arr in upload.items()} for j, upload in uploads.items()}
+            directive64 = server64.aggregate(cast, round_index)
+            assert directive.fedbn_residual == directive64.fedbn_residual < 1e-9  # fedbench's FEDBN_RESIDUAL_LIMIT
+            for k, mean in directive.means.items():
+                assert mean.dtype == np.float64 and mean.tobytes() == directive64.means[k].tobytes()
+            assert directive.increments.keys() == directive64.increments.keys()
+            for k, pair in directive.increments.items():
+                assert [a.tobytes() for a in pair] == [a.tobytes() for a in directive64.increments[k]]
+            entries, entries64 = server.last_snapshot_entries, server64.last_snapshot_entries
+            assert entries.keys() == entries64.keys()
+            for label, arr in entries.items():
+                assert arr.dtype == np.float64 and arr.tobytes() == entries64[label].tobytes()
+            for c in clients:
+                c.apply_directive(directive)
+        assert strategy == "fedavg" or directive.increments  # round 2 coordinates
 
 
 class TestPrivacyAudit:

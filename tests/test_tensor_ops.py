@@ -271,6 +271,19 @@ class TestBce:
         loss = bce(Tensor([0.0, 1.0]), np.array([1.0, 0.0]))
         assert np.isfinite(loss.item())
 
+    @pytest.mark.parametrize("label", [0.0, 1.0])
+    def test_float32_rails_give_a_finite_loss_and_no_gradient(self, label):
+        """In float32 the upper rail 1 - 1e-7 rounds to 1 - 2**-23, still below 1,
+        so probabilities of 0, 1 and 1 - 1e-8 (which rounds to 1) score finite
+        and pass no gradient."""
+        assert np.float32(1.0 - ops.PROB_CLAMP) == 1.0 - 2.0**-23
+        p = Parameter(np.array([0.0, 1.0, 1.0 - 1e-8], dtype=np.float32), "p")
+        loss = bce(p, np.full(3, label))
+        assert loss.data.dtype == np.float32 and np.isfinite(loss.item())
+        loss.backward()
+        assert p.grad.dtype == np.float32
+        assert np.array_equal(p.grad, np.zeros(3))
+
     @pytest.mark.parametrize("k", [2, 127, 256, 1000])
     @pytest.mark.parametrize("t", [1, 2, 3])
     def test_stacked_labels_equal_one_call_per_task_bitwise(self, t, k):
