@@ -35,57 +35,57 @@ def small_config(**overrides) -> ExperimentConfig:
 # deliberate re-baseline replaces them and says why in CHANGES.md.
 PINNED_SHA256 = {
     "main": {
-        "metrics.csv": "e4013b984c2a7f9e0e29041553b389274b2f101e3b5b526c49024b2b0d73513a",
-        "convergence.csv": "011b5a4645c362d789f1ef3cb1fdb2c48c13e52839aff67c8981304a9fbdae57",
-        "snapshots/round_1.bin": "01ffec1c4b8629026f6532ce685c22fd2934ed3256a121117b0eb8ee2607b378",
-        "snapshots/round_2.bin": "92fcc950d6995bdaa4ec7fa38d276d4efc4fe3522ac069474f2a7825fc7cee7c",
-        "snapshots/round_3.bin": "376b0ba83421a0aa015401dd22f14e5752394ec6931520b7b7e6c9d8036a3cde",
+        "metrics.csv": "7c67854602b20f403da446dbe3118e0c9bf68b7b4e963ae829c0e3f2783a105a",
+        "convergence.csv": "58b62f776f426edce76691ceef618f14d32afa988c8ba969fe04e757bf42e143",
+        "snapshots/round_1.bin": "2274dfcbb47e3a461360a78cea34126cd976cc35691bdc0c8890d9499c3b5586",
+        "snapshots/round_2.bin": "8fc1336eafc4783fcbdc3db1a3ff47c06098044e127630aa8edd606a5150dfe3",
+        "snapshots/round_3.bin": "42d0e6f63f5119e8bd03f884e1348d8f6fa7ee94c4df5b6d71d4d66304704547",
     },
     "a1": {
-        "metrics.csv": "4b08948e81ab6c83e75f3cfb88ae57871d398e4bed615ebf91e6ff86fae8f204",
-        "convergence.csv": "17e0b721ec578459874ec4cd9351234634d761127d024a53c090381ab62d9e7c",
-        "snapshots/round_1.bin": "0ebded00be24575a37fbc761961b480d679e0a2521d0bc2581890cd689f5ed3c",
-        "snapshots/round_2.bin": "8e5475d240d0fc0f6d01b31e9ccb0ef251c27d7e4047c1d9d47dc15f582c6601",
-        "snapshots/round_3.bin": "0a8086aec515212960dc262b135121d3522ee88db1c4ca2a6fb7967a5da4c118",
+        "metrics.csv": "e191ca70d1670645f42ad440b02b102205c56965f18d9394a2d4568142ca3a09",
+        "convergence.csv": "f1a93fed3a4bf4ca99d94708ef923c9386a79ffeb6c46e9cd82741cb738213a2",
+        "snapshots/round_1.bin": "ff370431510888dc2ff4cb88f37b5b4a7c59072bdb4cefd8e4d10b8988826dba",
+        "snapshots/round_2.bin": "f1146d975676eeaddb7e27dfb1e970c6735786929588c3d1de9f5e31b303927b",
+        "snapshots/round_3.bin": "391865120725ffaac5adab259138207b74ab505445c5333464314a0e59fd8343",
     },
     "a2": {
-        "metrics.csv": "bd78d2fa24c208e8af7964867c9e9b3ca983a2e41ccc6c2b9834949527e6dd12",
-        "convergence.csv": "cac94c4e15e8a2aa4c22cc15ff8dce2584429f2639f7b2c2b49ef7e5bb267415",
-        "snapshots/round_1.bin": "3e501d96bb87109d59be0459ad56355ffc88b9bb2259cf3f6886e1ff8ace0073",
-        "snapshots/round_2.bin": "8e6de4c9fecb037208c11a536b1683ec40c465327b60981ae46c080f08b7c6cb",
-        "snapshots/round_3.bin": "d26c780dc48b8494863f7a4756806c3bbc687d83be95a74825b2545f8361d35a",
+        "metrics.csv": "35b32487db24fd37e2720623cb01a982cdf0e85e9da7c5953579f7b61111ab14",
+        "convergence.csv": "78bf9ee99475f3af0e0c32815d875cbbef2d124021091104bd89fbab38e69861",
+        "snapshots/round_1.bin": "221c70c0cf36d071a11df5c2ac923c69e3fcf5e90dbe1c5a6d4e91db1aa3ffe9",
+        "snapshots/round_2.bin": "2dd1ea9fa435b4669a7bcb5128d72b6512c9d1d200902c5224cd48a57edb5819",
+        "snapshots/round_3.bin": "2558595de9f4a0cb7506ec543f90db7246a2ff13be0686b7193368df6cb940a7",
     },
     "a4": {
-        "metrics.csv": "0eadfae9d2f8a6d377db314101694806a1c4dec2151e9caf8ff4af02ef742c8f",
-        "convergence.csv": "95b6ceededf84ff0d7e43e30c46197009202249d99025ccabe91826f49936590",
-        "snapshots/round_1.bin": "7176b28a95309dd8c5904b83cdb81d95a6e9c45c611429534bf66fe5baeb2491",
-        "snapshots/round_2.bin": "852b12aef11a8537cc7a2020e034ebf79da8a49d9e59ad4fc7f970bdd91a51e6",
-        "snapshots/round_3.bin": "005a33d62e5e048838c4a34cce3ec8cf19a62c4d9fdcb0dbd22ed6400353c016",
+        "metrics.csv": "d9d265fc8e88b8447c11343fe811e28019a7c2b97628628d8681c68895350fa6",
+        "convergence.csv": "aece3b1ec69b11d77c8753f8c16781a9455152ff41791d0f28ad8d24ed890a05",
+        "snapshots/round_1.bin": "8d6d1ad7c64df5b31b889389c31c14e9de63e54c856e71b0bac71c8a3d5050eb",
+        "snapshots/round_2.bin": "82d11797d2fa1027ad0f96f5be4aa67fb6d44b0f47eca4b00f73fbe30a37cbb8",
+        "snapshots/round_3.bin": "dd592ccc8ccc58c3f824bdb397b657bff345c5f7545ef0971b9d484ac969653a",
     },
     "fedavg": {
-        "metrics.csv": "584fba92bb50a09f6f01b7c4b3c3ad31db494fc921f291f7e4fe4f9ab9ebce26",
-        "convergence.csv": "c9078cfcb32010e8d167e628fee6aa5ac4141f772a1d766f2580a805418323e3",
-        "snapshots/round_1.bin": "b2e0108520d59500f268a19626a2b9031eaa23d71ef54ef78c182b596d2787ba",
-        "snapshots/round_2.bin": "377880066c556af597ab03a01d411201df734dbf70e4a819f4d1c2ded83dcd29",
-        "snapshots/round_3.bin": "7ce7ccdac2ef98ddab907a50dbd257410769f10248cca44b25ead8d14a706194",
+        "metrics.csv": "d19a05b3189c247da5cbd0d3a7e1d80709f344176084f2a155b5600d987f45c8",
+        "convergence.csv": "4a16da1020c746b25543b327498b9797778c27b37c18025e4379c904f6fdde02",
+        "snapshots/round_1.bin": "177ed7b983a5ac156977547673d1f13f9946740e607b1eb7b63135610ee5f751",
+        "snapshots/round_2.bin": "fe590f8b21f7740f9e624ffec6d6a9dd9d13f74461df8073049f183dc898cacd",
+        "snapshots/round_3.bin": "5fff811417fdb729db1f4feefa9b1cee151ce024882874fc20784636471308fb",
     },
     "local_one_task_one_expert": {
-        "metrics.csv": "bd6237893185784fa03d98bd23465a22cd87f741112b07c5e6d1457efd13c72f",
-        "convergence.csv": "df11b04c3b543d1e597d30738fad89ad2f188133567ede12533dffb04ccb1c85",
+        "metrics.csv": "a66157837a687e095fd68b6ed552ce4240eb467141164c1fca7a4c70312b262f",
+        "convergence.csv": "66b5e41a0ebe51cd5884b9258a79c6f53f714bba9c5eef645fe95540b4964546",
     },
     "main_three_tasks_no_tower": {
-        "metrics.csv": "f8b0de1940831888f26c58ee1b12f3644af3862a3d5e78e61add75fe82311300",
-        "convergence.csv": "22697d7e1d2c88c2d5ceabb650bc57060a7e136b7f80ca0827aeb9ac754757b8",
-        "snapshots/round_1.bin": "9b4165a484397735f0e7b0844d03b7ff10863e89863ed151365845715a077adc",
-        "snapshots/round_2.bin": "474812e858b746e0653e6b0c679eca65664e72f6f02cbb1a5de4217529725c5e",
-        "snapshots/round_3.bin": "202c2e15217a2a0ca41c087c30895a64f813cd72853ad0bbf4628552d9883283",
+        "metrics.csv": "6b53559f866ccfc25776509766b71f939c041344590e59682aa70ab4fe41ab95",
+        "convergence.csv": "677241d87f99fa2be910b35f90b81937df4da9df681875a6bfc8afe9b12ebe95",
+        "snapshots/round_1.bin": "b48d00c41fc29d4cbb9a6e146b91d84a1c2aaf80ba9c1fc208864d13beac36a6",
+        "snapshots/round_2.bin": "38eb63aefa624968d28b3c698bff9330aea2320a1cadccdc79fc84d47b8c53d1",
+        "snapshots/round_3.bin": "30555872887bbb726261c7b55a5d6156ca86b211befd2443f4a8262b863d100c",
     },
     "main_three_clients_three_experts": {
-        "metrics.csv": "8c11e436daec429bc2b93311caa204f955145f89e297d350b3652a008a5c6641",
-        "convergence.csv": "e5e4c5e929fdc39565610545d655eb7b079efae80bce6bd8ecd828657b61d0b7",
-        "snapshots/round_1.bin": "03ed26131353c9017e2953d26f7452dbf6631628db8ba0a7cc34bd5a15bd2a46",
-        "snapshots/round_2.bin": "26e124059054ce599712a5925eae39215ccea654763c9ac19bd7cec1b63f113d",
-        "snapshots/round_3.bin": "ba12c3c16571156ae1cf9d903abe72805a502b4eaed8d4664fa3421759bd3f4c",
+        "metrics.csv": "cefd33c42bb558b161bd26b198433f6b58330ab65a3ef8f22dcd4843e25e305a",
+        "convergence.csv": "51db1f31ebd3318426eb3a250734bbde8401989e197a54a3116b09df697c66af",
+        "snapshots/round_1.bin": "a934918c01224481c66e020a06a836ecfc64f6fb6f347dfbfcdde754df7d8b5c",
+        "snapshots/round_2.bin": "d1098a61542d064b001ca9bc18b08ff4ebcdd7b3bb480de61c43f77d7002a540",
+        "snapshots/round_3.bin": "ba24ef275f7f8d7b5f29ba7eb067435df23c755a2b1912545260d51ffa7bab01",
     },
 }
 # The cases that are not a strategy on small_config: the smallest model, a
