@@ -140,11 +140,11 @@ def bce(p: Tensor, y: np.ndarray) -> Tensor:
     batch mean of one task, or the sum of the batch means of T tasks.
 
     ``y`` holds constant {0,1} labels, one task's (K,) or T tasks' (T, K),
-    read in p's dtype; no gradient flows into it. ``p`` is read in y's shape. Each row's mean
-    is the 1-D mean of that row (a C-ordered row reduction) and ``cumsum``
-    adds the rows from row 0 on (``sum`` is pairwise from 8 rows), so
-    value and gradient equal those of T one-task calls summed in task order,
-    bit for bit.
+    read in p's dtype; no gradient flows into it. ``p`` is read in y's
+    shape. Each row's mean is the 1-D mean of that row (a C-ordered row
+    reduction) and ``cumsum`` adds the rows from row 0 on (``sum`` is
+    pairwise from 8 rows), so value and gradient equal those of T one-task
+    calls summed in task order, bit for bit.
     """
     y = np.asarray(y, dtype=p.data.dtype)
     if y.ndim not in (1, 2) or p.size != y.size:

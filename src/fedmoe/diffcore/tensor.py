@@ -59,7 +59,7 @@ def no_grad():
 
 
 class Tensor:
-    """Node in the computation graph; holds a float32 or float64 array and its gradient.
+    """Node in the computation graph; holds an array and its gradient.
 
     A float32 or float64 array is kept as it is; any other data is cast to
     float64.
@@ -184,8 +184,7 @@ class ParameterBuffer:
     optimizer step, zeroing grads) act on two flat arrays. Values start
     uninitialized and grads at zero: the owner fills every value in place,
     and updates them in place from then on, since assigning a new array to
-    ``.data`` would detach it. ``dtype`` is the dtype of both arrays, and so
-    of everything a forward over these parameters computes.
+    ``.data`` would detach it. ``dtype`` is both arrays' dtype.
     """
 
     __slots__ = ("params", "values", "grads")

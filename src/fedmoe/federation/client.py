@@ -16,12 +16,12 @@ personalized update
 
 with the increment and the update each of one row's shape, and psi one
 scalar per row. The server's float64 values are combined in float64 and
-rounded once into the buffer. ``ClientSim.psi`` keeps one array per coordinated key: an
-expert layer's scenario weights, with one entry per expert, or a task's
-whole tower, with one entry. A key with no array yet reads 0. Each array
-is learned by a one-step directional meta-gradient on a reserved held-out
-batch: psi falls when the local loss rises along the coordinated
-direction, and is clamped to [-2, 2].
+rounded once into the buffer. ``ClientSim.psi`` keeps one array per
+coordinated key: an expert layer's scenario weights, with one entry per
+expert, or a task's whole tower, with one entry. A key with no array yet
+reads 0. Each array is learned by a one-step directional meta-gradient on
+a reserved held-out batch: psi falls when the local loss rises along the
+coordinated direction, and is clamped to [-2, 2].
 """
 
 from __future__ import annotations

@@ -35,13 +35,13 @@ order; a model takes over one such buffer, so no parameter exists
 outside it. The buffer's dtype is the model's: float32 by default, which
 is how clients train, or float64, which the gradient checks use.
 ``forward`` and ``local_loss`` cast features and labels to it, so every
-activation, gradient and Adam moment has it too. ``key_map()`` maps each federated key to a Parameter whose
-value and grad are views of the buffer, so uploads and server updates
-read and write it in place: an expert layer's parts, the task embedding,
-the input batch norm and the gates are keyed as their whole stacked
-Parameters, and each task's tower as its (1, P) row of the block. Each
-key's kind says which set it belongs to: the scenario weights, the towers,
-the other expert parts or the rest.
+activation, gradient and Adam moment has it too. ``key_map()`` maps each
+federated key to a Parameter whose value and grad are views of the
+buffer, so uploads and server updates read and write it in place: an
+expert layer's parts, the task embedding, the input batch norm and the
+gates are keyed as their whole stacked Parameters, and each task's tower
+as its (1, P) row of the block. Each key's kind says which set it belongs
+to: the scenario weights, the towers, the other expert parts or the rest.
 
 The model holds no mode: ``forward`` takes ``train`` (batch statistics and
 dropout) and ``use_dropout`` as arguments, so evaluation and the held-out
