@@ -114,20 +114,20 @@ def _check_coordination() -> str:
 
 
 def _check_gradients() -> str:
-    from .diffcore import Parameter, Tensor, affine, bce, grad_check, relu, sigmoid
+    from .diffcore import Parameter, Tensor, affine, bce, grad_check, hidden_layer, sigmoid
     from .model import ClientModel, ModelSpec, initial_buffers
 
+    # A one-map stack of the ops the model runs: a ReLU hidden layer and a sigmoid head.
     rng = np.random.default_rng(3)
     x = Tensor(rng.normal(0, 1, (6, 4)))
-    w = Parameter(rng.normal(0, 1, (4, 3)), "w")
-    b = Parameter(rng.normal(0, 1, 3), "b")
-    w2 = Parameter(rng.normal(0, 1, (3, 1)), "w2")
-    b2 = Parameter(np.zeros(1), "b2")
+    w = Parameter(rng.normal(0, 1, (1, 4, 3)), "w")
+    b = Parameter(rng.normal(0, 1, (1, 3)), "b")
+    w2 = Parameter(rng.normal(0, 1, (1, 3, 1)), "w2")
+    b2 = Parameter(np.zeros((1, 1)), "b2")
     y = (rng.random(6) < 0.5).astype(float)
 
     def mlp():
-        h = relu(affine(x, w, b))
-        return bce(sigmoid(affine(h, w2, b2)), y)
+        return bce(sigmoid(affine(hidden_layer(x, w, b, 0.0), w2, b2)), y)
 
     mlp_err = grad_check(mlp, [w, b, w2, b2], rng=np.random.default_rng(0))
 

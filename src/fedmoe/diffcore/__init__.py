@@ -7,7 +7,6 @@ from .ops import (
     bce,
     hidden_layer,
     mix_experts,
-    relu,
     reshape,
     sigmoid,
     softmax,
@@ -20,7 +19,6 @@ from .tensor import (
     ParameterBuffer,
     ShapeMismatchError,
     Tensor,
-    is_grad_enabled,
     no_grad,
 )
 
@@ -37,10 +35,8 @@ __all__ = [
     "bce",
     "grad_check",
     "hidden_layer",
-    "is_grad_enabled",
     "mix_experts",
     "no_grad",
-    "relu",
     "reshape",
     "sigmoid",
     "softmax",

@@ -2,7 +2,9 @@
 
 Each op validates shapes eagerly, computes the forward value with numpy,
 and closes over whatever the exact backward pass needs. Gradients returned
-by closures are freshly allocated arrays.
+by closures are freshly allocated arrays. Ops never write to their inputs,
+and several backward closures read the op's own output, so nothing writes
+to an op's output either.
 """
 
 from __future__ import annotations
@@ -12,11 +14,10 @@ from typing import Optional
 
 import numpy as np
 
-from .tensor import ShapeMismatchError, Tensor, is_grad_enabled
+from .tensor import ShapeMismatchError, Tensor
 
 __all__ = [
     "affine",
-    "relu",
     "sigmoid",
     "softmax",
     "bce",
@@ -63,51 +64,6 @@ def _affine_grads(x: np.ndarray, w: np.ndarray, g: np.ndarray) -> tuple[np.ndarr
     else:
         dx = np.matmul(g, np.swapaxes(w, -1, -2))
     return dx, dw, g.sum(axis=-2)
-
-
-def _relu_dropout_(out: np.ndarray, rate: float, keep: Optional[np.ndarray]) -> Optional[tuple]:
-    """ReLU, then inverted dropout where ``keep`` is False, on a fresh array in place.
-
-    Returns what the backward needs, ``(mask, scale)``: the bool mask
-    ``(h > 0) & keep`` and 1/(1 - rate), or scale None without a keep
-    mask; None under ``no_grad``. Multiplying by the bool mask is exact,
-    so each value is rounded once, by the scale, and equals
-    ``max(h, 0) * dropout_mask`` byte for byte: kept, dropped and
-    signed-zero entries alike.
-    """
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    np.maximum(out, 0.0, out=out)
-    if keep is None:
-        return (out > 0.0, None) if is_grad_enabled() else None
-    if keep.shape != out.shape or keep.dtype != np.bool_:
-        raise ShapeMismatchError(f"dropout keep mask must be bool of shape {out.shape}, got {keep.dtype} {keep.shape}")
-    mask = out > 0.0
-    mask &= keep
-    scale = 1.0 / (1.0 - rate)
-    out *= mask
-    out *= scale
-    return (mask, scale) if is_grad_enabled() else None
-
-
-def _masked(g: np.ndarray, mask: np.ndarray, scale: Optional[float]) -> np.ndarray:
-    """The gradient through ``_relu_dropout_``: ``g * mask``, then times the scale."""
-    gm = g * mask
-    if scale is not None:
-        gm *= scale
-    return gm
-
-
-def relu(x: Tensor) -> Tensor:
-    """max(x, 0). The derivative at 0 is 0, and a NaN passes through to the
-    loss's finiteness check."""
-    out = x.data.copy()
-    saved = _relu_dropout_(out, 0.0, None)
-
-    def backward(g):
-        return (_masked(g, *saved),)
-
-    return Tensor(out, (x,), backward)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -241,17 +197,35 @@ def hidden_layer(x: Tensor, w: Tensor, b: Tensor, rate: float, keep: Optional[np
     runs, so every value equals that of the per-path composition of affine,
     ReLU and dropout bit for bit. A shared x's gradient adds the paths'
     products one by one, in C order (``_affine_grads``).
+
+    Multiplying by the bool keep mask is exact, so each value is rounded
+    once, by the scale. The backward reads its mask from the returned
+    output: the scale is finite and above 1, so ``out > 0`` holds exactly
+    where the pre-activation is positive and the path is kept (NaN > 0 is
+    False), and nothing may write to the output afterwards.
     """
     if w.ndim not in (3, 4) or b.shape != (w.shape[-3], w.shape[-1]):
         raise ShapeMismatchError(f"hidden_layer expects w (T,[N,]d_in,d_out) and b (T or N, d_out); got {w.shape}, {b.shape}")
     if not (x.ndim == 2 or x.shape[:-2] == w.shape[:-2]) or x.shape[-1] != w.shape[-2]:
         raise ShapeMismatchError(f"hidden_layer input {x.shape} does not fit weights {w.shape}")
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     out = np.matmul(x.data, w.data)
     out += b.data[:, None, :]
-    saved = _relu_dropout_(out, rate, keep)
+    np.maximum(out, 0.0, out=out)
+    scale = None
+    if keep is not None:
+        if keep.shape != out.shape or keep.dtype != np.bool_:
+            raise ShapeMismatchError(f"dropout keep mask must be bool of shape {out.shape}, got {keep.dtype} {keep.shape}")
+        scale = 1.0 / (1.0 - rate)
+        out *= keep
+        out *= scale
 
     def backward(g):
-        dx, dw, db = _affine_grads(x.data, w.data, _masked(g, *saved))
+        gm = g * (out > 0.0)
+        if scale is not None:
+            gm *= scale
+        dx, dw, db = _affine_grads(x.data, w.data, gm)
         return dx, dw, (db.sum(axis=0) if db.ndim > b.ndim else db)
 
     return Tensor(out, (x, w, b), backward)

@@ -27,7 +27,6 @@ __all__ = [
     "ShapeMismatchError",
     "GraphError",
     "no_grad",
-    "is_grad_enabled",
 ]
 
 
@@ -41,10 +40,6 @@ class GraphError(RuntimeError):
 
 _GRAD_ENABLED = [True]
 _FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
-
-
-def is_grad_enabled() -> bool:
-    return _GRAD_ENABLED[0]
 
 
 @contextlib.contextmanager
@@ -81,7 +76,7 @@ class Tensor:
         data = np.asarray(data)
         self.data = data if data.dtype in _FLOATS else data.astype(np.float64)
         self.grad: Optional[np.ndarray] = None
-        if backward is not None and is_grad_enabled():
+        if backward is not None and _GRAD_ENABLED[0]:
             self._parents = tuple(parents)
             self._backward = backward
         else:

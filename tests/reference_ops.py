@@ -1,9 +1,11 @@
 """Plain per-tensor ops that the tests use as references for the fused ones.
 
 The model builds no graph from these; they live with the tests so the
-library's op set holds only what the model runs. ``relu_dropout`` is an
-independent float-mask version of the library's fused layer op's
-activation, so comparing the two checks the bool-mask arithmetic.
+library's op set holds only what the model runs. ``relu`` and
+``relu_dropout`` are independent versions of the library's fused layer op's
+activation, each with a mask of its own (``relu_dropout``'s a float mask),
+so comparing them with it checks the mask that its backward reads from its
+output.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from fedmoe.diffcore import ShapeMismatchError, Tensor
 
-__all__ = ["add_n", "elementwise_mul", "mix_task", "relu_dropout", "scale", "select", "sum_sq_diff"]
+__all__ = ["add_n", "elementwise_mul", "mix_task", "relu", "relu_dropout", "scale", "select", "sum_sq_diff"]
 
 
 def add_n(terms: Sequence[Tensor]) -> Tensor:
@@ -78,6 +80,17 @@ def mix_task(gates: Tensor, experts: Tensor) -> Tensor:
         return dgates, gates.data.T[:, :, None] * g
 
     return Tensor(out, (gates, experts), backward)
+
+
+def relu(x: Tensor) -> Tensor:
+    """max(x, 0). The derivative at 0 is 0, and a NaN passes through."""
+    out = np.maximum(x.data, 0.0)
+    mask = x.data > 0.0
+
+    def backward(g):
+        return (g * mask,)
+
+    return Tensor(out, (x,), backward)
 
 
 def relu_dropout(x: Tensor, rate: float, keep: Optional[np.ndarray] = None) -> Tensor:

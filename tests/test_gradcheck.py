@@ -13,14 +13,13 @@ from fedmoe.diffcore import (
     grad_check,
     hidden_layer,
     mix_experts,
-    relu,
     reshape,
     sigmoid,
     softmax,
     task_weights,
 )
 from fedmoe.model import ClientModel, ModelSpec, initial_buffers
-from reference_ops import add_n, elementwise_mul, mix_task, relu_dropout, scale, select, sum_sq_diff
+from reference_ops import add_n, elementwise_mul, mix_task, relu, relu_dropout, scale, select, sum_sq_diff
 
 TOL = 1e-4
 

@@ -12,14 +12,14 @@ from fedmoe import data as data_mod
 from fedmoe import model as model_mod
 from fedmoe.config import ExperimentConfig
 from fedmoe.data import DataError, RecordSet, ScenarioShard, SyntheticSpec, synthesize
-from fedmoe.diffcore import Adam, Tensor, affine, batchnorm, bce, no_grad, relu, reshape, sigmoid, softmax, task_weights
+from fedmoe.diffcore import Adam, Tensor, affine, batchnorm, bce, no_grad, reshape, sigmoid, softmax, task_weights
 from fedmoe.federation import client as client_mod
 from fedmoe.federation.client import ClientSim
 from fedmoe.federation.server import COORDINATED, STRATEGY_IDS, FederationServer, resolve_strategy
 from fedmoe.harness import run_experiment
 from fedmoe.keys import SharedKey
 from fedmoe.model import EXPERT_PARTS, TEMPLATE_PARTS, ClientModel, ModelSpec, initial_buffers
-from reference_ops import mix_task, select
+from reference_ops import mix_task, relu, select
 
 
 def make_model(**kwargs):
@@ -233,6 +233,18 @@ def tape_nodes(root):
     return nodes
 
 
+def closure_arrays(fn):
+    """The arrays that a function's closure cells hold, in tuples and lists too."""
+    arrays, stack = [], [cell.cell_contents for cell in fn.__closure__ or ()]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, np.ndarray):
+            arrays.append(item)
+        elif isinstance(item, (tuple, list)):
+            stack.extend(item)
+    return arrays
+
+
 class TestTapeMemory:
     def default_step(self):
         """One default-config train step on a 256-row batch."""
@@ -258,6 +270,21 @@ class TestTapeMemory:
         assert all(node.grad is not None for node in leaves)  # the batch's input tensor too
         assert {id(p) for p in model.parameters()} <= {id(leaf) for leaf in leaves}
         assert all(p.grad.any() for p in model.parameters())
+
+    def test_hidden_layer_backward_holds_no_mask(self):
+        """A train-mode hidden_layer node's backward closure holds no array
+        but its inputs' data and its own output: it reads the ReLU and
+        dropout mask from the output instead of saving one."""
+        model, step = self.default_step()
+        assert model.spec.dropout > 0.0
+        layers = [node for node in tape_nodes(step())
+                  if getattr(node._backward, "__qualname__", None) == "hidden_layer.<locals>.backward"]
+        assert len(layers) == len(model.spec.expert_widths) + len(model.spec.tower_widths)
+        for node in layers:
+            held = closure_arrays(node._backward)
+            allowed = {id(node.data)} | {id(parent.data) for parent in node._parents}
+            assert all(id(array) in allowed for array in held)
+            assert any(array is node.data for array in held)
 
     def test_default_train_step_runs_14_ops(self):
         """One node per op for all tasks: batch norm, per expert layer a

@@ -18,11 +18,10 @@ from fedmoe.diffcore import (
     bce,
     hidden_layer,
     no_grad,
-    relu,
     sigmoid,
     softmax,
 )
-from reference_ops import add_n, elementwise_mul, select, sum_sq_diff
+from reference_ops import add_n, elementwise_mul, relu, select, sum_sq_diff
 
 
 class TestAffine:
@@ -61,29 +60,34 @@ class TestAffine:
 
 
 class TestActivations:
+    """The library's ReLU is ``hidden_layer`` without a keep mask (``column_layer`` below)."""
+
     def test_relu_values(self):
-        out = relu(Tensor([-2.0, 0.0, 3.0]))
-        assert np.array_equal(out.data, [0.0, 0.0, 3.0])
+        out, _ = column_layer(np.array([-2.0, 0.0, 3.0]), 0.0)
+        assert np.array_equal(out.data.reshape(-1), [0.0, 0.0, 3.0])
 
     def test_relu_derivative_at_zero_is_zero(self):
-        x = Tensor([0.0])
-        (g,) = relu(x)._backward(np.ones(1))
-        assert g[0] == 0.0
+        out, _ = column_layer(np.array([0.0]), 0.0)
+        assert input_grad(out, np.ones(1)).reshape(-1)[0] == 0.0
 
     def test_relu_bytes_match_the_masked_select_on_edge_values(self):
         tiny = np.finfo(np.float64).smallest_subnormal
         x = np.array([0.0, -0.0, np.inf, -np.inf, tiny, -tiny, 1e-310, -1e-310, 1.5, -2.5])
-        assert relu(Tensor(x)).data.tobytes() == np.where(x > 0, x, 0.0).tobytes()
+        out, pre = column_layer(x, 0.0)
+        assert out.data.tobytes() == np.where(pre > 0, pre, 0.0).tobytes()
 
     def test_relu_passes_nan_through(self):
-        assert np.isnan(relu(Tensor([np.nan])).data[0])
+        out, _ = column_layer(np.array([np.nan]), 0.0)
+        assert np.isnan(out.data).all()
 
     def test_relu_backward_bytes_match_the_bool_mask(self):
         tiny = np.finfo(np.float64).smallest_subnormal
         x = np.array([0.0, -0.0, np.inf, -np.inf, tiny, -tiny, 1.5, -2.5, np.nan, 3.0])
         g = np.array([1.0, -1.0, -2.0, 3.0, -0.0, 0.0, -4.0, -5.0, 6.0, np.nan])
-        (gx,) = relu(Tensor(x))._backward(g)
-        assert gx.tobytes() == (g * (x > 0.0)).tobytes()
+        out, pre = column_layer(x, 0.0)
+        with np.errstate(invalid="ignore"):  # inf * 0 in the weight's gradient
+            gx = input_grad(out, g)
+        assert gx.tobytes() == through_unit_map(g * (pre.reshape(-1) > 0.0)).tobytes()
 
     def test_sigmoid_symmetry_point(self):
         x = Tensor([0.0])
@@ -368,9 +372,10 @@ def called_names(path: Path) -> set[str]:
 
 def test_every_exported_op_is_called_by_the_package():
     """The library holds only ops the package runs; test-only ops live in
-    reference_ops. ops.py itself and the __init__ re-exports do not count."""
+    reference_ops. ops.py itself, the __init__ re-exports and the selftest's
+    cli.py do not count."""
     package = Path(fedmoe.__file__).parent
     own = Path(ops.__file__).resolve()
-    callers = [p for p in package.rglob("*.py") if p.name != "__init__.py" and p.resolve() != own]
+    callers = [p for p in package.rglob("*.py") if p.name not in ("__init__.py", "cli.py") and p.resolve() != own]
     called = set().union(*(called_names(p) for p in callers))
     assert set(ops.__all__) - called == set()
