@@ -234,7 +234,7 @@ class ExperimentConfig:
     def from_ini(cls, path: str | Path) -> "ExperimentConfig":
         parser = configparser.ConfigParser(interpolation=None)  # "%" is a plain character
         try:
-            read = parser.read(path, encoding="utf-8")
+            read = parser.read(path, encoding="utf-8-sig")  # a leading byte-order mark is skipped
             sections = {section: dict(parser[section]) for section in parser.sections()}
         except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError([f"cannot parse config file {path}: {exc}"]) from None

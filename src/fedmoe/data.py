@@ -178,7 +178,7 @@ class CsvSchema:
 def _load_records(path: str, schema: CsvSchema) -> RecordSet:
     """The file's rows; DataError naming the file if it cannot be read as UTF-8 text or parsed."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # a leading byte-order mark is skipped
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:
                 raise DataError(f"{path}: missing header row")

@@ -226,6 +226,16 @@ def test_config_save_load_round_trip(tmp_path):
     assert ExperimentConfig.from_ini(path) == config
 
 
+def test_config_with_a_leading_byte_order_mark_loads(tmp_path):
+    """An INI saved as "UTF-8 with BOM" reads as the same config; the echo is written without one."""
+    config = ExperimentConfig(strategy="a2", rounds=3, seed=5)
+    path = tmp_path / "config.ini"
+    config.save(path)
+    assert not path.read_bytes().startswith(b"\xef\xbb\xbf")
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert ExperimentConfig.from_ini(path) == config
+
+
 @pytest.mark.parametrize(
     "section, name, value",
     [

@@ -125,6 +125,16 @@ class TestCsv:
         assert np.array_equal(np.concatenate([part.features for part in parts]), records.features)
         assert np.array_equal(np.concatenate([part.labels for part in parts]), records.labels)
 
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        """A file saved as "UTF-8 with BOM" reads as the same file without it."""
+        rng = np.random.default_rng(9)
+        records = RecordSet(rng.normal(0, 1, (12, 2)), (rng.random((12, 2)) < 0.5).astype(float))
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_csv(str(plain), records, self.SCHEMA)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        a, b = load_csv(str(plain), self.SCHEMA), load_csv(str(marked), self.SCHEMA)
+        assert np.array_equal(a.train.features, b.train.features) and np.array_equal(a.test.labels, b.test.labels)
+
 
 class TestBatchIter:
     def records(self, n):
