@@ -12,6 +12,15 @@ over the C·P increment rows and ship the key its mean increment and
 coordinated update, for personalized application on each client. A
 coordinated key is an expert layer's scenario weights (P = N experts) or
 one task's whole tower (P = 1). "plain" is the per-key mean over clients.
+
+What ``main`` does to a layer's experts: a coordinated expert key's mean
+and increments have one row's shape and are broadcast over its N experts.
+So round 1 sets every expert's ``w_s`` in a layer, on every client, to one
+matrix, beta, the clients' row means averaged. Each later round moves
+every expert by one shared mean increment, plus its own psi times the
+shared coordinated update. Plain ``a1`` instead sets each expert to its
+own mean over clients.
+
 The server sees nothing but keyed tensors, and ``aggregate`` checks each
 client's key set, shapes and finiteness before it uses any of them. It
 stacks every key's uploads as float64, whatever dtype the clients train

@@ -7,6 +7,7 @@ from fedmoe.config import ExperimentConfig
 from fedmoe.data import SyntheticSpec, synthesize
 from fedmoe.federation import server as server_mod
 from fedmoe.federation.coordination import solve_conflict_weights
+from fedmoe.federation.fedbn import fedbn_normalize
 from fedmoe.federation.client import ClientSim
 from fedmoe.federation.server import STRATEGIES, FederationServer, ServerDirective, resolve_strategy, upload_keys
 from fedmoe.federation.snapshot import read_snapshot, write_snapshot
@@ -616,6 +617,70 @@ class TestRoundProtocol:
             for c in clients:
                 for row in of_kind(c.model, "expert_scenario")[k].data:  # every expert of every client
                     assert np.array_equal(row, directive.means[k].astype(np.float32))
+
+    @pytest.mark.parametrize("c", [0.0, 0.4])
+    def test_coordinated_update_has_its_closed_form(self, c):
+        """``main`` over three float64 clients, whose uploads are random steps
+        away from their round starts, with a random psi per key and row.
+
+        Round 1 sets every row of a key to beta, the clients' row means
+        averaged. At c = 0 the coordinated update is the mean increment, so
+        each later value is ``start + (1 + psi) * (beta_r - beta_{r-1})``.
+        At c = 0.4, U* sits on the ball of radius c * |d beta| around it and
+        equals the solve over increments of rows normalized here.
+        """
+        config = ExperimentConfig(scenarios=3, tasks=2, experts=2, d_feat=4, expert_widths=(6, 3), tower_widths=(4,))
+        buffers = initial_buffers(config.model_spec(0), 0, range(3), np.float64)
+        clients = [
+            ClientSim(ClientModel(config.model_spec(j), 0, buffers[j]), shard)
+            for j, shard in enumerate(shards(s=3))
+        ]
+        plan = resolve_strategy("main")
+        keys = upload_keys(plan, clients[0].model)
+        assert {k.kind for k in keys} == {"expert_scenario", "tower"}
+        server = FederationServer(plan, c=c)
+        rng = np.random.default_rng(17)
+
+        def rel(a, b):
+            return float(np.abs(a - b).max() / np.abs(b).max())
+
+        beta, prev_rows = {}, {}
+        for r in (1, 2, 3):
+            for client in clients:
+                client.begin_round(keys)
+                for k, p in client.model.key_map().items():
+                    if k in keys:
+                        p.data += rng.normal(0, 0.1, p.shape)
+                client.psi = {k: rng.uniform(-1, 1, len(client.round_start[k])) for k in keys}
+            uploads = {client.index: client.build_upload(keys) for client in clients}
+            directive = server.aggregate(uploads, r)
+            for client in clients:
+                client.apply_directive(directive)
+            for k in keys:
+                stack = np.stack([uploads[j][k] for j in sorted(uploads)])  # (C, P, ...)
+                beta_prev, beta[k] = beta.get(k), stack.mean(axis=1).mean(axis=0)
+                rows, _ = fedbn_normalize(stack.reshape(-1, *stack.shape[2:]), stack.mean(axis=1))
+                rows_prev, prev_rows[k] = prev_rows.get(k), rows
+                for client in clients:
+                    value = client.model.key_map()[k].data
+                    if r == 1:
+                        assert k not in directive.increments
+                        assert max(rel(row, beta[k]) for row in value) <= 1e-12
+                        continue
+                    psi = client.psi[k].reshape(-1, *[1] * (value.ndim - 1))
+                    moved = value - client.round_start[k]
+                    if c == 0.0:
+                        assert rel(moved, (1.0 + psi) * (beta[k] - beta_prev)) <= 1e-12
+                    else:
+                        mean_increment, update = directive.increments[k]
+                        assert rel(moved, mean_increment + psi * update) <= 1e-12
+                if r > 1 and c > 0.0:
+                    d_beta = beta[k] - beta_prev
+                    _, update = directive.increments[k]
+                    assert np.linalg.norm(update - d_beta) == pytest.approx(c * np.linalg.norm(d_beta), rel=1e-9)
+                    deltas = (rows - rows_prev).reshape(len(rows), -1)
+                    expected = solve_conflict_weights(deltas, deltas.mean(axis=0), c).u_star
+                    assert rel(update.ravel(), expected) <= 1e-12
 
     @pytest.mark.parametrize("strategy", ["main", "a2", "fedavg"])
     def test_server_aggregates_float32_uploads_as_their_float64_casts(self, strategy):
