@@ -1,11 +1,11 @@
 """Plain per-tensor ops that the tests use as references for the fused ones.
 
 The model builds no graph from these; they live with the tests so the
-library's op set holds only what the model runs. ``relu`` and
-``relu_dropout`` are independent versions of the library's fused layer op's
-activation, each with a mask of its own (``relu_dropout``'s a float mask),
-so comparing them with it checks the mask that its backward reads from its
-output.
+library's op set holds only what the model runs. ``relu_dropout`` (and
+``relu``, the same without a keep mask) is an independent version of the
+library's fused layer op's activation that keeps a mask of its own, a
+float one with dropout, so comparing the two checks the mask that the
+fused op's backward reads from its output.
 """
 
 from __future__ import annotations
@@ -83,14 +83,9 @@ def mix_task(gates: Tensor, experts: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    """max(x, 0). The derivative at 0 is 0, and a NaN passes through."""
-    out = np.maximum(x.data, 0.0)
-    mask = x.data > 0.0
-
-    def backward(g):
-        return (g * mask,)
-
-    return Tensor(out, (x,), backward)
+    """max(x, 0): ``relu_dropout`` without a keep mask. The derivative at 0
+    is 0, and a NaN passes through."""
+    return relu_dropout(x, 0.0)
 
 
 def relu_dropout(x: Tensor, rate: float, keep: Optional[np.ndarray] = None) -> Tensor:
