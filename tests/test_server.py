@@ -629,7 +629,7 @@ class TestRoundProtocol:
         At c = 0.4, U* sits on the ball of radius c * |d beta| around it and
         equals the solve over increments of rows normalized here.
         """
-        config = ExperimentConfig(scenarios=3, tasks=2, experts=2, d_feat=4, expert_widths=(6, 3), tower_widths=(4,))
+        config = ExperimentConfig(scenarios=3, tasks=2, experts=4, d_feat=4, expert_widths=(6, 3), tower_widths=(4,))
         buffers = initial_buffers(config.model_spec(0), 0, range(3), np.float64)
         clients = [
             ClientSim(ClientModel(config.model_spec(j), 0, buffers[j]), shard)
