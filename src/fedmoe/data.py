@@ -173,6 +173,9 @@ class CsvSchema:
         overlap = set(self.feature_columns) & set(self.label_columns)
         if overlap:
             raise DataError(f"columns used as both feature and label: {sorted(overlap)}")
+        for role, columns in (("feature", self.feature_columns), ("label", self.label_columns)):
+            if len(set(columns)) < len(columns):
+                raise DataError(f"{role} columns name {sorted({c for c in columns if columns.count(c) > 1})} more than once")
 
 
 def _load_records(path: str, schema: CsvSchema) -> RecordSet:

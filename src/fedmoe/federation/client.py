@@ -16,10 +16,11 @@ personalized update
 
 with the increment and the update each of one row's shape, and psi one
 scalar per row. The server's float64 values are combined in float64 and
-rounded once into the buffer. ``ClientSim.psi`` keeps one array per
-coordinated key: an expert layer's scenario weights, with one entry per
-expert, or a task's whole tower, with one entry. A key with no array yet
-reads 0. Each array is learned by a one-step directional meta-gradient on
+rounded once into the buffer. Keys are parameter names, as
+``ClientModel.key_map()`` gives them. ``ClientSim.psi`` keeps one array
+per coordinated key: an expert layer's scenario weights
+(``experts.l<l>.w_s``), with one entry per expert, or a task's whole tower
+(``towers.t<task>``), with one entry. A key with no array yet reads 0. Each array is learned by a one-step directional meta-gradient on
 a reserved held-out batch: psi falls when the local loss rises along the
 coordinated direction, and is clamped to [-2, 2].
 """
@@ -33,8 +34,7 @@ import numpy as np
 from .. import data as data_mod
 from ..diffcore import Adam
 from ..metrics import EvalReport, evaluate_client
-from ..model import ClientModel
-from ..keys import SharedKey
+from ..model import ClientModel, SharedKey
 from .server import ServerDirective
 
 __all__ = ["ClientSim"]
@@ -114,7 +114,7 @@ class ClientSim:
                 key_map[key].data[...] = mean
         for key, (mean_increment, update) in directive.increments.items():
             if key not in self.round_start:
-                raise KeyError(f"no round-start snapshot for coordinated key {key.label()}")
+                raise KeyError(f"no round-start snapshot for coordinated key {key.name}")
             start = self.round_start[key]
             psi = np.reshape(self.psi.get(key, 0.0), (-1, *[1] * (start.ndim - 1)))
             key_map[key].data[...] = start + mean_increment + psi * update

@@ -1,8 +1,10 @@
 """Server-side round protocol and aggregation strategies.
 
 ``STRATEGIES`` is the strategy table: per strategy, the mode of each key
-kind it shares. A kind a strategy leaves out is neither uploaded nor
-aggregated, so ``local``, which names none, runs no server at all.
+kind it shares. A key is its parameter's name, and its kind is read from
+that name (``model.SharedKey``). A kind a strategy leaves out is neither
+uploaded nor aggregated, so ``local``, which names none, runs no server at
+all.
 
 "coordinated" means, per key: stack the clients' (P, ...) uploads as
 (C, P, ...), normalize its C·P rows server-side as one batch around the
@@ -10,8 +12,9 @@ clients' averaged own-upload means, average them and difference them
 against the key's previous-round rows. Then solve one simplex weighting
 over the C·P increment rows and ship the key its mean increment and
 coordinated update, for personalized application on each client. A
-coordinated key is an expert layer's scenario weights (P = N experts) or
-one task's whole tower (P = 1). "plain" is the per-key mean over clients.
+coordinated key is an expert layer's scenario weights, ``experts.l<l>.w_s``
+(P = N experts), or one task's whole tower, ``towers.t<task>`` (P = 1).
+"plain" is the per-key mean over clients.
 
 What ``main`` does to a layer's experts: a coordinated expert key's mean
 and increments have one row's shape and are broadcast over its N experts.
@@ -36,7 +39,7 @@ import numpy as np
 
 from .coordination import solve_conflict_weights
 from .fedbn import fedbn_normalize
-from ..keys import SharedKey
+from ..model import SharedKey
 
 __all__ = [
     "StrategyPlan",
@@ -93,7 +96,7 @@ def resolve_strategy(name: str) -> StrategyPlan:
 
 
 def upload_keys(plan: StrategyPlan, model) -> list[SharedKey]:
-    """The declared upload set for a strategy, in canonical order."""
+    """The declared upload set for a strategy, sorted by name."""
     return sorted(k for k in model.key_map() if plan.mode(k.kind) != NONE)
 
 
@@ -101,7 +104,7 @@ def upload_keys(plan: StrategyPlan, model) -> list[SharedKey]:
 class ServerDirective:
     """Broadcast payload: identical for every client; personalization is local.
 
-    Both dicts are keyed by SharedKey. ``means`` holds every key's
+    Both dicts are keyed by SharedKey, a parameter's name. ``means`` holds every key's
     aggregate: a plain key's mean, or a coordinated key's normalized mean.
     From round 2 a coordinated key also has ``increments``: its mean
     increment and coordinated update, each of one row's shape. A client
@@ -142,17 +145,17 @@ class FederationServer:
         key_set = sorted(first)
         for j in clients:
             if sorted(uploads[j]) != key_set:
-                differ = ", ".join(k.label() for k in sorted(set(uploads[j]) ^ set(key_set)))
+                differ = ", ".join(k.name for k in sorted(set(uploads[j]) ^ set(key_set)))
                 raise ValueError(f"client {j} uploaded a different key set than client {clients[0]}: {differ}")
             for key in key_set:
                 arr = uploads[j][key]
                 if arr.shape != first[key].shape:
                     raise ValueError(
-                        f"client {j} uploaded {key.label()} with shape {arr.shape}, "
+                        f"client {j} uploaded {key.name} with shape {arr.shape}, "
                         f"client {clients[0]} with {first[key].shape}"
                     )
                 if not np.isfinite(arr).all():
-                    raise ValueError(f"client {j} uploaded a non-finite value for {key.label()}")
+                    raise ValueError(f"client {j} uploaded a non-finite value for {key.name}")
 
         directive = ServerDirective(round_index=round_index)
         normalized: dict[SharedKey, np.ndarray] = {}
@@ -186,7 +189,7 @@ class FederationServer:
         """Solve one key's (C·P, -1) increments over its last round's rows; set its increment pair in one row's shape."""
         if clients != self.prev_clients or key not in self.prev_normalized:
             raise ValueError(
-                f"coordinated key {key.label()} has no round {directive.round_index - 1} rows for clients "
+                f"coordinated key {key.name} has no round {directive.round_index - 1} rows for clients "
                 f"{clients}: the clients or the key set changed"
             )
         delta = rows - self.prev_normalized[key]
@@ -203,17 +206,18 @@ class FederationServer:
     ) -> dict[str, np.ndarray]:
         """One entry per key and role; a coordinated key's normalized rows are split by client.
 
+        Labels are ``<role>/<key name>``, and ``norm/<key name>/c<client>``:
         ``ref/`` holds every mean, ``set/`` each mean that has no increment,
         and ``dmean/`` and ``ustar/`` each increment pair.
         """
         entries: dict[str, np.ndarray] = {}
         for key, mean in directive.means.items():
-            entries[f"ref/{key.label()}"] = mean
+            entries[f"ref/{key.name}"] = mean
             if key not in directive.increments:
-                entries[f"set/{key.label()}"] = mean
+                entries[f"set/{key.name}"] = mean
         for key, (mean_increment, update) in directive.increments.items():
-            entries[f"dmean/{key.label()}"], entries[f"ustar/{key.label()}"] = mean_increment, update
+            entries[f"dmean/{key.name}"], entries[f"ustar/{key.name}"] = mean_increment, update
         for key, rows in normalized.items():
             per_client = rows.reshape(len(clients), -1, *rows.shape[1:])
-            entries.update((f"norm/{key.label()}/c{j}", arr) for j, arr in zip(clients, per_client))
+            entries.update((f"norm/{key.name}/c{j}", arr) for j, arr in zip(clients, per_client))
         return entries

@@ -182,26 +182,25 @@ def run_ablation_suite(config: ExperimentConfig, out_dir: Optional[str | Path] =
     modes, plus the expert count) runs once; a label that repeats
     one, such as ``a3`` and ``expert_<experts>`` (both equal to ``main``),
     shares the first label's run, and ``ablation.log`` names that run.
+    Every variant's config is validated before the output directory is made.
     """
     config.validate()
     out = Path(out_dir) if out_dir is not None else Path(config.out_dir)
     _require_directory(out)
-    out.mkdir(parents=True, exist_ok=True)
 
     variants = [(name, name, config.experts) for name in ABLATION_VARIANTS]
     variants += [(f"expert_{n}", "main", n) for n in EXPERT_SWEEP]
-    runs: dict[str, RunArtifacts] = {}
-    source: dict[str, str] = {}
     first_label: dict[tuple, str] = {}
+    source: dict[str, str] = {}  # each label's run: its own, or the first equal configuration's
+    subs: dict[str, ExperimentConfig] = {}
     for label, strategy, experts in variants:
-        fingerprint = (resolve_strategy(strategy).modes, experts)
-        if fingerprint in first_label:
-            source[label] = first_label[fingerprint]
-            runs[label] = runs[source[label]]
-            continue
-        first_label[fingerprint] = label
-        sub = config.with_overrides(strategy=strategy, experts=experts, out_dir=str(out / f"variant_{label}"))
-        runs[label] = run_experiment(sub)
+        source[label] = first_label.setdefault((resolve_strategy(strategy).modes, experts), label)
+        if source[label] == label:
+            subs[label] = config.with_overrides(strategy=strategy, experts=experts, out_dir=str(out / f"variant_{label}"))
+            subs[label].validate()
+    out.mkdir(parents=True, exist_ok=True)
+    runs = {label: run_experiment(sub) for label, sub in subs.items()}
+    runs = {label: runs[first] for label, first in source.items()}
     checksums = {label: art.shard_checksum for label, art in runs.items()}
 
     table_path = out / "table.csv"
@@ -215,7 +214,7 @@ def run_ablation_suite(config: ExperimentConfig, out_dir: Optional[str | Path] =
     log_path = out / "ablation.log"
     with open(log_path, "w", encoding="utf-8") as fh:
         for label, digest in checksums.items():
-            reused = f" reuses={source[label]}" if label in source else ""
+            reused = f" reuses={source[label]}" if source[label] != label else ""
             fh.write(f"{label} shard_sha256={digest}{reused}\n")
     return AblationArtifacts(out_dir=out, table_path=table_path, log_path=log_path, runs=runs, shard_checksums=checksums)
 

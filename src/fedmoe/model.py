@@ -35,13 +35,16 @@ order; a model takes over one such buffer, so no parameter exists
 outside it. The buffer's dtype is the model's: float32 by default, which
 is how clients train, or float64, which the gradient checks use.
 ``forward`` and ``local_loss`` cast features and labels to it, so every
-activation, gradient and Adam moment has it too. ``key_map()`` maps each
-federated key to a Parameter whose value and grad are views of the
-buffer, so uploads and server updates read and write it in place: an
-expert layer's parts, the task embedding, the input batch norm and the
-gates are keyed as their whole stacked Parameters, and each task's tower
-as its (1, P) row of the block. Each key's kind says which set it belongs
-to: the scenario weights, the towers, the other expert parts or the rest.
+activation, gradient and Adam moment has it too.
+
+Keys. A federated key is its parameter's name. ``key_map()`` maps a
+SharedKey per buffer Parameter but ``towers``, named as in ``_shapes``
+(``emb.task``, ``experts.l0.w_s``, ``gates.b``, ...), plus one per task
+row of the towers block, ``towers.t<task>`` of shape (1, P), to a
+Parameter whose value and grad are views of the buffer, so uploads and
+server updates read and write it in place. A key's kind, the set a
+strategy shares or keeps local, is read from its name: the towers, the
+scenario weights ``.w_s``, the other expert parts, or the rest.
 
 The model holds no mode: ``forward`` takes ``train`` (batch statistics and
 dropout) and ``use_dropout`` as arguments, so evaluation and the held-out
@@ -83,9 +86,8 @@ from .diffcore import (
     softmax,
     task_weights,
 )
-from .keys import SharedKey
 
-__all__ = ["ModelSpec", "ClientModel", "initial_buffers", "EXPERT_PARTS", "TEMPLATE_PARTS"]
+__all__ = ["ModelSpec", "ClientModel", "SharedKey", "KINDS", "initial_buffers", "EXPERT_PARTS", "TEMPLATE_PARTS"]
 
 
 @dataclass(frozen=True)
@@ -105,8 +107,10 @@ class ModelSpec:
             raise ValueError(f"scenario {self.scenario} out of range")
         if self.n_experts < 1 or self.n_tasks < 1 or self.d_feat < 1 or self.d_emb < 1:
             raise ValueError("model extents must be positive")
-        if not self.expert_widths:
-            raise ValueError("expert needs at least one layer")
+        if not self.expert_widths or min(self.expert_widths) < 1:
+            raise ValueError(f"expert_widths: need at least one layer, each of width >= 1, got {self.expert_widths}")
+        if self.tower_widths and min(self.tower_widths) < 1:
+            raise ValueError(f"tower_widths: widths must be >= 1, got {self.tower_widths}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
@@ -119,8 +123,7 @@ def _head_init(rng: np.random.Generator, d_in: int, d_out: int) -> np.ndarray:
     return rng.normal(0.0, 1.0 / np.sqrt(d_in), size=(d_in, d_out))
 
 
-# Parts of one stacked expert layer, in buffer order; the names double as
-# the ``part`` of the layer's expert_local keys (all but w_s).
+# Parts of one stacked expert layer, in buffer order.
 TEMPLATE_PARTS = ("tmpl.w1", "tmpl.b1", "tmpl.w2", "tmpl.b2")
 EXPERT_PARTS = ("w_loc", "w_s", "bias", *TEMPLATE_PARTS)
 
@@ -150,6 +153,26 @@ def _shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
     shapes["gates.w"], shapes["gates.b"] = (t, spec.d_feat, n), (t, n)
     shapes["towers"] = (t, sum(d_in * d_out + d_out for d_in, d_out in _tower_dims(spec)))
     return shapes
+
+
+# Every value of SharedKey.kind: the sets of keys a strategy can share.
+KINDS = ("expert_scenario", "tower", "expert_local", "local")
+
+
+@dataclass(frozen=True, order=True)
+class SharedKey:
+    """One federated tensor, named as its parameter: a name of ``_shapes`` or ``towers.t<task>``."""
+
+    name: str
+
+    @property
+    def kind(self) -> str:
+        """The one naming rule: the towers, the scenario weights, the other expert parts, the rest."""
+        if self.name.startswith("towers."):
+            return "tower"
+        if self.name.endswith(".w_s"):
+            return "expert_scenario"
+        return "expert_local" if self.name.startswith("experts.") else "local"
 
 
 def _tower_dims(spec: ModelSpec) -> list[tuple[int, int]]:
@@ -268,23 +291,11 @@ class ClientModel:
         self._key_map = self._build_key_map()
 
     def _build_key_map(self) -> dict[SharedKey, Parameter]:
-        """Scenario weights, task towers, other expert parts, then the rest."""
-        out: dict[SharedKey, Parameter] = {}
-        for li, layer in enumerate(self.expert_layers):
-            out[SharedKey(kind="expert_scenario", index=-1, layer=li, part="w_s")] = layer["w_s"]
-        towers = self.buffer.params["towers"]
-        for t in range(self.spec.n_tasks):
-            row = Parameter(towers.data[t : t + 1], f"tower{t}", grad=towers.grad[t : t + 1])
-            out[SharedKey(kind="tower", index=t, layer=-1, part="all")] = row
-        for li, layer in enumerate(self.expert_layers):
-            for part in EXPERT_PARTS:
-                if part != "w_s":
-                    out[SharedKey(kind="expert_local", index=-1, layer=li, part=part)] = layer[part]
-        for p in (self.emb_task, self.bn_in.gamma, self.bn_in.beta, self.gate["w"], self.gate["b"]):
-            out[SharedKey(kind="local", index=-1, layer=-1, part=p.name)] = p
-        if sum(p.size for p in out.values()) != self.buffer.size:
-            raise ValueError("key map does not cover the parameter buffer")
-        return out
+        """Every buffer Parameter but ``towers`` by its name, then each task's (1, P) row of it."""
+        towers, n_tasks = self.buffer.params["towers"], self.spec.n_tasks
+        rows = [Parameter(towers.data[t : t + 1], f"towers.t{t}", grad=towers.grad[t : t + 1]) for t in range(n_tasks)]
+        params = [p for name, p in self.buffer.params.items() if name != "towers"] + rows
+        return {SharedKey(p.name): p for p in params}
 
     # -- parameter access ----------------------------------------------------------
 
@@ -296,10 +307,10 @@ class ClientModel:
         self.buffer.zero_grad()
 
     def key_map(self) -> dict[SharedKey, Parameter]:
-        """Total, disjoint keying of every trainable scalar (built once; do not mutate).
+        """Total, disjoint keying of every trainable scalar by name (built once; do not mutate).
 
-        A key's ``kind`` names the set it belongs to, the unit a strategy
-        shares or keeps local; callers filter this map by kind.
+        A key's ``kind``, read from its name, is the set it belongs to, the
+        unit a strategy shares or keeps local; callers filter this map by kind.
         """
         return self._key_map
 

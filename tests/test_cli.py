@@ -264,3 +264,12 @@ def test_value_that_does_not_read_back_is_rejected_by_name(tmp_path, section, na
         bad.validate()
     (problem,) = info.value.problems
     assert problem.startswith(f"{section}.{name}: {value!r} does not read back")
+
+
+def test_ablate_validates_every_variant_before_making_the_output_directory(tmp_path, capsys):
+    """A one-client local config is valid, but its federated variants are not: nothing is written."""
+    ini = tmp_path / "one_client.ini"
+    ExperimentConfig(strategy="local", scenarios=1, out_dir=str(tmp_path / "out")).save(ini)
+    assert main(["ablate", "--config", str(ini)]) == 2
+    assert "model.scenarios: federated strategy 'a1' needs >= 2 clients" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,16 @@ class TestCsv:
         self.write_toy(path, [(0.1, 0.2, 1, 0), (0.1, 0.2, 0, 1), (cell, 0.2, 1, 1)])
         with pytest.raises(DataError, match=rf"bad4\.csv:4: feature column 'f0' must be finite, got '{cell}'"):
             load_csv(str(path), self.SCHEMA)
+
+    @pytest.mark.parametrize(
+        "features, labels, message",
+        [(("f0", "f0"), ("ctr",), "feature columns name ['f0'] more than once"),
+         (("f0",), ("ctr", "ctcvr", "ctr"), "label columns name ['ctr'] more than once")],
+        ids=["feature", "label"],
+    )
+    def test_column_named_twice_is_rejected_by_name(self, features, labels, message):
+        with pytest.raises(DataError, match=re.escape(message)):
+            CsvSchema(feature_columns=features, label_columns=labels)
 
     def test_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(9)

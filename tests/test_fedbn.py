@@ -4,12 +4,12 @@ import pytest
 from fedmoe.federation import fedbn as fedbn_mod
 from fedmoe.federation.fedbn import EPS, fedbn_normalize
 from fedmoe.federation.server import FederationServer, resolve_strategy
-from fedmoe.keys import SharedKey
+from fedmoe.model import SharedKey
 
 
 def plain_mean(uploads):
     """The server's plain-average path: one uncoordinated key, one upload per client."""
-    key = SharedKey(kind="expert_scenario", index=-1, layer=0, part="w_s")
+    key = SharedKey("experts.l0.w_s")
     server = FederationServer(resolve_strategy("a1"))
     return server.aggregate({j: {key: u} for j, u in enumerate(uploads)}, 1).means[key]
 

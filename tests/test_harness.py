@@ -37,37 +37,37 @@ PINNED_SHA256 = {
     "main": {
         "metrics.csv": "7c67854602b20f403da446dbe3118e0c9bf68b7b4e963ae829c0e3f2783a105a",
         "convergence.csv": "58b62f776f426edce76691ceef618f14d32afa988c8ba969fe04e757bf42e143",
-        "snapshots/round_1.bin": "2274dfcbb47e3a461360a78cea34126cd976cc35691bdc0c8890d9499c3b5586",
-        "snapshots/round_2.bin": "8fc1336eafc4783fcbdc3db1a3ff47c06098044e127630aa8edd606a5150dfe3",
-        "snapshots/round_3.bin": "42d0e6f63f5119e8bd03f884e1348d8f6fa7ee94c4df5b6d71d4d66304704547",
+        "snapshots/round_1.bin": "a288ebb54d6e216f29db2d964f68f2ae0e090f77f54cab49aeffa59deb0c550f",
+        "snapshots/round_2.bin": "13dac98c9f6ec8828d8819ced5791e09d6b508ece2508a4f6fbca82d4cb8d195",
+        "snapshots/round_3.bin": "8d2aa84aa382a17d9024a53810c82adf566ce73d3c5b6bd4abb1b197ca7ea671",
     },
     "a1": {
         "metrics.csv": "e191ca70d1670645f42ad440b02b102205c56965f18d9394a2d4568142ca3a09",
         "convergence.csv": "f1a93fed3a4bf4ca99d94708ef923c9386a79ffeb6c46e9cd82741cb738213a2",
-        "snapshots/round_1.bin": "ff370431510888dc2ff4cb88f37b5b4a7c59072bdb4cefd8e4d10b8988826dba",
-        "snapshots/round_2.bin": "f1146d975676eeaddb7e27dfb1e970c6735786929588c3d1de9f5e31b303927b",
-        "snapshots/round_3.bin": "391865120725ffaac5adab259138207b74ab505445c5333464314a0e59fd8343",
+        "snapshots/round_1.bin": "5b94a1bd5c72fe9841b1fbf868d34c216abf9ef556d26449bc9b724ccb81b1a4",
+        "snapshots/round_2.bin": "216ee554cee15cbbf765b2fdef368a39d188c9c24f1671a6cd8a0aac3bb99741",
+        "snapshots/round_3.bin": "46ac428a761a8c1ee82ce49749a7e85cd6863caec0a512a5ed39ab1f2c58f6e6",
     },
     "a2": {
         "metrics.csv": "35b32487db24fd37e2720623cb01a982cdf0e85e9da7c5953579f7b61111ab14",
         "convergence.csv": "78bf9ee99475f3af0e0c32815d875cbbef2d124021091104bd89fbab38e69861",
-        "snapshots/round_1.bin": "221c70c0cf36d071a11df5c2ac923c69e3fcf5e90dbe1c5a6d4e91db1aa3ffe9",
-        "snapshots/round_2.bin": "2dd1ea9fa435b4669a7bcb5128d72b6512c9d1d200902c5224cd48a57edb5819",
-        "snapshots/round_3.bin": "2558595de9f4a0cb7506ec543f90db7246a2ff13be0686b7193368df6cb940a7",
+        "snapshots/round_1.bin": "00bfee882fcaf197466396fa34838929e0aeaa36ab561ca6045ced6c1130c09a",
+        "snapshots/round_2.bin": "74c02dde1770d66640429111515995b68a1a23ae5c3a2b08dbb8bddb84df20b8",
+        "snapshots/round_3.bin": "552c14c9eee77ebf5b4741d772973649434680742bf1f1a6a5da7182b684caac",
     },
     "a4": {
         "metrics.csv": "d9d265fc8e88b8447c11343fe811e28019a7c2b97628628d8681c68895350fa6",
         "convergence.csv": "aece3b1ec69b11d77c8753f8c16781a9455152ff41791d0f28ad8d24ed890a05",
-        "snapshots/round_1.bin": "8d6d1ad7c64df5b31b889389c31c14e9de63e54c856e71b0bac71c8a3d5050eb",
-        "snapshots/round_2.bin": "82d11797d2fa1027ad0f96f5be4aa67fb6d44b0f47eca4b00f73fbe30a37cbb8",
-        "snapshots/round_3.bin": "dd592ccc8ccc58c3f824bdb397b657bff345c5f7545ef0971b9d484ac969653a",
+        "snapshots/round_1.bin": "4602aba73f94d8360a727383ceaf2c95129d60e51ab7f3a914be07ae8e1f15d9",
+        "snapshots/round_2.bin": "c2ccffe7107bdb885f53072963201e72d21f159cc1718e697df77e2221713a90",
+        "snapshots/round_3.bin": "e7b24c16f380e722ed3cf323679bb78a7745b5d3e64fd818f18807a7aa6af38a",
     },
     "fedavg": {
         "metrics.csv": "d19a05b3189c247da5cbd0d3a7e1d80709f344176084f2a155b5600d987f45c8",
         "convergence.csv": "4a16da1020c746b25543b327498b9797778c27b37c18025e4379c904f6fdde02",
-        "snapshots/round_1.bin": "177ed7b983a5ac156977547673d1f13f9946740e607b1eb7b63135610ee5f751",
-        "snapshots/round_2.bin": "fe590f8b21f7740f9e624ffec6d6a9dd9d13f74461df8073049f183dc898cacd",
-        "snapshots/round_3.bin": "5fff811417fdb729db1f4feefa9b1cee151ce024882874fc20784636471308fb",
+        "snapshots/round_1.bin": "aca5cc054f12286c6fac93ae1f1b166c43ca8bb277d361dcd67ae2d1c3f74b46",
+        "snapshots/round_2.bin": "4b2189608b035f96470fb0b809ea1dfcdfc8c6110c5839defe0c4f5e2912f4a6",
+        "snapshots/round_3.bin": "f966de699ec30f38b6aa1ae4ed3fa0740eaee149a4649967f9980dd1c6838fbf",
     },
     "local_one_task_one_expert": {
         "metrics.csv": "a66157837a687e095fd68b6ed552ce4240eb467141164c1fca7a4c70312b262f",
@@ -76,16 +76,16 @@ PINNED_SHA256 = {
     "main_three_tasks_no_tower": {
         "metrics.csv": "6b53559f866ccfc25776509766b71f939c041344590e59682aa70ab4fe41ab95",
         "convergence.csv": "677241d87f99fa2be910b35f90b81937df4da9df681875a6bfc8afe9b12ebe95",
-        "snapshots/round_1.bin": "b48d00c41fc29d4cbb9a6e146b91d84a1c2aaf80ba9c1fc208864d13beac36a6",
-        "snapshots/round_2.bin": "38eb63aefa624968d28b3c698bff9330aea2320a1cadccdc79fc84d47b8c53d1",
-        "snapshots/round_3.bin": "30555872887bbb726261c7b55a5d6156ca86b211befd2443f4a8262b863d100c",
+        "snapshots/round_1.bin": "97a8b7f9b0e3ef7c51b3b82b9da355c9efeedbac6b923eac7d5d116a9277eaae",
+        "snapshots/round_2.bin": "c847102cfeea98fd3ce606be8aca4ced23181b00836fa6bb28886e60067937c7",
+        "snapshots/round_3.bin": "c6084fc205c801cc6111461d597e1f08fe996c39dde6ff266fc4f0d474111dee",
     },
     "main_three_clients_three_experts": {
         "metrics.csv": "cefd33c42bb558b161bd26b198433f6b58330ab65a3ef8f22dcd4843e25e305a",
         "convergence.csv": "51db1f31ebd3318426eb3a250734bbde8401989e197a54a3116b09df697c66af",
-        "snapshots/round_1.bin": "a934918c01224481c66e020a06a836ecfc64f6fb6f347dfbfcdde754df7d8b5c",
-        "snapshots/round_2.bin": "d1098a61542d064b001ca9bc18b08ff4ebcdd7b3bb480de61c43f77d7002a540",
-        "snapshots/round_3.bin": "ba24ef275f7f8d7b5f29ba7eb067435df23c755a2b1912545260d51ffa7bab01",
+        "snapshots/round_1.bin": "e4af72dcb0906e48a18ed769e6904f9aa248848cb41486925626698bf8b92a0c",
+        "snapshots/round_2.bin": "3fdd2debd19daba23ec09f88ff6b4940b6aa0b6c62505621202d6a8a19196289",
+        "snapshots/round_3.bin": "5f5976f1bd06af88491f9046909d5ab11db080391dd68909df1ebcf869dbecf0",
     },
 }
 # The cases that are not a strategy on small_config: the smallest model, a
@@ -178,7 +178,7 @@ def test_local_run_after_a_federated_one_leaves_no_snapshots_directory(tmp_path)
     assert not (run_dir / "snapshots").exists()
 
 
-@pytest.mark.parametrize("problem", ["missing_csv", "single_class_test_partition"])
+@pytest.mark.parametrize("problem", ["missing_csv", "single_class_test_partition", "feature_named_twice"])
 def test_rerun_that_fails_on_its_data_leaves_the_earlier_run_intact(tmp_path, problem):
     run_dir = tmp_path / "run"
     harness.run_experiment(small_config(out_dir=str(run_dir), rounds=2))
@@ -190,6 +190,12 @@ def test_rerun_that_fails_on_its_data_leaves_the_earlier_run_intact(tmp_path, pr
             out_dir=str(run_dir), tasks=1, d_feat=1, source="csv",
             csv_paths=(str(tmp_path / "a.csv"), str(tmp_path / "missing.csv")),
             feature_columns=("f0",), label_columns=("click",),
+        )
+        (tmp_path / "a.csv").write_text("f0,click\n" + "0.5,1\n0.25,0\n" * 20)
+    elif problem == "feature_named_twice":
+        bad = small_config(
+            out_dir=str(run_dir), tasks=1, source="csv", csv_paths=(str(tmp_path / "a.csv"),) * 2,
+            feature_columns=("f0",) * 4, label_columns=("click",),
         )
         (tmp_path / "a.csv").write_text("f0,click\n" + "0.5,1\n0.25,0\n" * 20)
     else:

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import itertools
 import math
@@ -17,8 +18,7 @@ from fedmoe.federation import client as client_mod
 from fedmoe.federation.client import ClientSim
 from fedmoe.federation.server import COORDINATED, STRATEGY_IDS, FederationServer, resolve_strategy
 from fedmoe.harness import run_experiment
-from fedmoe.keys import SharedKey
-from fedmoe.model import EXPERT_PARTS, TEMPLATE_PARTS, ClientModel, ModelSpec, initial_buffers
+from fedmoe.model import EXPERT_PARTS, TEMPLATE_PARTS, ClientModel, ModelSpec, SharedKey, initial_buffers
 from reference_ops import mix_task, relu, select
 
 
@@ -35,6 +35,24 @@ def make_model(**kwargs):
 def of_kind(model, kind):
     """The model's keys of one kind, as its key map filters them."""
     return {k: p for k, p in model.key_map().items() if k.kind == kind}
+
+
+# Each buffer name's kind under the naming rule, for every expert layer l and task t.
+KIND_OF_NAME = {
+    "emb.task": "local",
+    "bn_in.gamma": "local",
+    "bn_in.beta": "local",
+    "experts.l{l}.w_loc": "expert_local",
+    "experts.l{l}.w_s": "expert_scenario",
+    "experts.l{l}.bias": "expert_local",
+    "experts.l{l}.tmpl.w1": "expert_local",
+    "experts.l{l}.tmpl.b1": "expert_local",
+    "experts.l{l}.tmpl.w2": "expert_local",
+    "experts.l{l}.tmpl.b2": "expert_local",
+    "gates.w": "local",
+    "gates.b": "local",
+    "towers.t{t}": "tower",
+}
 
 
 def task_weight_only(model, layer):
@@ -421,13 +439,13 @@ class TestParameterPartition:
         stacked += [model.emb_task, model.bn_in.gamma, model.bn_in.beta]
         keyed_whole = [p for k, p in key_map.items() if k.kind != "tower"]
         assert len(keyed_whole) == len(stacked) and all(any(p is q for q in stacked) for p in keyed_whole)
-        assert all(k.index == -1 for k, p in key_map.items() if k.kind != "tower")
+        assert all(p is model.buffer.params[k.name] for k, p in key_map.items() if k.kind != "tower")
         towers = model.buffer.params["towers"]
         rows = of_kind(model, "tower")
-        assert list(rows) == [SharedKey("tower", t, -1, "all") for t in range(model.spec.n_tasks)]
-        for k, p in rows.items():
+        assert list(rows) == [SharedKey(f"towers.t{t}") for t in range(model.spec.n_tasks)]
+        for t, p in enumerate(rows.values()):
             assert p.shape == (1, towers.shape[1])
-            assert np.shares_memory(p.data, towers.data[k.index]) and np.shares_memory(p.grad, towers.grad[k.index])
+            assert np.shares_memory(p.data, towers.data[t]) and np.shares_memory(p.grad, towers.grad[t])
 
     @pytest.mark.parametrize("tower_widths", [(4,), (4, 2), ()], ids=["one_hidden", "two_hidden", "head_only"])
     def test_tower_key_is_its_task_row_of_the_towers_block(self, tower_widths):
@@ -436,14 +454,39 @@ class TestParameterPartition:
         model = make_model(n_tasks=3, tower_widths=tower_widths)
         towers = model.buffer.params["towers"]
         upload = {k: p.data.copy() for k, p in of_kind(model, "tower").items()}
-        for k, row in upload.items():
-            parts = [layer[part].data[k.index].reshape(-1) for layer in model.tower_layers for part in ("w", "b")]
-            assert row.tobytes() == np.concatenate(parts).tobytes() == towers.data[k.index].tobytes()
+        for t, row in enumerate(upload.values()):
+            parts = [layer[part].data[t].reshape(-1) for layer in model.tower_layers for part in ("w", "b")]
+            assert row.tobytes() == np.concatenate(parts).tobytes() == towers.data[t].tobytes()
         for layer in model.tower_layers:
             for part in ("w", "b"):
                 assert np.shares_memory(layer[part].data, towers.data)
                 assert np.shares_memory(layer[part].grad, towers.grad)
         assert model.tower_layers[-1]["w"].shape == (3, (*model.spec.expert_widths, *tower_widths)[-1], 1)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [{}, {"tower_widths": ()}, {"n_experts": 1, "expert_widths": (32, 16, 8)}],
+        ids=["default", "head_only", "one_expert_three_layers"],
+    )
+    def test_each_buffer_name_has_the_kind_of_the_naming_rule(self, shape):
+        """Every buffer parameter but the towers block is one key of its own name, and each task one row key.
+
+        The shapes vary the default config's model.
+        """
+        model = ClientModel(dataclasses.replace(ExperimentConfig().model_spec(0), **shape), 21)
+        n_layers, n_tasks = len(model.spec.expert_widths), model.spec.n_tasks
+        expected = {name.format(l=l, t=t): kind for name, kind in KIND_OF_NAME.items()
+                    for l in range(n_layers) for t in range(n_tasks)}
+        key_map = model.key_map()
+        assert {k.name: k.kind for k in key_map} == expected
+        params = model.buffer.params
+        whole = [p for k, p in key_map.items() if k.kind != "tower"]
+        assert sorted(p.name for p in whole) == sorted(name for name in params if name != "towers")
+        assert all(p is params[p.name] for p in whole)
+        rows = of_kind(model, "tower")
+        assert [p.name for p in rows.values()] == [f"towers.t{t}" for t in range(n_tasks)]
+        assert all(p.shape == (1, params["towers"].shape[1]) for p in rows.values())
+        assert sum(p.size for p in key_map.values()) == model.buffer.size
 
     def test_parameters_and_keys_are_views_of_the_buffers(self):
         model = make_model()
@@ -641,6 +684,16 @@ class TestInitialization:
                 std = 1.0 / np.sqrt(dims[li]) if li == 2 else np.sqrt(2.0 / dims[li])
                 assert layer["w"].data[t].tobytes() == rng.normal(0.0, std, dims[li : li + 2]).tobytes()
         assert not any(layer["b"].data.any() for layer in (model.gate, *model.tower_layers))
+
+    @pytest.mark.parametrize(
+        "widths, message",
+        [({"expert_widths": (0,)}, "expert_widths"), ({"expert_widths": (6, -2)}, "expert_widths"),
+         ({"tower_widths": (-1,)}, "tower_widths"), ({"tower_widths": (4, 0)}, "tower_widths")],
+        ids=["expert_zero", "expert_negative", "tower_negative", "tower_zero"],
+    )
+    def test_layer_width_below_one_is_rejected_by_field(self, widths, message):
+        with pytest.raises(ValueError, match=rf"^{message}: .*>= 1, got \("):
+            ModelSpec(scenario=0, n_scenarios=2, n_tasks=2, n_experts=2, d_feat=4, **widths)
 
     def test_no_scenarios_or_out_of_range_rejected(self):
         spec = ModelSpec(scenario=0, n_scenarios=3, n_tasks=2, n_experts=2, d_feat=4)

@@ -12,12 +12,11 @@ from fedmoe.federation.client import ClientSim
 from fedmoe.federation.server import STRATEGIES, FederationServer, ServerDirective, resolve_strategy, upload_keys
 from fedmoe.federation.snapshot import read_snapshot, write_snapshot
 from fedmoe.harness import build_clients, run_experiment
-from fedmoe.keys import KINDS, SharedKey
-from fedmoe.model import ClientModel, initial_buffers
+from fedmoe.model import KINDS, ClientModel, SharedKey, initial_buffers
 
 
-def key(kind="expert_scenario", index=-1, layer=0, part="w_s"):
-    return SharedKey(kind=kind, index=index, layer=layer, part=part)
+def key(name="experts.l0.w_s"):
+    return SharedKey(name)
 
 
 def of_kind(model, kind):
@@ -106,7 +105,7 @@ class TestComputeDeltas:
         mean_increment, update = directive.increments[key()]
         assert np.array_equal(mean_increment, np.zeros(3))
         assert np.array_equal(update, np.zeros(3))
-        assert f"set/{key().label()}" not in server.last_snapshot_entries
+        assert f"set/{key().name}" not in server.last_snapshot_entries
 
     def test_single_pair_delta(self, solve_rows):
         server = FederationServer(resolve_strategy("main"))
@@ -146,9 +145,9 @@ class TestComputeDeltas:
 
     def test_key_without_history_is_an_error(self):
         server = FederationServer(resolve_strategy("main"))
-        server.aggregate(same_uploads({key(layer=0): np.zeros((1, 2))}), 1)
-        with pytest.raises(ValueError, match=f"{re.escape(key(layer=1).label())} has no round 1 rows.*changed"):
-            server.aggregate(same_uploads({key(layer=1): np.zeros((1, 2))}), 2)
+        server.aggregate(same_uploads({key(): np.zeros((1, 2))}), 1)
+        with pytest.raises(ValueError, match=r"experts\.l1\.w_s has no round 1 rows.*changed"):
+            server.aggregate(same_uploads({key("experts.l1.w_s"): np.zeros((1, 2))}), 2)
 
 
 def two_rounds(n_experts=2):
@@ -182,8 +181,8 @@ class TestPoolCoordination:
         clients, _ = make_clients(s=2)
         model = clients[0].model
         keys = upload_keys(resolve_strategy("main"), model)
-        expected = [SharedKey("expert_scenario", -1, li, "w_s") for li in range(len(model.expert_layers))]
-        expected += [SharedKey("tower", t, -1, "all") for t in range(model.spec.n_tasks)]
+        expected = [SharedKey(f"experts.l{li}.w_s") for li in range(len(model.expert_layers))]
+        expected += [SharedKey(f"towers.t{t}") for t in range(model.spec.n_tasks)]
         assert keys == sorted(expected)
 
     def test_each_round_solves_one_pool_per_expert_layer_and_task(self, tmp_path, solve_rows):
@@ -214,7 +213,7 @@ class TestPoolCoordination:
         directive, normalized, config = two_rounds()
         ends = np.cumsum(tower_tensor_sizes(config))[:-1]
         for task in range(2):
-            mean_increment, update = directive.increments[SharedKey("tower", task, -1, "all")]
+            mean_increment, update = directive.increments[SharedKey(f"towers.t{task}")]
             assert np.linalg.norm(update - mean_increment) == pytest.approx(
                 config.c * np.linalg.norm(mean_increment), rel=1e-9
             )
@@ -264,7 +263,7 @@ class TestPersonalizedApply:
         start = of_kind(client.model, "expert_scenario")[k].data.copy()
         zeros = np.zeros(start.shape[1:])
         directive = ServerDirective(round_index=2, increments={k: (zeros, zeros)})
-        with pytest.raises(KeyError, match=f"round-start snapshot .*{re.escape(k.label())}"):
+        with pytest.raises(KeyError, match=f"round-start snapshot .*{re.escape(k.name)}"):
             client.apply_directive(directive)  # no begin_round
         assert np.array_equal(of_kind(client.model, "expert_scenario")[k].data, start)
 
@@ -373,7 +372,7 @@ class TestPsiMetaUpdate:
         directive = ServerDirective(round_index=2, increments=along(u))
         grads = held_out_grads(client)
         client.meta_update_psi(directive)
-        assert sorted(client.psi) == sorted(towers) == [SharedKey("tower", t, -1, "all") for t in range(2)]
+        assert sorted(client.psi) == sorted(towers) == [SharedKey(f"towers.t{t}") for t in range(2)]
         for k in towers:
             assert u[k].shape == (towers[k].size,)
             assert client.psi[k].tolist() == [-client.eta_psi * float(np.sum(grads[k] * u[k]))]
@@ -529,13 +528,13 @@ class TestStrategies:
         uploads = {c.index: c.build_upload(keys) for c in clients}
         tower = next(k for k in keys if k.kind == "tower")
         uploads[1][tower].flat[0] = np.nan
-        with pytest.raises(ValueError, match=f"client 1 .*{tower.label()}"):
+        with pytest.raises(ValueError, match=f"client 1 .*{tower.name}"):
             FederationServer(plan, c=config.c).aggregate(uploads, 1)
 
     def test_non_finite_value_of_one_client_names_that_client(self):
         uploads = same_uploads({key(): np.ones((2, 3))})
         uploads[1][key()][1, 2] = np.nan  # client 0's upload stays finite
-        with pytest.raises(ValueError, match=f"client 1 uploaded a non-finite value for {re.escape(key().label())}"):
+        with pytest.raises(ValueError, match=f"client 1 uploaded a non-finite value for {re.escape(key().name)}"):
             FederationServer(resolve_strategy("main")).aggregate(uploads, 1)
 
 
@@ -549,21 +548,21 @@ class TestInputChecks:
 
     @pytest.mark.parametrize("strategy", ["main", "a1"])
     def test_different_key_set_names_the_client_and_key(self, strategy):
-        tower = key(kind="tower", index=1, layer=0, part="b")
+        tower = key("towers.t1")
         uploads = {0: {key(): np.ones(2)}, 1: {key(): np.ones(2), tower: np.ones(2)}}
-        with pytest.raises(ValueError, match=f"client 1 .*different key set.*{re.escape(tower.label())}"):
+        with pytest.raises(ValueError, match=f"client 1 .*different key set.*{re.escape(tower.name)}"):
             FederationServer(resolve_strategy(strategy)).aggregate(uploads, 1)
 
     @pytest.mark.parametrize("strategy", ["main", "a1"])
     def test_wrong_shape_names_the_client_and_key(self, strategy):
         uploads = {0: {key(): np.ones((2, 3))}, 1: {key(): np.ones((2, 3))}, 2: {key(): np.ones((3, 2))}}
-        with pytest.raises(ValueError, match=rf"client 2 .*{re.escape(key().label())} with shape \(3, 2\)"):
+        with pytest.raises(ValueError, match=rf"client 2 .*{re.escape(key().name)} with shape \(3, 2\)"):
             FederationServer(resolve_strategy(strategy)).aggregate(uploads, 1)
 
     def test_non_finite_value_on_a_plain_key_names_the_client_and_key(self):
         # TestStrategies.test_non_finite_upload_rejected covers a coordinated key
         uploads = {0: {key(): np.ones(2)}, 1: {key(): np.array([1.0, np.inf])}}
-        with pytest.raises(ValueError, match=f"client 1 .*non-finite.*{re.escape(key().label())}"):
+        with pytest.raises(ValueError, match=f"client 1 .*non-finite.*{re.escape(key().name)}"):
             FederationServer(resolve_strategy("a1")).aggregate(uploads, 1)
 
 
@@ -682,6 +681,47 @@ class TestRoundProtocol:
                     expected = solve_conflict_weights(deltas, deltas.mean(axis=0), c).u_star
                     assert rel(update.ravel(), expected) <= 1e-12
 
+    def test_main_without_psi_equals_a_reference_loop_in_place_of_the_server(self):
+        """Three rounds of ``main`` at c = 0 and eta_psi = 0, against numpy lines that replace the server.
+
+        The loop sets every row of a coordinated key to beta, each client's
+        row mean averaged over clients, at round 1, and to
+        ``start + (beta_r - beta_{r-1})`` after it. Every AUC agrees within 1e-12.
+        """
+        config = ExperimentConfig(
+            scenarios=3, tasks=2, experts=4, d_feat=4, expert_widths=(6, 3), tower_widths=(4,),
+            batch_size=32, c=0.0, eta_psi=0.0,
+        )
+        plan = resolve_strategy("main")
+
+        def run(server):
+            clients = build_clients(config, shards(s=3))
+            keys = upload_keys(plan, clients[0].model)
+            beta, aucs = {}, []
+            for r in (1, 2, 3):
+                for client in clients:
+                    client.begin_round(keys)
+                    client.local_phase(r)
+                uploads = {client.index: client.build_upload(keys) for client in clients}
+                if server is not None:
+                    directive = server.aggregate(uploads, r)
+                    for client in clients:
+                        client.apply_directive(directive)
+                        client.meta_update_psi(directive)
+                else:
+                    for k in keys:
+                        stack = np.stack([uploads[j][k] for j in sorted(uploads)], dtype=np.float64)  # (C, P, ...)
+                        beta_prev, beta[k] = beta.get(k), stack.mean(axis=1).mean(axis=0)
+                        for client in clients:
+                            value = beta[k] if r == 1 else client.round_start[k] + (beta[k] - beta_prev)
+                            client.model.key_map()[k].data[...] = value
+                aucs.append([client.evaluate().auc for client in clients])
+            return np.array(aucs)
+
+        served, reference = run(FederationServer(plan, c=config.c)), run(None)
+        assert served.shape == (3, 3, 2) and len(np.unique(served)) > 3
+        np.testing.assert_allclose(served, reference, rtol=0.0, atol=1e-12)
+
     @pytest.mark.parametrize("strategy", ["main", "a2", "fedavg"])
     def test_server_aggregates_float32_uploads_as_their_float64_casts(self, strategy):
         """Clients upload float32; the server stacks them as float64, so its
@@ -765,6 +805,28 @@ class TestPrivacyAudit:
 class TestSnapshotLayout:
     """A key's server state is written once, and its normalized rows once per client, whatever its row count."""
 
+    @pytest.mark.parametrize("strategy", ["main", "fedavg"])
+    def test_every_label_is_a_role_and_a_key_name(self, tmp_path, strategy):
+        """A label with its role and client removed is the name of an uploaded key of ``model.key_map()``."""
+        config = ExperimentConfig(
+            strategy=strategy, rounds=2, scenarios=2, tasks=2, experts=2, d_feat=4,
+            expert_widths=(6, 3), tower_widths=(4,), samples_per_scenario=200,
+            batch_size=32, seed=3, out_dir=str(tmp_path / "run"),
+        )
+        run_experiment(config)
+        model = ClientModel(config.model_spec(0), config.seed)
+        uploaded = {k.name for k in upload_keys(resolve_strategy(strategy), model)}
+        assert uploaded <= {k.name for k in model.key_map()}
+        for r in (1, 2):
+            _, _, entries = read_snapshot(tmp_path / "run" / "snapshots" / f"round_{r}.bin")
+            names = set()
+            for label in entries:
+                role, name, *client = label.split("/")
+                assert role in ("ref", "set", "dmean", "ustar", "norm"), label
+                assert client in ((["c0"], ["c1"]) if role == "norm" else ([],)), label
+                names.add(name)
+            assert names == uploaded
+
     def test_round_two_holds_one_entry_per_key_and_role(self, tmp_path):
         clients, config = make_clients(s=2, n_experts=3)
         plan = resolve_strategy("main")
@@ -784,20 +846,19 @@ class TestSnapshotLayout:
 
         model = clients[0].model
         layer_keys, tower_keys = list(of_kind(model, "expert_scenario")), list(of_kind(model, "tower"))
-        assert len(layer_keys) == len(model.expert_layers)
+        assert layer_keys == [SharedKey(f"experts.l{li}.w_s") for li in range(len(model.expert_layers))]
         assert sorted(keys) == sorted(layer_keys + tower_keys)
         for role in ("ref", "dmean", "ustar"):
             labels = sorted(label.split("/", 1)[1] for label in entries if label.startswith(f"{role}/"))
-            assert labels == sorted(k.label() for k in keys)
+            assert labels == sorted(k.name for k in keys)
         assert not any(label.startswith("set/") for label in entries)
         assert len(entries) == (3 + len(clients)) * len(keys)
         for k in layer_keys:
-            assert k.label() == f"expert_scenario:-1:{k.layer}:w_s"
-            assert entries[f"ref/{k.label()}"].shape == of_kind(model, "expert_scenario")[k].shape[1:]
+            assert entries[f"ref/{k.name}"].shape == of_kind(model, "expert_scenario")[k].shape[1:]
             rows = server.prev_normalized[k]
             for j, c in enumerate(clients):
-                norm = entries[f"norm/{k.label()}/c{c.index}"]
+                norm = entries[f"norm/{k.name}/c{c.index}"]
                 assert norm.shape == of_kind(model, "expert_scenario")[k].shape  # (N, d_in, d_out)
                 assert np.array_equal(norm, rows[3 * j : 3 * (j + 1)])
         for k in tower_keys:
-            assert entries[f"norm/{k.label()}/c0"].shape == of_kind(model, "tower")[k].shape  # (1, ...)
+            assert entries[f"norm/{k.name}/c0"].shape == of_kind(model, "tower")[k].shape  # (1, ...)

@@ -9,9 +9,9 @@ from fedmoe.federation.snapshot import MAGIC, read_snapshot, write_snapshot
 def sample_entries():
     rng = np.random.default_rng(0)
     return {
-        "norm/tower:0:0:w/c1": rng.normal(0, 1, (1, 3, 2)),
-        "norm/expert_scenario:-1:0:w_s/c1": rng.normal(0, 1, (2, 3, 2)),
-        "ref/expert_scenario:-1:0:w_s": rng.normal(0, 1, (3, 2)),
+        "norm/towers.t0/c1": rng.normal(0, 1, (1, 3, 2)),
+        "norm/experts.l0.w_s/c1": rng.normal(0, 1, (2, 3, 2)),
+        "ref/experts.l0.w_s": rng.normal(0, 1, (3, 2)),
         "scalar": np.array(2.5),
         "empty": np.zeros((0, 3)),
     }
