@@ -7,28 +7,28 @@ uploaded nor aggregated, so ``local``, which names none, runs no server at
 all.
 
 "coordinated" means, per key: stack the clients' (P, ...) uploads as
-(C, P, ...), normalize its C·P rows server-side as one batch around the
-clients' averaged own-upload means, average them and difference them
-against the key's previous-round rows. Then solve one simplex weighting
-over the C·P increment rows and ship the key its mean increment and
-coordinated update, for personalized application on each client. A
-coordinated key is an expert layer's scenario weights, ``experts.l<l>.w_s``
-(P = N experts), or one task's whole tower, ``towers.t<task>`` (P = 1).
-"plain" is the per-key mean over clients.
+(C, P, ...), z-score its C·P rows server-side as one batch and add back
+their mean, beta, average them and difference them against the key's
+previous-round rows. Then solve one simplex weighting over the C·P
+increment rows and ship the key its mean increment and coordinated update,
+for personalized application on each client. A coordinated key is an
+expert layer's scenario weights, ``experts.l<l>.w_s`` (P = N experts), or
+one task's whole tower, ``towers.t<task>`` (P = 1). "plain" is the per-key
+mean over clients.
 
 What ``main`` does to a layer's experts: a coordinated expert key's mean
 and increments have one row's shape and are broadcast over its N experts.
 So round 1 sets every expert's ``w_s`` in a layer, on every client, to one
-matrix, beta, the clients' row means averaged. Each later round moves
+matrix, beta, the mean of the C·P uploaded rows. Each later round moves
 every expert by one shared mean increment, plus its own psi times the
 shared coordinated update. Plain ``a1`` instead sets each expert to its
 own mean over clients.
 
 The server sees nothing but keyed tensors, and ``aggregate`` checks each
-client's key set, shapes and finiteness before it uses any of them. It
-stacks every key's uploads as float64, whatever dtype the clients train
-in, so the normalization, the solve, the directive and the snapshot are
-float64.
+client's key set, shapes and finiteness before it uses any of them, and
+refuses a key whose kind its strategy does not share. It stacks every
+key's uploads as float64, whatever dtype the clients train in, so the
+normalization, the solve, the directive and the snapshot are float64.
 """
 
 from __future__ import annotations
@@ -143,6 +143,12 @@ class FederationServer:
             raise ValueError(f"strategy {self.plan.name!r} needs >= 2 clients (got {len(clients)})")
         first = uploads[clients[0]]
         key_set = sorted(first)
+        for key in key_set:
+            if self.plan.mode(key.kind) == NONE:
+                raise ValueError(
+                    f"client {clients[0]} uploaded {key.name} of kind {key.kind}, "
+                    f"which strategy {self.plan.name!r} does not share"
+                )
         for j in clients:
             if sorted(uploads[j]) != key_set:
                 differ = ", ".join(k.name for k in sorted(set(uploads[j]) ^ set(key_set)))
@@ -162,7 +168,9 @@ class FederationServer:
         for key in key_set:
             stack = np.stack([uploads[j][key] for j in clients], dtype=np.float64)
             if self.plan.mode(key.kind) == COORDINATED:
-                normalized[key] = self._normalize(key, stack, directive)
+                normalized[key], beta = fedbn_normalize(stack.reshape(-1, *stack.shape[2:]))
+                directive.means[key] = wbar = normalized[key].mean(axis=0)
+                directive.fedbn_residual = max(directive.fedbn_residual, float(np.abs(wbar - beta).max()))
             else:
                 directive.means[key] = stack.mean(axis=0)
         if round_index >= 2 and self.prev_normalized:  # else no history: set, do not increment
@@ -172,31 +180,16 @@ class FederationServer:
         self.last_snapshot_entries = self._snapshot_entries(directive, clients, normalized)
         return directive
 
-    @staticmethod
-    def _normalize(key: SharedKey, stack: np.ndarray, directive: ServerDirective) -> np.ndarray:
-        """Normalize one key's (C, P, ...) uploads as C·P rows and set their mean."""
-        # The shift comes from the clients' own uploads: one beta per client,
-        # the mean of its P rows, so the averaged beta recovers the plain
-        # pooled mean and the batch normalization only reshapes the spread
-        # around it.
-        normalized, beta = fedbn_normalize(stack.reshape(-1, *stack.shape[2:]), stack.mean(axis=1))
-        wbar = normalized.mean(axis=0)
-        directive.fedbn_residual = max(directive.fedbn_residual, float(np.abs(wbar - beta).max()))
-        directive.means[key] = wbar
-        return normalized
-
     def _coordinate(self, key: SharedKey, rows: np.ndarray, clients: list[int], directive: ServerDirective) -> None:
-        """Solve one key's (C·P, -1) increments over its last round's rows; set its increment pair in one row's shape."""
+        """Solve one key's (C·P, ...) increments over its last round's rows; set its increment pair in one row's shape."""
         if clients != self.prev_clients or key not in self.prev_normalized:
             raise ValueError(
                 f"coordinated key {key.name} has no round {directive.round_index - 1} rows for clients "
                 f"{clients}: the clients or the key set changed"
             )
         delta = rows - self.prev_normalized[key]
-        flat = delta.reshape(len(delta), -1)
-        mean_delta = flat.mean(axis=0)
-        u_star = solve_conflict_weights(flat, mean_delta, self.c).u_star
-        directive.increments[key] = (mean_delta.reshape(delta.shape[1:]), u_star.reshape(delta.shape[1:]))
+        mean_delta = delta.mean(axis=0)
+        directive.increments[key] = (mean_delta, solve_conflict_weights(delta, mean_delta, self.c).u_star)
 
     # -- persistence --------------------------------------------------------------
 

@@ -182,7 +182,9 @@ def run_ablation_suite(config: ExperimentConfig, out_dir: Optional[str | Path] =
     modes, plus the expert count) runs once; a label that repeats
     one, such as ``a3`` and ``expert_<experts>`` (both equal to ``main``),
     shares the first label's run, and ``ablation.log`` names that run.
-    Every variant's config is validated before the output directory is made.
+    Every variant's config is validated before any run, and the first run
+    makes the output directory only once its data has built, so a config
+    that fails either way leaves no directory behind.
     """
     config.validate()
     out = Path(out_dir) if out_dir is not None else Path(config.out_dir)
@@ -198,7 +200,6 @@ def run_ablation_suite(config: ExperimentConfig, out_dir: Optional[str | Path] =
         if source[label] == label:
             subs[label] = config.with_overrides(strategy=strategy, experts=experts, out_dir=str(out / f"variant_{label}"))
             subs[label].validate()
-    out.mkdir(parents=True, exist_ok=True)
     runs = {label: run_experiment(sub) for label, sub in subs.items()}
     runs = {label: runs[first] for label, first in source.items()}
     checksums = {label: art.shard_checksum for label, art in runs.items()}

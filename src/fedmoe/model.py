@@ -87,7 +87,7 @@ from .diffcore import (
     task_weights,
 )
 
-__all__ = ["ModelSpec", "ClientModel", "SharedKey", "KINDS", "initial_buffers", "EXPERT_PARTS", "TEMPLATE_PARTS"]
+__all__ = ["ModelSpec", "ClientModel", "SharedKey", "initial_buffers", "EXPERT_PARTS", "TEMPLATE_PARTS"]
 
 
 @dataclass(frozen=True)
@@ -153,10 +153,6 @@ def _shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
     shapes["gates.w"], shapes["gates.b"] = (t, spec.d_feat, n), (t, n)
     shapes["towers"] = (t, sum(d_in * d_out + d_out for d_in, d_out in _tower_dims(spec)))
     return shapes
-
-
-# Every value of SharedKey.kind: the sets of keys a strategy can share.
-KINDS = ("expert_scenario", "tower", "expert_local", "local")
 
 
 @dataclass(frozen=True, order=True)

@@ -273,3 +273,16 @@ def test_ablate_validates_every_variant_before_making_the_output_directory(tmp_p
     assert main(["ablate", "--config", str(ini)]) == 2
     assert "model.scenarios: federated strategy 'a1' needs >= 2 clients" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_ablate_on_data_that_fails_to_load_leaves_no_output_directory(tmp_path, capsys):
+    """Every variant is valid, but the first run's CSV files do not exist: exit 2, and nothing is made."""
+    missing = tmp_path / "missing.csv"
+    ini = tmp_path / "csv.ini"
+    ExperimentConfig(
+        scenarios=2, tasks=1, d_feat=1, source="csv", csv_paths=(str(missing), str(missing)),
+        feature_columns=("f0",), label_columns=("click",), out_dir=str(tmp_path / "out"),
+    ).save(ini)
+    assert main(["ablate", "--config", str(ini)]) == 2
+    assert f"cannot read CSV file {missing}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

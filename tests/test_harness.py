@@ -81,11 +81,11 @@ PINNED_SHA256 = {
         "snapshots/round_3.bin": "c6084fc205c801cc6111461d597e1f08fe996c39dde6ff266fc4f0d474111dee",
     },
     "main_three_clients_three_experts": {
-        "metrics.csv": "cefd33c42bb558b161bd26b198433f6b58330ab65a3ef8f22dcd4843e25e305a",
+        "metrics.csv": "6ad7527e02baa2d75f5215ac6c25dae3498afa6114178617522e3338bf2825c2",
         "convergence.csv": "51db1f31ebd3318426eb3a250734bbde8401989e197a54a3116b09df697c66af",
-        "snapshots/round_1.bin": "e4af72dcb0906e48a18ed769e6904f9aa248848cb41486925626698bf8b92a0c",
-        "snapshots/round_2.bin": "3fdd2debd19daba23ec09f88ff6b4940b6aa0b6c62505621202d6a8a19196289",
-        "snapshots/round_3.bin": "5f5976f1bd06af88491f9046909d5ab11db080391dd68909df1ebcf869dbecf0",
+        "snapshots/round_1.bin": "e02fee1fbdc9802d1a84701da9ad0827460664ad5fdf07c766b3c26576cbfb85",
+        "snapshots/round_2.bin": "dd06fba0baff1569310e560778e078f97bc109c55b9087c7a4265f9bd3723fa1",
+        "snapshots/round_3.bin": "04d07f2d3980cedb19c76682ba95b577dd1e7bef288ca20a7a611c69c17f1afd",
     },
 }
 # The cases that are not a strategy on small_config: the smallest model, a

@@ -12,7 +12,10 @@ from fedmoe.federation.client import ClientSim
 from fedmoe.federation.server import STRATEGIES, FederationServer, ServerDirective, resolve_strategy, upload_keys
 from fedmoe.federation.snapshot import read_snapshot, write_snapshot
 from fedmoe.harness import build_clients, run_experiment
-from fedmoe.model import KINDS, ClientModel, SharedKey, initial_buffers
+from fedmoe.model import ClientModel, SharedKey, initial_buffers
+
+# Every kind a key can have, as a default model's key map produces them.
+MODEL_KINDS = {k.kind for k in ClientModel(ExperimentConfig().model_spec(0), init_seed=0).key_map()}
 
 
 def key(name="experts.l0.w_s"):
@@ -414,19 +417,19 @@ class TestStrategies:
     )
     def test_coordinated_kinds_follow_the_strategy_table(self, strategy, kinds):
         plan = resolve_strategy(strategy)
-        assert {kind for kind in KINDS if plan.mode(kind) == "coordinated"} == kinds
+        assert {kind for kind in MODEL_KINDS if plan.mode(kind) == "coordinated"} == kinds
         assert any(mode == "coordinated" for _, mode in plan.modes) == bool(kinds)
 
     @pytest.mark.parametrize("strategy", list(STRATEGIES))
     def test_each_strategy_uploads_exactly_the_kinds_its_table_entry_names(self, strategy):
         table = STRATEGIES[strategy]
-        assert set(table) <= set(KINDS) and set(table.values()) <= {"coordinated", "plain"}
+        assert set(table) <= MODEL_KINDS and set(table.values()) <= {"coordinated", "plain"}
         clients, config = make_clients(s=2)
         model = clients[0].model
         plan = resolve_strategy(strategy)
         keys = upload_keys(plan, model)
         assert set(keys) == {k for k in model.key_map() if k.kind in table}
-        assert {plan.mode(kind) for kind in KINDS if kind not in table} <= {"none"}
+        assert {plan.mode(kind) for kind in MODEL_KINDS if kind not in table} <= {"none"}
         assert plan.uses_server == bool(table)
         one_client = {0: clients[0].build_upload(keys)}
         if not plan.uses_server:
@@ -559,6 +562,14 @@ class TestInputChecks:
         with pytest.raises(ValueError, match=rf"client 2 .*{re.escape(key().name)} with shape \(3, 2\)"):
             FederationServer(resolve_strategy(strategy)).aggregate(uploads, 1)
 
+    @pytest.mark.parametrize("strategy, name", [("a4", "emb.task"), ("a1", "experts.l0.tmpl.w1"), ("main", "gates.b")])
+    def test_a_kind_the_strategy_does_not_share_is_refused_naming_client_key_and_kind(self, strategy, name):
+        unshared = SharedKey(name)
+        uploads = {0: {key("towers.t0"): np.ones(2), unshared: np.ones(2)},
+                   1: {key("towers.t0"): np.zeros(2), unshared: np.zeros(2)}}
+        with pytest.raises(ValueError, match=rf"client 0 .*{re.escape(name)} of kind {unshared.kind}.*does not share"):
+            FederationServer(resolve_strategy(strategy)).aggregate(uploads, 1)
+
     def test_non_finite_value_on_a_plain_key_names_the_client_and_key(self):
         # TestStrategies.test_non_finite_upload_rejected covers a coordinated key
         uploads = {0: {key(): np.ones(2)}, 1: {key(): np.array([1.0, np.inf])}}
@@ -656,9 +667,9 @@ class TestRoundProtocol:
             for client in clients:
                 client.apply_directive(directive)
             for k in keys:
-                stack = np.stack([uploads[j][k] for j in sorted(uploads)])  # (C, P, ...)
-                beta_prev, beta[k] = beta.get(k), stack.mean(axis=1).mean(axis=0)
-                rows, _ = fedbn_normalize(stack.reshape(-1, *stack.shape[2:]), stack.mean(axis=1))
+                stack = np.concatenate([uploads[j][k] for j in sorted(uploads)])  # (C·P, ...)
+                beta_prev, beta[k] = beta.get(k), stack.mean(axis=0)
+                rows, _ = fedbn_normalize(stack)
                 rows_prev, prev_rows[k] = prev_rows.get(k), rows
                 for client in clients:
                     value = client.model.key_map()[k].data
